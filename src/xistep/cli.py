@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, check_replicas, load_config
 from .moments import (ScalarParams, generator_on_monomial, hausdorff_check,
                       order_indices, solve_stationary)
 from .rationals import format_rational
@@ -24,7 +24,7 @@ from .simhelpers import (coupling_linearity_holds, normalization_holds,
                          random_scalar_params, random_xi)
 from .simplex import build_rate_table, check_consistency
 from .simulator import (StopRule, estimate_Qt, estimate_stationary,
-                        initial_state, replay, replica_rng, run_until)
+                        initial_state, replica_rng, run_until)
 
 
 def _workers():
@@ -296,6 +296,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
+        if args.replicas is not None:
+            check_replicas(args.replicas)
         report, status = COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -28,6 +28,12 @@ def _rat(value, field_name):
         raise ConfigError(field_name, str(e)) from e
 
 
+def check_replicas(n):
+    if n < 1:
+        raise ConfigError("replicas", f"must be at least 1, got {n}")
+    return n
+
+
 _MISSING = object()
 
 
@@ -132,7 +138,7 @@ def parse_config(data, digest=""):
            if "mu1" in data else base)
     mu2 = (parse_base_measure(data["mu2"], "mu2")
            if "mu2" in data else base)
-    replicas = int(_get(data, "replicas", "", 1000))
+    replicas = check_replicas(int(_get(data, "replicas", "", 1000)))
     seed = int(_get(data, "seed", "", 0))
     b_max = int(_get(data, "b_max", "", 8))
     options = _get(data, "options", "", {})

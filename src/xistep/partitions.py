@@ -94,13 +94,6 @@ class LabeledPartition:
     def block_count(self):
         return len(self.partition)
 
-    def count(self, colony):
-        return sum(1 for c in self.labels if c == colony)
-
-    def colony_positions(self, colony):
-        """1-based positions of the blocks carrying `colony`, in order."""
-        return tuple(i + 1 for i, c in enumerate(self.labels) if c == colony)
-
 
 def relabel(eta, k, colony):
     """Copy of label list eta with position k (1-based) set to colony."""
@@ -109,55 +102,33 @@ def relabel(eta, k, colony):
     return tuple(colony if i == k - 1 else c for i, c in enumerate(eta))
 
 
-def _coag_labeled_blocks(lp, colony, pi_prime):
-    """New (blocks, labels) after coagulating the colony sub-partition,
-    before canonical reordering; returns list of (block, label)."""
-    sub = [lp.partition[p - 1] for p in lp.colony_positions(colony)]
-    if len(sub) != sum(len(b) for b in pi_prime):
+def coag_colony(blocks, labels, colony, pi_prime):
+    """Coagulate the blocks labeled `colony` by pi_prime, a partition of
+    their ranks among that colony's blocks; the other colony's blocks pass
+    through. Returns the new blocks and labels in least-element order and
+    the merge groups: per new block, the 0-based positions of the old
+    blocks it unites, ascending."""
+    positions = [i for i, c in enumerate(labels) if c == colony]
+    if len(positions) != sum(len(b) for b in pi_prime):
         raise ValueError(
             f"pi_prime covers {sum(len(b) for b in pi_prime)} blocks, "
-            f"colony {colony} has {len(sub)}")
-    merged = coag(sub, pi_prime) if sub else ()
-    tagged = [(b, colony) for b in merged]
-    other = ({COLONY_1, COLONY_2} - {colony}).pop()
-    tagged += [(lp.partition[p - 1], other)
-               for p in lp.colony_positions(other)]
-    tagged.sort(key=lambda t: t[0][0])
-    return tagged
+            f"colony {colony} has {len(positions)}")
+    groups = [sorted(positions[k - 1] for k in b) for b in pi_prime]
+    groups += [[i] for i, c in enumerate(labels) if c != colony]
+    # old blocks are in least-element order, so new ones sort by position
+    groups.sort()
+    new_blocks = tuple(tuple(sorted(x for i in g for x in blocks[i]))
+                       for g in groups)
+    return new_blocks, tuple(labels[g[0]] for g in groups), groups
 
 
 def coag_labeled(lp, colony, pi_prime):
     """Coagulate the blocks of lp carrying `colony` by pi_prime; the other
     colony's blocks pass through; block order re-established by least
     element and labels recomputed."""
-    tagged = _coag_labeled_blocks(lp, colony, pi_prime)
-    return LabeledPartition(tuple(b for b, _ in tagged),
-                            tuple(c for _, c in tagged))
-
-
-@dataclass(frozen=True)
-class MergeMap:
-    """Sends each pre-collision block position to its post-collision one."""
-
-    source_arity: int
-    target_arity: int
-    index_map: tuple  # index_map[j-1] = new 1-based position of old block j
-
-    def __post_init__(self):
-        if set(self.index_map) != set(range(1, self.target_arity + 1)):
-            raise ValueError("index_map must be surjective onto targets")
-
-
-def merge_map_of(lp, colony, pi_prime):
-    """MergeMap for the coalescence of lp's `colony` blocks by pi_prime,
-    used to identify tensor variables of merged blocks."""
-    tagged = _coag_labeled_blocks(lp, colony, pi_prime)
-    locate = {}
-    for new_pos, (block, _) in enumerate(tagged, start=1):
-        for elem in block:
-            locate[elem] = new_pos
-    index_map = tuple(locate[block[0]] for block in lp.partition)
-    return MergeMap(lp.block_count, len(tagged), index_map)
+    blocks, labels, _ = coag_colony(lp.partition, lp.labels, colony,
+                                    pi_prime)
+    return LabeledPartition(blocks, labels)
 
 
 def enumerate_partitions(b, skip_singleton=False):

@@ -154,10 +154,6 @@ class SetFunction:
         return [(c, DyadicSet(self.level, frozenset(cells)))
                 for c, cells in sorted(groups.items(), key=lambda t: str(t[0]))]
 
-    @property
-    def is_nonnegative(self):
-        return all(c >= 0 for c in self.coeffs)
-
 
 ONE = SetFunction.constant(Fraction(1))
 
@@ -265,30 +261,20 @@ def integrate(measure, g):
 
 @dataclass(frozen=True)
 class MutationSpec:
-    """Jump mutation at rate theta/2 per variable. Uniform kind draws the
-    new type from `base` independently of the current one; a general
-    kernel supplies a sampler(x, rng) -> y."""
+    """Jump mutation at rate theta/2 per variable; the new type is drawn
+    from `base` independently of the current one."""
 
     theta: Fraction
-    base: BaseMeasure = None
-    kernel: object = None
+    base: BaseMeasure
 
     def __post_init__(self):
         object.__setattr__(self, "theta", Fraction(self.theta))
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
-        if (self.base is None) == (self.kernel is None):
-            raise ValueError("exactly one of base/kernel must be given")
-
-    @property
-    def is_uniform(self):
-        return self.base is not None
 
 
 def apply_generator_uniform(g, spec):
     """(theta/2) * (<nu0, g> * 1 - g), exactly."""
-    if not spec.is_uniform:
-        raise ValueError("uniform mutation spec required")
     half = spec.theta / 2
     return g.axpy(-half, half * spec.base.integrate(g))
 
@@ -305,35 +291,16 @@ def decay_factor(theta, t, exact=False):
 def semigroup_apply_uniform(g, t, spec, exact=False):
     """Closed-form mutation semigroup:
     e^{-theta t/2} g + (1 - e^{-theta t/2}) <nu0, g> 1."""
-    if not spec.is_uniform:
-        raise ValueError("uniform mutation spec required")
     p = decay_factor(spec.theta, t, exact=exact)
     return g.axpy(p, (1 - p) * spec.base.integrate(g))
 
 
-def _poisson(mean, rng):
-    if mean <= 0:
-        return 0
-    # Knuth inversion; fine for the moderate means used here.
-    limit = math.exp(-mean)
-    k, prod = 0, rng.random()
-    while prod > limit:
-        k += 1
-        prod *= rng.random()
-    return k
-
-
 def sample_mutation_path(x0, t, spec, rng):
     """Terminal type of the mutation jump process started at x0 run for
-    time t. Uniform kernels collapse to: keep x0 with prob e^{-theta t/2},
-    else one fresh draw from the base."""
+    time t: keep x0 with prob e^{-theta t/2}, else one fresh draw from the
+    base."""
     if t < 0:
         raise ValueError("negative time")
-    if spec.is_uniform:
-        if rng.random() < math.exp(-float(spec.theta) * float(t) / 2.0):
-            return x0
-        return spec.base.sample(rng)
-    x = x0
-    for _ in range(_poisson(float(spec.theta) * float(t) / 2.0, rng)):
-        x = spec.kernel(x, rng)
-    return x
+    if rng.random() < math.exp(-float(spec.theta) * float(t) / 2.0):
+        return x0
+    return spec.base.sample(rng)

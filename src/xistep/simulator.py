@@ -1,6 +1,17 @@
 """The labeled-coalescent dual as a simulatable jump chain, with duality
 functional evaluation and Monte Carlo moment estimators.
 
+One kernel runs the chain. `_Chain` is the mutable state of one run:
+blocks in least-element order, colony labels and a payload, which is one
+factor per block (float or Fraction coefficients, base integrals cached
+until a coalescence) or, for the genealogical skeleton, none: that records
+lineage segments. `_Chain.advance` runs the mutation semigroup and
+`_Chain.apply` a migration or coalescence. Events come from the RNG in
+`_run`, the one loop behind `step`, `run_until` (hence the estimators) and
+`genealogical_evaluate`, or from a recorded `Trajectory` in `replay`.
+`DualState`, `LabeledPartition` and `TensorFunction` are built only where
+a public function returns them.
+
 Replicas draw independent random streams derived deterministically from a
 master seed, so every reported number is reproducible.
 """
@@ -13,12 +24,12 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import partitions as pt
-from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_labeled,
-                         merge_map_of, random_partition_with_profile, relabel,
-                         singleton_partition)
-from .setfun import (SetFunction, TensorFunction, decay_factor,
-                     sample_mutation_path)
+from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
+                         enumerate_partitions, random_partition_with_profile,
+                         relabel, singleton_partition)
+from .setfun import (SetFunction, TensorFunction, apply_generator_uniform,
+                     decay_factor, sample_mutation_path)
+from .simplex import per_partition_rate
 
 
 @dataclass(frozen=True)
@@ -79,47 +90,59 @@ def replica_rng(seed, replica):
     return random.Random(f"xistep:{seed}:{replica}")
 
 
-def total_jump_rate(state, params):
-    """Per-block migration plus per-colony total coalescence rate."""
-    return _jump_rate(state.lp, params)
+class _Chain:
+    """Mutable state of one run of the dual (see the module docstring)."""
 
+    def __init__(self, state, skeleton=False):
+        self.blocks, self.labels = state.lp.partition, state.lp.labels
+        self.factors = None if skeleton else list(state.y.factors)
+        self.segments = [] if skeleton else None
+        self.ints = None
+        self.clock, self.events = state.clock, state.events
 
-def _jump_rate(lp, params):
-    n1, n2 = lp.count(COLONY_1), lp.count(COLONY_2)
-    rate = n2 * params.u1 + n1 * params.u2
-    for b in (n1, n2):
-        if b >= 2:
-            rate += params.rate_table.total_rate(b)
-    return rate
+    def advance(self, dt, spec, exact):
+        """Mutation semigroup over dt. Each factor's base integral is
+        invariant under the flow (a convex combination with that same
+        integral), so it is computed once and carried forward."""
+        if self.factors is None:
+            self.segments.append((self.blocks, dt))
+        else:
+            p = decay_factor(spec.theta, dt, exact=exact)
+            q = 1 - p
+            if self.ints is None:
+                self.ints = [spec.base.integrate(g) for g in self.factors]
+            self.factors = [g.axpy(p, q * c)
+                            for g, c in zip(self.factors, self.ints)]
+        self.clock += dt
 
+    def advance_to(self, t, spec, exact):
+        self.advance(t - self.clock, spec, exact)
+        self.clock = t
 
-def _float_jump_rate(lp, params):
-    fu1, fu2, profs = _float_tables(params)
-    n1, n2 = lp.count(COLONY_1), lp.count(COLONY_2)
-    rate = n2 * fu1 + n1 * fu2
-    if n1 >= 2:
-        rate += profs[n1][2]
-    if n2 >= 2:
-        rate += profs[n2][2]
-    return rate
+    def apply(self, kind, colony, detail):
+        """Migrate block `detail` (1-based) out of `colony`, or coalesce
+        `colony`'s blocks by `detail`, multiplying factors in block order."""
+        self.events += 1
+        if kind == "migration":
+            target = COLONY_1 if colony == COLONY_2 else COLONY_2
+            self.labels = relabel(self.labels, detail, target)
+            return
+        self.blocks, self.labels, groups = coag_colony(
+            self.blocks, self.labels, colony, detail)
+        if self.factors is not None:
+            merged = []
+            for group in groups:
+                g = self.factors[group[0]]
+                for j in group[1:]:
+                    g = g.multiply(self.factors[j])
+                merged.append(g)
+            self.factors = merged
+            self.ints = None
 
-
-def _advance_tensor(y, dt, spec, exact):
-    p = decay_factor(spec.theta, dt, exact=exact)
-    q = 1 - p
-    # each factor's base integral is invariant under the mutation flow
-    # (the flow is a convex combination with that same integral), so it is
-    # computed once per tensor and carried forward
-    cache = getattr(y, "_ints", None)
-    if cache is None or cache[0] is not spec.base:
-        ints = tuple(spec.base.integrate(g) for g in y.factors)
-    else:
-        ints = cache[1]
-    factors = tuple(g.axpy(p, q * ints[i])
-                    for i, g in enumerate(y.factors))
-    out = TensorFunction(factors)
-    object.__setattr__(out, "_ints", (spec.base, ints))
-    return out
+    def state(self):
+        return DualState(LabeledPartition(self.blocks, self.labels),
+                         TensorFunction(tuple(self.factors)), self.clock,
+                         self.events)
 
 
 def _float_tables(params):
@@ -144,67 +167,78 @@ def _float_tables(params):
     return tables
 
 
-def _pick_event(lp, params, rng):
+def _event_rates(labels, params):
+    """Float rates of migration out of colony 2 (u1 per block), out of
+    colony 1 (u2 per block), coalescence in colony 1 and in colony 2, and
+    their sum, the jump rate."""
+    fu1, fu2, profs = _float_tables(params)
+    n1 = labels.count(COLONY_1)
+    n2 = len(labels) - n1
+    rates = (n2 * fu1, n1 * fu2,
+             profs[n1][2] if n1 >= 2 else 0.0,
+             profs[n2][2] if n2 >= 2 else 0.0)
+    return rates, sum(rates)
+
+
+def total_jump_rate(state, params):
+    """Per-block migration plus per-colony total coalescence rate, as the
+    float the chain draws its holding times with."""
+    return _event_rates(state.lp.labels, params)[1]
+
+
+def _pick_event(labels, rates, total, params, rng):
     """Categorical sample over migrations (per block) and coalescences
     (per colony, then profile, then a uniform concrete partition)."""
-    fu1, fu2, profs = _float_tables(params)
-    n1, n2 = lp.count(COLONY_1), lp.count(COLONY_2)
-    # colony-2 blocks migrate at rate u1, colony-1 blocks at rate u2
-    weights = [n2 * fu1, n1 * fu2,
-               profs[n1][2] if n1 >= 2 else 0.0,
-               profs[n2][2] if n2 >= 2 else 0.0]
-    pick = rng.random() * sum(weights)
-    if pick < weights[0] + weights[1]:
-        label = COLONY_2 if pick < weights[0] else COLONY_1
-        positions = [i for i, l in enumerate(lp.labels, start=1)
-                     if l == label]
+    pick = rng.random() * total
+    if pick < rates[0] + rates[1]:
+        label = COLONY_2 if pick < rates[0] else COLONY_1
+        positions = [i for i, l in enumerate(labels, start=1) if l == label]
         return "migration", label, positions[rng.randrange(len(positions))]
-    pick -= weights[0] + weights[1]
-    colony, b = (COLONY_1, n1) if pick < weights[2] else (COLONY_2, n2)
+    pick -= rates[0] + rates[1]
+    colony = COLONY_1 if pick < rates[2] else COLONY_2
     if colony == COLONY_2:
-        pick -= weights[2]
-    rows, cum, _ = profs[b]
+        pick -= rates[2]
+    b = labels.count(colony)
+    rows, cum, _ = _float_tables(params)[2][b]
     prof = rows[bisect.bisect_right(cum, pick, hi=len(rows) - 1)]
     detail = random_partition_with_profile(b, prof.merge_sizes, prof.s, rng)
     return "coalescence", colony, detail
 
 
-def _apply_event(state, kind, colony, detail):
-    lp, y = state.lp, state.y
-    if kind == "migration":
-        target = COLONY_1 if colony == COLONY_2 else COLONY_2
-        new_lp = LabeledPartition(lp.partition,
-                                  relabel(lp.labels, detail, target))
-        return DualState(new_lp, y, state.clock, state.events)
-    mm = merge_map_of(lp, colony, detail)
-    new_lp = coag_labeled(lp, colony, detail)
-    groups = [[] for _ in range(mm.target_arity)]
-    for j, dest in enumerate(mm.index_map):
-        groups[dest - 1].append(y.factors[j])
-    merged = []
-    for fs in groups:
-        g = fs[0]
-        for h in fs[1:]:
-            g = g.multiply(h)
-        merged.append(g)
-    return DualState(new_lp, TensorFunction(tuple(merged)),
-                     state.clock, state.events)
+def _run(chain, params, rng, exact, at_time, absorb, max_events):
+    """The dual's event loop. Stops at one block (when `absorb`), after
+    `max_events` events (truncated), or at `at_time`; returns the event
+    records and whether the run was truncated."""
+    if len(chain.labels) > params.rate_table.b_max:
+        raise ValueError(f"{len(chain.labels)} blocks exceed b_max="
+                         f"{params.rate_table.b_max}; migration can gather "
+                         "every block in one colony")
+    spec = params.mutation
+    events = []
+    while True:
+        if absorb and len(chain.blocks) == 1:
+            return events, False
+        if max_events is not None and len(events) >= max_events:
+            return events, True
+        rates, total = _event_rates(chain.labels, params)
+        dt = rng.expovariate(total)
+        if at_time is not None and chain.clock + dt >= at_time:
+            chain.advance_to(at_time, spec, exact)
+            return events, False
+        kind, colony, detail = _pick_event(chain.labels, rates, total,
+                                           params, rng)
+        chain.advance(dt, spec, exact)
+        chain.apply(kind, colony, detail)
+        events.append(EventRecord(chain.clock, dt, kind, colony, detail,
+                                  len(chain.blocks)))
 
 
 def step(state, params, rng, exact=False):
     """One jump: Exp holding time, mutation semigroup advance, then a
     migration or coalescence chosen proportionally to its rate."""
-    rate = _float_jump_rate(state.lp, params)
-    if rate <= 0:
-        raise RuntimeError("no jump possible from this state")
-    dt = rng.expovariate(rate)
-    y = _advance_tensor(state.y, dt, params.mutation, exact)
-    state = DualState(state.lp, y, state.clock + dt, state.events + 1)
-    kind, colony, detail = _pick_event(state.lp, params, rng)
-    state = _apply_event(state, kind, colony, detail)
-    record = EventRecord(state.clock, dt, kind, colony, detail,
-                         state.lp.block_count)
-    return record, state
+    chain = _Chain(state)
+    events, _ = _run(chain, params, rng, exact, None, False, 1)
+    return events[0], chain.state()
 
 
 @dataclass(frozen=True)
@@ -223,8 +257,12 @@ class StopRule:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Recorded events; `stop_time` is set when a time stop ended the run,
+    which advanced the tensor past the last event up to that time."""
+
     events: tuple
     truncated: bool = False
+    stop_time: float = None
 
 
 def run_until(state, params, stop, rng, exact=False):
@@ -232,41 +270,27 @@ def run_until(state, params, stop, rng, exact=False):
     remaining holding time so Y is evaluated exactly at the stop time."""
     if params.xi.total_mass == 0 and stop.at_absorption and stop.max_events is None:
         raise ValueError("absorption needs an event cap when xi has no mass")
-    events = []
-    truncated = False
-    while True:
-        if stop.at_absorption and state.lp.block_count == 1 and stop.at_time is None:
-            break
-        dt = rng.expovariate(_float_jump_rate(state.lp, params))
-        if stop.at_time is not None and state.clock + dt >= stop.at_time:
-            y = _advance_tensor(state.y, stop.at_time - state.clock,
-                                params.mutation, exact)
-            state = DualState(state.lp, y, stop.at_time, state.events)
-            break
-        if stop.max_events is not None and len(events) >= stop.max_events:
-            truncated = True
-            break
-        y = _advance_tensor(state.y, dt, params.mutation, exact)
-        state = DualState(state.lp, y, state.clock + dt, state.events + 1)
-        kind, colony, detail = _pick_event(state.lp, params, rng)
-        state = _apply_event(state, kind, colony, detail)
-        events.append(EventRecord(state.clock, dt, kind, colony, detail,
-                                  state.lp.block_count))
-        if stop.at_absorption and state.lp.block_count == 1 and stop.at_time is None:
-            break
-    return state, Trajectory(tuple(events), truncated)
+    chain = _Chain(state)
+    events, truncated = _run(chain, params, rng, exact, stop.at_time,
+                             stop.at_absorption and stop.at_time is None,
+                             stop.max_events)
+    return chain.state(), Trajectory(tuple(events), truncated,
+                                     None if truncated else stop.at_time)
 
 
 def replay(f, eta, trajectory, params, exact=True):
-    """Re-apply a recorded event stream to a fresh initial tensor. Uses the
-    recorded holding times, so two replays share identical semigroup
-    factors; linearity checks then hold exactly in rational mode."""
-    state = initial_state(f, eta)
+    """Re-apply a recorded event stream, up to its stop time if any, to a
+    fresh initial tensor. Uses the recorded holding times, so two replays
+    share identical semigroup factors; linearity checks then hold exactly
+    in rational mode."""
+    chain = _Chain(initial_state(f, eta))
+    spec = params.mutation
     for ev in trajectory.events:
-        y = _advance_tensor(state.y, ev.dt, params.mutation, exact)
-        state = DualState(state.lp, y, state.clock + ev.dt, state.events + 1)
-        state = _apply_event(state, ev.kind, ev.colony, ev.detail)
-    return state
+        chain.advance(ev.dt, spec, exact)
+        chain.apply(ev.kind, ev.colony, ev.detail)
+    if trajectory.stop_time is not None:
+        chain.advance_to(trajectory.stop_time, spec, exact)
+    return chain.state()
 
 
 def evaluate_dual(state, mu):
@@ -281,6 +305,8 @@ def evaluate_dual(state, mu):
 
 
 def _mc(values, replicas, seed):
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     mean = sum(values) / replicas
     if replicas > 1:
         sd = statistics.stdev(values)
@@ -343,8 +369,6 @@ def _fan_out(fn, args, replicas, workers):
 def estimate_Qt(f, eta, mu, t, replicas, params, seed, exact=False,
                 workers=1):
     """Monte Carlo transition moment at time t via the duality identity."""
-    if not params.mutation.is_uniform:
-        return genealogical_evaluate(f, eta, mu, t, replicas, params, seed)
     values = _fan_out(_qt_values, (f, eta, mu, t, params, seed, exact),
                       replicas, workers)
     return _mc(values, replicas, seed)
@@ -356,68 +380,40 @@ def estimate_stationary(f, eta, pi_tilde, replicas, params, seed,
     factor with the mutation-invariant measure."""
     if params.xi.total_mass == 0:
         raise ValueError("stationary estimate needs coalescence (xi mass > 0)")
-    if not params.mutation.is_uniform:
-        return genealogical_evaluate(f, eta, (pi_tilde, pi_tilde), None,
-                                     replicas, params, seed)
     values = _fan_out(_stationary_values,
                       (f, eta, pi_tilde, params, seed, exact, max_events),
                       replicas, workers)
     return _mc(values, replicas, seed)
 
 
-def _label_chain(eta, params, t, rng, max_events):
-    """Simulate only the labeled-partition skeleton; returns the list of
-    (lp, segment_duration) pairs from time 0 up to t (or absorption when
-    t is None), oldest first."""
-    lp = LabeledPartition(singleton_partition(len(eta)), tuple(eta))
-    segments = []     # (lp during segment, duration, event applied at end)
-    clock = 0.0
-    for _ in range(max_events):
-        if t is None and lp.block_count == 1:
-            break
-        rate = _jump_rate(lp, params)
-        dt = rng.expovariate(float(rate))
-        if t is not None and clock + dt >= t:
-            segments.append((lp, t - clock, None))
-            return segments
-        kind, colony, detail = _pick_event(lp, params, rng)
-        segments.append((lp, dt, (kind, colony, detail)))
-        clock += dt
-        if kind == "migration":
-            target = COLONY_1 if colony == COLONY_2 else COLONY_2
-            lp = LabeledPartition(lp.partition, relabel(lp.labels, detail,
-                                                        target))
-        else:
-            lp = coag_labeled(lp, colony, detail)
-    else:
-        raise RuntimeError("event cap exhausted in genealogical simulation")
-    segments.append((lp, 0.0, None))
-    return segments
-
-
 def genealogical_evaluate(f, eta, mu_or_pi, t_or_none, replicas, params,
                           seed, max_events=100_000):
-    """Unbiased sampler for the same dual expectations, drawing types at
-    the top of the genealogy and running mutation paths down each lineage
-    segment; f (a tensor of indicator-style factors) is evaluated at the
-    leaves. Works for general mutation kernels."""
+    """Unbiased sampler for the same dual expectations: runs the skeleton
+    chain (no payload) up to t or absorption, draws types at the top of
+    the genealogy and runs mutation paths down each lineage segment; f (a
+    tensor of indicator-style factors) is evaluated at the leaves."""
     if isinstance(mu_or_pi, tuple):
         mu1, mu2 = mu_or_pi
     else:
         mu1 = mu2 = mu_or_pi
     spec = params.mutation
+    state = initial_state(f, eta)
     values = []
     for rep in range(replicas):
         rng = replica_rng(seed, rep)
-        segments = _label_chain(eta, params, t_or_none, rng, max_events)
-        top_lp = segments[-1][0]
+        chain = _Chain(state, skeleton=True)
+        _, truncated = _run(chain, params, rng, False, t_or_none,
+                            t_or_none is None, max_events)
+        if truncated:
+            raise RuntimeError("event cap exhausted in genealogical "
+                               "simulation")
         types = {}
-        for block, label in zip(top_lp.partition, top_lp.labels):
+        for block, label in zip(chain.blocks, chain.labels):
             m = mu1 if label == COLONY_1 else mu2
             types[block] = m.sample(rng)
-        for lp, duration, _event in reversed(segments):
+        for blocks, duration in reversed(chain.segments):
             new_types = {}
-            for block in lp.partition:
+            for block in blocks:
                 parent = next(b for b in types if block[0] in b)
                 x = types[parent]
                 if duration > 0 and spec.theta > 0:
@@ -436,12 +432,8 @@ def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
     plus coalescence differences over nontrivial colony partitions plus
     per-block migration differences."""
-    from .setfun import apply_generator_uniform
-    from .simplex import per_partition_rate
-
     lp = LabeledPartition(singleton_partition(len(eta)), tuple(eta))
     base_state = DualState(lp, f)
-    mu1, mu2 = mu
     g0 = evaluate_dual(base_state, mu)
     total = Fraction(0)
     # mutation: sum over variables of <A g_k> with the other factors fixed
@@ -452,18 +444,19 @@ def dual_generator_value(f, eta, mu, params):
                                mu)
     # coalescence within each colony
     for colony in (COLONY_1, COLONY_2):
-        b = lp.count(colony)
+        b = lp.labels.count(colony)
         if b >= 2:
-            for pi_prime in pt.enumerate_partitions(b, skip_singleton=True):
+            for pi_prime in enumerate_partitions(b, skip_singleton=True):
                 lam = per_partition_rate(params.xi, pi_prime)
                 if lam == 0:
                     continue
-                new_state = _apply_event(base_state, "coalescence", colony,
-                                         pi_prime)
-                total += lam * (evaluate_dual(new_state, mu) - g0)
+                chain = _Chain(base_state)
+                chain.apply("coalescence", colony, pi_prime)
+                total += lam * (evaluate_dual(chain.state(), mu) - g0)
     # migration per block
     for pos, label in enumerate(lp.labels, start=1):
         u = params.u1 if label == COLONY_2 else params.u2
-        new_state = _apply_event(base_state, "migration", label, pos)
-        total += u * (evaluate_dual(new_state, mu) - g0)
+        chain = _Chain(base_state)
+        chain.apply("migration", label, pos)
+        total += u * (evaluate_dual(chain.state(), mu) - g0)
     return total

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from xistep import BaseMeasure
 from xistep.cli import _selftest_suites, main
+from xistep.simulator import genealogical_evaluate
+
+from conftest import indicator_power, kingman_model
 
 
 KINGMAN_CFG = {
@@ -144,6 +149,54 @@ class TestDeterminism:
         assert report["seed"] == 7
 
 
+class TestPinnedOutput:
+    """SHA-256 digests of seeded outputs. Unlike TestDeterminism, which
+    compares two runs of one build, these hold across versions: a change
+    to the event stream or to the payload arithmetic changes them."""
+
+    DIGESTS = {
+        "simulate_absorption":
+            "3307a1a12d3a714a5d9e6646e2e792352f2d0d421772569412d966c5ee687973",
+        "simulate_time_stop":
+            "975028199e87709762a16dfbcdbde24422a9acbf1be7c545b06ebb278ae195f8",
+        "stationary_mc":
+            "1ca3b5becc585e7e5a195d1f97110d506a105529e3682a9a1e903975e4de019c",
+        "qt":
+            "1c8736ccca7e13a119ba70f7072a9fffec2766d58db87105d9b86fc371873947",
+        "genealogical":
+            "4111045e1f6e93dd531f883173507d3214e1ef4dc11f2330046f01809b53421c",
+    }
+
+    def test_seeded_outputs_pinned(self, tmp_path):
+        atom = dict(ATOM_CFG, b_max=6, u2="2")
+        eta = [1, 2, 1, 2, 1]
+        runs = {
+            "simulate_absorption": (dict(atom, options={"eta": eta}),
+                                    ["simulate", "--seed", "4"]),
+            "simulate_time_stop": (dict(atom, options={"eta": eta,
+                                                       "t": "1/2"}),
+                                   ["simulate", "--seed", "4"]),
+            "stationary_mc": (dict(atom, options={
+                "mode": "mc", "indices": [[2, 1], [1, 1]]}), ["stationary"]),
+            "qt": (dict(atom, replicas=200,
+                        mu1={"grid_level": 1, "densities": ["3/2", "1/2"]},
+                        mu2={"grid_level": 1, "densities": ["1/2", "3/2"]},
+                        options={"t": "1/2", "n": 2, "m": 1}), ["qt"]),
+        }
+        outputs = {}
+        for name, (payload, argv) in runs.items():
+            cfg = write_cfg(tmp_path, payload)
+            out = tmp_path / f"{name}.out"
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+            outputs[name] = out.read_bytes()
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        est = genealogical_evaluate(indicator_power(3), (1, 2, 1), mu, 0.4,
+                                    300, kingman_model(), seed=5)
+        outputs["genealogical"] = repr((est.mean, est.std_error)).encode()
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in outputs.items()} == self.DIGESTS
+
+
 class TestSimulate:
     def test_csv_shape(self, tmp_path):
         payload = dict(KINGMAN_CFG, options={"eta": [1, 1, 2]})
@@ -189,3 +242,20 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         status = main(["rates", "--config", str(tmp_path / "nope.json")])
         assert status == 2
+
+    def test_more_blocks_than_b_max(self, tmp_path, capsys):
+        payload = dict(KINGMAN_CFG, options={"eta": [1] * 6})
+        cfg = write_cfg(tmp_path, payload)
+        status, _ = run(tmp_path, ["simulate", "--config", cfg])
+        assert status == 2
+        assert "b_max" in capsys.readouterr().err
+
+    def test_replicas_below_one(self, tmp_path, capsys):
+        payload = dict(KINGMAN_CFG, options={"mode": "mc", "order": 1})
+        zero = write_cfg(tmp_path, dict(payload, replicas=0), "zero.json")
+        cfg = write_cfg(tmp_path, payload)
+        for argv in (["--config", zero],
+                     ["--config", cfg, "--replicas", "-3"]):
+            status, _ = run(tmp_path, ["stationary"] + argv)
+            assert status == 2
+            assert "replicas" in capsys.readouterr().err

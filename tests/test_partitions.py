@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xistep import COLONY_1, COLONY_2, LabeledPartition, coag, coag_labeled, \
     enumerate_partitions, profile_of
-from xistep.partitions import (MergeMap, merge_map_of, partitions_with_profile,
+from xistep.partitions import (coag_colony, partitions_with_profile,
                                profile_multiplicity,
                                random_partition_with_profile, relabel,
                                singleton_partition)
@@ -55,20 +55,20 @@ class TestLabeled:
         assert out.partition == ((1, 3), (2,))
         assert out.labels == (2, 1)
 
-    def test_merge_map(self):
-        lp = LabeledPartition(singleton_partition(4), (1, 1, 2, 2))
-        mm = merge_map_of(lp, COLONY_1, ((1, 2),))
-        assert mm == MergeMap(4, 3, (1, 1, 2, 3))
+    def test_merge_groups(self):
+        out = coag_colony(singleton_partition(4), (1, 1, 2, 2), COLONY_1,
+                          ((1, 2),))
+        assert out == (((1, 2), (3,), (4,)), (1, 2, 2), [[0, 1], [2], [3]])
 
-    def test_merge_map_trivial(self):
-        lp = LabeledPartition(singleton_partition(3), (1, 2, 1))
-        mm = merge_map_of(lp, COLONY_1, singleton_partition(2))
-        assert mm.index_map == (1, 2, 3)
+    def test_merge_groups_trivial(self):
+        _, _, groups = coag_colony(singleton_partition(3), (1, 2, 1),
+                                   COLONY_1, singleton_partition(2))
+        assert groups == [[0], [1], [2]]
 
-    def test_merge_map_interleaved(self):
-        lp = LabeledPartition(singleton_partition(3), (2, 1, 2))
-        mm = merge_map_of(lp, COLONY_2, ((1, 2),))
-        assert mm == MergeMap(3, 2, (1, 2, 1))
+    def test_merge_groups_interleaved(self):
+        out = coag_colony(((1, 4), (2,), (3,)), (2, 1, 2), COLONY_2,
+                          ((1, 2),))
+        assert out == (((1, 3, 4), (2,)), (2, 1), [[0, 2], [1]])
 
 
 class TestEnumeration:

@@ -194,6 +194,15 @@ class TestEstimators:
                                 workers=3)
         assert a == b
 
+    def test_replicas_below_one_refused(self):
+        params = kingman_model()
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        with pytest.raises(ValueError, match="replicas"):
+            estimate_Qt(indicator_power(2), (1, 1), mu, 0.5, 0, params, 0)
+        with pytest.raises(ValueError, match="replicas"):
+            estimate_stationary(indicator_power(2), (1, 1),
+                                BaseMeasure.uniform(), -3, params, 0)
+
     def test_zero_mass_refused(self):
         xi = XiMeasure()
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
@@ -260,12 +269,13 @@ class TestPathStructure:
         rng = seeded(23)
         params = random_model(rng)
         f = indicator_power(3)
-        state, traj = run_until(initial_state(f, (1, 2, 1)), params,
-                                StopRule(at_absorption=True), rng)
-        again = replay(f, (1, 2, 1), traj, params, exact=False)
-        assert again.lp == state.lp
         mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
-        assert abs(evaluate_dual(again, mu) - evaluate_dual(state, mu)) < 1e-9
+        for stop in (StopRule(at_absorption=True), StopRule(at_time=0.7)):
+            state, traj = run_until(initial_state(f, (1, 2, 1)), params,
+                                    stop, rng)
+            again = replay(f, (1, 2, 1), traj, params, exact=False)
+            assert again.lp == state.lp and again.clock == state.clock
+            assert evaluate_dual(again, mu) == evaluate_dual(state, mu)
 
 
 class TestDualGenerator:
