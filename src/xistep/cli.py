@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .config import ConfigError, check_replicas, load_config
+from .config import ConfigError, load_config, parse_int
 from .moments import (ScalarParams, generator_on_monomial, hausdorff_check,
                       order_indices, solve_stationary)
 from .rationals import format_rational
@@ -28,12 +28,9 @@ from .simulator import (StopRule, estimate_Qt, estimate_stationary,
 
 
 def _workers():
-    raw = os.environ.get("XISTEP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"XISTEP_THREADS must be an integer, got {raw!r}")
-    return max(1, min(n, os.cpu_count() or 1))
+    n = parse_int(os.environ.get("XISTEP_THREADS", "1"), "XISTEP_THREADS",
+                  low=1)
+    return min(n, os.cpu_count() or 1)
 
 
 def _meta(cfg):
@@ -131,11 +128,11 @@ def cmd_qt(cfg, args):
 
 def cmd_stationary(cfg, args):
     mode = cfg.options.get("mode", "exact")
-    order = int(cfg.options.get("order", 2))
+    order = cfg.options.get("order", 2)
     report = _meta(cfg)
     report["command"] = "stationary"
     if mode == "exact":
-        moments = solve_stationary(order, cfg.scalar_params())
+        moments = solve_stationary(order, cfg.scalar_params(order))
         report["moments"] = {f"{n},{m}": format_rational(v)
                              for (n, m), v in sorted(moments.items())}
         return report, 0
@@ -143,12 +140,10 @@ def cmd_stationary(cfg, args):
         raise ConfigError("options.mode", f"unknown mode {mode!r}")
     seed = cfg.seed if args.seed is None else args.seed
     replicas = cfg.replicas if args.replicas is None else args.replicas
-    indices = [tuple(int(x) for x in idx)
-               for idx in cfg.options.get("indices",
-                                          [[i, order - i]
-                                           for i in range(order + 1)])]
-    exact = solve_stationary(max(n + m for n, m in indices),
-                             cfg.scalar_params())
+    indices = cfg.options.get("indices",
+                              [[i, order - i] for i in range(order + 1)])
+    top = max(n + m for n, m in indices)
+    exact = solve_stationary(top, cfg.scalar_params(top))
     params = cfg.model_params()
     rows = {}
     for n, m in indices:
@@ -163,16 +158,18 @@ def cmd_stationary(cfg, args):
 
 
 def cmd_hausdorff(cfg, args):
-    order = int(cfg.options.get("order", 4))
-    moments = solve_stationary(order, cfg.scalar_params())
-    check = hausdorff_check({idx: v for idx, v in moments.items()})
+    order = cfg.options.get("order", 4)
+    moments = solve_stationary(order, cfg.scalar_params(order))
+    check = hausdorff_check(moments)
     report = _meta(cfg)
     report.update({
         "command": "hausdorff", "order": order,
         "passed": check.passed,
         "min_alternating_difference": format_rational(check.min_value),
         "differences_checked": check.checked,
-        "violations": [f"{idx}" for idx in check.violations]})
+        "violations": [f"{','.join(map(str, m))};{','.join(map(str, n))};"
+                       f"{format_rational(v)}"
+                       for (m, n), v in check.violations]})
     return report, 0 if check.passed else 1
 
 
@@ -297,7 +294,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config) if args.config else None
         if args.replicas is not None:
-            check_replicas(args.replicas)
+            parse_int(args.replicas, "replicas", low=1)
         report, status = COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

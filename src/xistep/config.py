@@ -7,10 +7,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .moments import ScalarParams
+from .partitions import MAX_PARTITION_SIZE
 from .rationals import parse_rational
 from .setfun import BaseMeasure, DyadicSet, MutationSpec
 from .simplex import SimplexAtom, XiMeasure, build_rate_table
 from .simulator import ModelParams
+
+
+# finest dyadic grid a config may name: a level-L set is built cell by cell
+MAX_GRID_LEVEL = 16
 
 
 class ConfigError(ValueError):
@@ -28,16 +33,37 @@ def _rat(value, field_name):
         raise ConfigError(field_name, str(e)) from e
 
 
-def check_replicas(n):
-    if n < 1:
-        raise ConfigError("replicas", f"must be at least 1, got {n}")
+def parse_int(value, field_name, low=None, high=None):
+    """An integer input (a JSON integer or an integer string) within
+    [low, high] where given."""
+    try:
+        if isinstance(value, (bool, float)):   # int() takes True, cuts 2.5
+            raise TypeError
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field_name,
+                          f"must be an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise ConfigError(field_name, f"must be at least {low}, got {n}")
+    if high is not None and n > high:
+        raise ConfigError(field_name, f"must be at most {high}, got {n}")
     return n
+
+
+def _order(value, field_name, b_max):
+    """A moment order: at least 1 and covered by the rate table."""
+    k = parse_int(value, field_name, low=1)
+    if k > b_max:
+        raise ConfigError(field_name, f"order {k} exceeds b_max={b_max}")
+    return k
 
 
 _MISSING = object()
 
 
 def _get(data, key, field_name, default=_MISSING):
+    if not isinstance(data, dict):
+        raise ConfigError(field_name or "(config)", "must be an object")
     if key in data:
         return data[key]
     if default is _MISSING:
@@ -46,14 +72,21 @@ def _get(data, key, field_name, default=_MISSING):
     return default
 
 
+def _items(data, key, field_name, default=_MISSING):
+    """(field name, item) for each item of a list field."""
+    where = f"{field_name}.{key}" if field_name else key
+    value = _get(data, key, field_name, default)
+    if not isinstance(value, list):
+        raise ConfigError(where, "must be a list")
+    return [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+
+
 def parse_xi(data, field_name="xi"):
     mass = _rat(_get(data, "kingman_mass", field_name, "0"),
                 f"{field_name}.kingman_mass")
     atoms = []
-    for i, a in enumerate(_get(data, "atoms", field_name, [])):
-        where = f"{field_name}.atoms[{i}]"
-        coords = [_rat(c, f"{where}.coords[{j}]")
-                  for j, c in enumerate(_get(a, "coords", where))]
+    for where, a in _items(data, "atoms", field_name, []):
+        coords = [_rat(c, f) for f, c in _items(a, "coords", where)]
         weight = _rat(_get(a, "weight", where), f"{where}.weight")
         try:
             atoms.append(SimplexAtom(tuple(coords), weight))
@@ -66,14 +99,12 @@ def parse_xi(data, field_name="xi"):
 
 
 def parse_base_measure(data, field_name):
-    level = _get(data, "grid_level", field_name, 0)
-    dens = [_rat(d, f"{field_name}.densities[{i}]")
-            for i, d in enumerate(_get(data, "densities", field_name))]
-    atoms = []
-    for i, a in enumerate(_get(data, "atoms", field_name, [])):
-        where = f"{field_name}.atoms[{i}]"
-        atoms.append((_rat(_get(a, "at", where), f"{where}.at"),
-                      _rat(_get(a, "mass", where), f"{where}.mass")))
+    level = parse_int(_get(data, "grid_level", field_name, 0),
+                 f"{field_name}.grid_level", 0, MAX_GRID_LEVEL)
+    dens = [_rat(d, f) for f, d in _items(data, "densities", field_name)]
+    atoms = [(_rat(_get(a, "at", where), f"{where}.at"),
+              _rat(_get(a, "mass", where), f"{where}.mass"))
+             for where, a in _items(data, "atoms", field_name, [])]
     try:
         return BaseMeasure(level, tuple(dens), tuple(atoms))
     except ValueError as e:
@@ -81,12 +112,22 @@ def parse_base_measure(data, field_name):
 
 
 def parse_dyadic_set(data, field_name):
-    level = _get(data, "level", field_name)
-    cells = _get(data, "cells", field_name)
+    level = parse_int(_get(data, "level", field_name), f"{field_name}.level",
+                 0, MAX_GRID_LEVEL)
+    cells = [parse_int(c, f) for f, c in _items(data, "cells", field_name)]
     try:
-        return DyadicSet(int(level), frozenset(int(c) for c in cells))
-    except (ValueError, TypeError) as e:
+        return DyadicSet(level, frozenset(cells))
+    except ValueError as e:
         raise ConfigError(field_name, str(e)) from e
+
+
+def _index(value, field_name, b_max):
+    """One options.indices entry: a pair [n, m] of total order 1..b_max."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(field_name, "must be a pair [n, m]")
+    n, m = (parse_int(v, field_name, low=0) for v in value)
+    _order(n + m, field_name, b_max)
+    return [n, m]
 
 
 @dataclass(frozen=True)
@@ -111,8 +152,10 @@ class ExperimentConfig:
         return ModelParams(self.xi, MutationSpec(self.theta, base=self.base),
                            self.u1, self.u2, table)
 
-    def scalar_params(self):
-        table = build_rate_table(self.xi, min(self.b_max, 4))
+    def scalar_params(self, order=4):
+        """Exact-engine params whose table covers `order` lineages (and the
+        four the named rates need), capped at b_max."""
+        table = build_rate_table(self.xi, min(self.b_max, max(order, 4)))
         return ScalarParams.from_rate_table(table, self.theta, self.alpha,
                                             self.u1, self.u2)
 
@@ -128,6 +171,9 @@ def parse_config(data, digest=""):
     base = parse_base_measure(_get(mut, "base", "mutation"), "mutation.base")
     u1 = _rat(_get(data, "u1", ""), "u1")
     u2 = _rat(_get(data, "u2", ""), "u2")
+    for name, u in (("u1", u1), ("u2", u2)):
+        if u <= 0:
+            raise ConfigError(name, f"must be positive, got {u}")
     e_star = parse_dyadic_set(_get(data, "e_star", ""), "e_star")
     alpha = base.measure(e_star)
     if "alpha" in data and _rat(data["alpha"], "alpha") != alpha:
@@ -138,12 +184,21 @@ def parse_config(data, digest=""):
            if "mu1" in data else base)
     mu2 = (parse_base_measure(data["mu2"], "mu2")
            if "mu2" in data else base)
-    replicas = check_replicas(int(_get(data, "replicas", "", 1000)))
-    seed = int(_get(data, "seed", "", 0))
-    b_max = int(_get(data, "b_max", "", 8))
+    replicas = parse_int(_get(data, "replicas", "", 1000), "replicas", low=1)
+    seed = parse_int(_get(data, "seed", "", 0), "seed")
+    b_max = parse_int(_get(data, "b_max", "", 8), "b_max", 1,
+                      MAX_PARTITION_SIZE)
     options = _get(data, "options", "", {})
     if not isinstance(options, dict):
         raise ConfigError("options", "must be an object")
+    options = dict(options)
+    if "order" in options:
+        options["order"] = _order(options["order"], "options.order", b_max)
+    if "indices" in options:
+        options["indices"] = [_index(idx, where, b_max) for where, idx
+                              in _items(options, "indices", "options")]
+        if not options["indices"]:
+            raise ConfigError("options.indices", "must not be empty")
     return ExperimentConfig(xi, theta, base, u1, u2, e_star, alpha,
                             mu1, mu2, replicas, seed, b_max, options, digest)
 

@@ -26,11 +26,3 @@ def solve_exact(matrix, rhs):
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)], det
 
-
-def determinant(matrix):
-    n = len(matrix)
-    try:
-        _, det = solve_exact(matrix, [Fraction(0)] * n)
-    except ValueError:
-        return Fraction(0)
-    return det

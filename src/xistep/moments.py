@@ -8,43 +8,55 @@ All arithmetic here is exact rational.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .linalg import solve_exact
-from .partitions import profile_multiplicity
+from .simplex import CollisionProfile, RateTable, check_consistency
 
-# symbolic profile tables for up to four same-colony blocks:
-# (merge_sizes, s, multiplicity, rate attribute name)
-_SYMBOLIC_PROFILES = {
-    2: (((2,), 0, 1, "a2"),),
-    3: (((2,), 1, 3, "a21"), ((3,), 0, 1, "a3")),
-    4: (((2,), 2, 6, "a211"), ((2, 2), 0, 3, "a22"),
-        ((3,), 1, 4, "a31"), ((4,), 0, 1, "a4")),
-}
+# named collision rates -> (block count, merge sizes, untouched blocks)
+_NAMED_RATES = {"a2": (2, (2,), 0), "a21": (3, (2,), 1), "a3": (3, (3,), 0),
+                "a211": (4, (2,), 2), "a22": (4, (2, 2), 0),
+                "a31": (4, (3,), 1), "a4": (4, (4,), 0)}
 
 
 @dataclass(frozen=True)
 class ScalarParams:
     """Scalar inputs of the moment systems: mutation rate theta, reference
-    mass alpha, migration rates, and the seven collision rates for up to
-    four lineages."""
+    mass alpha, migration rates, and `table`, the one source of collision
+    rates. Built directly, the seven named rates (up to four lineages) make
+    a 4-block table; given a table, they are read from it."""
 
     theta: Fraction
     alpha: Fraction
     u1: Fraction
     u2: Fraction
-    a2: Fraction = Fraction(0)
-    a21: Fraction = Fraction(0)
-    a3: Fraction = Fraction(0)
-    a211: Fraction = Fraction(0)
-    a22: Fraction = Fraction(0)
-    a31: Fraction = Fraction(0)
-    a4: Fraction = Fraction(0)
+    a2: Fraction = None
+    a21: Fraction = None
+    a3: Fraction = None
+    a211: Fraction = None
+    a22: Fraction = None
+    a31: Fraction = None
+    a4: Fraction = None
+    table: RateTable = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("theta", "alpha", "u1", "u2", "a2", "a21", "a3",
-                     "a211", "a22", "a31", "a4"):
+        rows = {}
+        for name, (b, ks, s) in _NAMED_RATES.items():
+            covered = self.table is not None and b <= self.table.b_max
+            rate = self.table.rate_of(b, ks, s) if covered else Fraction(0)
+            given = getattr(self, name)
+            given = rate if given is None else Fraction(given)
+            if self.table is not None and given != rate:
+                raise ValueError(f"{name}={given} disagrees with the rate "
+                                 f"table, which gives {rate}")
+            object.__setattr__(self, name, given)
+            if self.table is None:
+                prof = CollisionProfile(b, ks, s)
+                rows[b] = rows.get(b, ()) + ((prof, given, prof.multiplicity),)
+        if self.table is None:
+            object.__setattr__(self, "table", RateTable(4, rows))
+        for name in ("theta", "alpha", "u1", "u2"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         if self.theta <= 0:
             raise ValueError("theta must be positive")
@@ -52,33 +64,24 @@ class ScalarParams:
             raise ValueError("alpha must lie in [0,1]")
 
     def consistency_violations(self):
-        """The rate identities tying adjacent block counts; empty when the
-        rates come from an actual simplex measure."""
-        out = []
-        if self.a2 != self.a21 + self.a3:
-            out.append("a2 != a21 + a3")
-        if self.a3 != self.a31 + self.a4:
-            out.append("a3 != a31 + a4")
-        if self.a21 != self.a211 + self.a22 + self.a31:
-            out.append("a21 != a211 + a22 + a31")
-        return out
+        """The failing sampling-consistency identities of the table (at
+        least 4 blocks); empty for the rates of a simplex measure."""
+        checks = check_consistency(self.table).checks
+        return [name for name, _, _, ok in checks if not ok]
 
     @classmethod
     def from_rate_table(cls, table, theta, alpha, u1, u2):
-        return cls(theta, alpha, u1, u2,
-                   a2=table.rate_of(2, (2,), 0),
-                   a21=table.rate_of(3, (2,), 1),
-                   a3=table.rate_of(3, (3,), 0),
-                   a211=table.rate_of(4, (2,), 2),
-                   a22=table.rate_of(4, (2, 2), 0),
-                   a31=table.rate_of(4, (3,), 1),
-                   a4=table.rate_of(4, (4,), 0))
+        return cls(theta, alpha, u1, u2, table=table)
 
     def swapped(self):
         """Same parameters with the two colonies' roles exchanged."""
-        return ScalarParams(self.theta, self.alpha, self.u2, self.u1,
-                            self.a2, self.a21, self.a3, self.a211,
-                            self.a22, self.a31, self.a4)
+        return replace(self, u1=self.u2, u2=self.u1)
+
+
+def _check_table(params, rate_table):
+    """`rate_table` is only checked: the rates come from `params.table`."""
+    if rate_table is not None and rate_table != params.table:
+        raise ValueError("rate_table differs from params.table")
 
 
 class MomentPolynomial(dict):
@@ -123,21 +126,12 @@ class MomentPolynomial(dict):
         return out
 
 
-def _coalescence_profiles(b, params, rate_table):
-    if rate_table is not None and b <= rate_table.b_max:
-        return [(prof.merge_sizes, prof.s, mult, rate)
-                for prof, rate, mult in rate_table.profiles(b)]
-    if b in _SYMBOLIC_PROFILES:
-        return [(ks, s, mult, getattr(params, name))
-                for ks, s, mult, name in _SYMBOLIC_PROFILES[b]]
-    raise ValueError(f"no rates available for {b} lineages; "
-                     "supply a rate table covering them")
-
-
 def generator_on_monomial(idx, params, rate_table=None):
     """Forward-generator action on the (n, m) moment monomial as a
     MomentPolynomial: mutation, same-colony coalescence (grouped by
-    profile), and per-block migration differences."""
+    profile, rates from `params.table`), and per-block migration
+    differences."""
+    _check_table(params, rate_table)
     n, m = idx
     poly = MomentPolynomial()
     if n == m == 0:
@@ -152,11 +146,10 @@ def generator_on_monomial(idx, params, rate_table=None):
     # coalescence within each colony
     for count, other, place in ((n, m, 0), (m, n, 1)):
         if count >= 2:
-            for merge_sizes, s, mult, rate in _coalescence_profiles(
-                    count, params, rate_table):
+            for prof, rate, mult in params.table.profiles(count):
                 if rate == 0:
                     continue
-                drop = sum(k - 1 for k in merge_sizes)
+                drop = prof.block_drop
                 low = ((count - drop, other) if place == 0
                        else (other, count - drop))
                 poly.add(low, mult * rate)
@@ -190,6 +183,7 @@ def order_indices(k):
 def stationary_system(N, params, rate_table=None):
     """Zero-expectation equations order by order, each order's unknowns
     solved exactly with the lower orders substituted as knowns."""
+    _check_table(params, rate_table)
     knowns = {(0, 0): Fraction(1)}
     systems = []
     for k in range(1, N + 1):
@@ -197,7 +191,7 @@ def stationary_system(N, params, rate_table=None):
         pos = {idx: j for j, idx in enumerate(unknowns)}
         matrix, rhs = [], []
         for idx in unknowns:
-            poly = generator_on_monomial(idx, params, rate_table)
+            poly = generator_on_monomial(idx, params)
             row = [Fraction(0)] * len(unknowns)
             b = Fraction(0)
             for jdx, c in poly.items():
@@ -217,17 +211,17 @@ def stationary_system(N, params, rate_table=None):
     return systems
 
 
-def solve_stationary(N, params, rate_table=None):
+def solve_stationary(N, params):
     """Exact stationary moments for all total orders <= N."""
     values = {(0, 0): Fraction(1)}
-    for system in stationary_system(N, params, rate_table):
+    for system in stationary_system(N, params):
         values.update(system.solution)
     return values
 
 
-def system_determinants(N, params, rate_table=None):
+def system_determinants(N, params):
     return {k + 1: s.determinant
-            for k, s in enumerate(stationary_system(N, params, rate_table))}
+            for k, s in enumerate(stationary_system(N, params))}
 
 
 @dataclass(frozen=True)
@@ -296,7 +290,7 @@ def mc_cross_check(N, model, e_star, pi_tilde, replicas, seed,
     alpha = pi_tilde.measure(e_star)
     params = ScalarParams.from_rate_table(model.rate_table, model.mutation.theta,
                                           alpha, model.u1, model.u2)
-    exact = solve_stationary(N, params, model.rate_table)
+    exact = solve_stationary(N, params)
     rows = []
     for k in range(0, N + 1):
         for idx in order_indices(k):

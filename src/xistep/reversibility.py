@@ -7,11 +7,10 @@ expectation of G * (gen F) - F * (gen G); reversibility would force every
 residual to vanish.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .moments import (MomentPolynomial, ScalarParams, generator_on_monomial,
-                      solve_stationary, system_determinants)
+from .moments import ScalarParams, generator_on_monomial, stationary_system
 
 
 @dataclass(frozen=True)
@@ -47,22 +46,20 @@ def residual_polynomial(probe, params):
 def residual(probe, params):
     """Exact rational detailed-balance residual of the probe at the
     stationary moments of the given parameters."""
-    if probe.total_order > 4:
-        raise ValueError("probe order exceeds symbolic rate coverage")
-    moments = solve_stationary(probe.total_order, params)
-    return residual_polynomial(probe, params).evaluate(moments)
+    return residual_with_denominator(probe, params)[0]
 
 
 def residual_with_denominator(probe, params):
     """Residual plus the common-denominator convention: the product of the
-    absolute determinants of the order-2..K stationary systems."""
-    K = probe.total_order
-    r = residual(probe, params)
-    dets = system_determinants(K, params)
-    denom = Fraction(1)
-    for k in range(2, K + 1):
-        denom *= abs(dets[k])
-    return r, denom
+    absolute determinants of the order-2..K stationary systems. One solve
+    gives both; the rate table's error names an order it does not cover."""
+    moments, denom = {(0, 0): Fraction(1)}, Fraction(1)
+    for k, system in enumerate(stationary_system(probe.total_order, params),
+                               start=1):
+        moments.update(system.solution)
+        if k >= 2:
+            denom *= abs(system.determinant)
+    return residual_polynomial(probe, params).evaluate(moments), denom
 
 
 def s1_paper_numerator(p):
@@ -99,11 +96,6 @@ class FactorizationReport:
                 and self.contra_zero_iff_no_triple and self.bracket_positive)
 
 
-def _symmetrized(p):
-    return ScalarParams(p.theta, p.alpha, p.u1, p.u1, p.a2, p.a21, p.a3,
-                        p.a211, p.a22, p.a31, p.a4)
-
-
 def verify_paper_factorizations(samples):
     """At each parameter sample: reconcile the S1 residual with its factored
     numerator over the determinant denominator (global sign calibrated at
@@ -136,10 +128,8 @@ def verify_paper_factorizations(samples):
 
     t1_iff = True
     for p in samples:
-        sym = _symmetrized(p)
-        r_half = residual(T1_PROBE, ScalarParams(
-            sym.theta, Fraction(1, 2), sym.u1, sym.u2, sym.a2, sym.a21,
-            sym.a3, sym.a211, sym.a22, sym.a31, sym.a4))
+        sym = replace(p, u2=p.u1)
+        r_half = residual(T1_PROBE, replace(sym, alpha=Fraction(1, 2)))
         r_other = residual(T1_PROBE, sym)
         if r_half != 0:
             t1_iff = False
@@ -150,10 +140,7 @@ def verify_paper_factorizations(samples):
     contra_iff = True
     bracket_pos = True
     for p in samples:
-        sym = _symmetrized(p)
-        half = ScalarParams(sym.theta, Fraction(1, 2), sym.u1, sym.u2,
-                            sym.a2, sym.a21, sym.a3, sym.a211, sym.a22,
-                            sym.a31, sym.a4)
+        half = replace(p, u2=p.u1, alpha=Fraction(1, 2))
         r = residual(F1_PROBE, half) - 2 * residual(F2_PROBE, half)
         if (r == 0) != (half.a3 == 0):
             contra_iff = False

@@ -3,11 +3,14 @@ import json
 
 import pytest
 
-from xistep import BaseMeasure
+from fractions import Fraction
+
+from xistep import (BaseMeasure, ScalarParams, build_rate_table,
+                    format_rational, solve_stationary)
 from xistep.cli import _selftest_suites, main
 from xistep.simulator import genealogical_evaluate
 
-from conftest import indicator_power, kingman_model
+from conftest import ATOM_HALF_QUARTER, indicator_power, kingman_model
 
 
 KINGMAN_CFG = {
@@ -110,6 +113,33 @@ class TestStationary:
         assert row["mean"] == 0.5 and row["std_error"] == 0
 
 
+    @pytest.mark.parametrize("command", ["stationary", "hausdorff"])
+    def test_exact_orders_up_to_b_max(self, tmp_path, command):
+        atom = dict(ATOM_CFG, b_max=6, u2="2")
+        table = build_rate_table(ATOM_HALF_QUARTER, 6)
+        p = ScalarParams.from_rate_table(table, Fraction(1), Fraction(1, 2),
+                                         Fraction(1), Fraction(2))
+        for order in (5, 6):
+            cfg = write_cfg(tmp_path, dict(atom, options={"order": order}))
+            status, text = run(tmp_path, [command, "--config", cfg])
+            assert status == 0
+            report = json.loads(text)
+            if command == "hausdorff":
+                assert report["passed"] and report["order"] == order
+            else:
+                assert report["moments"] == {
+                    f"{n},{m}": format_rational(v)
+                    for (n, m), v in sorted(solve_stationary(order,
+                                                             p).items())}
+
+    def test_exact_order_two_on_a_two_block_table(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, b_max=2,
+                                       options={"order": 2}))
+        status, text = run(tmp_path, ["stationary", "--config", cfg])
+        assert status == 0
+        assert json.loads(text)["moments"]["2,0"] == "11/32"
+
+
 class TestReversibility:
     def test_symmetric_kingman_verdict(self, tmp_path):
         cfg = write_cfg(tmp_path, KINGMAN_CFG)
@@ -131,6 +161,20 @@ class TestHausdorffCommand:
         assert status == 0
         report = json.loads(text)
         assert report["passed"] and report["differences_checked"] > 0
+
+
+    def test_violations_print_indices_and_rationals(self, tmp_path,
+                                                    monkeypatch):
+        increasing = {(0, 0): Fraction(1), (1, 0): Fraction(2),
+                      (0, 1): Fraction(1, 2)}
+        monkeypatch.setattr("xistep.cli.solve_stationary",
+                            lambda order, params: increasing)
+        cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, options={"order": 1}))
+        status, text = run(tmp_path, ["hausdorff", "--config", cfg])
+        assert status == 1
+        report = json.loads(text)
+        assert report["violations"] == ["0,0;1,0;-1"]
+        assert report["min_alternating_difference"] == "-1"
 
 
 class TestDeterminism:
@@ -259,3 +303,31 @@ class TestErrors:
             status, _ = run(tmp_path, ["stationary"] + argv)
             assert status == 2
             assert "replicas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,env,needle", [
+        ({"options": {"order": 0}}, None, "options.order"),
+        ({"options": {"order": -3}}, None, "options.order"),
+        ({"options": {"order": 2.5}}, None, "options.order"),
+        ({"options": {"order": "abc"}}, None, "options.order"),
+        ({"options": {"order": 5}}, None, "b_max"),
+        ({"options": {"mode": "mc", "indices": [[1]]}}, None,
+         "options.indices[0]"),
+        ({"replicas": [1]}, None, "replicas"),
+        ({"seed": "x"}, None, "seed"),
+        ({"b_max": [8]}, None, "b_max"),
+        ({"u1": "-1"}, None, "u1"),
+        ({"u2": "0"}, None, "u2"),
+        ({"options": {"mode": "mc", "order": 1}}, "abc", "XISTEP_THREADS"),
+        ({"options": {"mode": "mc", "order": 1}}, "0", "XISTEP_THREADS"),
+        ({"options": {"mode": "mc", "order": 1}}, "-2", "XISTEP_THREADS"),
+    ])
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
+                                                 monkeypatch, change, env,
+                                                 needle):
+        if env is not None:
+            monkeypatch.setenv("XISTEP_THREADS", env)
+        cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, **change))
+        status, _ = run(tmp_path, ["stationary", "--config", cfg])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert needle in err and "Traceback" not in err

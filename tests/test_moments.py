@@ -10,8 +10,8 @@ from xistep import (MomentPolynomial, ScalarParams, build_rate_table,
                     system_determinants)
 from xistep.linalg import solve_exact
 
-from conftest import KINGMAN, E_STAR, kingman_model, kingman_scalar, \
-    rand_consistent_params, seeded
+from conftest import ATOM_HALF_QUARTER, KINGMAN, E_STAR, kingman_model, \
+    kingman_scalar, rand_consistent_params, seeded
 
 F = Fraction
 
@@ -50,12 +50,74 @@ class TestGeneratorOnMonomial:
         assert poly.get((3, 1), zero) == 4 * p.u2
 
     def test_rate_table_agrees_with_symbolic(self):
-        xi = KINGMAN
-        table = build_rate_table(xi, 4)
-        p = ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1), F(1))
-        for idx in [(2, 0), (1, 1), (3, 1), (2, 2), (4, 0)]:
-            assert generator_on_monomial(idx, p) == \
-                generator_on_monomial(idx, p, table)
+        table = build_rate_table(ATOM_HALF_QUARTER, 4)
+        p = ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1), F(2))
+        named = ScalarParams(p.theta, p.alpha, p.u1, p.u2, p.a2, p.a21,
+                             p.a3, p.a211, p.a22, p.a31, p.a4)
+        assert named.table is not table
+        for idx in [(2, 0), (1, 1), (3, 1), (2, 2), (4, 0), (0, 3)]:
+            assert generator_on_monomial(idx, named) == \
+                generator_on_monomial(idx, p)
+
+
+class TestScalarParamsTable:
+    def test_named_rates_build_a_four_block_table(self):
+        p = rand_consistent_params(seeded(38))
+        assert p.table.b_max == 4
+        assert p.table.rate_of(4, (2, 2), 0) == p.a22
+        assert p.table.rate_of(3, (2,), 1) == p.a21
+        full = build_rate_table(KINGMAN, 4)
+        for b in (2, 3, 4):
+            assert ({(prof, mult) for prof, _, mult in p.table.profiles(b)}
+                    == {(prof, mult) for prof, _, mult in full.profiles(b)})
+
+    def test_from_rate_table_keeps_the_table(self):
+        table = build_rate_table(ATOM_HALF_QUARTER, 6)
+        p = ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1), F(2))
+        assert p.table is table
+        assert p.a31 == table.rate_of(4, (3,), 1)
+        # orders past the named rates come from the same table
+        sol = solve_stationary(6, p)
+        for idx in order_indices(6):
+            assert generator_on_monomial(idx, p).evaluate(sol) == 0
+        with pytest.raises(ValueError, match="b_max=6"):
+            solve_stationary(7, p)
+
+    def test_small_table_names_only_the_rates_it_covers(self):
+        table = build_rate_table(KINGMAN, 2)
+        p = ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1), F(2))
+        assert (p.a2, p.a21, p.a4) == (1, 0, 0)
+        assert solve_stationary(2, p) == solve_stationary(
+            2, kingman_scalar(u1=F(1), u2=F(2)))
+
+    def test_disagreeing_named_rate_refused(self):
+        table = build_rate_table(KINGMAN, 4)
+        ScalarParams(F(1), F(1, 2), F(1), F(1), a2=F(1), table=table)
+        with pytest.raises(ValueError, match="a2"):
+            ScalarParams(F(1), F(1, 2), F(1), F(1), a2=F(2), table=table)
+
+    def test_table_does_not_enter_equality(self):
+        small = kingman_scalar()
+        big = ScalarParams.from_rate_table(build_rate_table(KINGMAN, 6),
+                                           F(1), F(1, 2), F(1), F(1))
+        assert small == big and hash(small) == hash(big)
+
+    def test_other_rate_table_refused(self):
+        p = kingman_scalar()
+        assert stationary_system(2, p, p.table)
+        other = build_rate_table(ATOM_HALF_QUARTER, 4)
+        with pytest.raises(ValueError, match="params.table"):
+            stationary_system(2, p, other)
+        with pytest.raises(ValueError, match="params.table"):
+            generator_on_monomial((2, 0), p, other)
+
+    def test_swapped_keeps_the_table(self):
+        table = build_rate_table(ATOM_HALF_QUARTER, 5)
+        p = ScalarParams.from_rate_table(table, F(1), F(1, 3), F(1), F(2))
+        q = p.swapped()
+        assert q.table is table and (q.u1, q.u2) == (p.u2, p.u1)
+        a, b = solve_stationary(5, p), solve_stationary(5, q)
+        assert all(b[(m, n)] == v for (n, m), v in a.items())
 
 
 class TestMomentPolynomial:
