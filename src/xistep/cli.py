@@ -84,10 +84,10 @@ def cmd_rates(cfg, args):
 
 
 def cmd_simulate(cfg, args):
-    eta = tuple(int(x) for x in cfg.options.get("eta", [1, 1]))
+    eta = tuple(cfg.options.get("eta", [1, 1]))
     t = cfg.options.get("t")
     f = TensorFunction.indicator_power(cfg.e_star, len(eta))
-    stop = (StopRule(at_time=float(Fraction(t))) if t is not None
+    stop = (StopRule(at_time=float(t)) if t is not None
             else StopRule(at_absorption=True))
     seed = cfg.seed if args.seed is None else args.seed
     rng = replica_rng(seed, 0)
@@ -107,11 +107,11 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_qt(cfg, args):
-    n = int(cfg.options.get("n", 1))
-    m = int(cfg.options.get("m", 0))
+    n = cfg.options.get("n", 1)
+    m = cfg.options.get("m", 0)
     if "t" not in cfg.options:
         raise ConfigError("options.t", "missing required field")
-    t = float(Fraction(cfg.options["t"]))
+    t = float(cfg.options["t"])
     f, eta = _monomial_inputs(cfg, n, m)
     seed = cfg.seed if args.seed is None else args.seed
     replicas = cfg.replicas if args.replicas is None else args.replicas
@@ -136,8 +136,6 @@ def cmd_stationary(cfg, args):
         report["moments"] = {f"{n},{m}": format_rational(v)
                              for (n, m), v in sorted(moments.items())}
         return report, 0
-    if mode != "mc":
-        raise ConfigError("options.mode", f"unknown mode {mode!r}")
     seed = cfg.seed if args.seed is None else args.seed
     replicas = cfg.replicas if args.replicas is None else args.replicas
     indices = cfg.options.get("indices",

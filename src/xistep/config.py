@@ -199,6 +199,28 @@ def parse_config(data, digest=""):
                               in _items(options, "indices", "options")]
         if not options["indices"]:
             raise ConfigError("options.indices", "must not be empty")
+    if "eta" in options:
+        eta = _items(options, "eta", "options")
+        if not eta:
+            raise ConfigError("options.eta", "must not be empty")
+        if len(eta) > b_max:
+            raise ConfigError("options.eta",
+                              f"{len(eta)} blocks exceed b_max={b_max}")
+        options["eta"] = [parse_int(c, where, 1, 2) for where, c in eta]
+    for key in ("n", "m"):
+        if key in options:
+            options[key] = parse_int(options[key], f"options.{key}", low=0)
+    if "n" in options or "m" in options:
+        _order(options.get("n", 1) + options.get("m", 0), "options.n+m",
+               b_max)
+    if "t" in options:
+        options["t"] = _rat(options["t"], "options.t")
+        if options["t"] < 0:
+            raise ConfigError("options.t",
+                              f"must be at least 0, got {options['t']}")
+    if options.get("mode", "exact") not in ("exact", "mc"):
+        raise ConfigError("options.mode", "must be 'exact' or 'mc', got "
+                          f"{options['mode']!r}")
     return ExperimentConfig(xi, theta, base, u1, u2, e_star, alpha,
                             mu1, mu2, replicas, seed, b_max, options, digest)
 

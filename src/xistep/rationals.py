@@ -7,7 +7,7 @@ def parse_rational(s):
     """Parse "p/q" (or "p") into a Fraction. Raises ValueError on "p/0"."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise ValueError(f"expected rational string, got {type(s).__name__}")

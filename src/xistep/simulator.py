@@ -7,13 +7,19 @@ factor per block (float or Fraction coefficients, base integrals cached
 until a coalescence) or, for the genealogical skeleton, none: that records
 lineage segments. `_Chain.advance` runs the mutation semigroup and
 `_Chain.apply` a migration or coalescence. Events come from the RNG in
-`_run`, the one loop behind `step`, `run_until` (hence the estimators) and
-`genealogical_evaluate`, or from a recorded `Trajectory` in `replay`.
-`DualState`, `LabeledPartition` and `TensorFunction` are built only where
-a public function returns them.
+`_run`, the one loop behind `step`, `run_until` and the estimators, or
+from a recorded `Trajectory` in `replay`. `DualState`, `LabeledPartition`
+and `TensorFunction` are built only where a public function takes or
+returns them.
 
-Replicas draw independent random streams derived deterministically from a
-master seed, so every reported number is reproducible.
+One replica driver, `_replica_values`, serves the three estimators: each
+replica starts a `_Chain` from one float-payload initial state built per
+call, runs to t or to absorption, and yields the mu-pairing of its
+surviving factors or, on the skeleton, the genealogical leaf value. No
+run may exceed `EVENT_CAP` events: a replica that reaches it raises
+instead of returning a value from a truncated path. Replicas draw
+independent random streams derived deterministically from a master seed,
+so every reported number is reproducible.
 """
 
 import bisect
@@ -21,7 +27,7 @@ import concurrent.futures
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
@@ -30,6 +36,10 @@ from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
 from .setfun import (SetFunction, TensorFunction, apply_generator_uniform,
                      decay_factor, sample_mutation_path)
 from .simplex import per_partition_rate
+
+# events one run may take: the estimators raise when a replica reaches it,
+# and it is `StopRule`'s default cap
+EVENT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,12 +51,27 @@ class ModelParams:
     u1: Fraction
     u2: Fraction
     rate_table: object    # RateTable
+    # float migration rates and, per block count, the positive-rate
+    # coalescence profiles with cumulative float weights
+    _tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u1", Fraction(self.u1))
         object.__setattr__(self, "u2", Fraction(self.u2))
         if self.u1 <= 0 or self.u2 <= 0:
             raise ValueError("migration rates must be positive")
+        profs = {}
+        for b in range(2, self.rate_table.b_max + 1):
+            rows = [(prof, float(rate * mult))
+                    for prof, rate, mult in self.rate_table.profiles(b)
+                    if rate > 0]
+            cum, acc = [], 0.0
+            for _, w in rows:
+                acc += w
+                cum.append(acc)
+            profs[b] = ([p for p, _ in rows], cum, acc)
+        object.__setattr__(self, "_tables",
+                           (float(self.u1), float(self.u2), profs))
 
 
 @dataclass(frozen=True)
@@ -145,33 +170,11 @@ class _Chain:
                          self.events)
 
 
-def _float_tables(params):
-    """Per-parameter cache of float migration rates and, per block count,
-    the positive-rate coalescence profiles with cumulative float weights."""
-    try:
-        return params._ftables
-    except AttributeError:
-        pass
-    profs = {}
-    for b in range(2, params.rate_table.b_max + 1):
-        rows = [(prof, float(rate * mult))
-                for prof, rate, mult in params.rate_table.profiles(b)
-                if rate > 0]
-        cum, acc = [], 0.0
-        for _, w in rows:
-            acc += w
-            cum.append(acc)
-        profs[b] = ([p for p, _ in rows], cum, acc)
-    tables = (float(params.u1), float(params.u2), profs)
-    object.__setattr__(params, "_ftables", tables)
-    return tables
-
-
 def _event_rates(labels, params):
     """Float rates of migration out of colony 2 (u1 per block), out of
     colony 1 (u2 per block), coalescence in colony 1 and in colony 2, and
     their sum, the jump rate."""
-    fu1, fu2, profs = _float_tables(params)
+    fu1, fu2, profs = params._tables
     n1 = labels.count(COLONY_1)
     n2 = len(labels) - n1
     rates = (n2 * fu1, n1 * fu2,
@@ -199,7 +202,7 @@ def _pick_event(labels, rates, total, params, rng):
     if colony == COLONY_2:
         pick -= rates[2]
     b = labels.count(colony)
-    rows, cum, _ = _float_tables(params)[2][b]
+    rows, cum, _ = params._tables[2][b]
     prof = rows[bisect.bisect_right(cum, pick, hi=len(rows) - 1)]
     detail = random_partition_with_profile(b, prof.merge_sizes, prof.s, rng)
     return "coalescence", colony, detail
@@ -248,7 +251,7 @@ class StopRule:
 
     at_time: float = None
     at_absorption: bool = False
-    max_events: int = 100_000
+    max_events: int = EVENT_CAP
 
     def __post_init__(self):
         if self.at_time is None and not self.at_absorption:
@@ -293,15 +296,19 @@ def replay(f, eta, trajectory, params, exact=True):
     return chain.state()
 
 
-def evaluate_dual(state, mu):
-    """<mu_eta, Y>: the product over blocks of the factor integrated
-    against the block label's colony measure."""
+def _pairing(factors, labels, mu):
     mu1, mu2 = mu
     value = 1
-    for g, label in zip(state.y.factors, state.lp.labels):
+    for g, label in zip(factors, labels):
         m = mu1 if label == COLONY_1 else mu2
         value *= m.integrate(g)
     return value
+
+
+def evaluate_dual(state, mu):
+    """<mu_eta, Y>: the product over blocks of the factor integrated
+    against the block label's colony measure."""
+    return _pairing(state.y.factors, state.lp.labels, mu)
 
 
 def _mc(values, replicas, seed):
@@ -316,40 +323,51 @@ def _mc(values, replicas, seed):
     return McEstimate(float(mean), float(se), replicas, seed)
 
 
-def _floatified(f):
-    """Float coefficients up front so replicas avoid repeated mixed
-    Fraction/float arithmetic."""
-    return TensorFunction(tuple(
+def _leaf_value(chain, f, mu, spec, rng):
+    """Genealogical reading of a skeleton run: types drawn at the top of
+    the genealogy from the colony laws, mutation paths run down each
+    lineage segment, and f evaluated at the leaves."""
+    mu1, mu2 = mu
+    types = {}
+    for block, label in zip(chain.blocks, chain.labels):
+        m = mu1 if label == COLONY_1 else mu2
+        types[block] = m.sample(rng)
+    for blocks, duration in reversed(chain.segments):
+        new_types = {}
+        for block in blocks:
+            parent = next(b for b in types if block[0] in b)
+            x = types[parent]
+            if duration > 0 and spec.theta > 0:
+                x = sample_mutation_path(x, duration, spec, rng)
+            new_types[block] = x
+        types = new_types
+    leaf_types = {b[0]: x for b, x in types.items()}
+    value = 1.0
+    for i, g in enumerate(f.factors, start=1):
+        value *= float(g.value_at(leaf_types[i]))
+    return value
+
+
+def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
+    """Values of replicas lo..hi-1, each on stream `replica_rng(seed, rep)`
+    and run to time t, or to absorption when t is None: the mu-pairing of
+    the surviving float factors, or on the skeleton the leaf value of f."""
+    start = initial_state(TensorFunction(tuple(
         SetFunction(g.level, tuple(float(c) for c in g.coeffs))
-        for g in f.factors))
-
-
-def _qt_values(f, eta, mu, t, params, seed, exact, lo, hi):
-    if not exact:
-        f = _floatified(f)
+        for g in f.factors)), eta)
     values = []
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
-        state = initial_state(f, eta)
-        state, _ = run_until(state, params, StopRule(at_time=t), rng,
-                             exact=exact)
-        values.append(float(evaluate_dual(state, mu)))
-    return values
-
-
-def _stationary_values(f, eta, pi_tilde, params, seed, exact, max_events,
-                       lo, hi):
-    if not exact:
-        f = _floatified(f)
-    values = []
-    stop = StopRule(at_absorption=True, max_events=max_events)
-    for rep in range(lo, hi):
-        rng = replica_rng(seed, rep)
-        state = initial_state(f, eta)
-        state, traj = run_until(state, params, stop, rng, exact=exact)
-        if traj.truncated:
-            raise RuntimeError(f"replica {rep} truncated before absorption")
-        values.append(float(pi_tilde.integrate(state.y.factors[0])))
+        chain = _Chain(start, skeleton)
+        _, truncated = _run(chain, params, rng, False, t, t is None,
+                            EVENT_CAP)
+        if truncated:
+            goal = "absorption" if t is None else f"time {t}"
+            raise RuntimeError(f"replica {rep} reached the event cap of "
+                               f"{EVENT_CAP} before {goal}")
+        values.append(_leaf_value(chain, f, mu, params.mutation, rng)
+                      if skeleton
+                      else float(_pairing(chain.factors, chain.labels, mu)))
     return values
 
 
@@ -366,65 +384,37 @@ def _fan_out(fn, args, replicas, workers):
         return [v for fut in futures for v in fut.result()]
 
 
-def estimate_Qt(f, eta, mu, t, replicas, params, seed, exact=False,
-                workers=1):
+def estimate_Qt(f, eta, mu, t, replicas, params, seed, workers=1):
     """Monte Carlo transition moment at time t via the duality identity."""
-    values = _fan_out(_qt_values, (f, eta, mu, t, params, seed, exact),
+    if t is None:
+        raise ValueError("transition moment needs a time t")
+    values = _fan_out(_replica_values, (f, eta, mu, t, params, seed, False),
                       replicas, workers)
     return _mc(values, replicas, seed)
 
 
 def estimate_stationary(f, eta, pi_tilde, replicas, params, seed,
-                        exact=False, max_events=100_000, workers=1):
+                        workers=1):
     """Runs each replica to absorption and pairs the single surviving
     factor with the mutation-invariant measure."""
     if params.xi.total_mass == 0:
         raise ValueError("stationary estimate needs coalescence (xi mass > 0)")
-    values = _fan_out(_stationary_values,
-                      (f, eta, pi_tilde, params, seed, exact, max_events),
-                      replicas, workers)
+    values = _fan_out(_replica_values,
+                      (f, eta, (pi_tilde, pi_tilde), None, params, seed,
+                       False), replicas, workers)
     return _mc(values, replicas, seed)
 
 
 def genealogical_evaluate(f, eta, mu_or_pi, t_or_none, replicas, params,
-                          seed, max_events=100_000):
+                          seed):
     """Unbiased sampler for the same dual expectations: runs the skeleton
     chain (no payload) up to t or absorption, draws types at the top of
     the genealogy and runs mutation paths down each lineage segment; f (a
     tensor of indicator-style factors) is evaluated at the leaves."""
-    if isinstance(mu_or_pi, tuple):
-        mu1, mu2 = mu_or_pi
-    else:
-        mu1 = mu2 = mu_or_pi
-    spec = params.mutation
-    state = initial_state(f, eta)
-    values = []
-    for rep in range(replicas):
-        rng = replica_rng(seed, rep)
-        chain = _Chain(state, skeleton=True)
-        _, truncated = _run(chain, params, rng, False, t_or_none,
-                            t_or_none is None, max_events)
-        if truncated:
-            raise RuntimeError("event cap exhausted in genealogical "
-                               "simulation")
-        types = {}
-        for block, label in zip(chain.blocks, chain.labels):
-            m = mu1 if label == COLONY_1 else mu2
-            types[block] = m.sample(rng)
-        for blocks, duration in reversed(chain.segments):
-            new_types = {}
-            for block in blocks:
-                parent = next(b for b in types if block[0] in b)
-                x = types[parent]
-                if duration > 0 and spec.theta > 0:
-                    x = sample_mutation_path(x, duration, spec, rng)
-                new_types[block] = x
-            types = new_types
-        leaf_types = {b[0]: x for b, x in types.items()}
-        value = 1.0
-        for i, g in enumerate(f.factors, start=1):
-            value *= float(g.value_at(leaf_types[i]))
-        values.append(value)
+    mu = mu_or_pi if isinstance(mu_or_pi, tuple) else (mu_or_pi, mu_or_pi)
+    values = _fan_out(_replica_values,
+                      (f, eta, mu, t_or_none, params, seed, True),
+                      replicas, 1)
     return _mc(values, replicas, seed)
 
 

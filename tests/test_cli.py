@@ -304,30 +304,50 @@ class TestErrors:
             assert status == 2
             assert "replicas" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change,env,needle", [
-        ({"options": {"order": 0}}, None, "options.order"),
-        ({"options": {"order": -3}}, None, "options.order"),
-        ({"options": {"order": 2.5}}, None, "options.order"),
-        ({"options": {"order": "abc"}}, None, "options.order"),
-        ({"options": {"order": 5}}, None, "b_max"),
-        ({"options": {"mode": "mc", "indices": [[1]]}}, None,
+    BAD_INPUT = [    # command, config change, XISTEP_THREADS, field named
+        ("stationary", {"options": {"order": 0}}, None, "options.order"),
+        ("stationary", {"options": {"order": -3}}, None, "options.order"),
+        ("stationary", {"options": {"order": 2.5}}, None, "options.order"),
+        ("stationary", {"options": {"order": "abc"}}, None, "options.order"),
+        ("stationary", {"options": {"order": 5}}, None, "b_max"),
+        ("stationary", {"options": {"mode": "mc", "indices": [[1]]}}, None,
          "options.indices[0]"),
-        ({"replicas": [1]}, None, "replicas"),
-        ({"seed": "x"}, None, "seed"),
-        ({"b_max": [8]}, None, "b_max"),
-        ({"u1": "-1"}, None, "u1"),
-        ({"u2": "0"}, None, "u2"),
-        ({"options": {"mode": "mc", "order": 1}}, "abc", "XISTEP_THREADS"),
-        ({"options": {"mode": "mc", "order": 1}}, "0", "XISTEP_THREADS"),
-        ({"options": {"mode": "mc", "order": 1}}, "-2", "XISTEP_THREADS"),
-    ])
+        ("stationary", {"replicas": [1]}, None, "replicas"),
+        ("stationary", {"seed": "x"}, None, "seed"),
+        ("stationary", {"b_max": [8]}, None, "b_max"),
+        ("stationary", {"u1": "-1"}, None, "u1"),
+        ("stationary", {"u2": "0"}, None, "u2"),
+        ("stationary", {"options": {"mode": "mc", "order": 1}}, "abc",
+         "XISTEP_THREADS"),
+        ("stationary", {"options": {"mode": "mc", "order": 1}}, "0",
+         "XISTEP_THREADS"),
+        ("stationary", {"options": {"mode": "mc", "order": 1}}, "-2",
+         "XISTEP_THREADS"),
+        ("stationary", {"options": {"mode": "fast"}}, None, "options.mode"),
+        ("simulate", {"options": {"eta": [[1]]}}, None, "options.eta[0]"),
+        ("simulate", {"options": {"eta": [1, 3]}}, None, "options.eta[1]"),
+        ("simulate", {"options": {"eta": []}}, None, "options.eta"),
+        ("simulate", {"options": {"t": "-1"}}, None, "options.t"),
+        ("qt", {"options": {"t": [1]}}, None, "options.t"),
+        ("qt", {"options": {"t": "-1"}}, None, "options.t"),
+        ("qt", {"options": {"t": "1/2", "n": "x"}}, None, "options.n"),
+        ("qt", {"options": {"t": "1/2", "m": -1}}, None, "options.m"),
+        ("qt", {"options": {"t": "1/2", "n": 0, "m": 0}}, None,
+         "options.n+m"),
+        ("qt", {"options": {"t": "1/2", "n": 3, "m": 2}}, None, "b_max=4"),
+    ]
+
+    # ids number the cases and leave the command out
+    @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[
+        f"change{i}-{env}-{needle}"
+        for i, (_, _, env, needle) in enumerate(BAD_INPUT)])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
-                                                 monkeypatch, change, env,
-                                                 needle):
+                                                 monkeypatch, command,
+                                                 change, env, needle):
         if env is not None:
             monkeypatch.setenv("XISTEP_THREADS", env)
         cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, **change))
-        status, _ = run(tmp_path, ["stationary", "--config", cfg])
+        status, _ = run(tmp_path, [command, "--config", cfg])
         err = capsys.readouterr().err
         assert status == 2
         assert needle in err and "Traceback" not in err

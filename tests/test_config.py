@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ VALID = {
     "replicas": 100,
     "seed": 7,
     "b_max": 6,
-    "options": {"mode": "mc", "order": 2, "indices": [[1, 1], [2, 0]]},
+    "options": {"mode": "mc", "order": 2, "indices": [[1, 1], [2, 0]],
+                "t": "1/2", "n": 1, "m": 1, "eta": [1, 2]},
 }
 
 
@@ -45,10 +47,16 @@ class TestValidConfig:
         assert cfg.b_max == 6 and cfg.replicas == 100
         assert cfg.options["order"] == 2
         assert cfg.options["indices"] == [[1, 1], [2, 0]]
+        assert cfg.options["t"] == Fraction(1, 2)
+        assert cfg.options["eta"] == [1, 2]
 
     def test_integer_strings_accepted(self):
         cfg = parse_config(with_field(("options", "order"), "3"))
         assert cfg.options["order"] == 3
+        cfg = parse_config(with_field(("options", "eta"), ["2", 1]))
+        assert cfg.options["eta"] == [2, 1]
+        cfg = parse_config(with_field(("options", "n"), "2"))
+        assert cfg.options["n"] == 2
 
     def test_scalar_params_cover_the_order(self):
         cfg = parse_config(VALID)
@@ -99,6 +107,15 @@ class TestFieldErrors:
         (("xi", "atoms"), 5, "xi.atoms"),
         (("xi", "atoms", 0, "coords"), "1/2", "xi.atoms[0].coords"),
         (("xi",), [], "xi"),
+        (("options", "eta"), [1, 2] * 4, "options.eta"),
+        (("options", "eta"), [1, True], "options.eta[1]"),
+        (("options", "n"), 2.5, "options.n"),
+        (("options", "m"), 6, "options.n+m"),
+        (("options", "t"), 0.5, "options.t"),
+        (("options", "t"), "-1/2", "options.t"),
+        (("options", "t"), True, "options.t"),
+        (("theta",), False, "theta"),
+        (("options", "mode"), ["mc"], "options.mode"),
     ])
     def test_nested_fields_named(self, path, value, field):
         assert field_error(path, value).field == field

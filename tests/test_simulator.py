@@ -9,13 +9,14 @@ from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
                     XiMeasure, build_rate_table, estimate_Qt,
                     estimate_stationary, evaluate_dual, initial_state,
                     replay, run_until, solve_stationary, step)
+from xistep import simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model)
 from xistep.simulator import (dual_generator_value, genealogical_evaluate,
                               replica_rng, total_jump_rate)
 
-from conftest import E_STAR, KINGMAN, STAR, indicator_power, kingman_model, \
-    kingman_scalar, seeded
+from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, \
+    indicator_power, kingman_model, kingman_scalar, seeded
 
 F = Fraction
 
@@ -203,6 +204,12 @@ class TestEstimators:
             estimate_stationary(indicator_power(2), (1, 1),
                                 BaseMeasure.uniform(), -3, params, 0)
 
+    def test_qt_needs_a_time(self):
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        with pytest.raises(ValueError, match="time"):
+            estimate_Qt(indicator_power(2), (1, 1), mu, None, 10,
+                        kingman_model(), 0)
+
     def test_zero_mass_refused(self):
         xi = XiMeasure()
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
@@ -210,6 +217,56 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_stationary(indicator_power(2), (1, 1),
                                 BaseMeasure.uniform(), 10, params, seed=0)
+
+
+class TestReplicaDriver:
+    """Each estimator is the mean of its public path: `run_until` from the
+    float-coefficient tensor on stream `replica_rng(seed, rep)`, paired
+    with the colony laws. No estimator returns a value from a truncated
+    path."""
+
+    @pytest.mark.parametrize("t", [None, 0.5])
+    def test_estimator_equals_public_path_to_the_bit(self, t):
+        xi = ATOM_HALF_QUARTER
+        params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
+                             F(1), F(2), build_rate_table(xi, 6))
+        f, eta = indicator_power(4), (1, 2, 1, 2)
+        f_float = TensorFunction(tuple(
+            SetFunction(g.level, tuple(float(c) for c in g.coeffs))
+            for g in f.factors))
+        pi = BaseMeasure.uniform()
+        mu = (pi, pi) if t is None else (BaseMeasure(1, (F(3, 2), F(1, 2))),
+                                         BaseMeasure(1, (F(1, 2), F(3, 2))))
+        stop = (StopRule(at_absorption=True) if t is None
+                else StopRule(at_time=t))
+        replicas, seed = 300, 11
+        values = []
+        for rep in range(replicas):
+            state, traj = run_until(initial_state(f_float, eta), params,
+                                    stop, replica_rng(seed, rep))
+            assert not traj.truncated
+            values.append(float(evaluate_dual(state, mu)))
+        est = (estimate_stationary(f, eta, pi, replicas, params, seed)
+               if t is None
+               else estimate_Qt(f, eta, mu, t, replicas, params, seed))
+        assert sum(values) / replicas == est.mean
+
+    @pytest.mark.parametrize("estimator", ["qt", "stationary",
+                                           "genealogical"])
+    def test_event_cap_raises(self, monkeypatch, estimator):
+        monkeypatch.setattr(simulator, "EVENT_CAP", 3)
+        # migration at rate 10^6 per block: three events come long before
+        # t = 1 or absorption
+        params = kingman_model(u1=F(10**6), u2=F(10**6))
+        f, eta = indicator_power(2), (1, 2)
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        run = {"qt": lambda: estimate_Qt(f, eta, mu, 1.0, 5, params, 0),
+               "stationary": lambda: estimate_stationary(
+                   f, eta, mu[0], 5, params, 0),
+               "genealogical": lambda: genealogical_evaluate(
+                   f, eta, mu, 1.0, 5, params, 0)}[estimator]
+        with pytest.raises(RuntimeError, match="replica 0 .*event cap"):
+            run()
 
 
 class TestGenealogical:
