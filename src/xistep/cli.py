@@ -14,6 +14,7 @@ from . import __version__
 from .config import ConfigError, load_config, parse_int
 from .moments import (ScalarParams, generator_on_monomial, hausdorff_check,
                       order_indices, solve_stationary)
+from .partitions import profile_of
 from .rationals import format_rational
 from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                             degenerate_params, final_contradiction,
@@ -52,9 +53,8 @@ def _emit_json(report, out_path):
 
 
 def _profile_label(pi_prime):
-    merged = sorted((len(b) for b in pi_prime if len(b) >= 2), reverse=True)
-    s = sum(1 for b in pi_prime if len(b) == 1)
-    return "+".join(str(k) for k in merged) + f";{s}"
+    _, merge_sizes, s = profile_of(pi_prime)
+    return "+".join(map(str, merge_sizes)) + f";{s}"
 
 
 def _monomial_inputs(cfg, n, m):

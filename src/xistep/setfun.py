@@ -144,22 +144,8 @@ class SetFunction:
     def value_at(self, point):
         return self.coeffs[cell_index(self.level, point)]
 
-    def terms(self):
-        """View as a finite combination of indicators of disjoint dyadic
-        sets, one term per distinct nonzero coefficient."""
-        groups = {}
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                groups.setdefault(c, set()).add(i)
-        return [(c, DyadicSet(self.level, frozenset(cells)))
-                for c, cells in sorted(groups.items(), key=lambda t: str(t[0]))]
-
 
 ONE = SetFunction.constant(Fraction(1))
-
-
-def multiply(g, h):
-    return g.multiply(h)
 
 
 @dataclass(frozen=True)
@@ -211,13 +197,7 @@ class BaseMeasure:
         return cls(0, (Fraction(1),))
 
     def measure(self, dset):
-        lvl = max(self.grid_level, dset.level)
-        cells = dset._at_level(lvl)
-        shift = lvl - self.grid_level
-        mass = sum((self.densities[c >> shift] for c in cells),
-                   Fraction(0)) / (1 << lvl)
-        mass += sum(m for p, m in self.atoms if dset.contains(p))
-        return mass
+        return self.integrate(SetFunction.indicator(dset))
 
     def integrate(self, g):
         lvl = max(self.grid_level, g.level)
@@ -234,8 +214,9 @@ class BaseMeasure:
                         for i, c in enumerate(coeffs) if c) / (1 << lvl)
             return total + sum(float(m) * g.value_at(p)
                                for p, m in self.atoms)
-        total = sum(c * self.densities[i >> shift]
-                    for i, c in enumerate(coeffs) if c) / (1 << lvl)
+        total = sum((c * self.densities[i >> shift]
+                     for i, c in enumerate(coeffs) if c),
+                    Fraction(0)) / (1 << lvl)
         total += sum(m * g.value_at(p) for p, m in self.atoms)
         return total
 
@@ -253,10 +234,6 @@ class BaseMeasure:
             if u < acc:
                 return (i + rng.random()) * width
         return 1.0  # guard against float round-off at the top
-
-
-def integrate(measure, g):
-    return measure.integrate(g)
 
 
 @dataclass(frozen=True)
@@ -299,8 +276,6 @@ def sample_mutation_path(x0, t, spec, rng):
     """Terminal type of the mutation jump process started at x0 run for
     time t: keep x0 with prob e^{-theta t/2}, else one fresh draw from the
     base."""
-    if t < 0:
-        raise ValueError("negative time")
-    if rng.random() < math.exp(-float(spec.theta) * float(t) / 2.0):
+    if rng.random() < decay_factor(spec.theta, t):
         return x0
     return spec.base.sample(rng)

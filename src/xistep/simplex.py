@@ -5,8 +5,6 @@ with finitely many positive coordinates, so every collision rate is an
 exact rational.
 """
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,34 +106,42 @@ class CollisionProfile:
 
 
 def _atom_rate(atom, profile):
-    """Unnormalized finite sum for one atom: sum over l of C(s,l) times the
-    injective-index sums, times (1 - sum x)^(s-l); divided by sum x^2."""
-    xs = atom.coords
-    r = profile.r
+    """Unnormalized paintbox rate of one atom x for a (n; k1..kr; s)
+    collision, divided by sum x^2. Each block picks coordinate i with
+    probability x_i or lands in the dust with probability 1 - sum x: the r
+    merge groups must take r distinct coordinates, and each of the s
+    untouched blocks takes a coordinate of its own or the dust.
+
+    The coordinates are scanned once. A state is the bitmask of merge groups
+    placed and the count l of untouched blocks placed so far; coordinate x
+    stays unused, is taken by an unplaced group of size k (times x^k) or by
+    one of the s - l unplaced untouched blocks (times x (s - l)). The rate
+    sums, over states with every group placed, weight (1 - sum x)^(s - l)."""
+    ks = profile.merge_sizes
     s = profile.s
-    one_minus = 1 - atom.coord_sum
-    total = Fraction(0)
-    for ell in range(s + 1):
-        if r + ell > len(xs):
-            break
-        if one_minus == 0 and s - ell > 0:
-            continue
-        inj = Fraction(0)
-        powers = profile.merge_sizes + (1,) * ell
-        for idx in itertools.permutations(range(len(xs)), r + ell):
-            term = Fraction(1)
-            for i, k in zip(idx, powers):
-                term *= xs[i] ** k
-            inj += term
-        total += math.comb(s, ell) * inj * one_minus ** (s - ell)
+    weights = {(0, 0): Fraction(1)}
+    for x in atom.coords:
+        powers = [x ** k for k in ks]
+        grown = dict(weights)
+        for (mask, ell), w in weights.items():
+            for j, xk in enumerate(powers):
+                if not mask >> j & 1:
+                    key = (mask | 1 << j, ell)
+                    grown[key] = grown.get(key, 0) + w * xk
+            if ell < s:
+                key = (mask, ell + 1)
+                grown[key] = grown.get(key, 0) + w * x * (s - ell)
+        weights = grown
+    full = (1 << len(ks)) - 1
+    dust = 1 - atom.coord_sum
+    total = sum(w * dust ** (s - ell)
+                for (mask, ell), w in weights.items() if mask == full)
     return total / atom.square_sum
 
 
-def collision_rate(xi, profile, b_max=None):
+def collision_rate(xi, profile):
     """Exact rate of a (n; k1..kr; s)-collision under xi. The Kingman mass
     contributes only to the pairwise profile (r, k1) = (1, 2)."""
-    if b_max is not None and profile.n > b_max:
-        raise ValueError(f"profile n={profile.n} exceeds b_max={b_max}")
     rate = Fraction(0)
     if profile.r == 1 and profile.merge_sizes == (2,):
         rate += xi.kingman_mass
@@ -188,8 +194,7 @@ def build_rate_table(xi, b_max=8):
         entries = []
         for merge_sizes, s in iter_profiles(b):
             prof = CollisionProfile(b, merge_sizes, s)
-            entries.append((prof, collision_rate(xi, prof, b_max=b_max),
-                            prof.multiplicity))
+            entries.append((prof, collision_rate(xi, prof), prof.multiplicity))
         rows[b] = tuple(entries)
     return RateTable(b_max, rows)
 

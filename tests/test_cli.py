@@ -37,6 +37,19 @@ ATOM_CFG = {
     "b_max": 4,
 }
 
+# the exact_sweep benchmark measure: a 6-coordinate and a 5-coordinate atom
+SWEEP_CFG = {
+    "xi": {"kingman_mass": "1",
+           "atoms": [{"coords": ["1/8"] * 6, "weight": "1"},
+                     {"coords": ["1/4", "1/5", "1/6", "1/7", "1/9"],
+                      "weight": "1/2"}]},
+    "theta": "1",
+    "mutation": {"kind": "uniform", "base": {"densities": ["1"]}},
+    "u1": "1", "u2": "2",
+    "e_star": {"level": 1, "cells": [0]},
+    "b_max": 12,
+}
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -194,9 +207,10 @@ class TestDeterminism:
 
 
 class TestPinnedOutput:
-    """SHA-256 digests of seeded outputs. Unlike TestDeterminism, which
-    compares two runs of one build, these hold across versions: a change
-    to the event stream or to the payload arithmetic changes them."""
+    """SHA-256 digests of seeded and exact outputs. Unlike TestDeterminism,
+    which compares two runs of one build, these hold across versions: a
+    change to the event stream, the payload arithmetic or the exact rates
+    and moments changes them."""
 
     DIGESTS = {
         "simulate_absorption":
@@ -209,6 +223,10 @@ class TestPinnedOutput:
             "1c8736ccca7e13a119ba70f7072a9fffec2766d58db87105d9b86fc371873947",
         "genealogical":
             "4111045e1f6e93dd531f883173507d3214e1ef4dc11f2330046f01809b53421c",
+        "rates":
+            "aa37f5ed8ddeb9d313f7ef48c12dcdd8f0651ae5c6d3caa2e7a0e40a63e13880",
+        "hausdorff":
+            "cac431192a7582b8f44667506dfec31d0f8743d5e0a90f9b05765d0f5896ff1d",
     }
 
     def test_seeded_outputs_pinned(self, tmp_path):
@@ -226,6 +244,9 @@ class TestPinnedOutput:
                         mu1={"grid_level": 1, "densities": ["3/2", "1/2"]},
                         mu2={"grid_level": 1, "densities": ["1/2", "3/2"]},
                         options={"t": "1/2", "n": 2, "m": 1}), ["qt"]),
+            "rates": (dict(SWEEP_CFG, b_max=8), ["rates"]),
+            "hausdorff": (dict(SWEEP_CFG, b_max=8, options={"order": 8}),
+                          ["hausdorff"]),
         }
         outputs = {}
         for name, (payload, argv) in runs.items():

@@ -1,13 +1,15 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xistep import (MomentPolynomial, ScalarParams, build_rate_table,
-                    generator_on_monomial, hausdorff_check, mc_cross_check,
-                    order_indices, solve_stationary, stationary_system,
-                    system_determinants)
+from xistep import (HausdorffReport, MomentPolynomial, ScalarParams,
+                    build_rate_table, generator_on_monomial, hausdorff_check,
+                    mc_cross_check, order_indices, solve_stationary,
+                    stationary_system, system_determinants)
 from xistep.linalg import solve_exact
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, E_STAR, kingman_model, \
@@ -224,6 +226,50 @@ class TestSolveExact:
         assert c * sol[0] + d * sol[1] == 2
 
 
+def stencil_hausdorff(psi):
+    """Stencil oracle for hausdorff_check: for every pair of support points
+    m <= top whose whole box m + [0, n], n = top - m, lies in the support,
+    the alternating binomial sum over the box, in (m, n) order."""
+    keys = set(psi)
+    entries = []
+    for m in sorted(keys):
+        for top in sorted(keys):
+            nvec = tuple(t - a for t, a in zip(top, m))
+            if any(v < 0 for v in nvec):
+                continue
+            stencil = list(itertools.product(*(range(v + 1) for v in nvec)))
+            points = [tuple(a + b for a, b in zip(m, p)) for p in stencil]
+            if not all(point in keys for point in points):
+                continue
+            value = sum(((-1) ** sum(p) * psi[point]
+                         * math.prod(map(math.comb, nvec, p))
+                         for p, point in zip(stencil, points)), F(0))
+            entries.append((m, nvec, value))
+    violations = tuple(((m, n), v) for m, n, v in entries if v < 0)
+    return HausdorffReport(min(v for _, _, v in entries), violations,
+                           len(entries))
+
+
+@st.composite
+def moment_arrays(draw):
+    """1-D, 2-D and 3-D arrays on the corner sum(index) <= order with up to
+    a third of the keys dropped. Values are the moments of a point mass (no
+    violations) or arbitrary rationals (violations)."""
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(0, {1: 8, 2: 6, 3: 4}[dim]))
+    corner = [idx for idx in itertools.product(range(order + 1), repeat=dim)
+              if sum(idx) <= order]
+    dropped = draw(st.sets(st.sampled_from(corner),
+                           max_size=len(corner) // 3))
+    keys = [idx for idx in corner if idx not in dropped]
+    if draw(st.booleans()):
+        point = draw(st.lists(st.fractions(0, 1, max_denominator=8),
+                              min_size=dim, max_size=dim))
+        return {idx: math.prod(map(pow, point, idx)) for idx in keys}
+    values = st.fractions(min_value=-1, max_value=2, max_denominator=6)
+    return {idx: draw(values) for idx in keys}
+
+
 class TestHausdorff:
     def test_point_mass_moments_pass(self):
         # x identically 2/3 in colony 1, 1/5 in colony 2
@@ -248,6 +294,17 @@ class TestHausdorff:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             hausdorff_check({})
+
+    @given(psi=moment_arrays())
+    @settings(max_examples=80, deadline=None)
+    def test_difference_table_matches_stencils(self, psi):
+        assert hausdorff_check(psi) == stencil_hausdorff(psi)
+
+    def test_difference_table_matches_stencils_on_solved_moments(self):
+        table = build_rate_table(ATOM_HALF_QUARTER, 6)
+        p = ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1), F(2))
+        psi = solve_stationary(6, p)
+        assert hausdorff_check(psi) == stencil_hausdorff(psi)
 
 
 class TestMcCrossCheck:

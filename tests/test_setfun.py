@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
                     semigroup_apply_uniform)
 from xistep.setfun import (ONE, apply_generator_uniform, decay_factor,
-                           integrate, multiply, sample_mutation_path)
+                           sample_mutation_path)
 
 from conftest import E_STAR
 
@@ -46,18 +46,19 @@ class TestDyadicSet:
 class TestSetFunction:
     def test_multiply_indicators_intersect(self):
         c, d = interval(0, 2, 2), interval(1, 3, 2)
-        assert multiply(SetFunction.indicator(c), SetFunction.indicator(d)) \
+        assert SetFunction.indicator(c).multiply(SetFunction.indicator(d)) \
             == SetFunction.indicator(c.intersection(d))
 
     def test_indicator_idempotent(self):
         g = SetFunction.indicator(E_STAR)
-        assert multiply(g, g) == g
+        assert g.multiply(g) == g
 
     def test_bilinearity(self):
         c, d = interval(0, 2, 2), interval(1, 3, 2)
         gc, gd = SetFunction.indicator(c), SetFunction.indicator(d)
         a, b, cc, dd = F(2), F(3), F(5), F(7)
-        lhs = multiply(ONE.scale(a) + gc.scale(b), ONE.scale(cc) + gd.scale(dd))
+        lhs = (ONE.scale(a) + gc.scale(b)).multiply(ONE.scale(cc)
+                                                   + gd.scale(dd))
         rhs = (ONE.scale(a * cc) + gd.scale(a * dd) + gc.scale(b * cc)
                + SetFunction.indicator(c.intersection(d)).scale(b * dd))
         assert lhs == rhs
@@ -84,12 +85,16 @@ class TestBaseMeasure:
         # density 2 on [0,1/2), 0 elsewhere; g = 1_[1/4,3/4) -> 1/2
         mu = BaseMeasure(1, (F(2), F(0)))
         g = SetFunction.indicator(interval(1, 3, 2))
-        assert integrate(mu, g) == F(1, 2)
+        assert mu.integrate(g) == F(1, 2)
 
     def test_atoms(self):
         mu = BaseMeasure(0, (F(1, 2),), atoms=((F(1, 4), F(1, 2)),))
         assert mu.measure(interval(0, 1, 1)) == F(1, 4) + F(1, 2)
         assert mu.measure(DyadicSet.full()) == 1
+
+    def test_measure_of_empty_set_is_rational(self):
+        mass = BaseMeasure.uniform().measure(DyadicSet.empty())
+        assert mass == 0 and type(mass) is F
 
     def test_sample_in_support(self):
         mu = BaseMeasure(1, (F(2), F(0)))

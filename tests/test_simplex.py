@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from xistep import (CollisionProfile, SimplexAtom, XiMeasure,
                     build_rate_table, check_consistency, collision_rate)
+from xistep.partitions import iter_profiles
 from xistep.simplex import per_partition_rate
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR
@@ -41,10 +44,6 @@ class TestCollisionRate:
         xi = XiMeasure(F(1, 3), (SimplexAtom((F(1, 2), F(1, 4)), F(2)),
                                  SimplexAtom((F(1, 5),), F(1, 2))))
         assert rate(xi, 2, (2,), 0) == xi.total_mass
-
-    def test_b_max_enforced(self):
-        with pytest.raises(ValueError):
-            collision_rate(KINGMAN, CollisionProfile(5, (2,), 3), b_max=4)
 
 
 class TestPerPartitionRate:
@@ -141,3 +140,46 @@ def test_rates_scale_linearly(xi, c):
         for (p1, r1, m1), (p2, r2, m2) in zip(t1.profiles(b),
                                               t2.profiles(b)):
             assert p1 == p2 and m1 == m2 and r2 == c * r1
+
+
+def injective_sum_rate(xi, profile):
+    """Enumerative oracle for collision_rate: per atom x, the sum over l of
+    C(s, l) times the sum over injective index tuples (i1..ir, j1..jl) of
+    x_i1^k1 ... x_ir^kr x_j1 ... x_jl, times (1 - sum x)^(s - l), over
+    sum x^2; plus the Kingman mass on the pairwise profile."""
+    rate = xi.kingman_mass if profile.merge_sizes == (2,) else F(0)
+    for atom in xi.atoms:
+        xs = atom.coords
+        total = F(0)
+        for ell in range(profile.s + 1):
+            powers = profile.merge_sizes + (1,) * ell
+            inj = sum((math.prod(xs[i] ** k for i, k in zip(idx, powers))
+                       for idx in itertools.permutations(range(len(xs)),
+                                                         len(powers))),
+                      F(0))
+            total += (math.comb(profile.s, ell) * inj
+                      * (1 - sum(xs)) ** (profile.s - ell))
+        rate += atom.weight * total / sum(x * x for x in xs)
+    return rate
+
+
+def assert_rates_match_oracle(xi, b_max):
+    for b in range(2, b_max + 1):
+        for merge_sizes, s in iter_profiles(b):
+            prof = CollisionProfile(b, merge_sizes, s)
+            assert collision_rate(xi, prof) == injective_sum_rate(xi, prof)
+
+
+@given(xi=xi_strategy())
+@settings(max_examples=30, deadline=None)
+def test_paintbox_recurrence_matches_injective_sums(xi):
+    assert_rates_match_oracle(xi, 7)
+
+
+@pytest.mark.parametrize("xi", [
+    XiMeasure(atoms=(SimplexAtom((F(1, 8),) * 6, F(1)),)),
+    STAR,
+    XiMeasure(F(1, 2), (SimplexAtom((F(1, 2), F(1, 4), F(1, 4)), F(3)),)),
+], ids=["six_eighths", "star", "zero_dust"])
+def test_paintbox_recurrence_matches_injective_sums_b8(xi):
+    assert_rates_match_oracle(xi, 8)
