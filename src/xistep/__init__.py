@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .moments import (HausdorffReport, MomentPolynomial, ScalarParams,
                       generator_on_monomial, hausdorff_check, mc_cross_check,
-                      order_indices, solve_stationary, stationary_system,
-                      system_determinants)
+                      order_indices, solve_stationary, stationary_system)
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag,
                          coag_labeled, enumerate_partitions, profile_of)
 from .rationals import format_rational, parse_rational

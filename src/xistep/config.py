@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .moments import ScalarParams
-from .partitions import MAX_PARTITION_SIZE
 from .rationals import parse_rational
 from .setfun import BaseMeasure, DyadicSet, MutationSpec
-from .simplex import SimplexAtom, XiMeasure, build_rate_table
+from .simplex import MAX_BLOCKS, SimplexAtom, XiMeasure, build_rate_table
 from .simulator import ModelParams
 
 
@@ -186,8 +185,7 @@ def parse_config(data, digest=""):
            if "mu2" in data else base)
     replicas = parse_int(_get(data, "replicas", "", 1000), "replicas", low=1)
     seed = parse_int(_get(data, "seed", "", 0), "seed")
-    b_max = parse_int(_get(data, "b_max", "", 8), "b_max", 1,
-                      MAX_PARTITION_SIZE)
+    b_max = parse_int(_get(data, "b_max", "", 8), "b_max", 1, MAX_BLOCKS)
     options = _get(data, "options", "", {})
     if not isinstance(options, dict):
         raise ConfigError("options", "must be an object")

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .linalg import solve_exact
+from .linalg import solve_tridiagonal
 from .simplex import CollisionProfile, RateTable, check_consistency
 
 # named collision rates -> (block count, merge sizes, untouched blocks)
@@ -127,8 +127,8 @@ class MomentPolynomial(dict):
 
 def generator_on_monomial(idx, params, rate_table=None):
     """Forward-generator action on the (n, m) moment monomial as a
-    MomentPolynomial: mutation, same-colony coalescence (grouped by
-    profile, rates from `params.table`), and per-block migration
+    MomentPolynomial: mutation, same-colony coalescence (grouped by block
+    drop, rates from `params.table`), and per-block migration
     differences."""
     _check_table(params, rate_table)
     n, m = idx
@@ -145,14 +145,11 @@ def generator_on_monomial(idx, params, rate_table=None):
     # coalescence within each colony
     for count, other, place in ((n, m, 0), (m, n, 1)):
         if count >= 2:
-            for prof, rate, mult in params.table.profiles(count):
-                if rate == 0:
-                    continue
-                drop = prof.block_drop
+            for drop, rate in params.table.drop_rates(count):
                 low = ((count - drop, other) if place == 0
                        else (other, count - drop))
-                poly.add(low, mult * rate)
-                poly.add((n, m), -mult * rate)
+                poly.add(low, rate)
+                poly.add((n, m), -rate)
     # migration, per block
     if m:
         poly.add((n + 1, m - 1), m * params.u1)
@@ -181,7 +178,10 @@ def order_indices(k):
 
 def stationary_system(N, params, rate_table=None):
     """Zero-expectation equations order by order, each order's unknowns
-    solved exactly with the lower orders substituted as knowns."""
+    solved exactly with the lower orders substituted as knowns. Migration
+    couples (n, m) only to (n + 1, m - 1) and (n - 1, m + 1), and every
+    other term of the generator lowers the order, so each order's system
+    is tridiagonal."""
     _check_table(params, rate_table)
     knowns = {(0, 0): Fraction(1)}
     systems = []
@@ -202,7 +202,7 @@ def stationary_system(N, params, rate_table=None):
                     raise AssertionError(f"index {jdx} unresolved at order {k}")
             matrix.append(row)
             rhs.append(b)
-        solution, det = solve_exact(matrix, rhs)
+        solution, det = solve_tridiagonal(matrix, rhs)
         sol = dict(zip(unknowns, solution))
         systems.append(LinearSystem(unknowns, tuple(map(tuple, matrix)),
                                     tuple(rhs), det, sol))
@@ -216,11 +216,6 @@ def solve_stationary(N, params):
     for system in stationary_system(N, params):
         values.update(system.solution)
     return values
-
-
-def system_determinants(N, params):
-    return {k + 1: s.determinant
-            for k, s in enumerate(stationary_system(N, params))}
 
 
 @dataclass(frozen=True)
@@ -242,12 +237,19 @@ def hausdorff_check(psi):
     The differences are built one axis at a time from the table of order
     n: Delta_a f(m) = f(m) - f(m + e_a) exists exactly where both terms do.
     Each order is reached from the one below it on its last nonzero axis,
-    so no difference is computed twice."""
+    so no difference is computed twice.
+
+    The table holds integers: psi times L, the lcm of its denominators, so
+    every difference is an int subtraction. Only the minimum and the
+    violations are divided by L, as the report's Fractions."""
     if not psi:
         raise ValueError("empty moment array")
     dim = len(next(iter(psi)))
+    values = {m: Fraction(v) for m, v in psi.items()}
+    scale = math.lcm(*(v.denominator for v in values.values()))
     lows, violations, checked = [], [], 0
-    pending = [((0,) * dim, {m: Fraction(v) for m, v in psi.items()}, 0)]
+    pending = [((0,) * dim, {m: v.numerator * (scale // v.denominator)
+                             for m, v in values.items()}, 0)]
     while pending:
         n, table, first = pending.pop()
         lows.append(min(table.values()))
@@ -264,7 +266,10 @@ def hausdorff_check(psi):
                 grown = n[:axis] + (n[axis] + 1,) + n[axis + 1:]
                 pending.append((grown, diff, axis))
     violations.sort(key=lambda item: item[0])
-    return HausdorffReport(min(lows), tuple(violations), checked)
+    return HausdorffReport(Fraction(min(lows), scale),
+                           tuple((key, Fraction(value, scale))
+                                 for key, value in violations),
+                           checked)
 
 
 @dataclass(frozen=True)

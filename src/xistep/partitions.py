@@ -7,7 +7,8 @@ canonical.
 
 from dataclasses import dataclass
 
-MAX_PARTITION_SIZE = 12
+# Bell(12) = 4 213 597 partitions is as far as enumeration goes
+MAX_ENUMERATION_SIZE = 12
 
 COLONY_1 = 1
 COLONY_2 = 2
@@ -133,8 +134,8 @@ def coag_labeled(lp, colony, pi_prime):
 
 def enumerate_partitions(b, skip_singleton=False):
     """All Bell(b) partitions of [b] via restricted growth strings."""
-    if b > MAX_PARTITION_SIZE:
-        raise ValueError(f"b={b} exceeds cap {MAX_PARTITION_SIZE}")
+    if b > MAX_ENUMERATION_SIZE:
+        raise ValueError(f"b={b} exceeds cap {MAX_ENUMERATION_SIZE}")
     if b < 1:
         raise ValueError("b must be >= 1")
     out = []

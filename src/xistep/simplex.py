@@ -5,14 +5,17 @@ with finitely many positive coordinates, so every collision rate is an
 exact rational.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .partitions import (MAX_PARTITION_SIZE, iter_profiles,
-                         profile_multiplicity, profile_of,
+from .partitions import (iter_profiles, profile_multiplicity, profile_of,
                          is_singleton_partition)
 
 MAX_ATOM_SUPPORT = 8
+# largest block count a rate table (hence b_max and an exact order) covers
+MAX_BLOCKS = 20
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,6 @@ class SimplexAtom:
             raise ValueError(f"atom support larger than {MAX_ATOM_SUPPORT}")
         if self.weight <= 0:
             raise ValueError("atom weight must be positive")
-
-    @property
-    def coord_sum(self):
-        return sum(self.coords)
-
-    @property
-    def square_sum(self):
-        return sum(c * c for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -116,27 +111,36 @@ def _atom_rate(atom, profile):
     placed and the count l of untouched blocks placed so far; coordinate x
     stays unused, is taken by an unplaced group of size k (times x^k) or by
     one of the s - l unplaced untouched blocks (times x (s - l)). The rate
-    sums, over states with every group placed, weight (1 - sum x)^(s - l)."""
+    sums, over states with every group placed, weight (1 - sum x)^(s - l).
+
+    The recurrence runs on integers: with x_i = c_i / D, D the lcm of the
+    coordinates' denominators, the weight of state (mask, l) is an integer
+    over the implied denominator D^(sum of k in mask + l), and the dust is
+    D - sum c over D. Every full-mask term is then over D^n, so the one
+    Fraction built is total * D^2 / (D^n sum c^2)."""
     ks = profile.merge_sizes
     s = profile.s
-    weights = {(0, 0): Fraction(1)}
-    for x in atom.coords:
-        powers = [x ** k for k in ks]
+    den = math.lcm(*(x.denominator for x in atom.coords))
+    cs = [x.numerator * (den // x.denominator) for x in atom.coords]
+    weights = {(0, 0): 1}
+    for c in cs:
+        powers = [c ** k for k in ks]
         grown = dict(weights)
         for (mask, ell), w in weights.items():
-            for j, xk in enumerate(powers):
+            for j, ck in enumerate(powers):
                 if not mask >> j & 1:
                     key = (mask | 1 << j, ell)
-                    grown[key] = grown.get(key, 0) + w * xk
+                    grown[key] = grown.get(key, 0) + w * ck
             if ell < s:
                 key = (mask, ell + 1)
-                grown[key] = grown.get(key, 0) + w * x * (s - ell)
+                grown[key] = grown.get(key, 0) + w * c * (s - ell)
         weights = grown
     full = (1 << len(ks)) - 1
-    dust = 1 - atom.coord_sum
+    dust = den - sum(cs)
     total = sum(w * dust ** (s - ell)
                 for (mask, ell), w in weights.items() if mask == full)
-    return total / atom.square_sum
+    return Fraction(total * den * den,
+                    den ** profile.n * sum(c * c for c in cs))
 
 
 def collision_rate(xi, profile):
@@ -162,33 +166,60 @@ def per_partition_rate(xi, pi_prime):
 @dataclass(frozen=True)
 class RateTable:
     """Per block count b: every achievable profile with its per-partition
-    rate and multiplicity. Immutable and freely shareable."""
+    rate and multiplicity. Immutable and freely shareable; the lookups
+    below are built on first use."""
 
     b_max: int
     # rows[b] = tuple of (CollisionProfile, rate, multiplicity)
     rows: dict = field(default_factory=dict)
 
-    def profiles(self, b):
+    def _covers(self, b):
         if b > self.b_max:
             raise ValueError(f"block count {b} exceeds table b_max={self.b_max}")
+
+    def profiles(self, b):
+        self._covers(b)
         return self.rows.get(b, ())
 
     def total_rate(self, b):
         return sum(rate * mult for _, rate, mult in self.profiles(b))
 
+    @cached_property
+    def _rate_index(self):
+        return {(b, prof.merge_sizes, prof.s): rate
+                for b, row in self.rows.items() for prof, rate, _ in row}
+
     def rate_of(self, b, merge_sizes, s):
-        for prof, rate, _ in self.profiles(b):
-            if prof.merge_sizes == tuple(merge_sizes) and prof.s == s:
-                return rate
-        return Fraction(0)
+        self._covers(b)
+        return self._rate_index.get((b, tuple(merge_sizes), s), Fraction(0))
+
+    @cached_property
+    def _drop_rates(self):
+        out = {}
+        for b, row in self.rows.items():
+            sums = {}
+            for prof, rate, mult in row:
+                drop = prof.block_drop
+                sums[drop] = sums.get(drop, 0) + mult * rate
+            out[b] = tuple((drop, total)
+                           for drop, total in sorted(sums.items()) if total)
+        return out
+
+    def drop_rates(self, b):
+        """(block drop, sum of multiplicity * rate over the profiles that
+        drop that many blocks) for b blocks, nonzero sums only: the rate at
+        which b blocks become b - drop."""
+        self._covers(b)
+        return self._drop_rates.get(b, ())
 
 
 def build_rate_table(xi, b_max=8):
     """Tabulate rates and multiplicities for all profiles with n <= b_max."""
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
-    if b_max > MAX_PARTITION_SIZE:
-        raise ValueError(f"b_max={b_max} exceeds hard cap {MAX_PARTITION_SIZE}")
+    if b_max > MAX_BLOCKS:
+        raise ValueError(f"b_max={b_max} exceeds the cap of {MAX_BLOCKS} "
+                         "blocks")
     rows = {}
     for b in range(2, b_max + 1):
         entries = []

@@ -14,6 +14,10 @@ F = Fraction
 KINGMAN = XiMeasure(kingman_mass=F(1))
 ATOM_HALF_QUARTER = XiMeasure(atoms=(SimplexAtom((F(1, 2), F(1, 4)), F(1)),))
 STAR = XiMeasure(atoms=(SimplexAtom((F(1),), F(1)),))
+# the exact_sweep benchmark measure (SWEEP_CFG in test_cli.py)
+SWEEP = XiMeasure(F(1), (SimplexAtom((F(1, 8),) * 6, F(1)),
+                         SimplexAtom((F(1, 4), F(1, 5), F(1, 6), F(1, 7),
+                                      F(1, 9)), F(1, 2))))
 
 # E* = [0, 1/2) under the uniform base law, so alpha = 1/2
 E_STAR = DyadicSet(1, frozenset({0}))

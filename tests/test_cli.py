@@ -89,6 +89,21 @@ class TestRates:
         assert by_profile["3;2;1"] == "11/20"
         assert by_profile["3;3;0"] == "9/20"
 
+    def test_rates_at_the_b_max_cap(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(ATOM_CFG, b_max=20))
+        status, text = run(tmp_path, ["rates", "--config", cfg])
+        assert status == 0
+        report = json.loads(text)
+        assert report["consistency"]["ok"]
+        assert len(report["rates"]["20"]) == 626
+
+    def test_b_max_past_the_cap_names_it(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(ATOM_CFG, b_max=21))
+        status, _ = run(tmp_path, ["rates", "--config", cfg])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "b_max" in err and "20" in err and "Traceback" not in err
+
     def test_malformed_rational_names_field(self, tmp_path, capsys):
         bad = dict(KINGMAN_CFG, theta="1/0")
         cfg = write_cfg(tmp_path, bad)
@@ -227,6 +242,10 @@ class TestPinnedOutput:
             "aa37f5ed8ddeb9d313f7ef48c12dcdd8f0651ae5c6d3caa2e7a0e40a63e13880",
         "hausdorff":
             "cac431192a7582b8f44667506dfec31d0f8743d5e0a90f9b05765d0f5896ff1d",
+        "stationary_exact_12":
+            "1641896ff2a4eed1c04bf0ecb80ac8e990f38be187fc8cd775c77c2382deb7f2",
+        "hausdorff_12":
+            "0cd2c1a6406a55434527271147244e74bd35bc6f5c0b19bdc8df5e9720647ed0",
     }
 
     def test_seeded_outputs_pinned(self, tmp_path):
@@ -247,6 +266,10 @@ class TestPinnedOutput:
             "rates": (dict(SWEEP_CFG, b_max=8), ["rates"]),
             "hausdorff": (dict(SWEEP_CFG, b_max=8, options={"order": 8}),
                           ["hausdorff"]),
+            "stationary_exact_12": (dict(SWEEP_CFG, options={
+                "mode": "exact", "order": 12}), ["stationary"]),
+            "hausdorff_12": (dict(SWEEP_CFG, options={"order": 12}),
+                             ["hausdorff"]),
         }
         outputs = {}
         for name, (payload, argv) in runs.items():

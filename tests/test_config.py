@@ -87,7 +87,7 @@ class TestFieldErrors:
     @pytest.mark.parametrize("key,value", [
         ("replicas", [1]), ("replicas", "many"), ("replicas", 2.5),
         ("replicas", 0), ("seed", "x"), ("seed", {}), ("seed", 1.5),
-        ("b_max", "8.0"), ("b_max", 0), ("b_max", 13), ("b_max", None)])
+        ("b_max", "8.0"), ("b_max", 0), ("b_max", 21), ("b_max", None)])
     def test_integer_fields(self, key, value):
         assert field_error((key,), value).field == key
 

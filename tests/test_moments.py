@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from xistep import (HausdorffReport, MomentPolynomial, ScalarParams,
                     build_rate_table, generator_on_monomial, hausdorff_check,
                     mc_cross_check, order_indices, solve_stationary,
-                    stationary_system, system_determinants)
-from xistep.linalg import solve_exact
+                    stationary_system)
+from xistep.linalg import solve_exact, solve_tridiagonal
 
-from conftest import ATOM_HALF_QUARTER, KINGMAN, E_STAR, kingman_model, \
-    kingman_scalar, rand_consistent_params, seeded
+from conftest import ATOM_HALF_QUARTER, KINGMAN, E_STAR, SWEEP, \
+    kingman_model, kingman_scalar, rand_consistent_params, seeded
 
 F = Fraction
 
@@ -60,6 +60,49 @@ class TestGeneratorOnMonomial:
         for idx in [(2, 0), (1, 1), (3, 1), (2, 2), (4, 0), (0, 3)]:
             assert generator_on_monomial(idx, named) == \
                 generator_on_monomial(idx, p)
+
+
+    def test_grouped_drops_match_profile_by_profile(self):
+        rng = seeded(39)
+        table = build_rate_table(SWEEP, 12)
+        params = [ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1),
+                                               F(2))]
+        params += [rand_consistent_params(rng) for _ in range(5)]
+        for p in params:
+            for k in range(1, p.table.b_max + 1):
+                for idx in order_indices(k):
+                    assert generator_on_monomial(idx, p) == \
+                        profilewise_generator(idx, p)
+
+
+def profilewise_generator(idx, params):
+    """Oracle for generator_on_monomial: one coalescence term per profile
+    of the table instead of one per block drop."""
+    n, m = idx
+    poly = MomentPolynomial()
+    if n == m == 0:
+        return poly
+    theta, alpha = params.theta, params.alpha
+    poly.add((n, m), -theta * (n + m) / 2)
+    if n:
+        poly.add((n - 1, m), theta * alpha * n / 2)
+    if m:
+        poly.add((n, m - 1), theta * alpha * m / 2)
+    for count, other, place in ((n, m, 0), (m, n, 1)):
+        if count >= 2:
+            for prof, rate, mult in params.table.profiles(count):
+                drop = prof.block_drop
+                low = ((count - drop, other) if place == 0
+                       else (other, count - drop))
+                poly.add(low, mult * rate)
+                poly.add((n, m), -mult * rate)
+    if m:
+        poly.add((n + 1, m - 1), m * params.u1)
+        poly.add((n, m), -m * params.u1)
+    if n:
+        poly.add((n - 1, m + 1), n * params.u2)
+        poly.add((n, m), -n * params.u2)
+    return poly
 
 
 class TestScalarParamsTable:
@@ -154,7 +197,7 @@ class TestStationarySolutions:
         assert sol[(2, 0)] == F(19, 56)
         assert sol[(1, 1)] == F(9, 28)
         assert sol[(0, 2)] == F(39, 112)
-        assert abs(system_determinants(2, p)[2]) == 56
+        assert abs(stationary_system(2, p)[1].determinant) == 56
 
     def test_stationarity_residual_zero(self):
         rng = seeded(33)
@@ -224,6 +267,41 @@ class TestSolveExact:
         assert det == a * d - b * c
         assert a * sol[0] + b * sol[1] == 1
         assert c * sol[0] + d * sol[1] == 2
+
+
+class TestSolveTridiagonal:
+    def test_known_system(self):
+        m = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
+        sol, det = solve_tridiagonal(m, [F(3), F(5), F(5)])
+        assert det == 18 and sol == [F(1), F(1), F(1)]
+
+    def test_off_band_coefficient_raises(self):
+        m = [[F(2), F(0), F(1)], [F(0), F(3), F(0)], [F(0), F(0), F(4)]]
+        with pytest.raises(ValueError, match="off the band"):
+            solve_tridiagonal(m, [F(1), F(1), F(1)])
+
+    def test_zero_pivot_raises(self):
+        with pytest.raises(ValueError, match="singular matrix"):
+            solve_tridiagonal([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+
+    def test_matches_gauss_jordan_on_every_system(self):
+        """Solutions and determinants equal the dense oracle's at orders
+        1-12 on the sweep measure, at 20 random (theta, alpha, u1, u2),
+        and at orders 1-4 on the random named rates themselves."""
+        rng = seeded(41)
+        table = build_rate_table(SWEEP, 12)
+        params = [ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1),
+                                               F(2))]
+        for _ in range(20):
+            p = rand_consistent_params(rng)
+            params += [p, ScalarParams.from_rate_table(
+                table, p.theta, p.alpha, p.u1, p.u2)]
+        for p in params:
+            for system in stationary_system(p.table.b_max, p):
+                solution, det = solve_exact(system.matrix, system.rhs)
+                assert det == system.determinant
+                assert solution == [system.solution[u]
+                                    for u in system.unknowns]
 
 
 def stencil_hausdorff(psi):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from xistep import (CollisionProfile, SimplexAtom, XiMeasure,
                     build_rate_table, check_consistency, collision_rate)
 from xistep.partitions import iter_profiles
-from xistep.simplex import per_partition_rate
+from xistep.simplex import MAX_BLOCKS, _atom_rate, per_partition_rate
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR
 
@@ -82,8 +82,42 @@ class TestRateTable:
         table = build_rate_table(KINGMAN, 4)
         assert table.rate_of(4, (4,), 0) == 0
 
+    def test_rate_of_reads_the_rows(self):
+        table = build_rate_table(ATOM_HALF_QUARTER, 6)
+        for b in range(2, 7):
+            for prof, rate, _ in table.profiles(b):
+                assert table.rate_of(b, list(prof.merge_sizes), prof.s) == rate
+        with pytest.raises(ValueError, match="b_max=6"):
+            table.rate_of(7, (2,), 5)
+
+    def test_drop_rates_group_the_profiles(self):
+        table = build_rate_table(XiMeasure(F(1, 2), ATOM_HALF_QUARTER.atoms),
+                                 7)
+        for b in range(2, 8):
+            sums = {}
+            for prof, rate, mult in table.profiles(b):
+                sums[prof.block_drop] = (sums.get(prof.block_drop, F(0))
+                                         + mult * rate)
+            assert table.drop_rates(b) == tuple(
+                (drop, total) for drop, total in sorted(sums.items())
+                if total != 0)
+        assert table.drop_rates(3) == ((1, F(3, 2) + 3 * F(11, 20)),
+                                       (2, F(9, 20)))
+        with pytest.raises(ValueError, match="b_max=7"):
+            table.drop_rates(8)
+
+    def test_cap_is_named(self):
+        with pytest.raises(ValueError, match=f"cap of {MAX_BLOCKS}"):
+            build_rate_table(KINGMAN, MAX_BLOCKS + 1)
+        assert MAX_BLOCKS == 20
+
 
 class TestConsistency:
+    def test_at_the_cap(self):
+        table = build_rate_table(ATOM_HALF_QUARTER, MAX_BLOCKS)
+        report = check_consistency(table)
+        assert report.all_pass and len(report.checks) == 2070
+
     def test_atom_fixture(self):
         table = build_rate_table(ATOM_HALF_QUARTER, 5)
         report = check_consistency(table)
@@ -183,3 +217,51 @@ def test_paintbox_recurrence_matches_injective_sums(xi):
 ], ids=["six_eighths", "star", "zero_dust"])
 def test_paintbox_recurrence_matches_injective_sums_b8(xi):
     assert_rates_match_oracle(xi, 8)
+
+
+def fraction_paintbox_rate(atom, profile):
+    """Fraction oracle for the integer `_atom_rate`: the same (mask, l)
+    paintbox recurrence, run on the coordinates as Fractions."""
+    ks = profile.merge_sizes
+    s = profile.s
+    weights = {(0, 0): F(1)}
+    for x in atom.coords:
+        powers = [x ** k for k in ks]
+        grown = dict(weights)
+        for (mask, ell), w in weights.items():
+            for j, xk in enumerate(powers):
+                if not mask >> j & 1:
+                    key = (mask | 1 << j, ell)
+                    grown[key] = grown.get(key, 0) + w * xk
+            if ell < s:
+                key = (mask, ell + 1)
+                grown[key] = grown.get(key, 0) + w * x * (s - ell)
+        weights = grown
+    full = (1 << len(ks)) - 1
+    dust = 1 - sum(atom.coords)
+    total = sum(w * dust ** (s - ell)
+                for (mask, ell), w in weights.items() if mask == full)
+    return total / sum(x * x for x in atom.coords)
+
+
+def assert_integer_paintbox_matches(atoms, sizes):
+    for atom in atoms:
+        for b in sizes:
+            for merge_sizes, s in iter_profiles(b):
+                prof = CollisionProfile(b, merge_sizes, s)
+                assert _atom_rate(atom, prof) == \
+                    fraction_paintbox_rate(atom, prof)
+
+
+@given(xi=xi_strategy())
+@settings(max_examples=20, deadline=None)
+def test_integer_paintbox_matches_fraction_recurrence(xi):
+    assert_integer_paintbox_matches(xi.atoms, range(2, 13))
+
+
+@pytest.mark.parametrize("atom", [
+    SimplexAtom((F(1, 8),) * 6, F(1)),
+    SimplexAtom((F(1, 2), F(1, 4), F(1, 4)), F(3)),
+], ids=["six_eighths", "zero_dust"])
+def test_integer_paintbox_matches_fraction_recurrence_b20(atom):
+    assert_integer_paintbox_matches([atom], [20])
