@@ -8,8 +8,8 @@ __version__ = "0.1.0"
 from .moments import (HausdorffReport, MomentPolynomial, ScalarParams,
                       generator_on_monomial, hausdorff_check, mc_cross_check,
                       order_indices, solve_stationary, stationary_system)
-from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag,
-                         coag_labeled, enumerate_partitions, profile_of)
+from .partitions import (COLONY_1, COLONY_2, LabeledPartition,
+                         enumerate_partitions, profile_of)
 from .rationals import format_rational, parse_rational
 from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                             ReversibilityProbe, final_contradiction,

@@ -48,25 +48,6 @@ def is_singleton_partition(pi):
     return all(len(b) == 1 for b in pi)
 
 
-def coag(pi, pi_prime):
-    """Coagulate pi by pi_prime: block j of the result is the union of the
-    pi-blocks indexed by block j of pi_prime. Indices of pi_prime beyond
-    |pi| contribute nothing."""
-    n = len(pi)
-    k = max((max(b) for b in pi_prime), default=0)
-    if n > k:
-        raise ValueError(f"arity mismatch: |pi|={n} > {k}")
-    merged = []
-    for group in pi_prime:
-        items = []
-        for i in group:
-            if i <= n:
-                items.extend(pi[i - 1])
-        if items:
-            merged.append(items)
-    return canonical(merged)
-
-
 def profile_of(pi_prime):
     """Collision profile (n; k1..kr; s) induced by a partition of [b]:
     merge_sizes are the block sizes >= 2, s counts singletons."""
@@ -123,15 +104,6 @@ def coag_colony(blocks, labels, colony, pi_prime):
     return new_blocks, tuple(labels[g[0]] for g in groups), groups
 
 
-def coag_labeled(lp, colony, pi_prime):
-    """Coagulate the blocks of lp carrying `colony` by pi_prime; the other
-    colony's blocks pass through; block order re-established by least
-    element and labels recomputed."""
-    blocks, labels, _ = coag_colony(lp.partition, lp.labels, colony,
-                                    pi_prime)
-    return LabeledPartition(blocks, labels)
-
-
 def enumerate_partitions(b, skip_singleton=False):
     """All Bell(b) partitions of [b] via restricted growth strings."""
     if b > MAX_ENUMERATION_SIZE:
@@ -157,12 +129,6 @@ def enumerate_partitions(b, skip_singleton=False):
     rgs[0] = 0
     rec(1, 0)
     return out
-
-
-def partitions_with_profile(b, merge_sizes, s):
-    """Concrete partitions of [b] realizing a collision profile."""
-    want = (b, tuple(sorted(merge_sizes, reverse=True)), s)
-    return [pi for pi in enumerate_partitions(b) if profile_of(pi) == want]
 
 
 def random_partition_with_profile(b, merge_sizes, s, rng):

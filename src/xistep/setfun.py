@@ -4,7 +4,11 @@ uniform jump mutation generator/semigroup.
 A set function is stored as one coefficient per cell of a dyadic grid,
 reduced to the coarsest level that represents it; this makes equality,
 products (cell-wise) and integrals exact. Coefficients are Fractions in
-exact mode and may be floats in simulation mode.
+exact mode and may be floats in simulation mode. The simulator's event
+loop does not build set functions: it keeps plain coefficient lists at one
+grid level per run and integrates them with `BaseMeasure.integrate_cells`,
+the routine behind `BaseMeasure.integrate`; a `SetFunction` is built where
+a public function returns one.
 """
 
 import math
@@ -27,6 +31,16 @@ def _lift(values, from_level, to_level):
     for v in values:
         out.extend([v] * reps)
     return out
+
+
+def float_sum(terms):
+    """Sum from 0.0, left to right. The built-in `sum` compensates float
+    rounding from Python 3.12 on, which would tie seeded results to the
+    interpreter version."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 def cell_index(level, point):
@@ -201,8 +215,12 @@ class BaseMeasure:
 
     def integrate(self, g):
         lvl = max(self.grid_level, g.level)
-        coeffs = g._coeffs_at(lvl)
-        shift = lvl - self.grid_level
+        return self.integrate_cells(lvl, g._coeffs_at(lvl))
+
+    def integrate_cells(self, level, coeffs):
+        """Integral of the step function with one coefficient per cell of
+        the level-`level` grid; `level` is at least `grid_level`."""
+        shift = level - self.grid_level
         if any(type(c) is float for c in coeffs):
             # float fast path for simulation mode
             try:
@@ -210,14 +228,15 @@ class BaseMeasure:
             except AttributeError:
                 fdens = tuple(float(d) for d in self.densities)
                 object.__setattr__(self, "_fdens", fdens)
-            total = sum(c * fdens[i >> shift]
-                        for i, c in enumerate(coeffs) if c) / (1 << lvl)
-            return total + sum(float(m) * g.value_at(p)
-                               for p, m in self.atoms)
+            total = float_sum(c * fdens[i >> shift]
+                              for i, c in enumerate(coeffs) if c)
+            total /= 1 << level
+            return total + float_sum(float(m) * coeffs[cell_index(level, p)]
+                                     for p, m in self.atoms)
         total = sum((c * self.densities[i >> shift]
                      for i, c in enumerate(coeffs) if c),
-                    Fraction(0)) / (1 << lvl)
-        total += sum(m * g.value_at(p) for p, m in self.atoms)
+                    Fraction(0)) / (1 << level)
+        total += sum(m * coeffs[cell_index(level, p)] for p, m in self.atoms)
         return total
 
     def sample(self, rng):

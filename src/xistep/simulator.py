@@ -3,14 +3,18 @@ functional evaluation and Monte Carlo moment estimators.
 
 One kernel runs the chain. `_Chain` is the mutable state of one run:
 blocks in least-element order, colony labels and a payload, which is one
-factor per block (float or Fraction coefficients, base integrals cached
-until a coalescence) or, for the genealogical skeleton, none: that records
-lineage segments. `_Chain.advance` runs the mutation semigroup and
-`_Chain.apply` a migration or coalescence. Events come from the RNG in
-`_run`, the one loop behind `step`, `run_until` and the estimators, or
-from a recorded `Trajectory` in `replay`. `DualState`, `LabeledPartition`
-and `TensorFunction` are built only where a public function takes or
-returns them.
+plain list of coefficients per block (floats or Fractions) or, for the
+genealogical skeleton, none: that records lineage segments. Every list
+holds one coefficient per cell of one grid level per run, the highest of
+the start factors' levels and the mutation base's `grid_level`; advance
+and merge act cell by cell and never refine or reduce that level, and the
+base integrals are cached until a coalescence. `_Chain.advance` runs the
+mutation semigroup and `_Chain.apply` a migration or coalescence. Events
+come from the RNG in `_run`, the one loop behind `step`, `run_until` and
+the estimators, or from a recorded `Trajectory` in `replay`. `DualState`,
+`LabeledPartition`, `TensorFunction` and (reduced) `SetFunction`s are
+built only where a public function takes or returns them, and for the
+final mu-pairing of a replica.
 
 One replica driver, `_replica_values`, serves the three estimators: each
 replica starts a `_Chain` from one float-payload initial state built per
@@ -29,12 +33,13 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
                          enumerate_partitions, random_partition_with_profile,
                          relabel, singleton_partition)
 from .setfun import (SetFunction, TensorFunction, apply_generator_uniform,
-                     decay_factor, sample_mutation_path)
+                     decay_factor, float_sum, sample_mutation_path)
 from .simplex import per_partition_rate
 
 # events one run may take: the estimators raise when a replica reaches it,
@@ -51,8 +56,8 @@ class ModelParams:
     u1: Fraction
     u2: Fraction
     rate_table: object    # RateTable
-    # float migration rates and, per block count, the positive-rate
-    # coalescence profiles with cumulative float weights
+    # float migration rates, per block count the positive-rate coalescence
+    # profiles with cumulative float weights, and the float mutation rate
     _tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -71,7 +76,8 @@ class ModelParams:
                 cum.append(acc)
             profs[b] = ([p for p, _ in rows], cum, acc)
         object.__setattr__(self, "_tables",
-                           (float(self.u1), float(self.u2), profs))
+                           (float(self.u1), float(self.u2), profs,
+                            float(self.mutation.theta)))
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,7 @@ def initial_state(f, eta):
     return DualState(lp, f)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     time: float
     dt: float
     kind: str             # "coalescence" | "migration"
@@ -118,30 +123,40 @@ def replica_rng(seed, replica):
 class _Chain:
     """Mutable state of one run of the dual (see the module docstring)."""
 
-    def __init__(self, state, skeleton=False):
+    def __init__(self, state, params, skeleton=False):
         self.blocks, self.labels = state.lp.partition, state.lp.labels
-        self.factors = None if skeleton else list(state.y.factors)
-        self.segments = [] if skeleton else None
+        self.base = params.mutation.base
+        self.theta = params._tables[3]
+        if skeleton:
+            self.factors, self.segments = None, []
+        else:
+            factors = state.y.factors
+            self.level = max(self.base.grid_level,
+                             *(g.level for g in factors))
+            self.factors = [g._coeffs_at(self.level) for g in factors]
         self.ints = None
         self.clock, self.events = state.clock, state.events
 
-    def advance(self, dt, spec, exact):
-        """Mutation semigroup over dt. Each factor's base integral is
-        invariant under the flow (a convex combination with that same
-        integral), so it is computed once and carried forward."""
+    def advance(self, dt, exact):
+        """Mutation semigroup over dt: g -> p g + (1 - p) <base, g>. Each
+        factor's base integral is invariant under the flow (a convex
+        combination with that same integral), so it is computed once and
+        carried forward."""
         if self.factors is None:
             self.segments.append((self.blocks, dt))
         else:
-            p = decay_factor(spec.theta, dt, exact=exact)
+            p = decay_factor(self.theta, dt, exact=exact)
             q = 1 - p
             if self.ints is None:
-                self.ints = [spec.base.integrate(g) for g in self.factors]
-            self.factors = [g.axpy(p, q * c)
-                            for g, c in zip(self.factors, self.ints)]
+                self.ints = [self.base.integrate_cells(self.level, g)
+                             for g in self.factors]
+            self.factors = [[p * v + b for v in g]
+                            for g, b in zip(self.factors,
+                                            [q * c for c in self.ints])]
         self.clock += dt
 
-    def advance_to(self, t, spec, exact):
-        self.advance(t - self.clock, spec, exact)
+    def advance_to(self, t, exact):
+        self.advance(t - self.clock, exact)
         self.clock = t
 
     def apply(self, kind, colony, detail):
@@ -159,34 +174,32 @@ class _Chain:
             for group in groups:
                 g = self.factors[group[0]]
                 for j in group[1:]:
-                    g = g.multiply(self.factors[j])
+                    g = [x * y for x, y in zip(g, self.factors[j])]
                 merged.append(g)
             self.factors = merged
             self.ints = None
 
+    def set_functions(self):
+        """The payload as reduced `SetFunction`s, in block order."""
+        return tuple(SetFunction(self.level, tuple(g)) for g in self.factors)
+
     def state(self):
         return DualState(LabeledPartition(self.blocks, self.labels),
-                         TensorFunction(tuple(self.factors)), self.clock,
+                         TensorFunction(self.set_functions()), self.clock,
                          self.events)
 
 
 def _event_rates(labels, params):
     """Float rates of migration out of colony 2 (u1 per block), out of
     colony 1 (u2 per block), coalescence in colony 1 and in colony 2, and
-    their sum, the jump rate."""
-    fu1, fu2, profs = params._tables
+    their sum, the jump rate, added left to right."""
+    fu1, fu2, profs, _ = params._tables
     n1 = labels.count(COLONY_1)
     n2 = len(labels) - n1
     rates = (n2 * fu1, n1 * fu2,
              profs[n1][2] if n1 >= 2 else 0.0,
              profs[n2][2] if n2 >= 2 else 0.0)
-    return rates, sum(rates)
-
-
-def total_jump_rate(state, params):
-    """Per-block migration plus per-colony total coalescence rate, as the
-    float the chain draws its holding times with."""
-    return _event_rates(state.lp.labels, params)[1]
+    return rates, rates[0] + rates[1] + rates[2] + rates[3]
 
 
 def _pick_event(labels, rates, total, params, rng):
@@ -198,7 +211,9 @@ def _pick_event(labels, rates, total, params, rng):
         positions = [i for i, l in enumerate(labels, start=1) if l == label]
         return "migration", label, positions[rng.randrange(len(positions))]
     pick -= rates[0] + rates[1]
-    colony = COLONY_1 if pick < rates[2] else COLONY_2
+    # rounding can leave pick at rates[2] when colony 2 has no coalescence
+    # rate; a colony without one is never picked
+    colony = COLONY_1 if pick < rates[2] or rates[3] == 0 else COLONY_2
     if colony == COLONY_2:
         pick -= rates[2]
     b = labels.count(colony)
@@ -216,7 +231,6 @@ def _run(chain, params, rng, exact, at_time, absorb, max_events):
         raise ValueError(f"{len(chain.labels)} blocks exceed b_max="
                          f"{params.rate_table.b_max}; migration can gather "
                          "every block in one colony")
-    spec = params.mutation
     events = []
     while True:
         if absorb and len(chain.blocks) == 1:
@@ -226,11 +240,11 @@ def _run(chain, params, rng, exact, at_time, absorb, max_events):
         rates, total = _event_rates(chain.labels, params)
         dt = rng.expovariate(total)
         if at_time is not None and chain.clock + dt >= at_time:
-            chain.advance_to(at_time, spec, exact)
+            chain.advance_to(at_time, exact)
             return events, False
         kind, colony, detail = _pick_event(chain.labels, rates, total,
                                            params, rng)
-        chain.advance(dt, spec, exact)
+        chain.advance(dt, exact)
         chain.apply(kind, colony, detail)
         events.append(EventRecord(chain.clock, dt, kind, colony, detail,
                                   len(chain.blocks)))
@@ -239,7 +253,7 @@ def _run(chain, params, rng, exact, at_time, absorb, max_events):
 def step(state, params, rng, exact=False):
     """One jump: Exp holding time, mutation semigroup advance, then a
     migration or coalescence chosen proportionally to its rate."""
-    chain = _Chain(state)
+    chain = _Chain(state, params)
     events, _ = _run(chain, params, rng, exact, None, False, 1)
     return events[0], chain.state()
 
@@ -273,7 +287,7 @@ def run_until(state, params, stop, rng, exact=False):
     remaining holding time so Y is evaluated exactly at the stop time."""
     if params.xi.total_mass == 0 and stop.at_absorption and stop.max_events is None:
         raise ValueError("absorption needs an event cap when xi has no mass")
-    chain = _Chain(state)
+    chain = _Chain(state, params)
     events, truncated = _run(chain, params, rng, exact, stop.at_time,
                              stop.at_absorption and stop.at_time is None,
                              stop.max_events)
@@ -286,13 +300,12 @@ def replay(f, eta, trajectory, params, exact=True):
     fresh initial tensor. Uses the recorded holding times, so two replays
     share identical semigroup factors; linearity checks then hold exactly
     in rational mode."""
-    chain = _Chain(initial_state(f, eta))
-    spec = params.mutation
+    chain = _Chain(initial_state(f, eta), params)
     for ev in trajectory.events:
-        chain.advance(ev.dt, spec, exact)
+        chain.advance(ev.dt, exact)
         chain.apply(ev.kind, ev.colony, ev.detail)
     if trajectory.stop_time is not None:
-        chain.advance_to(trajectory.stop_time, spec, exact)
+        chain.advance_to(trajectory.stop_time, exact)
     return chain.state()
 
 
@@ -314,7 +327,7 @@ def evaluate_dual(state, mu):
 def _mc(values, replicas, seed):
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
-    mean = sum(values) / replicas
+    mean = float_sum(values) / replicas
     if replicas > 1:
         sd = statistics.stdev(values)
         se = sd / math.sqrt(replicas)
@@ -358,7 +371,7 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     values = []
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
-        chain = _Chain(start, skeleton)
+        chain = _Chain(start, params, skeleton)
         _, truncated = _run(chain, params, rng, False, t, t is None,
                             EVENT_CAP)
         if truncated:
@@ -367,7 +380,8 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
                                f"{EVENT_CAP} before {goal}")
         values.append(_leaf_value(chain, f, mu, params.mutation, rng)
                       if skeleton
-                      else float(_pairing(chain.factors, chain.labels, mu)))
+                      else float(_pairing(chain.set_functions(),
+                                          chain.labels, mu)))
     return values
 
 
@@ -440,13 +454,13 @@ def dual_generator_value(f, eta, mu, params):
                 lam = per_partition_rate(params.xi, pi_prime)
                 if lam == 0:
                     continue
-                chain = _Chain(base_state)
+                chain = _Chain(base_state, params)
                 chain.apply("coalescence", colony, pi_prime)
                 total += lam * (evaluate_dual(chain.state(), mu) - g0)
     # migration per block
     for pos, label in enumerate(lp.labels, start=1):
         u = params.u1 if label == COLONY_2 else params.u2
-        chain = _Chain(base_state)
+        chain = _Chain(base_state, params)
         chain.apply("migration", label, pos)
         total += u * (evaluate_dual(chain.state(), mu) - g0)
     return total

@@ -4,12 +4,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xistep import COLONY_1, COLONY_2, LabeledPartition, coag, coag_labeled, \
-    enumerate_partitions, profile_of
-from xistep.partitions import (coag_colony, partitions_with_profile,
-                               profile_multiplicity,
+from xistep import COLONY_1, COLONY_2, enumerate_partitions, profile_of
+from xistep.partitions import (coag_colony, profile_multiplicity,
                                random_partition_with_profile, relabel,
                                singleton_partition)
+
+
+def coag(pi, pi_prime):
+    """Coagulation of an unlabeled partition: `coag_colony` with every
+    block in colony 1."""
+    return coag_colony(pi, (COLONY_1,) * len(pi), COLONY_1, pi_prime)[0]
+
+
+def partitions_with_profile(b, merge_sizes, s):
+    """Concrete partitions of [b] realizing a collision profile, by
+    enumeration: the oracle for `random_partition_with_profile`."""
+    want = (b, tuple(sorted(merge_sizes, reverse=True)), s)
+    return [pi for pi in enumerate_partitions(b) if profile_of(pi) == want]
 
 
 class TestCoag:
@@ -40,20 +51,21 @@ class TestLabeled:
         assert relabel((2, 2), 1, COLONY_1) == (1, 2)
 
     def test_coag_labeled_colony1(self):
-        lp = LabeledPartition(singleton_partition(4), (1, 1, 2, 2))
-        out = coag_labeled(lp, COLONY_1, ((1, 2),))
-        assert out.partition == ((1, 2), (3,), (4,))
-        assert out.labels == (1, 2, 2)
+        blocks, labels, _ = coag_colony(singleton_partition(4), (1, 1, 2, 2),
+                                        COLONY_1, ((1, 2),))
+        assert blocks == ((1, 2), (3,), (4,))
+        assert labels == (1, 2, 2)
 
     def test_coag_labeled_trivial(self):
-        lp = LabeledPartition(singleton_partition(4), (1, 1, 2, 2))
-        assert coag_labeled(lp, COLONY_2, singleton_partition(2)) == lp
+        blocks, labels, _ = coag_colony(singleton_partition(4), (1, 1, 2, 2),
+                                        COLONY_2, singleton_partition(2))
+        assert (blocks, labels) == (singleton_partition(4), (1, 1, 2, 2))
 
     def test_coag_labeled_reorders_by_least_element(self):
-        lp = LabeledPartition(singleton_partition(3), (2, 1, 2))
-        out = coag_labeled(lp, COLONY_2, ((1, 2),))
-        assert out.partition == ((1, 3), (2,))
-        assert out.labels == (2, 1)
+        blocks, labels, _ = coag_colony(singleton_partition(3), (2, 1, 2),
+                                        COLONY_2, ((1, 2),))
+        assert blocks == ((1, 3), (2,))
+        assert labels == (2, 1)
 
     def test_merge_groups(self):
         out = coag_colony(singleton_partition(4), (1, 1, 2, 2), COLONY_1,

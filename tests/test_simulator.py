@@ -12,8 +12,11 @@ from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
 from xistep import simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model)
-from xistep.simulator import (dual_generator_value, genealogical_evaluate,
-                              replica_rng, total_jump_rate)
+from xistep.partitions import coag_colony, relabel, singleton_partition
+from xistep.setfun import decay_factor, float_sum
+from xistep.simulator import (_event_rates, _pick_event,
+                              dual_generator_value, genealogical_evaluate,
+                              replica_rng)
 
 from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, \
     indicator_power, kingman_model, kingman_scalar, seeded
@@ -21,21 +24,44 @@ from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, \
 F = Fraction
 
 
+def _floated(f):
+    """The float-coefficient copy of f that the estimators run on."""
+    return TensorFunction(tuple(
+        SetFunction(g.level, tuple(float(c) for c in g.coeffs))
+        for g in f.factors))
+
+
 class TestJumpRate:
+    """The jump rate the chain draws its holding times with."""
+
     def test_single_block(self):
         params = kingman_model()
-        state = initial_state(indicator_power(1), (1,))
-        assert total_jump_rate(state, params) == params.u2
+        assert _event_rates((1,), params)[1] == params.u2
 
     def test_pair_same_colony(self):
         params = kingman_model()
-        state = initial_state(indicator_power(2), (1, 1))
-        assert total_jump_rate(state, params) == 3
+        assert _event_rates((1, 1), params)[1] == 3
 
     def test_pair_split_colonies(self):
         params = kingman_model(u1=F(3, 2), u2=F(3, 2))
-        state = initial_state(indicator_power(2), (1, 2))
-        assert total_jump_rate(state, params) == 3
+        assert _event_rates((1, 2), params)[1] == 3
+
+
+class _TopUniform(random.Random):
+    """Stream whose uniform draws all return the largest float below 1."""
+
+    def random(self):
+        return 1 - 2 ** -53
+
+
+class TestPickEvent:
+    def test_colony_without_coalescence_rate_never_picked(self):
+        # one block in colony 2: rounding in `pick -= rates[0] + rates[1]`
+        # leaves pick == rates[2], which used to pick colony 2
+        rates = (1.0, 0.4, 4.295336530453934, 0.0)
+        kind, colony, detail = _pick_event((1, 1, 2), rates, sum(rates),
+                                           kingman_model(), _TopUniform(0))
+        assert (kind, colony, detail) == ("coalescence", 1, ((1, 2),))
 
 
 class TestStep:
@@ -231,9 +257,7 @@ class TestReplicaDriver:
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
                              F(1), F(2), build_rate_table(xi, 6))
         f, eta = indicator_power(4), (1, 2, 1, 2)
-        f_float = TensorFunction(tuple(
-            SetFunction(g.level, tuple(float(c) for c in g.coeffs))
-            for g in f.factors))
+        f_float = _floated(f)
         pi = BaseMeasure.uniform()
         mu = (pi, pi) if t is None else (BaseMeasure(1, (F(3, 2), F(1, 2))),
                                          BaseMeasure(1, (F(1, 2), F(3, 2))))
@@ -249,7 +273,7 @@ class TestReplicaDriver:
         est = (estimate_stationary(f, eta, pi, replicas, params, seed)
                if t is None
                else estimate_Qt(f, eta, mu, t, replicas, params, seed))
-        assert sum(values) / replicas == est.mean
+        assert float_sum(values) / replicas == est.mean
 
     @pytest.mark.parametrize("estimator", ["qt", "stationary",
                                            "genealogical"])
@@ -333,6 +357,118 @@ class TestPathStructure:
             again = replay(f, (1, 2, 1), traj, params, exact=False)
             assert again.lp == state.lp and again.clock == state.clock
             assert evaluate_dual(again, mu) == evaluate_dual(state, mu)
+
+
+def _reference_replay(f, eta, trajectory, params, exact):
+    """`replay` with the payload as reduced `SetFunction`s, advanced by
+    `axpy` and merged by `multiply` at every event: the oracle for the
+    flat coefficient lists of the kernel. Returns labels and factors."""
+    spec = params.mutation
+    blocks, labels = singleton_partition(len(eta)), tuple(eta)
+    factors, clock = list(f.factors), 0.0
+
+    def advance(factors, dt):
+        p = decay_factor(spec.theta, dt, exact=exact)
+        return [g.axpy(p, (1 - p) * spec.base.integrate(g)) for g in factors]
+
+    for ev in trajectory.events:
+        factors = advance(factors, ev.dt)
+        clock += ev.dt
+        if ev.kind == "migration":
+            labels = relabel(labels, ev.detail,
+                             1 if ev.colony == 2 else 2)
+            continue
+        blocks, labels, groups = coag_colony(blocks, labels, ev.colony,
+                                             ev.detail)
+        merged = []
+        for group in groups:
+            g = factors[group[0]]
+            for j in group[1:]:
+                g = g.multiply(factors[j])
+            merged.append(g)
+        factors = merged
+    if trajectory.stop_time is not None:
+        factors = advance(factors, trajectory.stop_time - clock)
+    return labels, tuple(factors)
+
+
+class TestFlatPayload:
+    """The kernel keeps one coefficient list per block at one grid level
+    per run; replaying recorded paths through it and through the reduced
+    `SetFunction` reference gives equal Fraction results and float results
+    within 1e-12 relative."""
+
+    # the base of the second model: density on a level-2 grid plus an atom
+    FINE_BASE = BaseMeasure(2, (F(1, 2), F(1, 2), F(1), F(1)),
+                            ((F(1, 3), F(1, 4)),))
+
+    def _cases(self):
+        atom = ModelParams(ATOM_HALF_QUARTER,
+                           MutationSpec(F(1), base=BaseMeasure.uniform()),
+                           F(1), F(2), build_rate_table(ATOM_HALF_QUARTER, 6))
+        fine = ModelParams(ATOM_HALF_QUARTER,
+                           MutationSpec(F(3, 2), base=self.FINE_BASE),
+                           F(1), F(1, 2),
+                           build_rate_table(ATOM_HALF_QUARTER, 6))
+        # factors at levels 0 and 1 under a level-2 base
+        mixed = TensorFunction((
+            SetFunction.indicator(E_STAR), SetFunction.constant(F(3, 2)),
+            SetFunction(1, (F(1, 3), F(2))),
+            SetFunction.indicator(E_STAR.complement())))
+        law = BaseMeasure(1, (F(3, 2), F(1, 2)))
+        # a colony law at level 3, finer than the run's level 2
+        fine_law = BaseMeasure(3, tuple(F(k, 4) for k in (1, 7, 2, 6, 3, 5,
+                                                          4, 4)))
+        # level-0 factors under a level-0 base in a level-2 run: their
+        # integrals sum four equal cells, so float results may differ from
+        # the reference in the last bit
+        coarse = TensorFunction((
+            SetFunction.indicator(DyadicSet(2, frozenset({1, 2}))),
+            SetFunction.constant(F(3, 7)), SetFunction(1, (F(1, 3), F(2))),
+            SetFunction.constant(F(5, 3))))
+        skewed = (law, BaseMeasure(1, (F(1, 2), F(3, 2))))
+        return [(atom, indicator_power(4), (1, 1, 2, 2), skewed),
+                (fine, mixed, (1, 2, 1, 2), (fine_law, self.FINE_BASE)),
+                (atom, coarse, (1, 2, 1, 2), skewed)]
+
+    def _paths(self, params, f, eta):
+        for rep in range(12):
+            stop = (StopRule(at_absorption=True) if rep % 2
+                    else StopRule(at_time=0.6))
+            _, traj = run_until(initial_state(_floated(f), eta), params,
+                                stop, replica_rng(31, rep))
+            assert not traj.truncated
+            yield traj
+
+    def test_fraction_replay_equals_reference(self):
+        for params, f, eta, mu in self._cases():
+            for traj in self._paths(params, f, eta):
+                state = replay(f, eta, traj, params, exact=True)
+                labels, factors = _reference_replay(f, eta, traj, params,
+                                                    exact=True)
+                assert state.lp.labels == labels
+                assert state.y.factors == factors
+                assert evaluate_dual(state, mu) == \
+                    evaluate_dual(initial_state(TensorFunction(factors),
+                                                labels), mu)
+
+    def test_float_replay_within_1e12_of_reference(self):
+        for params, f, eta, mu in self._cases():
+            ff = _floated(f)
+            for traj in self._paths(params, f, eta):
+                state = replay(ff, eta, traj, params, exact=False)
+                labels, factors = _reference_replay(ff, eta, traj, params,
+                                                    exact=False)
+                assert state.lp.labels == labels
+                for g, h in zip(state.y.factors, factors):
+                    level = max(g.level, h.level)
+                    for a, b in zip(g._coeffs_at(level),
+                                    h._coeffs_at(level)):
+                        assert a == pytest.approx(b, rel=1e-12)
+                value = evaluate_dual(state, mu)
+                ref = evaluate_dual(initial_state(TensorFunction(factors),
+                                                  labels), mu)
+                assert value == pytest.approx(ref, rel=1e-12)
 
 
 class TestDualGenerator:
