@@ -6,8 +6,8 @@ verification that the stationary process is not reversible."""
 __version__ = "0.1.0"
 
 from .moments import (HausdorffReport, MomentPolynomial, ScalarParams,
-                      generator_on_monomial, hausdorff_check, mc_cross_check,
-                      order_indices, solve_stationary, stationary_system)
+                      generator_on_monomial, hausdorff_check, order_indices,
+                      solve_stationary, stationary_system)
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition,
                          enumerate_partitions, profile_of)
 from .rationals import format_rational, parse_rational
@@ -22,4 +22,4 @@ from .simplex import (CollisionProfile, RateTable, SimplexAtom, XiMeasure,
 from .simulator import (DualState, McEstimate, ModelParams, StopRule,
                         Trajectory, estimate_Qt, estimate_stationary,
                         evaluate_dual, genealogical_evaluate, initial_state,
-                        replay, run_until, step)
+                        replay, run_until)

@@ -12,13 +12,12 @@ from fractions import Fraction
 
 from . import __version__
 from .config import ConfigError, load_config, parse_int
-from .moments import (ScalarParams, generator_on_monomial, hausdorff_check,
-                      order_indices, solve_stationary)
+from .moments import (generator_on_monomial, hausdorff_check, order_indices,
+                      solve_stationary)
 from .partitions import profile_of
 from .rationals import format_rational
 from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
-                            degenerate_params, final_contradiction,
-                            residual_with_denominator)
+                            final_contradiction, residual_with_denominator)
 from .setfun import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
                      TensorFunction, semigroup_apply_uniform)
 from .simhelpers import (coupling_linearity_holds, normalization_holds,
@@ -55,6 +54,18 @@ def _emit_json(report, out_path):
 def _profile_label(pi_prime):
     _, merge_sizes, s = profile_of(pi_prime)
     return "+".join(map(str, merge_sizes)) + f";{s}"
+
+
+def _order(cfg, default):
+    """options.order, or the command's default order, which must be
+    covered by b_max as a given order is."""
+    if "order" in cfg.options:
+        return cfg.options["order"]
+    if default > cfg.b_max:
+        raise ConfigError("options.order",
+                          f"not given, and the default order {default} "
+                          f"exceeds b_max={cfg.b_max}")
+    return default
 
 
 def _monomial_inputs(cfg, n, m):
@@ -128,18 +139,20 @@ def cmd_qt(cfg, args):
 
 def cmd_stationary(cfg, args):
     mode = cfg.options.get("mode", "exact")
-    order = cfg.options.get("order", 2)
     report = _meta(cfg)
     report["command"] = "stationary"
     if mode == "exact":
+        order = _order(cfg, 2)
         moments = solve_stationary(order, cfg.scalar_params(order))
         report["moments"] = {f"{n},{m}": format_rational(v)
                              for (n, m), v in sorted(moments.items())}
         return report, 0
     seed = cfg.seed if args.seed is None else args.seed
     replicas = cfg.replicas if args.replicas is None else args.replicas
-    indices = cfg.options.get("indices",
-                              [[i, order - i] for i in range(order + 1)])
+    indices = cfg.options.get("indices")
+    if indices is None:
+        order = _order(cfg, 2)
+        indices = [[i, order - i] for i in range(order + 1)]
     top = max(n + m for n, m in indices)
     exact = solve_stationary(top, cfg.scalar_params(top))
     params = cfg.model_params()
@@ -156,7 +169,7 @@ def cmd_stationary(cfg, args):
 
 
 def cmd_hausdorff(cfg, args):
-    order = cfg.options.get("order", 4)
+    order = _order(cfg, 4)
     moments = solve_stationary(order, cfg.scalar_params(order))
     check = hausdorff_check(moments)
     report = _meta(cfg)
@@ -171,13 +184,20 @@ def cmd_hausdorff(cfg, args):
     return report, 0 if check.passed else 1
 
 
+_PROBES = (("S1", S1_PROBE), ("T1", T1_PROBE), ("F1", F1_PROBE),
+           ("F2", F2_PROBE))
+
+
 def cmd_reversibility(cfg, args):
+    need = max(probe.total_order for _, probe in _PROBES)
+    if cfg.b_max < need:
+        raise ConfigError("b_max", f"the probes need moments of order {need}, "
+                          f"so b_max must be at least {need}, got {cfg.b_max}")
     p = cfg.scalar_params()
     report = _meta(cfg)
     probes = {}
     any_nonzero = False
-    for name, probe in (("S1", S1_PROBE), ("T1", T1_PROBE),
-                        ("F1", F1_PROBE), ("F2", F2_PROBE)):
+    for name, probe in _PROBES:
         r, d = residual_with_denominator(probe, p)
         any_nonzero = any_nonzero or r != 0
         probes[name] = {"left": f"{probe.left[0]},{probe.left[1]}",
@@ -206,16 +226,13 @@ def cmd_reversibility(cfg, args):
     return report, 0
 
 
-def _selftest_suites(seed, perturb_rates=False):
+def _selftest_suites(seed):
     rng = random.Random(f"xistep-selftest:{seed}")
     suites = []
 
     failures = []
     for _ in range(10):
         table = build_rate_table(random_xi(rng), 5)
-        if perturb_rates:
-            table.rows[3] = tuple((prof, rate + Fraction(1, 7), mult)
-                                  for prof, rate, mult in table.rows[3])
         check = check_consistency(table)
         failures.extend(name for name, _, _, ok in check.checks if not ok)
     suites.append(("rate_consistency", not failures,

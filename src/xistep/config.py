@@ -147,9 +147,8 @@ class ExperimentConfig:
     digest: str = ""           # sha256 of the raw config bytes
 
     def model_params(self):
-        table = build_rate_table(self.xi, self.b_max)
         return ModelParams(self.xi, MutationSpec(self.theta, base=self.base),
-                           self.u1, self.u2, table)
+                           self.u1, self.u2, self.b_max)
 
     def scalar_params(self, order=4):
         """Exact-engine params whose table covers `order` lineages (and the

@@ -7,7 +7,7 @@ All arithmetic here is exact rational.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import solve_tridiagonal
@@ -71,10 +71,6 @@ class ScalarParams:
     @classmethod
     def from_rate_table(cls, table, theta, alpha, u1, u2):
         return cls(theta, alpha, u1, u2, table=table)
-
-    def swapped(self):
-        """Same parameters with the two colonies' roles exchanged."""
-        return replace(self, u1=self.u2, u2=self.u1)
 
 
 def _check_table(params, rate_table):
@@ -271,41 +267,3 @@ def hausdorff_check(psi):
                                  for key, value in violations),
                            checked)
 
-
-@dataclass(frozen=True)
-class CrossCheckRow:
-    index: tuple
-    exact: Fraction
-    estimate: float
-    std_error: float
-    z: float
-
-
-def mc_cross_check(N, model, e_star, pi_tilde, replicas, seed,
-                   max_z=3.0):
-    """Compare the exact stationary moments against the absorption-time
-    Monte Carlo estimator, index by index."""
-    from .setfun import TensorFunction
-    from .simulator import estimate_stationary
-
-    alpha = pi_tilde.measure(e_star)
-    params = ScalarParams.from_rate_table(model.rate_table, model.mutation.theta,
-                                          alpha, model.u1, model.u2)
-    exact = solve_stationary(N, params)
-    rows = []
-    for k in range(0, N + 1):
-        for idx in order_indices(k):
-            n, m = idx
-            if n + m == 0:
-                continue
-            eta = (1,) * n + (2,) * m
-            f = TensorFunction.indicator_power(e_star, n + m)
-            est = estimate_stationary(f, eta, pi_tilde, replicas, model,
-                                      seed + 1000 * n + m)
-            diff = est.mean - float(exact[idx])
-            z = diff / est.std_error if est.std_error > 0 else (
-                0.0 if diff == 0 else math.inf)
-            rows.append(CrossCheckRow(idx, exact[idx], est.mean,
-                                      est.std_error, z))
-    ok = all(abs(r.z) <= max_z for r in rows)
-    return rows, ok

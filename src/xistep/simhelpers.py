@@ -47,12 +47,10 @@ def random_scalar_params(rng, symmetric=False):
 
 
 def random_model(rng, theta=Fraction(1)):
-    xi = random_xi(rng)
-    params = ModelParams(xi, MutationSpec(theta, base=BaseMeasure.uniform()),
-                         Fraction(rng.randint(1, 3), rng.randint(1, 2)),
-                         Fraction(rng.randint(1, 3), rng.randint(1, 2)),
-                         build_rate_table(xi, 8))
-    return params
+    return ModelParams(random_xi(rng),
+                       MutationSpec(theta, base=BaseMeasure.uniform()),
+                       Fraction(rng.randint(1, 3), rng.randint(1, 2)),
+                       Fraction(rng.randint(1, 3), rng.randint(1, 2)), 8)
 
 
 def _random_trajectory(rng, params, f, n):

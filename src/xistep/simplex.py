@@ -181,9 +181,6 @@ class RateTable:
         self._covers(b)
         return self.rows.get(b, ())
 
-    def total_rate(self, b):
-        return sum(rate * mult for _, rate, mult in self.profiles(b))
-
     @cached_property
     def _rate_index(self):
         return {(b, prof.merge_sizes, prof.s): rate

@@ -10,11 +10,12 @@ the start factors' levels and the mutation base's `grid_level`; advance
 and merge act cell by cell and never refine or reduce that level, and the
 base integrals are cached until a coalescence. `_Chain.advance` runs the
 mutation semigroup and `_Chain.apply` a migration or coalescence. Events
-come from the RNG in `_run`, the one loop behind `step`, `run_until` and
-the estimators, or from a recorded `Trajectory` in `replay`. `DualState`,
-`LabeledPartition`, `TensorFunction` and (reduced) `SetFunction`s are
-built only where a public function takes or returns them, and for the
-final mu-pairing of a replica.
+come from the RNG in `_run`, the one loop behind `run_until` and the
+estimators, or from a recorded `Trajectory` in `replay`, the one path
+with exact semigroup factors (`exact=True`: Fraction payloads stay
+Fractions). `DualState`, `LabeledPartition`, `TensorFunction` and
+(reduced) `SetFunction`s are built only where a public function takes or
+returns them, and for the final mu-pairing of a replica.
 
 One replica driver, `_replica_values`, serves the three estimators: each
 replica starts a `_Chain` from one float-payload initial state built per
@@ -40,7 +41,7 @@ from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
                          relabel, singleton_partition)
 from .setfun import (SetFunction, TensorFunction, apply_generator_uniform,
                      decay_factor, float_sum, sample_mutation_path)
-from .simplex import per_partition_rate
+from .simplex import build_rate_table, per_partition_rate
 
 # events one run may take: the estimators raise when a replica reaches it,
 # and it is `StopRule`'s default cap
@@ -49,13 +50,14 @@ EVENT_CAP = 100_000
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Everything the dual generator needs."""
+    """Everything the dual generator needs; the collision rates of up to
+    `b_max` blocks are tabulated from `xi`."""
 
     xi: object            # XiMeasure
     mutation: object      # MutationSpec
     u1: Fraction
     u2: Fraction
-    rate_table: object    # RateTable
+    b_max: int
     # float migration rates, per block count the positive-rate coalescence
     # profiles with cumulative float weights, and the float mutation rate
     _tables: tuple = field(init=False, compare=False, repr=False)
@@ -65,10 +67,11 @@ class ModelParams:
         object.__setattr__(self, "u2", Fraction(self.u2))
         if self.u1 <= 0 or self.u2 <= 0:
             raise ValueError("migration rates must be positive")
+        table = build_rate_table(self.xi, self.b_max)
         profs = {}
-        for b in range(2, self.rate_table.b_max + 1):
+        for b in range(2, self.b_max + 1):
             rows = [(prof, float(rate * mult))
-                    for prof, rate, mult in self.rate_table.profiles(b)
+                    for prof, rate, mult in table.profiles(b)
                     if rate > 0]
             cum, acc = [], 0.0
             for _, w in rows:
@@ -123,10 +126,11 @@ def replica_rng(seed, replica):
 class _Chain:
     """Mutable state of one run of the dual (see the module docstring)."""
 
-    def __init__(self, state, params, skeleton=False):
+    def __init__(self, state, params, skeleton=False, exact=False):
         self.blocks, self.labels = state.lp.partition, state.lp.labels
         self.base = params.mutation.base
         self.theta = params._tables[3]
+        self.exact = exact
         if skeleton:
             self.factors, self.segments = None, []
         else:
@@ -137,7 +141,7 @@ class _Chain:
         self.ints = None
         self.clock, self.events = state.clock, state.events
 
-    def advance(self, dt, exact):
+    def advance(self, dt):
         """Mutation semigroup over dt: g -> p g + (1 - p) <base, g>. Each
         factor's base integral is invariant under the flow (a convex
         combination with that same integral), so it is computed once and
@@ -145,7 +149,7 @@ class _Chain:
         if self.factors is None:
             self.segments.append((self.blocks, dt))
         else:
-            p = decay_factor(self.theta, dt, exact=exact)
+            p = decay_factor(self.theta, dt, exact=self.exact)
             q = 1 - p
             if self.ints is None:
                 self.ints = [self.base.integrate_cells(self.level, g)
@@ -155,8 +159,8 @@ class _Chain:
                                             [q * c for c in self.ints])]
         self.clock += dt
 
-    def advance_to(self, t, exact):
-        self.advance(t - self.clock, exact)
+    def advance_to(self, t):
+        self.advance(t - self.clock)
         self.clock = t
 
     def apply(self, kind, colony, detail):
@@ -223,13 +227,13 @@ def _pick_event(labels, rates, total, params, rng):
     return "coalescence", colony, detail
 
 
-def _run(chain, params, rng, exact, at_time, absorb, max_events):
+def _run(chain, params, rng, at_time, absorb, max_events):
     """The dual's event loop. Stops at one block (when `absorb`), after
     `max_events` events (truncated), or at `at_time`; returns the event
     records and whether the run was truncated."""
-    if len(chain.labels) > params.rate_table.b_max:
+    if len(chain.labels) > params.b_max:
         raise ValueError(f"{len(chain.labels)} blocks exceed b_max="
-                         f"{params.rate_table.b_max}; migration can gather "
+                         f"{params.b_max}; migration can gather "
                          "every block in one colony")
     events = []
     while True:
@@ -240,36 +244,30 @@ def _run(chain, params, rng, exact, at_time, absorb, max_events):
         rates, total = _event_rates(chain.labels, params)
         dt = rng.expovariate(total)
         if at_time is not None and chain.clock + dt >= at_time:
-            chain.advance_to(at_time, exact)
+            chain.advance_to(at_time)
             return events, False
         kind, colony, detail = _pick_event(chain.labels, rates, total,
                                            params, rng)
-        chain.advance(dt, exact)
+        chain.advance(dt)
         chain.apply(kind, colony, detail)
         events.append(EventRecord(chain.clock, dt, kind, colony, detail,
                                   len(chain.blocks)))
 
 
-def step(state, params, rng, exact=False):
-    """One jump: Exp holding time, mutation semigroup advance, then a
-    migration or coalescence chosen proportionally to its rate."""
-    chain = _Chain(state, params)
-    events, _ = _run(chain, params, rng, exact, None, False, 1)
-    return events[0], chain.state()
-
-
 @dataclass(frozen=True)
 class StopRule:
-    """Stop at a fixed time, at absorption (one block), or both; max_events
-    caps the run and sets `truncated` when exhausted first."""
+    """Stop at a fixed time or at absorption (one block), exactly one of
+    the two; max_events caps the run and sets `truncated` when exhausted
+    first."""
 
     at_time: float = None
     at_absorption: bool = False
     max_events: int = EVENT_CAP
 
     def __post_init__(self):
-        if self.at_time is None and not self.at_absorption:
-            raise ValueError("stop rule needs a time or absorption target")
+        if (self.at_time is None) != bool(self.at_absorption):
+            raise ValueError("stop rule needs exactly one target: a time "
+                             "or absorption")
 
 
 @dataclass(frozen=True)
@@ -282,15 +280,14 @@ class Trajectory:
     stop_time: float = None
 
 
-def run_until(state, params, stop, rng, exact=False):
+def run_until(state, params, stop, rng):
     """Run the jump chain; on a time stop the tensor is advanced by the
     remaining holding time so Y is evaluated exactly at the stop time."""
     if params.xi.total_mass == 0 and stop.at_absorption and stop.max_events is None:
         raise ValueError("absorption needs an event cap when xi has no mass")
     chain = _Chain(state, params)
-    events, truncated = _run(chain, params, rng, exact, stop.at_time,
-                             stop.at_absorption and stop.at_time is None,
-                             stop.max_events)
+    events, truncated = _run(chain, params, rng, stop.at_time,
+                             stop.at_absorption, stop.max_events)
     return chain.state(), Trajectory(tuple(events), truncated,
                                      None if truncated else stop.at_time)
 
@@ -300,12 +297,12 @@ def replay(f, eta, trajectory, params, exact=True):
     fresh initial tensor. Uses the recorded holding times, so two replays
     share identical semigroup factors; linearity checks then hold exactly
     in rational mode."""
-    chain = _Chain(initial_state(f, eta), params)
+    chain = _Chain(initial_state(f, eta), params, exact=exact)
     for ev in trajectory.events:
-        chain.advance(ev.dt, exact)
+        chain.advance(ev.dt)
         chain.apply(ev.kind, ev.colony, ev.detail)
     if trajectory.stop_time is not None:
-        chain.advance_to(trajectory.stop_time, exact)
+        chain.advance_to(trajectory.stop_time)
     return chain.state()
 
 
@@ -372,8 +369,7 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
         chain = _Chain(start, params, skeleton)
-        _, truncated = _run(chain, params, rng, False, t, t is None,
-                            EVENT_CAP)
+        _, truncated = _run(chain, params, rng, t, t is None, EVENT_CAP)
         if truncated:
             goal = "absorption" if t is None else f"time {t}"
             raise RuntimeError(f"replica {rep} reached the event cap of "
@@ -419,15 +415,13 @@ def estimate_stationary(f, eta, pi_tilde, replicas, params, seed,
     return _mc(values, replicas, seed)
 
 
-def genealogical_evaluate(f, eta, mu_or_pi, t_or_none, replicas, params,
-                          seed):
+def genealogical_evaluate(f, eta, mu, t, replicas, params, seed):
     """Unbiased sampler for the same dual expectations: runs the skeleton
-    chain (no payload) up to t or absorption, draws types at the top of
-    the genealogy and runs mutation paths down each lineage segment; f (a
-    tensor of indicator-style factors) is evaluated at the leaves."""
-    mu = mu_or_pi if isinstance(mu_or_pi, tuple) else (mu_or_pi, mu_or_pi)
-    values = _fan_out(_replica_values,
-                      (f, eta, mu, t_or_none, params, seed, True),
+    chain (no payload) up to t or, when t is None, to absorption, draws
+    types at the top of the genealogy from the colony laws mu = (mu1, mu2)
+    and runs mutation paths down each lineage segment; f (a tensor of
+    indicator-style factors) is evaluated at the leaves."""
+    values = _fan_out(_replica_values, (f, eta, mu, t, params, seed, True),
                       replicas, 1)
     return _mc(values, replicas, seed)
 

@@ -30,7 +30,7 @@ def uniform_base():
 
 def kingman_model(theta=F(1), u1=F(1), u2=F(1), b_max=6):
     return ModelParams(KINGMAN, MutationSpec(theta, base=BaseMeasure.uniform()),
-                       u1, u2, build_rate_table(KINGMAN, b_max))
+                       u1, u2, b_max)
 
 
 def kingman_scalar(theta=F(1), alpha=F(1, 2), u1=F(1), u2=F(1)):

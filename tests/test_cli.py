@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from xistep import (BaseMeasure, ScalarParams, build_rate_table,
                     format_rational, solve_stationary)
+from xistep import cli
 from xistep.cli import _selftest_suites, main
 from xistep.simulator import genealogical_evaluate
 
@@ -313,10 +314,15 @@ class TestSelftest:
             "rate_consistency", "semigroup_law", "coupling_linearity",
             "path_normalization", "stationary_moments"}
 
-    def test_perturbed_rates_detected(self):
-        suites = dict((name, ok)
-                      for name, ok, _ in _selftest_suites(5,
-                                                          perturb_rates=True))
+    def test_perturbed_rates_detected(self, monkeypatch):
+        def perturbed(xi, b_max):
+            table = build_rate_table(xi, b_max)
+            table.rows[3] = tuple((prof, rate + Fraction(1, 7), mult)
+                                  for prof, rate, mult in table.rows[3])
+            return table
+
+        monkeypatch.setattr(cli, "build_rate_table", perturbed)
+        suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["rate_consistency"]
 
 
@@ -379,6 +385,11 @@ class TestErrors:
         ("qt", {"options": {"t": "1/2", "n": 0, "m": 0}}, None,
          "options.n+m"),
         ("qt", {"options": {"t": "1/2", "n": 3, "m": 2}}, None, "b_max=4"),
+        # the default orders (hausdorff 4, stationary 2) and the order-4
+        # reversibility probes past b_max
+        ("hausdorff", {"b_max": 3}, None, "options.order"),
+        ("stationary", {"b_max": 1}, None, "options.order"),
+        ("reversibility", {"b_max": 3}, None, "at least 4"),
     ]
 
     # ids number the cases and leave the command out

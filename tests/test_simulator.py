@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
-                    ScalarParams, SetFunction, StopRule, TensorFunction,
-                    XiMeasure, build_rate_table, estimate_Qt,
-                    estimate_stationary, evaluate_dual, initial_state,
-                    replay, run_until, solve_stationary, step)
+                    SetFunction, StopRule, TensorFunction, XiMeasure,
+                    estimate_Qt, estimate_stationary, evaluate_dual,
+                    initial_state, replay, run_until, solve_stationary)
 from xistep import simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model)
@@ -64,13 +63,22 @@ class TestPickEvent:
         assert (kind, colony, detail) == ("coalescence", 1, ((1, 2),))
 
 
+def _one_event(state, params, rng):
+    """One jump of the chain from `state`: its event record and the state
+    after it."""
+    state, traj = run_until(state, params,
+                            StopRule(at_time=math.inf, max_events=1), rng)
+    (record,) = traj.events
+    return record, state
+
+
 class TestStep:
     def test_single_block_only_migrates(self):
         params = kingman_model()
         rng = random.Random(1)
         state = initial_state(indicator_power(1), (1,))
         for _ in range(20):
-            record, state = step(state, params, rng)
+            record, state = _one_event(state, params, rng)
             assert record.kind == "migration"
             assert state.lp.block_count == 1
 
@@ -79,15 +87,17 @@ class TestStep:
         # indicator factors intersect
         star_params = ModelParams(STAR,
                                   MutationSpec(F(1), base=BaseMeasure.uniform()),
-                                  F(1, 10**9), F(1, 10**9),
-                                  build_rate_table(STAR, 4))
+                                  F(1, 10**9), F(1, 10**9), 4)
         c = DyadicSet(2, frozenset({0, 1}))
         d = DyadicSet(2, frozenset({1, 2}))
         f = TensorFunction((SetFunction.indicator(c),
                             SetFunction.indicator(d)))
-        rng = random.Random(2)
-        record, state = step(initial_state(f, (1, 1)), star_params, rng,
-                             exact=True)
+        _, traj = run_until(initial_state(f, (1, 1)), star_params,
+                            StopRule(at_time=math.inf, max_events=1),
+                            random.Random(2))
+        # the Fraction payload of the same event
+        state = replay(f, (1, 1), traj, star_params, exact=True)
+        (record,) = traj.events
         assert record.kind == "coalescence"
         assert state.lp.block_count == 1
         p = F(math.exp(-record.dt / 2))
@@ -104,7 +114,7 @@ class TestStep:
         counts = {"migration1": 0, "migration2": 0, "coalescence": 0}
         state0 = initial_state(indicator_power(3), (1, 1, 2))
         for _ in range(n):
-            record, _ = step(state0, params, rng)
+            record, _ = _one_event(state0, params, rng)
             if record.kind == "coalescence":
                 counts["coalescence"] += 1
             else:
@@ -118,6 +128,12 @@ class TestStep:
 
 
 class TestRunUntil:
+    def test_stop_rule_needs_exactly_one_target(self):
+        # with both, the run used to ignore absorption and go on to t
+        for targets in ({}, {"at_time": 50.0, "at_absorption": True}):
+            with pytest.raises(ValueError, match="exactly one target"):
+                StopRule(**targets)
+
     def test_absorbed_start_returns_immediately(self):
         params = kingman_model()
         state, traj = run_until(initial_state(indicator_power(1), (2,)),
@@ -128,7 +144,7 @@ class TestRunUntil:
     def test_zero_mass_xi_truncates(self):
         xi = XiMeasure()
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
-                             F(1), F(1), build_rate_table(xi, 4))
+                             F(1), F(1), 4)
         state, traj = run_until(
             initial_state(indicator_power(2), (1, 1)), params,
             StopRule(at_absorption=True, max_events=50), random.Random(0))
@@ -137,7 +153,7 @@ class TestRunUntil:
     def test_zero_mass_requires_cap(self):
         xi = XiMeasure()
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
-                             F(1), F(1), build_rate_table(xi, 4))
+                             F(1), F(1), 4)
         with pytest.raises(ValueError):
             run_until(initial_state(indicator_power(2), (1, 1)), params,
                       StopRule(at_absorption=True, max_events=None),
@@ -239,7 +255,7 @@ class TestEstimators:
     def test_zero_mass_refused(self):
         xi = XiMeasure()
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
-                             F(1), F(1), build_rate_table(xi, 4))
+                             F(1), F(1), 4)
         with pytest.raises(ValueError):
             estimate_stationary(indicator_power(2), (1, 1),
                                 BaseMeasure.uniform(), 10, params, seed=0)
@@ -255,7 +271,7 @@ class TestReplicaDriver:
     def test_estimator_equals_public_path_to_the_bit(self, t):
         xi = ATOM_HALF_QUARTER
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
-                             F(1), F(2), build_rate_table(xi, 6))
+                             F(1), F(2), 6)
         f, eta = indicator_power(4), (1, 2, 1, 2)
         f_float = _floated(f)
         pi = BaseMeasure.uniform()
@@ -405,11 +421,10 @@ class TestFlatPayload:
     def _cases(self):
         atom = ModelParams(ATOM_HALF_QUARTER,
                            MutationSpec(F(1), base=BaseMeasure.uniform()),
-                           F(1), F(2), build_rate_table(ATOM_HALF_QUARTER, 6))
+                           F(1), F(2), 6)
         fine = ModelParams(ATOM_HALF_QUARTER,
                            MutationSpec(F(3, 2), base=self.FINE_BASE),
-                           F(1), F(1, 2),
-                           build_rate_table(ATOM_HALF_QUARTER, 6))
+                           F(1), F(1, 2), 6)
         # factors at levels 0 and 1 under a level-2 base
         mixed = TensorFunction((
             SetFunction.indicator(E_STAR), SetFunction.constant(F(3, 2)),
