@@ -95,6 +95,10 @@ def cmd_rates(cfg, args):
 
 
 def cmd_simulate(cfg, args):
+    if "eta" not in cfg.options and cfg.b_max < 2:
+        raise ConfigError("b_max", "options.eta is not given, and the "
+                          "default eta [1, 1] needs 2 blocks, so b_max must "
+                          f"be at least 2, got {cfg.b_max}")
     eta = tuple(cfg.options.get("eta", [1, 1]))
     t = cfg.options.get("t")
     f = TensorFunction.indicator_power(cfg.e_star, len(eta))
@@ -102,7 +106,7 @@ def cmd_simulate(cfg, args):
             else StopRule(at_absorption=True))
     seed = cfg.seed if args.seed is None else args.seed
     rng = replica_rng(seed, 0)
-    params = cfg.model_params()
+    params = cfg.model_params(len(eta))
     _, traj = run_until(initial_state(f, eta), params, stop, rng)
     lines = [f"# config_sha256={cfg.digest}",
              f"# seed={seed}",
@@ -127,7 +131,7 @@ def cmd_qt(cfg, args):
     seed = cfg.seed if args.seed is None else args.seed
     replicas = cfg.replicas if args.replicas is None else args.replicas
     est = estimate_Qt(f, eta, (cfg.mu1, cfg.mu2), t, replicas,
-                      cfg.model_params(), seed, workers=_workers())
+                      cfg.model_params(n + m), seed, workers=_workers())
     report = _meta(cfg)
     report.update({"seed": seed, "command": "qt",
                    "monomial": f"{n},{m}", "t": repr(t),
@@ -155,7 +159,7 @@ def cmd_stationary(cfg, args):
         indices = [[i, order - i] for i in range(order + 1)]
     top = max(n + m for n, m in indices)
     exact = solve_stationary(top, cfg.scalar_params(top))
-    params = cfg.model_params()
+    params = cfg.model_params(top)
     rows = {}
     for n, m in indices:
         f, eta = _monomial_inputs(cfg, n, m)

@@ -146,9 +146,13 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
     digest: str = ""           # sha256 of the raw config bytes
 
-    def model_params(self):
+    def model_params(self, blocks=None):
+        """Dual-chain params. A run started from `blocks` blocks never holds
+        more, so when that count is given the collision rates are tabulated
+        only up to min(b_max, blocks)."""
+        b_max = self.b_max if blocks is None else min(self.b_max, blocks)
         return ModelParams(self.xi, MutationSpec(self.theta, base=self.base),
-                           self.u1, self.u2, self.b_max)
+                           self.u1, self.u2, b_max)
 
     def scalar_params(self, order=4):
         """Exact-engine params whose table covers `order` lineages (and the

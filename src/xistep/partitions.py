@@ -78,10 +78,11 @@ class LabeledPartition:
 
 
 def relabel(eta, k, colony):
-    """Copy of label list eta with position k (1-based) set to colony."""
+    """Copy of the label tuple eta with position k (1-based) set to
+    colony."""
     if not 1 <= k <= len(eta):
         raise IndexError(f"label position {k} out of range")
-    return tuple(colony if i == k - 1 else c for i, c in enumerate(eta))
+    return eta[:k - 1] + (colony,) + eta[k:]
 
 
 def coag_colony(blocks, labels, colony, pi_prime):
@@ -95,11 +96,14 @@ def coag_colony(blocks, labels, colony, pi_prime):
         raise ValueError(
             f"pi_prime covers {sum(len(b) for b in pi_prime)} blocks, "
             f"colony {colony} has {len(positions)}")
-    groups = [sorted(positions[k - 1] for k in b) for b in pi_prime]
+    groups = [sorted(positions[k - 1] for k in b) if len(b) > 1
+              else [positions[b[0] - 1]] for b in pi_prime]
     groups += [[i] for i, c in enumerate(labels) if c != colony]
-    # old blocks are in least-element order, so new ones sort by position
+    # old blocks are in least-element order, so new ones sort by position;
+    # a block that merges with no other is already sorted
     groups.sort()
     new_blocks = tuple(tuple(sorted(x for i in g for x in blocks[i]))
+                       if len(g) > 1 else tuple(blocks[g[0]])
                        for g in groups)
     return new_blocks, tuple(labels[g[0]] for g in groups), groups
 

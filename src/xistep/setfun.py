@@ -7,8 +7,10 @@ products (cell-wise) and integrals exact. Coefficients are Fractions in
 exact mode and may be floats in simulation mode. The simulator's event
 loop does not build set functions: it keeps plain coefficient lists at one
 grid level per run and integrates them with `BaseMeasure.integrate_cells`,
-the routine behind `BaseMeasure.integrate`; a `SetFunction` is built where
-a public function returns one.
+the routine behind `BaseMeasure.integrate`, or, for float lists, directly
+with `BaseMeasure.float_integrator`, the float branch of `integrate_cells`
+built once per grid level; a `SetFunction` is built where a public
+function returns one.
 """
 
 import math
@@ -205,6 +207,8 @@ class BaseMeasure:
                  + sum(m for _, m in atoms))
         if total != 1:
             raise ValueError(f"total mass must be 1, got {total}")
+        # per grid level, the cache of `float_integrator`
+        object.__setattr__(self, "_integrators", {})
 
     @classmethod
     def uniform(cls):
@@ -220,24 +224,47 @@ class BaseMeasure:
     def integrate_cells(self, level, coeffs):
         """Integral of the step function with one coefficient per cell of
         the level-`level` grid; `level` is at least `grid_level`."""
-        shift = level - self.grid_level
         if any(type(c) is float for c in coeffs):
             # float fast path for simulation mode
-            try:
-                fdens = self._fdens
-            except AttributeError:
-                fdens = tuple(float(d) for d in self.densities)
-                object.__setattr__(self, "_fdens", fdens)
-            total = float_sum(c * fdens[i >> shift]
-                              for i, c in enumerate(coeffs) if c)
-            total /= 1 << level
-            return total + float_sum(float(m) * coeffs[cell_index(level, p)]
-                                     for p, m in self.atoms)
+            return self.float_integrator(level)(coeffs)
+        shift = level - self.grid_level
         total = sum((c * self.densities[i >> shift]
                      for i, c in enumerate(coeffs) if c),
                     Fraction(0)) / (1 << level)
         total += sum(m * coeffs[cell_index(level, p)] for p, m in self.atoms)
         return total
+
+    def float_integrator(self, level):
+        """The float branch of `integrate_cells` at one grid level, as a
+        function of the coefficient list: float densities per cell and the
+        atoms' float masses and cells are looked up once per level. It adds
+        the nonzero cell terms left to right from 0.0, divides by the cell
+        count, then adds the atom terms, summed the same way."""
+        if level in self._integrators:
+            return self._integrators[level]
+        shift = level - self.grid_level
+        fdens = [float(d) for d in self.densities]
+        weights = [fdens[i >> shift] for i in range(1 << level)]
+        cells = 1 << level
+        atoms = [(float(m), cell_index(level, p)) for p, m in self.atoms]
+
+        def integral(coeffs):
+            total = 0.0
+            for c, w in zip(coeffs, weights):
+                if c:
+                    total += c * w
+            total /= cells
+            at_atoms = 0.0
+            for m, i in atoms:
+                at_atoms += m * coeffs[i]
+            return total + at_atoms
+
+        self._integrators[level] = integral
+        return integral
+
+    def __getstate__(self):
+        # the cached integrators are closures, which do not pickle
+        return dict(self.__dict__, _integrators={})
 
     def sample(self, rng):
         """Draw a point; density cells are uniform within the cell."""

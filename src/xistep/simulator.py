@@ -7,15 +7,22 @@ plain list of coefficients per block (floats or Fractions) or, for the
 genealogical skeleton, none: that records lineage segments. Every list
 holds one coefficient per cell of one grid level per run, the highest of
 the start factors' levels and the mutation base's `grid_level`; advance
-and merge act cell by cell and never refine or reduce that level, and the
-base integrals are cached until a coalescence. `_Chain.advance` runs the
-mutation semigroup and `_Chain.apply` a migration or coalescence. Events
-come from the RNG in `_run`, the one loop behind `run_until` and the
-estimators, or from a recorded `Trajectory` in `replay`, the one path
-with exact semigroup factors (`exact=True`: Fraction payloads stay
-Fractions). `DualState`, `LabeledPartition`, `TensorFunction` and
-(reduced) `SetFunction`s are built only where a public function takes or
-returns them, and for the final mu-pairing of a replica.
+and merge act cell by cell and never refine or reduce that level. The
+base integrals are cached until a coalescence, which recomputes all of
+them: a float payload through the base's cached `float_integrator`, the
+float branch of `integrate_cells`. (Reusing the integrals of blocks that
+did not merge would skip work but could change the last bits of a float
+payload, so it is not done.) `_Chain.advance` runs the mutation
+semigroup and `_Chain.apply` a migration or coalescence. Events come from
+the RNG in `_run`, the one loop behind `run_until` and the estimators, or
+from a recorded `Trajectory` in `replay`, the one path with exact
+semigroup factors (`exact=True`: Fraction payloads stay Fractions).
+`_run` draws holding times from the jump rates `ModelParams` tabulates
+per pair of colony block counts, and keeps `EventRecord`s only for
+`run_until`, which returns them. `DualState`, `LabeledPartition`,
+`TensorFunction` and (reduced) `SetFunction`s are built only where a
+public function takes or returns them, and for the final mu-pairing of a
+replica.
 
 One replica driver, `_replica_values`, serves the three estimators: each
 replica starts a `_Chain` from one float-payload initial state built per
@@ -29,6 +36,7 @@ so every reported number is reproducible.
 
 import bisect
 import concurrent.futures
+import functools
 import math
 import random
 import statistics
@@ -51,15 +59,18 @@ EVENT_CAP = 100_000
 @dataclass(frozen=True)
 class ModelParams:
     """Everything the dual generator needs; the collision rates of up to
-    `b_max` blocks are tabulated from `xi`."""
+    `b_max` blocks are tabulated from `xi`, and from them the jump rates
+    of every split of up to `b_max` blocks between the colonies."""
 
     xi: object            # XiMeasure
     mutation: object      # MutationSpec
     u1: Fraction
     u2: Fraction
     b_max: int
-    # float migration rates, per block count the positive-rate coalescence
-    # profiles with cumulative float weights, and the float mutation rate
+    # per colony block counts the four float event rates and the jump rate
+    # (`[n1][n2]`, see `_event_rates`), per block count the positive-rate
+    # coalescence profiles with cumulative float weights, and the float
+    # mutation rate
     _tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -78,9 +89,19 @@ class ModelParams:
                 acc += w
                 cum.append(acc)
             profs[b] = ([p for p, _ in rows], cum, acc)
+        fu1, fu2 = float(self.u1), float(self.u2)
+        jump = []
+        for n1 in range(self.b_max + 1):
+            row = []
+            for n2 in range(self.b_max + 1 - n1):
+                rates = (n2 * fu1, n1 * fu2,
+                         profs[n1][2] if n1 >= 2 else 0.0,
+                         profs[n2][2] if n2 >= 2 else 0.0)
+                row.append((rates,
+                            rates[0] + rates[1] + rates[2] + rates[3]))
+            jump.append(row)
         object.__setattr__(self, "_tables",
-                           (float(self.u1), float(self.u2), profs,
-                            float(self.mutation.theta)))
+                           (jump, profs, float(self.mutation.theta)))
 
 
 @dataclass(frozen=True)
@@ -127,18 +148,24 @@ class _Chain:
     """Mutable state of one run of the dual (see the module docstring)."""
 
     def __init__(self, state, params, skeleton=False, exact=False):
-        self.blocks, self.labels = state.lp.partition, state.lp.labels
-        self.base = params.mutation.base
-        self.theta = params._tables[3]
+        self.blocks, self.labels = state.lp.partition, tuple(state.lp.labels)
+        self.theta = params._tables[2]
         self.exact = exact
         if skeleton:
             self.factors, self.segments = None, []
         else:
+            base = params.mutation.base
             factors = state.y.factors
-            self.level = max(self.base.grid_level,
-                             *(g.level for g in factors))
+            self.level = max(base.grid_level, *(g.level for g in factors))
             self.factors = [g._coeffs_at(self.level) for g in factors]
-        self.ints = None
+            # a float payload stays float: integrate it with the float
+            # branch of `integrate_cells` directly
+            floats = not exact and all(type(c) is float
+                                       for g in self.factors for c in g)
+            self.integral = (base.float_integrator(self.level) if floats
+                             else functools.partial(base.integrate_cells,
+                                                    self.level))
+            self.ints = None
         self.clock, self.events = state.clock, state.events
 
     def advance(self, dt):
@@ -149,11 +176,14 @@ class _Chain:
         if self.factors is None:
             self.segments.append((self.blocks, dt))
         else:
-            p = decay_factor(self.theta, dt, exact=self.exact)
+            if dt < 0:
+                raise ValueError("negative time")
+            # `decay_factor`, inlined in float mode
+            p = (decay_factor(self.theta, dt, exact=True) if self.exact
+                 else math.exp(-self.theta * dt / 2.0))
             q = 1 - p
             if self.ints is None:
-                self.ints = [self.base.integrate_cells(self.level, g)
-                             for g in self.factors]
+                self.ints = [self.integral(g) for g in self.factors]
             self.factors = [[p * v + b for v in g]
                             for g, b in zip(self.factors,
                                             [q * c for c in self.ints])]
@@ -196,14 +226,10 @@ class _Chain:
 def _event_rates(labels, params):
     """Float rates of migration out of colony 2 (u1 per block), out of
     colony 1 (u2 per block), coalescence in colony 1 and in colony 2, and
-    their sum, the jump rate, added left to right."""
-    fu1, fu2, profs, _ = params._tables
+    their sum, the jump rate, added left to right; tabulated per colony
+    block counts by `ModelParams`."""
     n1 = labels.count(COLONY_1)
-    n2 = len(labels) - n1
-    rates = (n2 * fu1, n1 * fu2,
-             profs[n1][2] if n1 >= 2 else 0.0,
-             profs[n2][2] if n2 >= 2 else 0.0)
-    return rates, rates[0] + rates[1] + rates[2] + rates[3]
+    return params._tables[0][n1][len(labels) - n1]
 
 
 def _pick_event(labels, rates, total, params, rng):
@@ -212,8 +238,11 @@ def _pick_event(labels, rates, total, params, rng):
     pick = rng.random() * total
     if pick < rates[0] + rates[1]:
         label = COLONY_2 if pick < rates[0] else COLONY_1
-        positions = [i for i, l in enumerate(labels, start=1) if l == label]
-        return "migration", label, positions[rng.randrange(len(positions))]
+        # the k-th block (0-based) of that colony, in block order
+        i = labels.index(label)
+        for _ in range(rng.randrange(labels.count(label))):
+            i = labels.index(label, i + 1)
+        return "migration", label, i + 1
     pick -= rates[0] + rates[1]
     # rounding can leave pick at rates[2] when colony 2 has no coalescence
     # rate; a colony without one is never picked
@@ -221,25 +250,26 @@ def _pick_event(labels, rates, total, params, rng):
     if colony == COLONY_2:
         pick -= rates[2]
     b = labels.count(colony)
-    rows, cum, _ = params._tables[2][b]
+    rows, cum, _ = params._tables[1][b]
     prof = rows[bisect.bisect_right(cum, pick, hi=len(rows) - 1)]
     detail = random_partition_with_profile(b, prof.merge_sizes, prof.s, rng)
     return "coalescence", colony, detail
 
 
-def _run(chain, params, rng, at_time, absorb, max_events):
+def _run(chain, params, rng, at_time, absorb, max_events, record=False):
     """The dual's event loop. Stops at one block (when `absorb`), after
     `max_events` events (truncated), or at `at_time`; returns the event
-    records and whether the run was truncated."""
+    records (kept only when `record`) and whether the run was truncated."""
     if len(chain.labels) > params.b_max:
         raise ValueError(f"{len(chain.labels)} blocks exceed b_max="
                          f"{params.b_max}; migration can gather "
                          "every block in one colony")
     events = []
+    count = 0
     while True:
         if absorb and len(chain.blocks) == 1:
             return events, False
-        if max_events is not None and len(events) >= max_events:
+        if max_events is not None and count >= max_events:
             return events, True
         rates, total = _event_rates(chain.labels, params)
         dt = rng.expovariate(total)
@@ -250,8 +280,10 @@ def _run(chain, params, rng, at_time, absorb, max_events):
                                            params, rng)
         chain.advance(dt)
         chain.apply(kind, colony, detail)
-        events.append(EventRecord(chain.clock, dt, kind, colony, detail,
-                                  len(chain.blocks)))
+        count += 1
+        if record:
+            events.append(EventRecord(chain.clock, dt, kind, colony, detail,
+                                      len(chain.blocks)))
 
 
 @dataclass(frozen=True)
@@ -287,7 +319,7 @@ def run_until(state, params, stop, rng):
         raise ValueError("absorption needs an event cap when xi has no mass")
     chain = _Chain(state, params)
     events, truncated = _run(chain, params, rng, stop.at_time,
-                             stop.at_absorption, stop.max_events)
+                             stop.at_absorption, stop.max_events, record=True)
     return chain.state(), Trajectory(tuple(events), truncated,
                                      None if truncated else stop.at_time)
 

@@ -390,6 +390,8 @@ class TestErrors:
         ("hausdorff", {"b_max": 3}, None, "options.order"),
         ("stationary", {"b_max": 1}, None, "options.order"),
         ("reversibility", {"b_max": 3}, None, "at least 4"),
+        # simulate's default eta [1, 1] past b_max
+        ("simulate", {"b_max": 1}, None, "b_max: options.eta"),
     ]
 
     # ids number the cases and leave the command out

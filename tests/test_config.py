@@ -66,6 +66,15 @@ class TestValidConfig:
         small = parse_config(dict(VALID, b_max=2, options={}))
         assert small.scalar_params().table.b_max == 2
 
+    def test_model_params_tabulate_to_the_start_blocks(self):
+        cfg = parse_config(VALID)
+        assert cfg.model_params().b_max == 6
+        assert cfg.model_params(2).b_max == 2
+        assert cfg.model_params(9).b_max == 6
+        # the rates a smaller table holds are the larger table's
+        assert cfg.model_params(3)._tables[1][3] \
+            == cfg.model_params()._tables[1][3]
+
 
 class TestFieldErrors:
     @pytest.mark.parametrize("value", [0, -3, 2.5, "abc", "2.5", True, [2],

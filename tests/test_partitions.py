@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -81,6 +82,59 @@ class TestLabeled:
         out = coag_colony(((1, 4), (2,), (3,)), (2, 1, 2), COLONY_2,
                           ((1, 2),))
         assert out == (((1, 3, 4), (2,)), (2, 1), [[0, 2], [1]])
+
+
+def _relabel_oracle(eta, k, colony):
+    """`relabel` as it was written before tuple slicing."""
+    if not 1 <= k <= len(eta):
+        raise IndexError(f"label position {k} out of range")
+    return tuple(colony if i == k - 1 else c for i, c in enumerate(eta))
+
+
+def _coag_colony_oracle(blocks, labels, colony, pi_prime):
+    """`coag_colony` as it was written before singleton groups skipped
+    their sorts."""
+    positions = [i for i, c in enumerate(labels) if c == colony]
+    groups = [sorted(positions[k - 1] for k in b) for b in pi_prime]
+    groups += [[i] for i, c in enumerate(labels) if c != colony]
+    groups.sort()
+    new_blocks = tuple(tuple(sorted(x for i in g for x in blocks[i]))
+                       for g in groups)
+    return new_blocks, tuple(labels[g[0]] for g in groups), groups
+
+
+def _labelled_partitions(max_n=6):
+    """Every partition of [n], n <= max_n, with every colony labelling."""
+    for n in range(1, max_n + 1):
+        for pi in enumerate_partitions(n):
+            for labels in itertools.product((COLONY_1, COLONY_2),
+                                            repeat=len(pi)):
+                yield pi, labels
+
+
+class TestAgainstOracles:
+    """The event-loop bookkeeping against its earlier bodies, on every
+    labelled partition of up to 6 blocks."""
+
+    def test_relabel(self):
+        for _, labels in _labelled_partitions():
+            for k in range(1, len(labels) + 1):
+                for colony in (COLONY_1, COLONY_2):
+                    assert relabel(labels, k, colony) \
+                        == _relabel_oracle(labels, k, colony)
+
+    def test_coag_colony(self):
+        calls = 0
+        for pi, labels in _labelled_partitions():
+            for colony in (COLONY_1, COLONY_2):
+                count = labels.count(colony)
+                if count == 0:
+                    continue
+                for pi_prime in enumerate_partitions(count):
+                    assert coag_colony(pi, labels, colony, pi_prime) \
+                        == _coag_colony_oracle(pi, labels, colony, pi_prime)
+                    calls += 1
+        assert calls == 19_852
 
 
 class TestEnumeration:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
                     semigroup_apply_uniform)
-from xistep.setfun import (ONE, apply_generator_uniform, decay_factor,
-                           sample_mutation_path)
+from xistep.setfun import (ONE, apply_generator_uniform, cell_index,
+                           decay_factor, float_sum, sample_mutation_path)
 
 from conftest import E_STAR
 
@@ -100,6 +101,73 @@ class TestBaseMeasure:
         mu = BaseMeasure(1, (F(2), F(0)))
         rng = random.Random(3)
         assert all(mu.sample(rng) < 0.5 for _ in range(200))
+
+
+def _float_integral_oracle(base, level, coeffs):
+    """The float branch of `BaseMeasure.integrate_cells` as it was written
+    before `float_integrator`: the slow path that integrator replaces."""
+    shift = level - base.grid_level
+    fdens = tuple(float(d) for d in base.densities)
+    total = float_sum(c * fdens[i >> shift]
+                      for i, c in enumerate(coeffs) if c)
+    total /= 1 << level
+    return total + float_sum(float(m) * coeffs[cell_index(level, p)]
+                             for p, m in base.atoms)
+
+
+@st.composite
+def measure_level_coeffs(draw):
+    """A base measure on grid level 0..3, possibly with atoms (at cell
+    edges too), a grid level up to 4 at or above it, and float
+    coefficients there with zeros of both signs, negatives and subnormals
+    (where scaling each term by the cell width would round differently)."""
+    grid = draw(st.integers(0, 3))
+    level = draw(st.integers(grid, 4))
+    cell_w = draw(st.lists(st.integers(0, 5), min_size=1 << grid,
+                           max_size=1 << grid))
+    atoms = draw(st.lists(st.tuples(
+        st.one_of(st.fractions(0, 1, max_denominator=64),
+                  st.sampled_from([F(0), F(1, 2), F(1)])),
+        st.integers(0, 5)), max_size=3))
+    mass = F(sum(cell_w), 1 << grid) + sum(w for _, w in atoms)
+    if mass == 0:
+        cell_w, mass = [1] * (1 << grid), F(1)
+    base = BaseMeasure(grid, tuple(F(w) / mass for w in cell_w),
+                       tuple((p, F(w) / mass) for p, w in atoms))
+    coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324,
+                                       -1.5e-323]),
+                      st.floats(-1e6, 1e6))
+    coeffs = draw(st.lists(coeff, min_size=1 << level,
+                           max_size=1 << level))
+    return base, level, coeffs
+
+
+class TestFloatIntegrator:
+    """`BaseMeasure.float_integrator` against the float expression it
+    replaces, to the bit."""
+
+    @given(measure_level_coeffs())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_oracle_to_the_bit(self, case):
+        base, level, coeffs = case
+        want = _float_integral_oracle(base, level, coeffs)
+        for got in (base.float_integrator(level)(coeffs),
+                    base.integrate_cells(level, coeffs)):
+            assert got == want and got.hex() == want.hex()
+
+    def test_fraction_coefficients_stay_exact(self):
+        base = BaseMeasure(1, (F(1), F(1, 2)), atoms=((F(1, 2), F(1, 4)),))
+        value = base.integrate_cells(2, [F(1), F(0), F(-3), F(2)])
+        # (1 - 3/2 + 1) / 4 on the grid, -3 * 1/4 at the atom
+        assert value == F(1, 8) - F(3, 4) and type(value) is F
+
+    def test_pickles_after_caching(self):
+        base = BaseMeasure(1, (F(3, 2), F(1, 2)))
+        base.float_integrator(2)
+        copy = pickle.loads(pickle.dumps(base))
+        assert copy == base
+        assert copy.integrate_cells(2, [1.0, 0.5, 0.0, -2.0]) \
+            == base.integrate_cells(2, [1.0, 0.5, 0.0, -2.0])
 
 
 class TestMutationSemigroup:

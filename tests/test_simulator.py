@@ -8,7 +8,7 @@ from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
                     SetFunction, StopRule, TensorFunction, XiMeasure,
                     estimate_Qt, estimate_stationary, evaluate_dual,
                     initial_state, replay, run_until, solve_stationary)
-from xistep import simulator
+from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model)
 from xistep.partitions import coag_colony, relabel, singleton_partition
@@ -44,6 +44,32 @@ class TestJumpRate:
     def test_pair_split_colonies(self):
         params = kingman_model(u1=F(3, 2), u2=F(3, 2))
         assert _event_rates((1, 2), params)[1] == 3
+
+    @pytest.mark.parametrize("xi", [KINGMAN, XiMeasure(
+        F(1, 2), ATOM_HALF_QUARTER.atoms)], ids=["kingman", "kingman+atom"])
+    def test_table_equals_formula_up_to_b_max_20(self, xi):
+        # the formula `_event_rates` evaluated per event before the rates
+        # were tabulated, with its colony totals summed from the exact table
+        params = ModelParams(xi, MutationSpec(F(1), BaseMeasure.uniform()),
+                             F(1, 3), F(7, 5), 20)
+        table = build_rate_table(xi, 20)
+        coal = {}
+        for b in range(2, 21):
+            acc = 0.0
+            for _, rate, mult in table.profiles(b):
+                if rate > 0:
+                    acc += float(rate * mult)
+            coal[b] = acc
+        fu1, fu2 = float(params.u1), float(params.u2)
+        for n in range(1, 21):
+            for n1 in range(n + 1):
+                n2 = n - n1
+                rates = (n2 * fu1, n1 * fu2, coal.get(n1, 0.0),
+                         coal.get(n2, 0.0))
+                want = rates, rates[0] + rates[1] + rates[2] + rates[3]
+                # labels in two orders: only the counts matter
+                for labels in ((1,) * n1 + (2,) * n2, (2,) * n2 + (1,) * n1):
+                    assert _event_rates(labels, params) == want
 
 
 class _TopUniform(random.Random):
@@ -133,6 +159,25 @@ class TestRunUntil:
         for targets in ({}, {"at_time": 50.0, "at_absorption": True}):
             with pytest.raises(ValueError, match="exactly one target"):
                 StopRule(**targets)
+
+    @pytest.mark.parametrize("t", [None, 0.5])
+    def test_unrecorded_run_takes_the_same_path(self, t):
+        # the replica driver's loop keeps no records; its run is the one
+        # `run_until` records
+        params = ModelParams(ATOM_HALF_QUARTER,
+                             MutationSpec(F(1), base=BaseMeasure.uniform()),
+                             F(1), F(2), 6)
+        start = initial_state(_floated(indicator_power(4)), (1, 2, 1, 2))
+        runs = []
+        for record in (True, False):
+            chain = simulator._Chain(start, params)
+            events, truncated = simulator._run(
+                chain, params, replica_rng(3, 0), t, t is None,
+                simulator.EVENT_CAP, record)
+            runs.append((events, truncated, chain.state()))
+        (recorded, trunc_a, state_a), (unrecorded, trunc_b, state_b) = runs
+        assert len(recorded) == state_a.events > 0 and unrecorded == []
+        assert (trunc_a, state_a) == (trunc_b, state_b)
 
     def test_absorbed_start_returns_immediately(self):
         params = kingman_model()
