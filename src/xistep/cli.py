@@ -4,6 +4,7 @@ package version; a command rerun with the same inputs emits identical
 bytes."""
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -104,12 +105,11 @@ def cmd_simulate(cfg, args):
     f = TensorFunction.indicator_power(cfg.e_star, len(eta))
     stop = (StopRule(at_time=float(t)) if t is not None
             else StopRule(at_absorption=True))
-    seed = cfg.seed if args.seed is None else args.seed
-    rng = replica_rng(seed, 0)
+    rng = replica_rng(cfg.seed, 0)
     params = cfg.model_params(len(eta))
     _, traj = run_until(initial_state(f, eta), params, stop, rng)
     lines = [f"# config_sha256={cfg.digest}",
-             f"# seed={seed}",
+             f"# seed={cfg.seed}",
              f"# version={__version__}",
              "time,kind,colony,profile_or_block,block_count"]
     for ev in traj.events:
@@ -128,12 +128,10 @@ def cmd_qt(cfg, args):
         raise ConfigError("options.t", "missing required field")
     t = float(cfg.options["t"])
     f, eta = _monomial_inputs(cfg, n, m)
-    seed = cfg.seed if args.seed is None else args.seed
-    replicas = cfg.replicas if args.replicas is None else args.replicas
-    est = estimate_Qt(f, eta, (cfg.mu1, cfg.mu2), t, replicas,
-                      cfg.model_params(n + m), seed, workers=_workers())
+    est = estimate_Qt(f, eta, (cfg.mu1, cfg.mu2), t, cfg.replicas,
+                      cfg.model_params(n + m), cfg.seed, workers=_workers())
     report = _meta(cfg)
-    report.update({"seed": seed, "command": "qt",
+    report.update({"command": "qt",
                    "monomial": f"{n},{m}", "t": repr(t),
                    "estimate": {"mean": est.mean,
                                 "std_error": est.std_error,
@@ -151,8 +149,6 @@ def cmd_stationary(cfg, args):
         report["moments"] = {f"{n},{m}": format_rational(v)
                              for (n, m), v in sorted(moments.items())}
         return report, 0
-    seed = cfg.seed if args.seed is None else args.seed
-    replicas = cfg.replicas if args.replicas is None else args.replicas
     indices = cfg.options.get("indices")
     if indices is None:
         order = _order(cfg, 2)
@@ -163,12 +159,12 @@ def cmd_stationary(cfg, args):
     rows = {}
     for n, m in indices:
         f, eta = _monomial_inputs(cfg, n, m)
-        est = estimate_stationary(f, eta, cfg.base, replicas, params, seed,
-                                  workers=_workers())
+        est = estimate_stationary(f, eta, cfg.base, cfg.replicas, params,
+                                  cfg.seed, workers=_workers())
         rows[f"{n},{m}"] = {"mean": est.mean, "std_error": est.std_error,
                             "exact": format_rational(exact[(n, m)]),
                             "replicas": est.replicas}
-    report.update({"seed": seed, "estimates": rows})
+    report["estimates"] = rows
     return report, 0
 
 
@@ -277,7 +273,7 @@ def _selftest_suites(seed):
 
 
 def cmd_selftest(cfg, args):
-    seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
+    seed = cfg.seed if cfg else (args.seed or 0)
     suites = _selftest_suites(seed)
     report = {"seed": seed, "version": __version__,
               "config_sha256": cfg.digest if cfg else None,
@@ -314,6 +310,11 @@ def main(argv=None):
         cfg = load_config(args.config) if args.config else None
         if args.replicas is not None:
             parse_int(args.replicas, "replicas", low=1)
+        if cfg is not None:   # --seed and --replicas override the config
+            cfg = dataclasses.replace(
+                cfg, seed=cfg.seed if args.seed is None else args.seed,
+                replicas=(cfg.replicas if args.replicas is None
+                          else args.replicas))
         report, status = COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -322,8 +323,6 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 2
     if report is not None:
-        if args.seed is not None:
-            report["seed"] = args.seed
         _emit_json(report, args.out)
     return status
 

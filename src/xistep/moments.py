@@ -11,12 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import solve_tridiagonal
-from .simplex import CollisionProfile, RateTable, check_consistency
-
-# named collision rates -> (block count, merge sizes, untouched blocks)
-_NAMED_RATES = {"a2": (2, (2,), 0), "a21": (3, (2,), 1), "a3": (3, (3,), 0),
-                "a211": (4, (2,), 2), "a22": (4, (2, 2), 0),
-                "a31": (4, (3,), 1), "a4": (4, (4,), 0)}
+from .simplex import (NAMED_RATES, CollisionProfile, RateTable,
+                      check_consistency)
 
 
 @dataclass(frozen=True)
@@ -24,7 +20,9 @@ class ScalarParams:
     """Scalar inputs of the moment systems: mutation rate theta, reference
     mass alpha, migration rates, and `table`, the one source of collision
     rates. Built directly, the seven named rates (up to four lineages) make
-    a 4-block table; given a table, they are read from it."""
+    a 4-block table; given a table, they are read from it. Migration and
+    collision rates must be nonnegative: the stationary systems then have no
+    zero pivot (see `linalg.solve_tridiagonal`)."""
 
     theta: Fraction
     alpha: Fraction
@@ -41,11 +39,13 @@ class ScalarParams:
 
     def __post_init__(self):
         rows = {}
-        for name, (b, ks, s) in _NAMED_RATES.items():
+        for name, (b, ks, s) in NAMED_RATES.items():
             covered = self.table is not None and b <= self.table.b_max
             rate = self.table.rate_of(b, ks, s) if covered else Fraction(0)
             given = getattr(self, name)
             given = rate if given is None else Fraction(given)
+            if given < 0:
+                raise ValueError(f"{name} must be nonnegative")
             if self.table is not None and given != rate:
                 raise ValueError(f"{name}={given} disagrees with the rate "
                                  f"table, which gives {rate}")
@@ -55,8 +55,15 @@ class ScalarParams:
                 rows[b] = rows.get(b, ()) + ((prof, given, prof.multiplicity),)
         if self.table is None:
             object.__setattr__(self, "table", RateTable(4, rows))
+        for row in self.table.rows.values():
+            for prof, rate, _ in row:
+                if rate < 0:
+                    raise ValueError(f"negative rate {rate} for {prof}")
         for name in ("theta", "alpha", "u1", "u2"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        for name in ("u1", "u2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
         if not 0 <= self.alpha <= 1:

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 
 def parse_rational(s):
-    """Parse "p/q" (or "p") into a Fraction. Raises ValueError on "p/0"."""
-    if isinstance(s, Fraction):
-        return s
+    """Parse a config rational, a "p/q" or "p" string or a JSON integer,
+    into a Fraction. Raises ValueError on "p/0"."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):

@@ -5,6 +5,10 @@ A probe pairs two monomials F = (n, m) and G = (p, q) built from tensor
 powers of the reference set's indicator. Its residual is the stationary
 expectation of G * (gen F) - F * (gen G); reversibility would force every
 residual to vanish.
+
+The closed forms the irreversibility chain rests on, `s1_paper_numerator`
+and the degenerate F2 numerator, are checked as identities against the
+exact residuals wherever they are evaluated.
 """
 
 from dataclasses import dataclass, replace
@@ -63,7 +67,9 @@ def residual_with_denominator(probe, params):
 
 
 def s1_paper_numerator(p):
-    """Factored S1 numerator reported in the source analysis."""
+    """Factored S1 numerator reported in the source analysis: the S1
+    residual times the denominator of `residual_with_denominator` equals
+    it exactly, sign included."""
     return (p.alpha * p.theta * p.a2 * (p.u1 - p.u2)
             * (p.theta + 2 * p.u1 + p.a2 + 2 * p.u2) * (p.alpha - 1))
 
@@ -81,13 +87,11 @@ def contradiction_bracket(p):
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    s1_sign: int
     s1_matches: tuple          # bool per sample
     s1_zero_iff_symmetric: bool
     t1_zero_iff_half: bool
     contra_zero_iff_no_triple: bool
     bracket_positive: bool
-    notes: tuple
 
     @property
     def all_pass(self):
@@ -97,34 +101,24 @@ class FactorizationReport:
 
 
 def verify_paper_factorizations(samples):
-    """At each parameter sample: reconcile the S1 residual with its factored
-    numerator over the determinant denominator (global sign calibrated at
-    the first informative sample), and confirm the chain of necessary
-    conditions: symmetric migration, reference mass one half, and no
-    triple collisions."""
-    notes = []
+    """At each parameter sample: check the identity residual * denominator
+    == `s1_paper_numerator` of the S1 probe, and confirm the chain of
+    necessary conditions: symmetric migration, reference mass one half,
+    and no triple collisions."""
     for p in samples:
         bad = p.consistency_violations()
         if bad:
             raise ValueError(f"inconsistent rate sample: {bad}")
-    s1_sign = 0
     s1_matches = []
     s1_iff = True
     for p in samples:
         r, d = residual_with_denominator(S1_PROBE, p)
-        num = s1_paper_numerator(p)
+        s1_matches.append(r * d == s1_paper_numerator(p))
         # the factored numerator vanishes off u1 == u2 only at degenerate
         # alpha or a2, so restrict the iff to informative samples
         if p.alpha not in (0, 1) and p.a2 != 0:
             if (r == 0) != (p.u1 == p.u2):
                 s1_iff = False
-        if num != 0 and s1_sign == 0:
-            s1_sign = 1 if r * d == num else (-1 if r * d == -num else 0)
-            if s1_sign == 0:
-                notes.append(f"S1 reconciliation failed at {p}")
-                s1_matches.append(False)
-                continue
-        s1_matches.append(r * d == s1_sign * num if s1_sign else num == 0)
 
     t1_iff = True
     for p in samples:
@@ -147,8 +141,8 @@ def verify_paper_factorizations(samples):
         if not half.consistency_violations() and half.a2 > 0:
             if contradiction_bracket(half) <= 0:
                 bracket_pos = False
-    return FactorizationReport(s1_sign, tuple(s1_matches), s1_iff, t1_iff,
-                               contra_iff, bracket_pos, tuple(notes))
+    return FactorizationReport(tuple(s1_matches), s1_iff, t1_iff,
+                               contra_iff, bracket_pos)
 
 
 @dataclass(frozen=True)
@@ -185,12 +179,16 @@ def _reduced_denominator(a, theta, u):
                + 2 * theta ** 3 + 12 * theta ** 2 * u + 16 * theta * u ** 2))
 
 
-def final_contradiction(a, theta=Fraction(1), u=Fraction(1),
-                        scaling_samples=(Fraction(1, 2), Fraction(2),
-                                         Fraction(3))):
+# pair rates at which the cleared residual's cubic scaling is checked
+_SCALING_SAMPLES = (Fraction(1, 2), Fraction(2), Fraction(3))
+
+
+def final_contradiction(a, theta=Fraction(1), u=Fraction(1)):
     """With the degenerate rate pattern the last probe's residual cannot
     vanish: cleared of its (positive) denominator it equals a cube of the
-    pair rate times a positive function of (theta, u) alone.
+    pair rate times a positive function of (theta, u) alone. The cleared
+    residual is checked against that closed form, and its cubic scaling
+    against the cleared residuals at `_SCALING_SAMPLES`.
     """
     theta, u = Fraction(theta), Fraction(u)
 
@@ -203,7 +201,7 @@ def final_contradiction(a, theta=Fraction(1), u=Fraction(1),
     cofactor = theta * u * (theta + 4 * u)
     closed = num == -(Fraction(a) ** 3) * cofactor
     cubic = True
-    for b in scaling_samples:
+    for b in _SCALING_SAMPLES:
         _, numb = cleared(b)
         if numb * Fraction(a) ** 3 != num * Fraction(b) ** 3:
             cubic = False

@@ -72,10 +72,6 @@ class DyadicSet:
                            frozenset(i for i, v in enumerate(vals) if v))
 
     @classmethod
-    def empty(cls):
-        return cls(0, frozenset())
-
-    @classmethod
     def full(cls):
         return cls(0, frozenset({0}))
 
@@ -86,11 +82,6 @@ class DyadicSet:
             out.update(range(c << shift, (c + 1) << shift))
         return out
 
-    def union(self, other):
-        lvl = max(self.level, other.level)
-        return DyadicSet(lvl, frozenset(self._at_level(lvl)
-                                        | other._at_level(lvl)))
-
     def intersection(self, other):
         lvl = max(self.level, other.level)
         return DyadicSet(lvl, frozenset(self._at_level(lvl)
@@ -99,13 +90,6 @@ class DyadicSet:
     def complement(self):
         full = set(range(1 << self.level))
         return DyadicSet(self.level, frozenset(full - self.cells))
-
-    def contains(self, point):
-        return cell_index(self.level, point) in self.cells
-
-    @property
-    def lebesgue(self):
-        return Fraction(len(self.cells), 1 << self.level)
 
 
 @dataclass(frozen=True)
@@ -140,9 +124,6 @@ class SetFunction:
         lvl = max(self.level, other.level)
         a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
         return SetFunction(lvl, tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, c):
         return SetFunction(self.level, tuple(c * v for v in self.coeffs))

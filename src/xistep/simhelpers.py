@@ -46,33 +46,32 @@ def random_scalar_params(rng, symmetric=False):
     return ScalarParams.from_rate_table(table, theta, alpha, u1, u2)
 
 
-def random_model(rng, theta=Fraction(1)):
+def random_model(rng):
     return ModelParams(random_xi(rng),
-                       MutationSpec(theta, base=BaseMeasure.uniform()),
+                       MutationSpec(Fraction(1), base=BaseMeasure.uniform()),
                        Fraction(rng.randint(1, 3), rng.randint(1, 2)),
                        Fraction(rng.randint(1, 3), rng.randint(1, 2)), 8)
 
 
-def _random_trajectory(rng, params, f, n):
-    eta = tuple(rng.choice((1, 2)) for _ in range(n))
+def _random_trajectory(rng, params, f):
+    eta = tuple(rng.choice((1, 2)) for _ in range(f.arity))
     state = initial_state(f, eta)
     stop = StopRule(at_absorption=True, max_events=10_000)
     _, traj = run_until(state, params, stop, rng)
     return eta, traj
 
 
-def coupling_linearity_holds(rng, n=3, params=None):
-    """Replaying one trajectory on two tensors that differ in a single
-    slot, and on the tensor holding that slot's sum, the duality values
-    add exactly (rational mode)."""
-    if params is None:
-        params = random_model(rng)
+def coupling_linearity_holds(rng):
+    """Replaying one trajectory of a random model on two 3-block tensors
+    that differ in the last slot, and on the tensor holding that slot's
+    sum, the duality values add exactly (rational mode)."""
+    params = random_model(rng)
     e = DyadicSet(1, frozenset({0}))
     g1, g2 = SetFunction.indicator(e), SetFunction.indicator(e.complement())
-    fa = TensorFunction((g1,) * n)
-    fb = TensorFunction((g1,) * (n - 1) + (g2,))
-    fs = TensorFunction((g1,) * (n - 1) + (g1 + g2,))
-    eta, traj = _random_trajectory(rng, params, fa, n)
+    fa = TensorFunction((g1, g1, g1))
+    fb = TensorFunction((g1, g1, g2))
+    fs = TensorFunction((g1, g1, g1 + g2))
+    eta, traj = _random_trajectory(rng, params, fa)
     mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
     va = evaluate_dual(replay(fa, eta, traj, params, exact=True), mu)
     vb = evaluate_dual(replay(fb, eta, traj, params, exact=True), mu)
@@ -80,12 +79,12 @@ def coupling_linearity_holds(rng, n=3, params=None):
     return va + vb == vs
 
 
-def normalization_holds(rng, n=3, params=None):
-    """f = 1 on every coordinate stays exactly 1 along any path."""
-    if params is None:
-        params = random_model(rng)
-    f = TensorFunction.indicator_power(DyadicSet.full(), n)
-    eta, traj = _random_trajectory(rng, params, f, n)
+def normalization_holds(rng):
+    """On a random model, f = 1 on each of 3 coordinates stays exactly 1
+    along any path."""
+    params = random_model(rng)
+    f = TensorFunction.indicator_power(DyadicSet.full(), 3)
+    eta, traj = _random_trajectory(rng, params, f)
     state = replay(f, eta, traj, params, exact=True)
     mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
     return evaluate_dual(state, mu) == 1

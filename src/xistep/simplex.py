@@ -17,6 +17,15 @@ MAX_ATOM_SUPPORT = 8
 # largest block count a rate table (hence b_max and an exact order) covers
 MAX_BLOCKS = 20
 
+# the named collision rates of up to four lineages ->
+# (block count, merge sizes, untouched blocks)
+NAMED_RATES = {"a2": (2, (2,), 0), "a21": (3, (2,), 1), "a3": (3, (3,), 0),
+               "a211": (4, (2,), 2), "a22": (4, (2, 2), 0),
+               "a31": (4, (3,), 1), "a4": (4, (4,), 0)}
+# the consistency identities among them: rate = sum of rates
+_NAMED_IDENTITIES = (("a2", ("a21", "a3")), ("a3", ("a31", "a4")),
+                     ("a21", ("a211", "a22", "a31")))
+
 
 @dataclass(frozen=True)
 class SimplexAtom:
@@ -238,22 +247,16 @@ class ConsistencyReport:
 
 def check_consistency(table):
     """Verify the sampling-consistency identities exactly: restricting the
-    (b+1)-block chain to [b] must reproduce the b-block rates. Includes the
-    named identities a2 = a21 + a3, a3 = a31 + a4, a21 = a211 + a22 + a31."""
+    (b+1)-block chain to [b] must reproduce the b-block rates. The named
+    identities among `NAMED_RATES` come first: a2 = a21 + a3,
+    a3 = a31 + a4, a21 = a211 + a22 + a31."""
     if table.b_max < 4:
         raise ValueError("consistency check needs a table covering b <= 4")
     checks = []
-    named = {
-        "a2 = a21 + a3": ((2, (2,), 0), [(3, (2,), 1, 1), (3, (3,), 0, 1)]),
-        "a3 = a31 + a4": ((3, (3,), 0), [(4, (3,), 1, 1), (4, (4,), 0, 1)]),
-        "a21 = a211 + a22 + a31": ((3, (2,), 1),
-                                   [(4, (2,), 2, 1), (4, (2, 2), 0, 1),
-                                    (4, (3,), 1, 1)]),
-    }
-    for name, (lhs_key, rhs_terms) in named.items():
-        lhs = table.rate_of(*lhs_key)
-        rhs = sum(c * table.rate_of(b, ks, s) for b, ks, s, c in rhs_terms)
-        checks.append((name, lhs, rhs, lhs == rhs))
+    for lhs, terms in _NAMED_IDENTITIES:
+        rate = table.rate_of(*NAMED_RATES[lhs])
+        rhs = sum(table.rate_of(*NAMED_RATES[t]) for t in terms)
+        checks.append((f"{lhs} = {' + '.join(terms)}", rate, rhs, rate == rhs))
     for b in range(2, table.b_max):
         for prof, rate, _ in table.profiles(b):
             rhs = table.rate_of(b + 1, prof.merge_sizes, prof.s + 1)

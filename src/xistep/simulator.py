@@ -453,8 +453,7 @@ def genealogical_evaluate(f, eta, mu, t, replicas, params, seed):
     types at the top of the genealogy from the colony laws mu = (mu1, mu2)
     and runs mutation paths down each lineage segment; f (a tensor of
     indicator-style factors) is evaluated at the leaves."""
-    values = _fan_out(_replica_values, (f, eta, mu, t, params, seed, True),
-                      replicas, 1)
+    values = _replica_values(f, eta, mu, t, params, seed, True, 0, replicas)
     return _mc(values, replicas, seed)
 
 

@@ -141,6 +141,14 @@ class TestStationary:
         assert row["exact"] == "1/2"
         assert row["mean"] == 0.5 and row["std_error"] == 0
 
+    def test_mc_single_replica_has_zero_std_error(self, tmp_path):
+        payload = dict(ATOM_CFG, options={"mode": "mc", "indices": [[2, 1]]})
+        cfg = write_cfg(tmp_path, payload)
+        status, text = run(tmp_path, ["stationary", "--config", cfg,
+                                      "--replicas", "1"])
+        assert status == 0
+        row = json.loads(text)["estimates"]["2,1"]
+        assert row["replicas"] == 1 and row["std_error"] == 0.0
 
     @pytest.mark.parametrize("command", ["stationary", "hausdorff"])
     def test_exact_orders_up_to_b_max(self, tmp_path, command):
@@ -182,6 +190,28 @@ class TestReversibility:
         assert report["probes"]["S1"]["residual"] == "0"
         assert report["probes"]["final_contradiction"]["residual"] != "0"
 
+    def test_no_coalescence_is_outside_the_hypotheses(self, tmp_path):
+        cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, xi={}))
+        status, text = run(tmp_path, ["reversibility", "--config", cfg])
+        assert status == 0
+        assert json.loads(text)["verdict"] == \
+            "outside theorem hypotheses (no pairwise coalescence)"
+
+    def test_reference_mass_one_detects_nothing(self, tmp_path):
+        # with e_star = [0, 1] every moment is 1, so every residual vanishes;
+        # the atom's triple collisions leave out the final contradiction
+        payload = dict(ATOM_CFG, e_star={"level": 0, "cells": [0]},
+                       alpha="1")
+        cfg = write_cfg(tmp_path, payload)
+        status, text = run(tmp_path, ["reversibility", "--config", cfg])
+        assert status == 0
+        report = json.loads(text)
+        assert report["verdict"] == \
+            "no probe detected irreversibility at tested orders"
+        assert all(report["probes"][name]["residual"] == "0"
+                   for name in ("S1", "T1", "F1", "F2"))
+        assert "final_contradiction" not in report["probes"]
+
 
 class TestHausdorffCommand:
     def test_kingman_passes(self, tmp_path):
@@ -207,6 +237,25 @@ class TestHausdorffCommand:
 
 
 class TestDeterminism:
+    def test_report_goes_to_stdout_without_out(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, KINGMAN_CFG)
+        _, text = run(tmp_path, ["rates", "--config", cfg])
+        capsys.readouterr()
+        assert main(["rates", "--config", cfg]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_flags_act_as_the_config_fields(self, tmp_path):
+        payload = dict(ATOM_CFG, options={"mode": "mc", "order": 2})
+        flagged = write_cfg(tmp_path, payload, "flagged.json")
+        direct = write_cfg(tmp_path, dict(payload, seed=11, replicas=40),
+                           "direct.json")
+        _, by_flags = run(tmp_path, ["stationary", "--config", flagged,
+                                     "--seed", "11", "--replicas", "40"])
+        _, by_config = run(tmp_path, ["stationary", "--config", direct])
+        a, b = json.loads(by_flags), json.loads(by_config)
+        assert a.pop("config_sha256") != b.pop("config_sha256")
+        assert a == b and a["seed"] == 11
+
     def test_byte_identical_reruns(self, tmp_path):
         payload = dict(KINGMAN_CFG, options={"mode": "mc", "order": 2})
         cfg = write_cfg(tmp_path, payload)

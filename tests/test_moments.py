@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xistep import (HausdorffReport, MomentPolynomial, ScalarParams,
-                    build_rate_table, generator_on_monomial, hausdorff_check,
-                    order_indices, solve_stationary, stationary_system)
+from xistep import (HausdorffReport, MomentPolynomial, RateTable,
+                    ScalarParams, build_rate_table, generator_on_monomial,
+                    hausdorff_check, order_indices, solve_stationary,
+                    stationary_system)
 from xistep.linalg import solve_exact, solve_tridiagonal
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, SWEEP, kingman_scalar, \
@@ -140,6 +141,28 @@ class TestScalarParamsTable:
         ScalarParams(F(1), F(1, 2), F(1), F(1), a2=F(1), table=table)
         with pytest.raises(ValueError, match="a2"):
             ScalarParams(F(1), F(1, 2), F(1), F(1), a2=F(2), table=table)
+
+    def test_negative_migration_refused(self):
+        # moments solved at u1 = -1 used to fail `hausdorff_check` silently
+        with pytest.raises(ValueError, match="u1 must be nonnegative"):
+            ScalarParams(F(1), F(1, 2), F(-1), F(1), a2=F(1), a21=F(1),
+                         a211=F(1))
+
+    def test_negative_named_rate_refused(self):
+        # consistent rates that used to end in a zero pivot
+        with pytest.raises(ValueError, match="a2 must be nonnegative"):
+            ScalarParams(F(1), F(1, 2), F(1), F(1), a2=F(-3), a21=F(-3),
+                         a211=F(-3))
+
+    def test_negative_table_rate_names_the_profile(self):
+        table = build_rate_table(KINGMAN, 5)
+        rows = dict(table.rows)
+        prof, _, mult = rows[5][0]
+        rows[5] = ((prof, F(-1), mult),) + rows[5][1:]
+        with pytest.raises(ValueError,
+                           match=r"n=5, merge_sizes=\(2,\), s=3"):
+            ScalarParams.from_rate_table(RateTable(5, rows), F(1), F(1, 2),
+                                         F(1), F(1))
 
     def test_table_does_not_enter_equality(self):
         small = kingman_scalar()

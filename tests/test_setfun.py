@@ -30,18 +30,8 @@ class TestDyadicSet:
         a = interval(0, 2, 2)           # [0, 1/2)
         b = interval(1, 3, 2)           # [1/4, 3/4)
         assert a.intersection(b) == interval(1, 2, 2)
-        assert a.union(b) == interval(0, 3, 2)
         assert a.complement() == interval(2, 4, 2)
         assert a.complement().complement() == a
-
-    def test_lebesgue(self):
-        assert interval(1, 3, 2).lebesgue == F(1, 2)
-        assert DyadicSet.empty().lebesgue == 0
-
-    def test_contains(self):
-        a = interval(0, 1, 1)
-        assert a.contains(F(0)) and a.contains(F(49, 100))
-        assert not a.contains(F(1, 2))
 
 
 class TestSetFunction:
@@ -94,13 +84,24 @@ class TestBaseMeasure:
         assert mu.measure(DyadicSet.full()) == 1
 
     def test_measure_of_empty_set_is_rational(self):
-        mass = BaseMeasure.uniform().measure(DyadicSet.empty())
+        mass = BaseMeasure.uniform().measure(DyadicSet(0, frozenset()))
         assert mass == 0 and type(mass) is F
 
     def test_sample_in_support(self):
         mu = BaseMeasure(1, (F(2), F(0)))
         rng = random.Random(3)
         assert all(mu.sample(rng) < 0.5 for _ in range(200))
+
+    def test_sample_hits_atoms_at_their_mass(self):
+        # mass 1/4 at 1/8 and 1/4 at 1, density 1 on [1/2, 1)
+        mu = BaseMeasure(1, (F(0), F(1)),
+                         atoms=((F(1, 8), F(1, 4)), (F(1), F(1, 4))))
+        rng = random.Random(4)
+        draws = [mu.sample(rng) for _ in range(4000)]
+        assert all(x == 0.125 or 0.5 <= x <= 1 for x in draws)
+        for atom in (0.125, 1.0):
+            share = draws.count(atom) / len(draws)
+            assert abs(share - 0.25) < 0.03
 
 
 def _float_integral_oracle(base, level, coeffs):
