@@ -144,6 +144,9 @@ def cmd_stationary(cfg, args):
     report = _meta(cfg)
     report["command"] = "stationary"
     if mode == "exact":
+        if args.replicas is not None:
+            raise ConfigError("replicas", "--replicas sets the Monte Carlo "
+                              "replica count; exact mode draws none")
         order = _order(cfg, 2)
         moments = solve_stationary(order, cfg.scalar_params(order))
         report["moments"] = {f"{n},{m}": format_rational(v)
@@ -289,6 +292,10 @@ COMMANDS = {"rates": cmd_rates, "simulate": cmd_simulate, "qt": cmd_qt,
             "reversibility": cmd_reversibility, "selftest": cmd_selftest}
 
 
+# the commands that draw replicas, and so take --replicas
+_MONTE_CARLO = ("qt", "stationary")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="xistep",
@@ -299,7 +306,8 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "selftest"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--replicas", type=int, default=None)
+        if name in _MONTE_CARLO:
+            p.add_argument("--replicas", type=int, default=None)
         p.add_argument("--out", default=None)
     return parser
 
@@ -308,13 +316,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
-        if args.replicas is not None:
-            parse_int(args.replicas, "replicas", low=1)
+        replicas = getattr(args, "replicas", None)
+        if replicas is not None:
+            parse_int(replicas, "replicas", low=1)
         if cfg is not None:   # --seed and --replicas override the config
             cfg = dataclasses.replace(
                 cfg, seed=cfg.seed if args.seed is None else args.seed,
-                replicas=(cfg.replicas if args.replicas is None
-                          else args.replicas))
+                replicas=cfg.replicas if replicas is None else replicas)
         report, status = COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

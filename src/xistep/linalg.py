@@ -1,9 +1,10 @@
-"""Exact linear solves over the rationals.
+"""Exact linear solves.
 
-`solve_tridiagonal` is the solver the moment engine runs: Thomas
-elimination, forward sweep and back substitution without pivoting, O(n)
-rational operations. `solve_exact` is dense Gauss-Jordan; it is kept as the
-oracle the tridiagonal solves are checked against.
+`solve_tridiagonal` is the solver the moment engine runs: fraction-free
+elimination of an integer tridiagonal system, O(n) integer operations and
+no rationals at all. `solve_exact` is dense Gauss-Jordan over the
+rationals; it is kept as the oracle the tridiagonal solves are checked
+against.
 """
 
 from fractions import Fraction
@@ -34,35 +35,51 @@ def solve_exact(matrix, rhs):
 
 
 def solve_tridiagonal(matrix, rhs):
-    """Thomas elimination of a square tridiagonal system given as a dense
-    matrix. Returns (solution, determinant), the determinant being the
-    product of the pivots (no rows are exchanged). Raises ValueError if a
+    """Fraction-free elimination of a square tridiagonal system with
+    integer entries and integer right side, given as a dense matrix.
+    Returns (X, det): det is the determinant and the solution is
+    x_i = X_i / det, with every X_i an integer. Raises ValueError if a
     nonzero coefficient lies off the three diagonals, and
-    ValueError("singular matrix") on a zero pivot.
+    ValueError("singular matrix") on a zero leading minor.
 
-    A strictly diagonally dominant matrix has no zero pivot. The stationary
-    moment systems are: row (n, m) has the off-diagonal terms m u1 and
-    n u2, and its diagonal is minus their sum, minus theta (n + m) / 2 and
-    the collision rates, so theta > 0 with nonnegative migration and
-    collision rates suffices."""
+    With diagonal a_i, sub-diagonal l_i = matrix[i][i-1] and
+    super-diagonal c_i = matrix[i][i+1], the continuants
+    theta_0 = 1, theta_{i+1} = a_i theta_i - l_i c_{i-1} theta_{i-1} are the
+    leading principal minors, theta_n = det. Thomas elimination's pivots
+    are theta_{i+1} / theta_i and its forward values are F_i / theta_{i+1}
+    with F_i = theta_i v_i - l_i F_{i-1}. Back substitution from
+    X_{n-1} = F_{n-1} is X_i = (theta_n F_i - c_i theta_i X_{i+1}) /
+    theta_{i+1}. Every such division is exact: X_i = det * x_i is, by
+    Cramer's rule, the determinant of the matrix with column i replaced by
+    the right side, an integer.
+
+    A strictly diagonally dominant matrix has no zero leading minor, hence
+    no zero continuant. The stationary moment systems are: row (n, m) has
+    the off-diagonal terms m u1 and n u2, and its diagonal is minus their
+    sum, minus theta (n + m) / 2 and the collision rates, so theta > 0
+    with nonnegative migration and collision rates suffices. Scaling a row
+    by a positive integer keeps it dominant."""
     n = len(matrix)
     for i, row in enumerate(matrix):
         if any(row[j] != 0 for j in range(n) if abs(i - j) > 1):
             raise ValueError(f"row {i} has a coefficient off the band")
-    det = Fraction(1)
-    upper, forward = [], []   # eliminated super-diagonal and right side
+    theta = [1]
+    forward = []
     for i, row in enumerate(matrix):
-        pivot, value = Fraction(row[i]), Fraction(rhs[i])
         if i:
-            pivot -= row[i - 1] * upper[i - 1]
-            value -= row[i - 1] * forward[i - 1]
-        if pivot == 0:
+            low = row[i - 1]
+            theta.append(row[i] * theta[i]
+                         - low * matrix[i - 1][i] * theta[i - 1])
+            forward.append(theta[i] * rhs[i] - low * forward[i - 1])
+        else:
+            theta.append(row[0])
+            forward.append(rhs[0])
+        if theta[i + 1] == 0:
             raise ValueError("singular matrix")
-        det *= pivot
-        if i + 1 < n:
-            upper.append(row[i + 1] / pivot)
-        forward.append(value / pivot)
+    det = theta[n]
     solution = forward
     for i in reversed(range(n - 1)):
-        solution[i] -= upper[i] * solution[i + 1]
+        solution[i] = ((det * forward[i]
+                        - matrix[i][i + 1] * theta[i] * solution[i + 1])
+                       // theta[i + 1])
     return solution, det

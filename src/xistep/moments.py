@@ -3,7 +3,9 @@ and the complete-monotonicity (moment-problem) check.
 
 M[n, m] denotes the stationary expectation of the colony-1 mass of a fixed
 reference set raised to n times the colony-2 mass raised to m; M[0, 0] = 1.
-All arithmetic here is exact rational.
+All arithmetic here is exact. The generator's coefficients are Fractions;
+the stationary solve and the Hausdorff table run on integers over one
+common denominator and build Fractions only for the values they return.
 """
 
 import math
@@ -96,7 +98,8 @@ class MomentPolynomial(dict):
             self.add(idx, c)
 
     def add(self, idx, c):
-        c = c + self.get(idx, Fraction(0))
+        if idx in self:
+            c = c + self[idx]
         if c == 0:
             self.pop(idx, None)
         else:
@@ -114,7 +117,21 @@ class MomentPolynomial(dict):
         return out
 
     def evaluate(self, values):
-        return sum(c * values[idx] for idx, c in self.items())
+        """sum(c * values[idx]) for rational values (Fraction or int).
+        Products that share a denominator are added as integers, the
+        distinct denominators are brought to their lcm and the sum is
+        reduced once."""
+        parts = {}
+        for idx, c in self.items():
+            v = values[idx]
+            den = c.denominator * v.denominator
+            parts[den] = parts.get(den, 0) + c.numerator * v.numerator
+        common = 1
+        for den in parts:
+            if common % den:
+                common = math.lcm(common, den)
+        return Fraction(sum(num * (common // den)
+                            for den, num in parts.items()), common)
 
     def substitute(self, knowns):
         """Replace the given indices by fixed values (folded into the
@@ -132,15 +149,19 @@ def generator_on_monomial(idx, params, rate_table=None):
     """Forward-generator action on the (n, m) moment monomial as a
     MomentPolynomial: mutation, same-colony coalescence (grouped by block
     drop, rates from `params.table`), and per-block migration
-    differences."""
+    differences. The diagonal, everything that leaves (n, m), is summed
+    once. Only field operations are used: Fraction parameters give Fraction
+    coefficients."""
     _check_table(params, rate_table)
     n, m = idx
     poly = MomentPolynomial()
     if n == m == 0:
         return poly
-    theta, alpha = params.theta, params.alpha
+    theta, alpha, table = params.theta, params.alpha, params.table
+    poly.add((n, m), -(theta * (n + m) / 2 + table.total_drop_rate(n)
+                       + table.total_drop_rate(m)
+                       + m * params.u1 + n * params.u2))
     # mutation: each variable independently at rate theta/2
-    poly.add((n, m), -theta * (n + m) / 2)
     if n:
         poly.add((n - 1, m), theta * alpha * n / 2)
     if m:
@@ -148,18 +169,15 @@ def generator_on_monomial(idx, params, rate_table=None):
     # coalescence within each colony
     for count, other, place in ((n, m, 0), (m, n, 1)):
         if count >= 2:
-            for drop, rate in params.table.drop_rates(count):
+            for drop, rate in table.drop_rates(count):
                 low = ((count - drop, other) if place == 0
                        else (other, count - drop))
                 poly.add(low, rate)
-                poly.add((n, m), -rate)
     # migration, per block
     if m:
         poly.add((n + 1, m - 1), m * params.u1)
-        poly.add((n, m), -m * params.u1)
     if n:
         poly.add((n - 1, m + 1), n * params.u2)
-        poly.add((n, m), -n * params.u2)
     return poly
 
 
@@ -184,32 +202,64 @@ def stationary_system(N, params, rate_table=None):
     solved exactly with the lower orders substituted as knowns. Migration
     couples (n, m) only to (n + 1, m - 1) and (n - 1, m + 1), and every
     other term of the generator lowers the order, so each order's system
-    is tridiagonal."""
+    is tridiagonal.
+
+    The solve runs on Python ints. Each row, the generator on one
+    monomial, is multiplied by the lcm of its coefficients' denominators.
+    The knowns are integer numerators over one common denominator D, so
+    each right-hand side is an integer combination of them over D.
+    `solve_tridiagonal` returns the order's solution as integers over
+    det * D. D grows, and every numerator is rescaled, only when a
+    solution's reduced denominator does not divide it. Fractions are built
+    only for what the returned LinearSystem records: the unscaled matrix
+    (the generator's own coefficients), the right sides, the determinant
+    and the solution."""
     _check_table(params, rate_table)
-    knowns = {(0, 0): Fraction(1)}
+    common = 1                   # D: each known is numerators[idx] / D
+    numerators = {(0, 0): 1}
     systems = []
     for k in range(1, N + 1):
         unknowns = order_indices(k)
         pos = {idx: j for j, idx in enumerate(unknowns)}
-        matrix, rhs = [], []
+        matrix, scaled, lifted, scales = [], [], [], []
         for idx in unknowns:
             poly = generator_on_monomial(idx, params)
+            # a list, not a generator: a tuple built from a generator is
+            # resized, and the tuple free lists keep every resized one
+            scale = math.lcm(*[c.denominator for c in poly.values()])
             row = [Fraction(0)] * len(unknowns)
-            b = Fraction(0)
+            int_row = [0] * len(unknowns)
+            b = 0
             for jdx, c in poly.items():
+                ci = c.numerator * (scale // c.denominator)
                 if jdx in pos:
                     row[pos[jdx]] = c
-                elif jdx in knowns:
-                    b -= c * knowns[jdx]
+                    int_row[pos[jdx]] = ci
+                elif jdx in numerators:
+                    b -= ci * numerators[jdx]
                 else:
                     raise AssertionError(f"index {jdx} unresolved at order {k}")
-            matrix.append(row)
-            rhs.append(b)
-        solution, det = solve_tridiagonal(matrix, rhs)
-        sol = dict(zip(unknowns, solution))
-        systems.append(LinearSystem(unknowns, tuple(map(tuple, matrix)),
-                                    tuple(rhs), det, sol))
-        knowns.update(sol)
+            matrix.append(tuple(row))
+            scaled.append(int_row)
+            lifted.append(b)
+            scales.append(scale)
+        numers, det = solve_tridiagonal(scaled, lifted)
+        solution = [Fraction(x, det * common) for x in numers]
+        rhs = tuple(Fraction(b, scale * common)
+                    for b, scale in zip(lifted, scales))
+        systems.append(LinearSystem(unknowns, tuple(matrix), rhs,
+                                    Fraction(det, math.prod(scales)),
+                                    dict(zip(unknowns, solution))))
+        grown = common
+        for x in solution:
+            if grown % x.denominator:
+                grown = math.lcm(grown, x.denominator)
+        if grown != common:
+            factor = grown // common
+            numerators = {idx: v * factor for idx, v in numerators.items()}
+            common = grown
+        for idx, x in zip(unknowns, solution):
+            numerators[idx] = x.numerator * (common // x.denominator)
     return systems
 
 

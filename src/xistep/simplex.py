@@ -218,6 +218,17 @@ class RateTable:
         self._covers(b)
         return self._drop_rates.get(b, ())
 
+    @cached_property
+    def _total_drop_rates(self):
+        return {b: sum(total for _, total in drops)
+                for b, drops in self._drop_rates.items()}
+
+    def total_drop_rate(self, b):
+        """The sum of `drop_rates(b)`: the rate at which b blocks see any
+        collision at all."""
+        self._covers(b)
+        return self._total_drop_rates.get(b, 0)
+
 
 def build_rate_table(xi, b_max=8):
     """Tabulate rates and multiplicities for all profiles with n <= b_max."""

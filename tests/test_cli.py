@@ -441,6 +441,14 @@ class TestErrors:
         ("reversibility", {"b_max": 3}, None, "at least 4"),
         # simulate's default eta [1, 1] past b_max
         ("simulate", {"b_max": 1}, None, "b_max: options.eta"),
+        # --replicas only on the commands that draw replicas: argparse
+        # refuses it elsewhere, exact stationary names the field
+        ("rates --replicas 5", {}, None, "--replicas"),
+        ("simulate --replicas 5", {}, None, "--replicas"),
+        ("hausdorff --replicas 5", {}, None, "--replicas"),
+        ("reversibility --replicas 5", {}, None, "--replicas"),
+        ("selftest --replicas 5", {}, None, "--replicas"),
+        ("stationary --replicas 5", {}, None, "replicas: --replicas"),
     ]
 
     # ids number the cases and leave the command out
@@ -453,7 +461,10 @@ class TestErrors:
         if env is not None:
             monkeypatch.setenv("XISTEP_THREADS", env)
         cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, **change))
-        status, _ = run(tmp_path, [command, "--config", cfg])
+        try:
+            status, _ = run(tmp_path, command.split() + ["--config", cfg])
+        except SystemExit as e:   # argparse's usage error
+            status = e.code
         err = capsys.readouterr().err
         assert status == 2
         assert needle in err and "Traceback" not in err

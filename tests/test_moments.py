@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xistep import (HausdorffReport, MomentPolynomial, RateTable,
-                    ScalarParams, build_rate_table, generator_on_monomial,
-                    hausdorff_check, order_indices, solve_stationary,
-                    stationary_system)
+                    ScalarParams, XiMeasure, build_rate_table,
+                    generator_on_monomial, hausdorff_check, order_indices,
+                    solve_stationary, stationary_system)
 from xistep.linalg import solve_exact, solve_tridiagonal
+from xistep.moments import LinearSystem
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, SWEEP, kingman_scalar, \
     rand_consistent_params, seeded
@@ -199,6 +200,23 @@ class TestMomentPolynomial:
         out = a.substitute({(1, 0): F(1, 3)})
         assert dict(out) == {(0, 0): F(2, 3), (2, 0): F(1)}
 
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.fractions(-3, 3, max_denominator=12),
+                  st.one_of(st.fractions(-2, 2, max_denominator=40),
+                            st.integers(-5, 5))),
+        max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_is_the_plain_sum(self, terms):
+        """Empty polynomials, zero coefficients, mixed denominators, and
+        Fraction and int values."""
+        poly = MomentPolynomial({idx: c for idx, (c, _) in terms.items()})
+        values = {idx: v for idx, (_, v) in terms.items()}
+        assert all(c != 0 for c in poly.values())
+        assert set(poly) == {idx for idx, (c, _) in terms.items() if c}
+        assert poly.evaluate(values) == sum(c * values[idx]
+                                            for idx, c in poly.items())
+
 
 class TestStationarySolutions:
     def test_first_moments_are_alpha(self):
@@ -292,25 +310,129 @@ class TestSolveExact:
         assert c * sol[0] + d * sol[1] == 2
 
 
+def fraction_thomas(matrix, rhs):
+    """Oracle for `solve_tridiagonal`: Thomas elimination in Fractions.
+    Returns (solution, determinant), the determinant being the product of
+    the pivots."""
+    n = len(matrix)
+    det = F(1)
+    upper, forward = [], []
+    for i, row in enumerate(matrix):
+        pivot, value = F(row[i]), F(rhs[i])
+        if i:
+            pivot -= row[i - 1] * upper[i - 1]
+            value -= row[i - 1] * forward[i - 1]
+        if pivot == 0:
+            raise ValueError("singular matrix")
+        det *= pivot
+        if i + 1 < n:
+            upper.append(row[i + 1] / pivot)
+        forward.append(value / pivot)
+    solution = forward
+    for i in reversed(range(n - 1)):
+        solution[i] -= upper[i] * solution[i + 1]
+    return solution, det
+
+
+def fraction_stationary_system(N, params):
+    """Oracle for `stationary_system`: rows straight from
+    `generator_on_monomial`, right sides summed in Fractions over the
+    Fraction knowns, and `fraction_thomas`."""
+    knowns = {(0, 0): F(1)}
+    systems = []
+    for k in range(1, N + 1):
+        unknowns = order_indices(k)
+        pos = {idx: j for j, idx in enumerate(unknowns)}
+        matrix, rhs = [], []
+        for idx in unknowns:
+            row = [F(0)] * len(unknowns)
+            b = F(0)
+            for jdx, c in generator_on_monomial(idx, params).items():
+                if jdx in pos:
+                    row[pos[jdx]] = c
+                else:
+                    b -= c * knowns[jdx]
+            matrix.append(tuple(row))
+            rhs.append(b)
+        solution, det = fraction_thomas(matrix, rhs)
+        sol = dict(zip(unknowns, solution))
+        systems.append(LinearSystem(unknowns, tuple(matrix), tuple(rhs),
+                                    det, sol))
+        knowns.update(sol)
+    return systems
+
+
+def integer_rows(system):
+    """A LinearSystem on integers: each row of the matrix times the lcm
+    of its denominators, the right side scaled alike and then times L, the
+    lcm of what denominators it still has. Returns (matrix, rhs, the
+    product of the row multipliers, L)."""
+    matrix, rhs, scales = [], [], 1
+    for row, b in zip(system.matrix, system.rhs):
+        scale = math.lcm(*(c.denominator for c in row))
+        matrix.append([int(c * scale) for c in row])
+        rhs.append(b * scale)
+        scales *= scale
+    common = math.lcm(*(b.denominator for b in rhs))
+    return matrix, [int(b * common) for b in rhs], scales, common
+
+
+@st.composite
+def integer_tridiagonal(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-6, 6)
+    matrix = [[draw(entries) if abs(i - j) <= 1 else 0 for j in range(n)]
+              for i in range(n)]
+    return matrix, [draw(st.integers(-20, 20)) for _ in range(n)]
+
+
 class TestSolveTridiagonal:
     def test_known_system(self):
-        m = [[F(2), F(1), F(0)], [F(1), F(3), F(1)], [F(0), F(1), F(4)]]
-        sol, det = solve_tridiagonal(m, [F(3), F(5), F(5)])
-        assert det == 18 and sol == [F(1), F(1), F(1)]
+        m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+        numers, det = solve_tridiagonal(m, [3, 5, 5])
+        assert det == 18 and numers == [18, 18, 18]
+        # the same system over a right side with no integer solution
+        numers, det = solve_tridiagonal(m, [1, 0, 0])
+        assert det == 18 and numers == [11, -4, 1]
+        assert all(type(x) is int for x in numers + [det])
+
+    def test_empty_system(self):
+        assert solve_tridiagonal([], []) == ([], 1)
 
     def test_off_band_coefficient_raises(self):
-        m = [[F(2), F(0), F(1)], [F(0), F(3), F(0)], [F(0), F(0), F(4)]]
+        m = [[2, 0, 1], [0, 3, 0], [0, 0, 4]]
         with pytest.raises(ValueError, match="off the band"):
-            solve_tridiagonal(m, [F(1), F(1), F(1)])
+            solve_tridiagonal(m, [1, 1, 1])
 
     def test_zero_pivot_raises(self):
         with pytest.raises(ValueError, match="singular matrix"):
-            solve_tridiagonal([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+            solve_tridiagonal([[1, 2], [2, 4]], [1, 1])
+        # a zero leading minor, though the matrix itself is regular
+        with pytest.raises(ValueError, match="singular matrix"):
+            solve_tridiagonal([[0, 1], [1, 0]], [1, 1])
+
+    @given(integer_tridiagonal())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_gauss_jordan_on_integer_systems(self, system):
+        """Equal to the dense oracle wherever every leading minor is
+        nonzero; otherwise the error names the singular matrix."""
+        matrix, rhs = system
+        minors = [leading_minor(matrix, k) for k in range(1, len(matrix) + 1)]
+        if 0 in minors:
+            with pytest.raises(ValueError, match="singular matrix"):
+                solve_tridiagonal(matrix, rhs)
+            return
+        numers, det = solve_tridiagonal(matrix, rhs)
+        assert (det, [F(x, det) for x in numers]) == \
+            (minors[-1], solve_exact(matrix, rhs)[0])
+        assert fraction_thomas(matrix, rhs) == \
+            ([F(x, det) for x in numers], det)
 
     def test_matches_gauss_jordan_on_every_system(self):
         """Solutions and determinants equal the dense oracle's at orders
         1-12 on the sweep measure, at 20 random (theta, alpha, u1, u2),
-        and at orders 1-4 on the random named rates themselves."""
+        and at orders 1-4 on the random named rates themselves: both the
+        recorded Fraction system and its integer rows."""
         rng = seeded(41)
         table = build_rate_table(SWEEP, 12)
         params = [ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1),
@@ -321,10 +443,84 @@ class TestSolveTridiagonal:
                 table, p.theta, p.alpha, p.u1, p.u2)]
         for p in params:
             for system in stationary_system(p.table.b_max, p):
+                want = [system.solution[u] for u in system.unknowns]
                 solution, det = solve_exact(system.matrix, system.rhs)
                 assert det == system.determinant
-                assert solution == [system.solution[u]
-                                    for u in system.unknowns]
+                assert solution == want
+                matrix, rhs, scales, common = integer_rows(system)
+                numers, det = solve_tridiagonal(matrix, rhs)
+                assert det == scales * system.determinant
+                assert [F(x, det * common) for x in numers] == want
+
+
+def leading_minor(matrix, k):
+    """The determinant of the top-left k x k block, by the dense oracle."""
+    try:
+        return solve_exact([row[:k] for row in matrix[:k]], [0] * k)[1]
+    except ValueError:
+        return 0
+
+
+# the perfbench exact_sweep grid of (theta, alpha, u1, u2)
+SWEEP_GRID = ((1, F(1, 2), 1, 2), (F(3, 2), F(1, 3), 2, 1),
+              (F(1, 2), F(3, 4), 1, 1), (2, F(1, 4), 1, 3),
+              (1, F(1, 8), 3, 2), (F(5, 2), F(5, 8), F(1, 2), 1),
+              (3, F(1, 2), 2, 2))
+
+
+class TestIntegerEngine:
+    """`stationary_system` on integers against the Fraction path it
+    replaced: every field of every LinearSystem is equal."""
+
+    @staticmethod
+    def assert_fraction_path(N, p):
+        got = stationary_system(N, p)
+        want = fraction_stationary_system(N, p)
+        assert len(got) == len(want) == N
+        for g, w in zip(got, want):
+            for name in ("unknowns", "matrix", "rhs", "determinant",
+                         "solution"):
+                assert getattr(g, name) == getattr(w, name), (name, g.unknowns)
+            assert all(type(v) is F for v in g.rhs
+                       + (g.determinant,) + tuple(g.solution.values()))
+
+    def test_sweep_grid_orders_1_to_12(self):
+        """At 4 of these 7 points some order's reduced denominator does not
+        divide the common denominator so far, which is then lcm'd."""
+        table = build_rate_table(SWEEP, 12)
+        for point in SWEEP_GRID:
+            self.assert_fraction_path(
+                12, ScalarParams.from_rate_table(table, *point))
+
+    def test_random_params(self):
+        """The named 4-block rates, and their (theta, alpha, u1, u2) on
+        the sweep table."""
+        rng = seeded(42)
+        table = build_rate_table(SWEEP, 12)
+        for _ in range(20):
+            p = rand_consistent_params(rng)
+            self.assert_fraction_path(4, p)
+            self.assert_fraction_path(12, ScalarParams.from_rate_table(
+                table, p.theta, p.alpha, p.u1, p.u2))
+
+    def test_order_20(self):
+        xi = XiMeasure(F(1), ATOM_HALF_QUARTER.atoms)
+        table = build_rate_table(xi, 20)
+        self.assert_fraction_path(
+            20, ScalarParams.from_rate_table(table, F(3, 2), F(1, 3), F(1),
+                                             F(2)))
+
+    @pytest.mark.parametrize("xi,theta,alpha,u1,u2", [
+        (SWEEP, 1, 0, 1, 2), (SWEEP, 1, 1, 1, 2),
+        (SWEEP, F(1, 3), F(1, 2), 0, 2), (SWEEP, 2, F(1, 2), 1, 0),
+        (SWEEP, 1, F(1, 2), 0, 0), (XiMeasure(), 1, F(1, 2), 1, 2),
+        (XiMeasure(), F(1, 7), F(3, 8), 0, F(1, 3))],
+        ids=["alpha0", "alpha1", "u1_zero", "u2_zero", "no_migration",
+             "no_collisions", "no_collisions_u1_zero"])
+    def test_degenerate_corners(self, xi, theta, alpha, u1, u2):
+        table = build_rate_table(xi, 8)
+        self.assert_fraction_path(8, ScalarParams.from_rate_table(
+            table, theta, alpha, u1, u2))
 
 
 def stencil_hausdorff(psi):
