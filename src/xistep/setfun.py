@@ -7,10 +7,11 @@ products (cell-wise) and integrals exact. Coefficients are Fractions in
 exact mode and may be floats in simulation mode. The simulator's event
 loop does not build set functions: it keeps plain coefficient lists at one
 grid level per run and integrates them with `BaseMeasure.integrate_cells`,
-the routine behind `BaseMeasure.integrate`, or, for float lists, directly
-with `BaseMeasure.float_integrator`, the float branch of `integrate_cells`
-built once per grid level; a `SetFunction` is built where a public
-function returns one.
+the routine behind `BaseMeasure.integrate`, or directly with what that
+routine is built from, once per grid level and cached on the measure:
+`BaseMeasure.float_integrator` for float lists and
+`BaseMeasure.exact_weights` for integer numerators over one denominator.
+A `SetFunction` is built where a public function returns one.
 """
 
 import math
@@ -188,8 +189,9 @@ class BaseMeasure:
                  + sum(m for _, m in atoms))
         if total != 1:
             raise ValueError(f"total mass must be 1, got {total}")
-        # per grid level, the cache of `float_integrator`
-        object.__setattr__(self, "_integrators", {})
+        # per grid level, `float_integrator` and `exact_weights`, and the
+        # float tables of `sample`
+        object.__setattr__(self, "_cache", {})
 
     @classmethod
     def uniform(cls):
@@ -204,16 +206,38 @@ class BaseMeasure:
 
     def integrate_cells(self, level, coeffs):
         """Integral of the step function with one coefficient per cell of
-        the level-`level` grid; `level` is at least `grid_level`."""
+        the level-`level` grid; `level` is at least `grid_level`.
+        Rational coefficients give a Fraction: their integer numerators
+        over the lcm of their denominators, weighed by `exact_weights`
+        and reduced once."""
         if any(type(c) is float for c in coeffs):
             # float fast path for simulation mode
             return self.float_integrator(level)(coeffs)
-        shift = level - self.grid_level
-        total = sum((c * self.densities[i >> shift]
-                     for i, c in enumerate(coeffs) if c),
-                    Fraction(0)) / (1 << level)
-        total += sum(m * coeffs[cell_index(level, p)] for p, m in self.atoms)
-        return total
+        weights, scale = self.exact_weights(level)
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        return Fraction(sum(n * (den // d) * w
+                            for (n, d), w in zip(ratios, weights) if n),
+                        den * scale)
+
+    def exact_weights(self, level):
+        """The exact integral at one grid level as integer cell weights
+        over one denominator, `(weights, scale)`: the integral of a step
+        function with coefficient c_i on cell i is
+        sum(c_i * weights[i]) / scale. A cell weighs its density over the
+        cell count plus the masses of the atoms it holds. Built once per
+        level; `level` is at least `grid_level`."""
+        key = ("exact", level)
+        if key not in self._cache:
+            shift = level - self.grid_level
+            cells = 1 << level
+            w = [self.densities[i >> shift] / cells for i in range(cells)]
+            for p, m in self.atoms:
+                w[cell_index(level, p)] += m
+            scale = math.lcm(*(x.denominator for x in w))
+            self._cache[key] = ([x.numerator * (scale // x.denominator)
+                                 for x in w], scale)
+        return self._cache[key]
 
     def float_integrator(self, level):
         """The float branch of `integrate_cells` at one grid level, as a
@@ -221,8 +245,9 @@ class BaseMeasure:
         atoms' float masses and cells are looked up once per level. It adds
         the nonzero cell terms left to right from 0.0, divides by the cell
         count, then adds the atom terms, summed the same way."""
-        if level in self._integrators:
-            return self._integrators[level]
+        key = ("float", level)
+        if key in self._cache:
+            return self._cache[key]
         shift = level - self.grid_level
         fdens = [float(d) for d in self.densities]
         weights = [fdens[i >> shift] for i in range(1 << level)]
@@ -240,24 +265,31 @@ class BaseMeasure:
                 at_atoms += m * coeffs[i]
             return total + at_atoms
 
-        self._integrators[level] = integral
+        self._cache[key] = integral
         return integral
 
     def __getstate__(self):
-        # the cached integrators are closures, which do not pickle
-        return dict(self.__dict__, _integrators={})
+        # the cache holds closures, which do not pickle
+        return dict(self.__dict__, _cache={})
 
     def sample(self, rng):
-        """Draw a point; density cells are uniform within the cell."""
+        """Draw a point; density cells are uniform within the cell. The
+        atoms' float masses and positions and each cell's float mass are
+        looked up once per measure."""
+        if "sample" not in self._cache:
+            width = 1.0 / (1 << self.grid_level)
+            self._cache["sample"] = (
+                [(float(m), float(p)) for p, m in self.atoms],
+                [float(d) * width for d in self.densities], width)
+        atoms, cells, width = self._cache["sample"]
         u = rng.random()
         acc = 0.0
-        for p, m in self.atoms:
-            acc += float(m)
+        for m, p in atoms:
+            acc += m
             if u < acc:
-                return float(p)
-        width = 1.0 / (1 << self.grid_level)
-        for i, d in enumerate(self.densities):
-            acc += float(d) * width
+                return p
+        for i, w in enumerate(cells):
+            acc += w
             if u < acc:
                 return (i + rng.random()) * width
         return 1.0  # guard against float round-off at the top

@@ -3,35 +3,41 @@ functional evaluation and Monte Carlo moment estimators.
 
 One kernel runs the chain. `_Chain` is the mutable state of one run:
 blocks in least-element order, colony labels and a payload, which is one
-plain list of coefficients per block (floats or Fractions) or, for the
-genealogical skeleton, none: that records lineage segments. Every list
-holds one coefficient per cell of one grid level per run, the highest of
-the start factors' levels and the mutation base's `grid_level`; advance
-and merge act cell by cell and never refine or reduce that level. The
-base integrals are cached until a coalescence, which recomputes all of
-them: a float payload through the base's cached `float_integrator`, the
-float branch of `integrate_cells`. (Reusing the integrals of blocks that
-did not merge would skip work but could change the last bits of a float
-payload, so it is not done.) `_Chain.advance` runs the mutation
-semigroup and `_Chain.apply` a migration or coalescence. Events come from
-the RNG in `_run`, the one loop behind `run_until` and the estimators, or
-from a recorded `Trajectory` in `replay`, the one path with exact
-semigroup factors (`exact=True`: Fraction payloads stay Fractions).
-`_run` draws holding times from the jump rates `ModelParams` tabulates
-per pair of colony block counts, and keeps `EventRecord`s only for
-`run_until`, which returns them. `DualState`, `LabeledPartition`,
-`TensorFunction` and (reduced) `SetFunction`s are built only where a
-public function takes or returns them, and for the final mu-pairing of a
-replica.
+plain list of coefficients per block or, for the genealogical skeleton,
+none: that records lineage segments. Every list holds one coefficient per
+cell of one grid level per run, the highest of the start factors' levels
+and the mutation base's `grid_level`; advance and merge act cell by cell
+and never refine or reduce that level. The base integrals are cached
+until a coalescence, which recomputes all of them: a float payload
+through the base's cached `float_integrator`, the float branch of
+`integrate_cells`. (Reusing the integrals of blocks that did not merge
+would skip work but could change the last bits of a float payload, so it
+is not done.) `_Chain.advance` runs the mutation semigroup and
+`_Chain.apply` a migration or coalescence. Events come from the RNG in
+`_run`, the one loop behind `run_until` and the estimators, or from a
+recorded `Trajectory` in `replay`, the one path with exact semigroup
+factors. With `exact=True` it runs `_ExactChain`, whose payload is, per
+block, integer numerators over one integer denominator: each float decay
+factor is the dyadic rational it represents, the base integral is an
+integer dot product with the base's `exact_weights`, and Fractions are
+built only for the state it returns. `_run` draws holding times from the
+jump rates `ModelParams` tabulates per pair of colony block counts, and
+keeps `EventRecord`s only for `run_until`, which returns them.
+`DualState`, `LabeledPartition`, `TensorFunction` and (reduced)
+`SetFunction`s are built only where a public function takes or returns
+them.
 
-One replica driver, `_replica_values`, serves the three estimators: each
-replica starts a `_Chain` from one float-payload initial state built per
-call, runs to t or to absorption, and yields the mu-pairing of its
-surviving factors or, on the skeleton, the genealogical leaf value. No
-run may exceed `EVENT_CAP` events: a replica that reaches it raises
-instead of returning a value from a truncated path. Replicas draw
-independent random streams derived deterministically from a master seed,
-so every reported number is reproducible.
+One replica driver, `_replica_values`, serves the three estimators. Per
+call it builds what does not depend on the replica: the float start
+payload (`_start`), the pairing of a coefficient list with each colony
+law (`_float_pairing`, the bits of `evaluate_dual` without building
+`SetFunction`s) and, on the skeleton, the float leaf coefficients of f.
+Each replica runs a `_Chain` from that payload to t or to absorption and
+yields the mu-pairing of its surviving factors or, on the skeleton, the
+genealogical leaf value. No run may exceed `EVENT_CAP` events: a replica
+that reaches it raises instead of returning a value from a truncated
+path. Replicas draw independent random streams derived deterministically
+from a master seed, so every reported number is reproducible.
 """
 
 import bisect
@@ -47,8 +53,8 @@ from typing import NamedTuple
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
                          enumerate_partitions, random_partition_with_profile,
                          relabel, singleton_partition)
-from .setfun import (SetFunction, TensorFunction, apply_generator_uniform,
-                     decay_factor, float_sum, sample_mutation_path)
+from .setfun import (SetFunction, TensorFunction, _lift,
+                     apply_generator_uniform, cell_index, float_sum)
 from .simplex import build_rate_table, per_partition_rate
 
 # events one run may take: the estimators raise when a replica reaches it,
@@ -144,27 +150,35 @@ def replica_rng(seed, replica):
     return random.Random(f"xistep:{seed}:{replica}")
 
 
-class _Chain:
-    """Mutable state of one run of the dual (see the module docstring)."""
+def _start(factors, base):
+    """The payload a run starts from, for a tensor's factors under the
+    mutation base `base`: the run's grid level, one coefficient list per
+    factor at that level and the base integral of one list. Runs may share
+    it: advance and merge build new lists and never change these. A
+    rational start (`run_until` on a Fraction tensor) is integrated
+    exactly by `integrate_cells`; the first advance makes it float."""
+    level = max(base.grid_level, *(g.level for g in factors))
+    lists = tuple(g._coeffs_at(level) for g in factors)
+    # a float payload stays float: integrate it with the float branch of
+    # `integrate_cells` directly
+    floats = all(type(c) is float for g in lists for c in g)
+    return (level, lists,
+            base.float_integrator(level) if floats
+            else functools.partial(base.integrate_cells, level))
 
-    def __init__(self, state, params, skeleton=False, exact=False):
+
+class _Chain:
+    """Mutable state of one run of the dual (see the module docstring),
+    from `state` with the payload `start` (see `_start`), or none (the
+    skeleton)."""
+
+    def __init__(self, state, params, start):
         self.blocks, self.labels = state.lp.partition, tuple(state.lp.labels)
         self.theta = params._tables[2]
-        self.exact = exact
-        if skeleton:
+        if start is None:
             self.factors, self.segments = None, []
         else:
-            base = params.mutation.base
-            factors = state.y.factors
-            self.level = max(base.grid_level, *(g.level for g in factors))
-            self.factors = [g._coeffs_at(self.level) for g in factors]
-            # a float payload stays float: integrate it with the float
-            # branch of `integrate_cells` directly
-            floats = not exact and all(type(c) is float
-                                       for g in self.factors for c in g)
-            self.integral = (base.float_integrator(self.level) if floats
-                             else functools.partial(base.integrate_cells,
-                                                    self.level))
+            self.level, self.factors, self.integral = start
             self.ints = None
         self.clock, self.events = state.clock, state.events
 
@@ -178,9 +192,8 @@ class _Chain:
         else:
             if dt < 0:
                 raise ValueError("negative time")
-            # `decay_factor`, inlined in float mode
-            p = (decay_factor(self.theta, dt, exact=True) if self.exact
-                 else math.exp(-self.theta * dt / 2.0))
+            # `decay_factor`, inlined
+            p = math.exp(-self.theta * dt / 2.0)
             q = 1 - p
             if self.ints is None:
                 self.ints = [self.integral(g) for g in self.factors]
@@ -204,14 +217,17 @@ class _Chain:
         self.blocks, self.labels, groups = coag_colony(
             self.blocks, self.labels, colony, detail)
         if self.factors is not None:
-            merged = []
-            for group in groups:
-                g = self.factors[group[0]]
-                for j in group[1:]:
-                    g = [x * y for x, y in zip(g, self.factors[j])]
-                merged.append(g)
-            self.factors = merged
-            self.ints = None
+            self._merge(groups)
+
+    def _merge(self, groups):
+        merged = []
+        for group in groups:
+            g = self.factors[group[0]]
+            for j in group[1:]:
+                g = [x * y for x, y in zip(g, self.factors[j])]
+            merged.append(g)
+        self.factors = merged
+        self.ints = None
 
     def set_functions(self):
         """The payload as reduced `SetFunction`s, in block order."""
@@ -221,6 +237,68 @@ class _Chain:
         return DualState(LabeledPartition(self.blocks, self.labels),
                          TensorFunction(self.set_functions()), self.clock,
                          self.events)
+
+
+class _ExactChain(_Chain):
+    """A run with the exact payload of `replay(exact=True)`: per block,
+    integer numerators N_i over one integer denominator D, read as the
+    coefficients N_i / D. Start coefficients (Fractions, ints or floats,
+    which are dyadic rationals) are converted exactly. A float decay
+    factor p is the dyadic rational a / 2^k; the base integral J / (D K)
+    is an integer dot product with the base's `exact_weights` (J) over
+    their denominator (K). Fractions are built only by `set_functions`."""
+
+    def __init__(self, state, params):
+        base = params.mutation.base
+        factors = state.y.factors
+        level = max(base.grid_level, *(g.level for g in factors))
+        self.weights, self.scale = base.exact_weights(level)
+        lists, self.dens = [], []
+        for g in factors:
+            ratios = [c.as_integer_ratio() for c in g._coeffs_at(level)]
+            den = math.lcm(*(d for _, d in ratios))
+            lists.append([n * (den // d) for n, d in ratios])
+            self.dens.append(den)
+        # no float integral: `advance` integrates with the weights
+        super().__init__(state, params, (level, lists, None))
+
+    def advance(self, dt):
+        """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
+        D -> 2^k D, with J the integral's numerator over D; right after a
+        coalescence the integrals are J / (D K), so N and D take a factor
+        K first."""
+        if dt < 0:
+            raise ValueError("negative time")
+        # `decay_factor(theta, dt, exact=True)`: a / 2^k
+        a, two_k = math.exp(-self.theta * float(dt) / 2.0) \
+            .as_integer_ratio()
+        b = two_k - a
+        if self.ints is None:
+            self.ints = [sum(v * w for v, w in zip(g, self.weights))
+                         for g in self.factors]
+            self.dens = [d * self.scale for d in self.dens]
+            a *= self.scale
+        self.factors = [[a * v + bj for v in g]
+                        for g, bj in zip(self.factors,
+                                         [b * j for j in self.ints])]
+        self.dens = [d * two_k for d in self.dens]
+        self.ints = [j * two_k for j in self.ints]
+        self.clock += dt
+
+    def _merge(self, groups):
+        dens = []
+        for group in groups:
+            d = self.dens[group[0]]
+            for j in group[1:]:
+                d *= self.dens[j]
+            dens.append(d)
+        super()._merge(groups)
+        self.dens = dens
+
+    def set_functions(self):
+        return tuple(SetFunction(self.level,
+                                 tuple(Fraction(n, d) for n in g))
+                     for g, d in zip(self.factors, self.dens))
 
 
 def _event_rates(labels, params):
@@ -317,7 +395,8 @@ def run_until(state, params, stop, rng):
     remaining holding time so Y is evaluated exactly at the stop time."""
     if params.xi.total_mass == 0 and stop.at_absorption and stop.max_events is None:
         raise ValueError("absorption needs an event cap when xi has no mass")
-    chain = _Chain(state, params)
+    chain = _Chain(state, params, _start(state.y.factors,
+                                         params.mutation.base))
     events, truncated = _run(chain, params, rng, stop.at_time,
                              stop.at_absorption, stop.max_events, record=True)
     return chain.state(), Trajectory(tuple(events), truncated,
@@ -329,7 +408,10 @@ def replay(f, eta, trajectory, params, exact=True):
     fresh initial tensor. Uses the recorded holding times, so two replays
     share identical semigroup factors; linearity checks then hold exactly
     in rational mode."""
-    chain = _Chain(initial_state(f, eta), params, exact=exact)
+    state = initial_state(f, eta)
+    chain = (_ExactChain(state, params) if exact
+             else _Chain(state, params, _start(f.factors,
+                                               params.mutation.base)))
     for ev in trajectory.events:
         chain.advance(ev.dt)
         chain.apply(ev.kind, ev.colony, ev.detail)
@@ -338,19 +420,15 @@ def replay(f, eta, trajectory, params, exact=True):
     return chain.state()
 
 
-def _pairing(factors, labels, mu):
-    mu1, mu2 = mu
-    value = 1
-    for g, label in zip(factors, labels):
-        m = mu1 if label == COLONY_1 else mu2
-        value *= m.integrate(g)
-    return value
-
-
 def evaluate_dual(state, mu):
     """<mu_eta, Y>: the product over blocks of the factor integrated
     against the block label's colony measure."""
-    return _pairing(state.y.factors, state.lp.labels, mu)
+    mu1, mu2 = mu
+    value = 1
+    for g, label in zip(state.y.factors, state.lp.labels):
+        m = mu1 if label == COLONY_1 else mu2
+        value *= m.integrate(g)
+    return value
 
 
 def _mc(values, replicas, seed):
@@ -365,51 +443,92 @@ def _mc(values, replicas, seed):
     return McEstimate(float(mean), float(se), replicas, seed)
 
 
-def _leaf_value(chain, f, mu, spec, rng):
+def _float_pairing(law, level):
+    """`law.integrate` of the reduced `SetFunction` of a float coefficient
+    list at run level `level`, to the bit, without building it: the list
+    is reduced no further than the law's grid level and integrated there,
+    or lifted to that level when the law is finer than the run."""
+    lo = law.grid_level
+    if lo >= level:
+        integral = law.float_integrator(lo)
+        if lo == level:
+            return integral
+        return lambda g: integral(_lift(g, level, lo))
+
+    integrals = [law.float_integrator(lvl) for lvl in range(lo, level + 1)]
+
+    def pair(g):
+        lvl = level
+        while lvl > lo and all(g[i] == g[i + 1]
+                               for i in range(0, len(g), 2)):
+            g = g[::2]
+            lvl -= 1
+        return integrals[lvl - lo](g)
+
+    return pair
+
+
+def _leaf_value(chain, leaves, mu, theta, base, rng):
     """Genealogical reading of a skeleton run: types drawn at the top of
     the genealogy from the colony laws, mutation paths run down each
-    lineage segment, and f evaluated at the leaves."""
+    lineage segment (`sample_mutation_path` at float rate `theta`, or none
+    when theta is None), and f evaluated at the leaves (`leaves`: each
+    factor's level and float coefficients)."""
     mu1, mu2 = mu
-    types = {}
-    for block, label in zip(chain.blocks, chain.labels):
-        m = mu1 if label == COLONY_1 else mu2
-        types[block] = m.sample(rng)
+    top = chain.blocks
+    types = [(mu1 if label == COLONY_1 else mu2).sample(rng)
+             for label in chain.labels]
     for blocks, duration in reversed(chain.segments):
-        new_types = {}
-        for block in blocks:
-            parent = next(b for b in types if block[0] in b)
-            x = types[parent]
-            if duration > 0 and spec.theta > 0:
-                x = sample_mutation_path(x, duration, spec, rng)
-            new_types[block] = x
-        types = new_types
-    leaf_types = {b[0]: x for b, x in types.items()}
+        if blocks != top:
+            # a coalescence: each block inherits the type of the later
+            # block that holds it
+            owner = {i: x for b, x in zip(top, types) for i in b}
+            types = [owner[b[0]] for b in blocks]
+            top = blocks
+        if duration > 0 and theta is not None:
+            keep = math.exp(-theta * duration / 2.0)
+            types = [x if rng.random() < keep else base.sample(rng)
+                     for x in types]
+    leaf_types = {b[0]: x for b, x in zip(top, types)}
     value = 1.0
-    for i, g in enumerate(f.factors, start=1):
-        value *= float(g.value_at(leaf_types[i]))
+    for i, (level, coeffs) in enumerate(leaves, start=1):
+        value *= coeffs[cell_index(level, leaf_types[i])]
     return value
 
 
 def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     """Values of replicas lo..hi-1, each on stream `replica_rng(seed, rep)`
     and run to time t, or to absorption when t is None: the mu-pairing of
-    the surviving float factors, or on the skeleton the leaf value of f."""
-    start = initial_state(TensorFunction(tuple(
-        SetFunction(g.level, tuple(float(c) for c in g.coeffs))
-        for g in f.factors)), eta)
+    the surviving float factors, or on the skeleton the leaf value of f.
+    What does not depend on the replica is built once per call."""
+    state = initial_state(f, eta)
+    spec = params.mutation
+    if skeleton:
+        start = None
+        leaves = [(g.level, [float(c) for c in g.coeffs]) for g in f.factors]
+        theta = params._tables[2] if spec.theta > 0 else None
+    else:
+        start = _start([SetFunction(g.level, tuple(map(float, g.coeffs)))
+                        for g in f.factors], spec.base)
+        pair = {label: _float_pairing(m, start[0])
+                for label, m in zip((COLONY_1, COLONY_2), mu)}
     values = []
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
-        chain = _Chain(start, params, skeleton)
+        chain = _Chain(state, params, start)
         _, truncated = _run(chain, params, rng, t, t is None, EVENT_CAP)
         if truncated:
             goal = "absorption" if t is None else f"time {t}"
             raise RuntimeError(f"replica {rep} reached the event cap of "
                                f"{EVENT_CAP} before {goal}")
-        values.append(_leaf_value(chain, f, mu, params.mutation, rng)
-                      if skeleton
-                      else float(_pairing(chain.set_functions(),
-                                          chain.labels, mu)))
+        if skeleton:
+            values.append(_leaf_value(chain, leaves, mu, theta, spec.base,
+                                      rng))
+        else:
+            value = 1
+            for g, label in zip(chain.factors, chain.labels):
+                value *= pair[label](g)
+            values.append(float(value))
     return values
 
 
@@ -463,6 +582,7 @@ def dual_generator_value(f, eta, mu, params):
     per-block migration differences."""
     lp = LabeledPartition(singleton_partition(len(eta)), tuple(eta))
     base_state = DualState(lp, f)
+    start = _start(f.factors, params.mutation.base)
     g0 = evaluate_dual(base_state, mu)
     total = Fraction(0)
     # mutation: sum over variables of <A g_k> with the other factors fixed
@@ -479,13 +599,13 @@ def dual_generator_value(f, eta, mu, params):
                 lam = per_partition_rate(params.xi, pi_prime)
                 if lam == 0:
                     continue
-                chain = _Chain(base_state, params)
+                chain = _Chain(base_state, params, start)
                 chain.apply("coalescence", colony, pi_prime)
                 total += lam * (evaluate_dual(chain.state(), mu) - g0)
     # migration per block
     for pos, label in enumerate(lp.labels, start=1):
         u = params.u1 if label == COLONY_2 else params.u2
-        chain = _Chain(base_state, params)
+        chain = _Chain(base_state, params, start)
         chain.apply("migration", label, pos)
         total += u * (evaluate_dual(chain.state(), mu) - g0)
     return total

@@ -289,7 +289,7 @@ class TestPinnedOutput:
         "genealogical":
             "4111045e1f6e93dd531f883173507d3214e1ef4dc11f2330046f01809b53421c",
         "rates":
-            "aa37f5ed8ddeb9d313f7ef48c12dcdd8f0651ae5c6d3caa2e7a0e40a63e13880",
+            "81ca779f71f23662bb31d25f31d4dae31fc5301ed7a8a423c61ff3d66d591130",
         "hausdorff":
             "cac431192a7582b8f44667506dfec31d0f8743d5e0a90f9b05765d0f5896ff1d",
         "stationary_exact_12":

@@ -116,12 +116,28 @@ def _float_integral_oracle(base, level, coeffs):
                              for p, m in base.atoms)
 
 
+def _fraction_integral_oracle(base, level, coeffs):
+    """The rational branch of `BaseMeasure.integrate_cells` as it was
+    written before `exact_weights`: Fraction arithmetic term by term."""
+    shift = level - base.grid_level
+    total = sum((c * base.densities[i >> shift]
+                 for i, c in enumerate(coeffs) if c), F(0)) / (1 << level)
+    return total + sum(m * coeffs[cell_index(level, p)]
+                       for p, m in base.atoms)
+
+
+FLOAT_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324,
+                                         -1.5e-323]),
+                        st.floats(-1e6, 1e6))
+
+
 @st.composite
-def measure_level_coeffs(draw):
+def measure_level_coeffs(draw, coeff=FLOAT_COEFF):
     """A base measure on grid level 0..3, possibly with atoms (at cell
-    edges too), a grid level up to 4 at or above it, and float
-    coefficients there with zeros of both signs, negatives and subnormals
-    (where scaling each term by the cell width would round differently)."""
+    edges too), a grid level up to 4 at or above it, and coefficients
+    there, by default floats with zeros of both signs, negatives and
+    subnormals (where scaling each term by the cell width would round
+    differently)."""
     grid = draw(st.integers(0, 3))
     level = draw(st.integers(grid, 4))
     cell_w = draw(st.lists(st.integers(0, 5), min_size=1 << grid,
@@ -135,17 +151,32 @@ def measure_level_coeffs(draw):
         cell_w, mass = [1] * (1 << grid), F(1)
     base = BaseMeasure(grid, tuple(F(w) / mass for w in cell_w),
                        tuple((p, F(w) / mass) for p, w in atoms))
-    coeff = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324,
-                                       -1.5e-323]),
-                      st.floats(-1e6, 1e6))
     coeffs = draw(st.lists(coeff, min_size=1 << level,
                            max_size=1 << level))
     return base, level, coeffs
 
 
+def _sample_oracle(base, rng):
+    """`BaseMeasure.sample` as it was written before its float tables were
+    cached: each mass converted to float at every draw."""
+    u = rng.random()
+    acc = 0.0
+    for p, m in base.atoms:
+        acc += float(m)
+        if u < acc:
+            return float(p)
+    width = 1.0 / (1 << base.grid_level)
+    for i, d in enumerate(base.densities):
+        acc += float(d) * width
+        if u < acc:
+            return (i + rng.random()) * width
+    return 1.0
+
+
 class TestFloatIntegrator:
-    """`BaseMeasure.float_integrator` against the float expression it
-    replaces, to the bit."""
+    """The routines behind `BaseMeasure.integrate_cells` and
+    `BaseMeasure.sample` against the expressions they replace: float
+    results to the bit, rational ones exactly."""
 
     @given(measure_level_coeffs())
     @settings(max_examples=400, deadline=None)
@@ -155,6 +186,24 @@ class TestFloatIntegrator:
         for got in (base.float_integrator(level)(coeffs),
                     base.integrate_cells(level, coeffs)):
             assert got == want and got.hex() == want.hex()
+
+    @given(measure_level_coeffs(st.one_of(
+        st.integers(-5, 5), st.fractions(-3, 3, max_denominator=12))))
+    @settings(max_examples=200, deadline=None)
+    def test_rational_branch_equals_oracle(self, case):
+        base, level, coeffs = case
+        got = base.integrate_cells(level, coeffs)
+        assert got == _fraction_integral_oracle(base, level, coeffs)
+        assert type(got) is F
+
+    @given(measure_level_coeffs(), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_sample_equals_oracle_draw_for_draw(self, case, seed):
+        base = case[0]
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            x = base.sample(a)
+            assert x == _sample_oracle(base, b) and a.random() == b.random()
 
     def test_fraction_coefficients_stay_exact(self):
         base = BaseMeasure(1, (F(1), F(1, 2)), atoms=((F(1, 2), F(1, 4)),))

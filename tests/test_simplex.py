@@ -116,7 +116,8 @@ class TestConsistency:
     def test_at_the_cap(self):
         table = build_rate_table(ATOM_HALF_QUARTER, MAX_BLOCKS)
         report = check_consistency(table)
-        assert report.all_pass and len(report.checks) == 2070
+        # 3 named identities and 2064 restriction checks, none twice
+        assert report.all_pass and len(report.checks) == 2067
 
     def test_atom_fixture(self):
         table = build_rate_table(ATOM_HALF_QUARTER, 5)
@@ -140,6 +141,16 @@ class TestConsistency:
         report = check_consistency(table)
         failed = [name for name, _, _, ok in report.checks if not ok]
         assert any("a2" in name for name in failed)
+
+    def test_broken_a2_fails_once(self):
+        # "a2 = a21 + a3" is also the restriction of the profile (2,);0,
+        # which is checked once, under the named label
+        table = build_rate_table(KINGMAN, 4)
+        table.rows[2] = tuple((prof, rate + 1, mult)
+                              for prof, rate, mult in table.rows[2])
+        report = check_consistency(table)
+        assert [name for name, _, _, ok in report.checks if not ok] \
+            == ["a2 = a21 + a3"]
 
 
 def xi_strategy():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
                     SetFunction, StopRule, TensorFunction, XiMeasure,
@@ -10,10 +11,10 @@ from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
                     initial_state, replay, run_until, solve_stationary)
 from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
-                               random_model)
+                               random_model, random_xi)
 from xistep.partitions import coag_colony, relabel, singleton_partition
 from xistep.setfun import decay_factor, float_sum
-from xistep.simulator import (_event_rates, _pick_event,
+from xistep.simulator import (Trajectory, _event_rates, _pick_event,
                               dual_generator_value, genealogical_evaluate,
                               replica_rng)
 
@@ -170,7 +171,8 @@ class TestRunUntil:
         start = initial_state(_floated(indicator_power(4)), (1, 2, 1, 2))
         runs = []
         for record in (True, False):
-            chain = simulator._Chain(start, params)
+            chain = simulator._Chain(start, params, simulator._start(
+                start.y.factors, params.mutation.base))
             events, truncated = simulator._run(
                 chain, params, replica_rng(3, 0), t, t is None,
                 simulator.EVENT_CAP, record)
@@ -314,27 +316,40 @@ class TestReplicaDriver:
 
     @pytest.mark.parametrize("t", [None, 0.5])
     def test_estimator_equals_public_path_to_the_bit(self, t):
-        xi = ATOM_HALF_QUARTER
-        params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
-                             F(1), F(2), 6)
-        f, eta = indicator_power(4), (1, 2, 1, 2)
-        f_float = _floated(f)
-        pi = BaseMeasure.uniform()
-        mu = (pi, pi) if t is None else (BaseMeasure(1, (F(3, 2), F(1, 2))),
-                                         BaseMeasure(1, (F(1, 2), F(3, 2))))
-        stop = (StopRule(at_absorption=True) if t is None
-                else StopRule(at_time=t))
+        # the estimators pair the chain's coefficient lists with the laws
+        # directly; `evaluate_dual` pairs reduced `SetFunction`s. The
+        # cases have laws at, above (`mixed`) and below (`coarse`, whose
+        # factors reduce) the run's grid level.
+        atom = ModelParams(ATOM_HALF_QUARTER,
+                           MutationSpec(F(1), base=BaseMeasure.uniform()),
+                           F(1), F(2), 6)
+        skewed = (BaseMeasure(1, (F(3, 2), F(1, 2))),
+                  BaseMeasure(1, (F(1, 2), F(3, 2))))
+        cases = [(atom, indicator_power(4), (1, 2, 1, 2), skewed)] \
+            + TestFlatPayload()._cases()
         replicas, seed = 300, 11
-        values = []
-        for rep in range(replicas):
-            state, traj = run_until(initial_state(f_float, eta), params,
-                                    stop, replica_rng(seed, rep))
-            assert not traj.truncated
-            values.append(float(evaluate_dual(state, mu)))
-        est = (estimate_stationary(f, eta, pi, replicas, params, seed)
-               if t is None
-               else estimate_Qt(f, eta, mu, t, replicas, params, seed))
-        assert float_sum(values) / replicas == est.mean
+        for params, f, eta, mu in cases:
+            f_float = _floated(f)
+            runs = ([(StopRule(at_absorption=True), (pi, pi))
+                     for pi in (BaseMeasure.uniform(),) + mu] if t is None
+                    else [(StopRule(at_time=t), mu)])
+            for stop, laws in runs:
+                values = []
+                for rep in range(replicas):
+                    state, traj = run_until(initial_state(f_float, eta),
+                                            params, stop,
+                                            replica_rng(seed, rep))
+                    assert not traj.truncated
+                    values.append(float(evaluate_dual(state, laws)))
+                est = (estimate_stationary(f, eta, laws[0], replicas,
+                                           params, seed) if t is None
+                       else estimate_Qt(f, eta, laws, t, replicas, params,
+                                        seed))
+                assert float_sum(values) / replicas == est.mean
+                # per replica too: a last-bit change can vanish in the sum
+                assert simulator._replica_values(
+                    f, eta, laws, t, params, seed, False, 0,
+                    replicas) == values
 
     @pytest.mark.parametrize("estimator", ["qt", "stationary",
                                            "genealogical"])
@@ -453,6 +468,48 @@ def _reference_replay(f, eta, trajectory, params, exact):
     return labels, tuple(factors)
 
 
+@st.composite
+def replay_case(draw):
+    """A recorded path of a random model for exact replay: mutation rate 0
+    (decay factor exactly 1) or not, a uniform base or one on a level-2
+    grid with an atom, 1 to 4 factors at levels 0 to 2, colony laws at
+    levels 0 to 3 (finer than the run) with or without an atom, and a path
+    run to absorption under criterion 8's event cap or stopped at a time.
+    Some holding times are set to 0."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    theta = draw(st.sampled_from([F(0), F(1), F(3, 2)]))
+    base = draw(st.sampled_from([BaseMeasure.uniform(),
+                                 TestFlatPayload.FINE_BASE]))
+    # slow coalescence and fast migration make long paths (criterion 8's
+    # reach 134 events; these reach several hundred)
+    xi = draw(st.sampled_from([random_xi(rng), XiMeasure(F(1, 4))]))
+    u1, u2 = (draw(st.sampled_from([F(1, 2), F(2), F(4)]))
+              for _ in range(2))
+    params = ModelParams(xi, MutationSpec(theta, base=base), u1, u2, 8)
+    coeff = st.fractions(-2, 2, max_denominator=9)
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        level = draw(st.integers(0, 2))
+        factors.append(SetFunction(level, tuple(draw(st.lists(
+            coeff, min_size=1 << level, max_size=1 << level)))))
+    f = TensorFunction(tuple(factors))
+    eta = tuple(draw(st.lists(st.sampled_from([1, 2]), min_size=f.arity,
+                              max_size=f.arity)))
+    absorb = params.xi.total_mass > 0 and draw(st.booleans())
+    stop = (StopRule(at_absorption=True, max_events=10_000) if absorb
+            else StopRule(at_time=draw(st.sampled_from([0.0, 0.4, 2.5]))))
+    _, traj = run_until(initial_state(f, eta), params, stop, rng)
+    zero = draw(st.sets(st.integers(0, 7)))
+    traj = Trajectory(tuple(ev._replace(dt=0.0) if i % 8 in zero else ev
+                            for i, ev in enumerate(traj.events)),
+                      traj.truncated, traj.stop_time)
+    laws = [BaseMeasure.uniform(), BaseMeasure(1, (F(3, 2), F(1, 2))),
+            BaseMeasure(1, (F(1, 2), F(1)), ((F(1, 4), F(1, 4)),)),
+            BaseMeasure(3, tuple(F(k, 4) for k in (1, 7, 2, 6, 3, 5, 4, 4)))]
+    mu = (draw(st.sampled_from(laws)), draw(st.sampled_from(laws)))
+    return params, f, eta, traj, mu
+
+
 class TestFlatPayload:
     """The kernel keeps one coefficient list per block at one grid level
     per run; replaying recorded paths through it and through the reduced
@@ -511,6 +568,51 @@ class TestFlatPayload:
                 assert evaluate_dual(state, mu) == \
                     evaluate_dual(initial_state(TensorFunction(factors),
                                                 labels), mu)
+
+    def test_float_coefficients_replay_exactly(self):
+        # a float is a dyadic rational: exact replay converts it exactly,
+        # as if the tensor held Fraction(c), and returns Fractions
+        for params, f, eta, mu in self._cases():
+            ff = _floated(f)
+            fq = TensorFunction(tuple(
+                SetFunction(g.level, tuple(F(c) for c in g.coeffs))
+                for g in ff.factors))
+            for traj in self._paths(params, f, eta):
+                state = replay(ff, eta, traj, params, exact=True)
+                assert state == replay(fq, eta, traj, params, exact=True)
+                assert all(type(c) is F
+                           for g in state.y.factors for c in g.coeffs)
+
+    @given(case=replay_case())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_replay_equals_reference_on_random_paths(self, case):
+        params, f, eta, traj, mu = case
+        state = replay(f, eta, traj, params, exact=True)
+        labels, factors = _reference_replay(f, eta, traj, params,
+                                            exact=True)
+        assert state.lp.labels == labels
+        assert state.y.factors == factors
+        assert evaluate_dual(state, mu) == evaluate_dual(
+            initial_state(TensorFunction(factors), labels), mu)
+
+    def test_exact_replay_equals_reference_on_long_paths(self):
+        # absorbing paths longer than criterion 8's longest (134 events),
+        # whose payload denominators reach tens of thousands of bits
+        params = ModelParams(XiMeasure(F(1, 4)),
+                             MutationSpec(F(1), base=self.FINE_BASE),
+                             F(4), F(4), 8)
+        f, eta = self._cases()[1][1], (1, 2, 1, 2)
+        lengths = []
+        for rep in range(3):
+            _, traj = run_until(initial_state(f, eta), params,
+                                StopRule(at_absorption=True,
+                                         max_events=10_000),
+                                replica_rng(5, rep))
+            lengths.append(len(traj.events))
+            state = replay(f, eta, traj, params, exact=True)
+            assert (state.lp.labels, state.y.factors) == _reference_replay(
+                f, eta, traj, params, exact=True)
+        assert max(lengths) > 134
 
     def test_float_replay_within_1e12_of_reference(self):
         for params, f, eta, mu in self._cases():
