@@ -480,8 +480,8 @@ def replay_case(draw):
     theta = draw(st.sampled_from([F(0), F(1), F(3, 2)]))
     base = draw(st.sampled_from([BaseMeasure.uniform(),
                                  TestFlatPayload.FINE_BASE]))
-    # slow coalescence and fast migration make long paths (criterion 8's
-    # reach 134 events; these reach several hundred)
+    # slow coalescence and fast migration make longer paths; the longest,
+    # past criterion 8's 134 events, are in the long-path test below
     xi = draw(st.sampled_from([random_xi(rng), XiMeasure(F(1, 4))]))
     u1, u2 = (draw(st.sampled_from([F(1, 2), F(2), F(4)]))
               for _ in range(2))
