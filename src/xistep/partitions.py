@@ -85,27 +85,47 @@ def relabel(eta, k, colony):
     return eta[:k - 1] + (colony,) + eta[k:]
 
 
-def coag_colony(blocks, labels, colony, pi_prime):
-    """Coagulate the blocks labeled `colony` by pi_prime, a partition of
-    their ranks among that colony's blocks; the other colony's blocks pass
-    through. Returns the new blocks and labels in least-element order and
-    the merge groups: per new block, the 0-based positions of the old
-    blocks it unites, ascending."""
+def colony_merging(labels, colony, pi_prime):
+    """The merging of the blocks labeled `colony` by pi_prime, a partition
+    of their ranks among that colony's blocks: per block of pi_prime with
+    at least two ranks, the 0-based positions of the blocks it unites."""
     positions = [i for i, c in enumerate(labels) if c == colony]
     if len(positions) != sum(len(b) for b in pi_prime):
         raise ValueError(
             f"pi_prime covers {sum(len(b) for b in pi_prime)} blocks, "
             f"colony {colony} has {len(positions)}")
-    groups = [sorted(positions[k - 1] for k in b) if len(b) > 1
-              else [positions[b[0] - 1]] for b in pi_prime]
-    groups += [[i] for i, c in enumerate(labels) if c != colony]
-    # old blocks are in least-element order, so new ones sort by position;
-    # a block that merges with no other is already sorted
+    return [[positions[k - 1] for k in b] for b in pi_prime if len(b) > 1]
+
+
+def merge_groups(n, merging):
+    """Per new block, the 0-based positions of the n old blocks it unites,
+    ascending, in least-element order: each position list of `merging`
+    (disjoint, of at least two positions, in any order) is one group and
+    every other position is a group of its own."""
+    groups = [sorted(g) for g in merging]
+    taken = {i for g in merging for i in g}
+    groups += [[i] for i in range(n) if i not in taken]
+    # old blocks are in least-element order, so new ones sort by position
     groups.sort()
-    new_blocks = tuple(tuple(sorted(x for i in g for x in blocks[i]))
-                       if len(g) > 1 else tuple(blocks[g[0]])
-                       for g in groups)
-    return new_blocks, tuple(labels[g[0]] for g in groups), groups
+    return groups
+
+
+def coagulate(blocks, groups):
+    """The blocks that `groups` (see `merge_groups`) unite; a block that
+    merges with no other is already sorted."""
+    return tuple(tuple(sorted(x for i in g for x in blocks[i]))
+                 if len(g) > 1 else blocks[g[0]] for g in groups)
+
+
+def coag_colony(blocks, labels, colony, pi_prime):
+    """Coagulate the blocks labeled `colony` by pi_prime, a partition of
+    their ranks among that colony's blocks; the other colony's blocks pass
+    through. Returns the new blocks and labels in least-element order and
+    the merge groups (see `merge_groups`)."""
+    groups = merge_groups(len(labels),
+                          colony_merging(labels, colony, pi_prime))
+    return (coagulate(blocks, groups), tuple(labels[g[0]] for g in groups),
+            groups)
 
 
 def enumerate_partitions(b, skip_singleton=False):
@@ -133,23 +153,6 @@ def enumerate_partitions(b, skip_singleton=False):
     rgs[0] = 0
     rec(1, 0)
     return out
-
-
-def random_partition_with_profile(b, merge_sizes, s, rng):
-    """Uniform partition of [b] with the given profile, without enumerating
-    all of P_[b]: consecutive groups of a uniform random permutation induce
-    each qualifying partition equally often."""
-    perm = list(range(1, b + 1))
-    rng.shuffle(perm)
-    blocks = []
-    pos = 0
-    for k in merge_sizes:
-        blocks.append(perm[pos:pos + k])
-        pos += k
-    for _ in range(s):
-        blocks.append(perm[pos:pos + 1])
-        pos += 1
-    return canonical(blocks)
 
 
 def profile_multiplicity(b, merge_sizes, s):

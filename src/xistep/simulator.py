@@ -2,30 +2,41 @@
 functional evaluation and Monte Carlo moment estimators.
 
 One kernel runs the chain. `_Chain` is the mutable state of one run:
-blocks in least-element order, colony labels and a payload, which is one
-plain list of coefficients per block or, for the genealogical skeleton,
-none: that records lineage segments. Every list holds one coefficient per
-cell of one grid level per run, the highest of the start factors' levels
-and the mutation base's `grid_level`; advance and merge act cell by cell
-and never refine or reduce that level. The base integrals are cached
-until a coalescence, which recomputes all of them: a float payload
-through the base's cached `float_integrator`, the float branch of
-`integrate_cells`. (Reusing the integrals of blocks that did not merge
-would skip work but could change the last bits of a float payload, so it
-is not done.) `_Chain.advance` runs the mutation semigroup and
-`_Chain.apply` a migration or coalescence. Events come from the RNG in
-`_run`, the one loop behind `run_until` and the estimators, or from a
-recorded `Trajectory` in `replay`, the one path with exact semigroup
-factors. With `exact=True` it runs `_ExactChain`, whose payload is, per
+colony labels (a list that events change in place, with the count of
+colony-1 blocks kept beside it), the blocks in least-element order where
+some caller reads them, and a payload, which is one plain list of
+coefficients per block or, for the genealogical skeleton, none: that
+records lineage segments. Every list holds one coefficient per cell of
+one grid level per run, the highest of the start factors' levels and the
+mutation base's `grid_level`; advance and merge act cell by cell and never
+refine or reduce that level. The base integrals are cached until a
+coalescence, which recomputes all of them: a float payload through the
+base's cached `float_integrator`, the float branch of `integrate_cells`.
+(Reusing the integrals of blocks that did not merge would skip work but
+could change the last bits of a float payload, so it is not done.)
+`_Chain.advance` runs the mutation semigroup, `_Chain.migrate` moves one
+block and `_Chain.coalesce` unites merge groups of one colony's blocks
+(`partitions.merge_groups`), multiplying their factors.
+
+Events come from the RNG in `_run`, the one loop behind `run_until` and
+the estimators, or from a recorded `Trajectory` in `replay`, the one path
+with exact semigroup factors; `_Chain.apply` turns a recorded event (and
+`dual_generator_value`'s enumerated ones) into the same two operations.
+Per event `_run` looks its rates up in the jump rates `ModelParams`
+tabulates per pair of colony block counts, draws, and hands the chain the
+block to move or the merge groups; it builds the canonical partition that
+`EventRecord.detail` holds, and keeps `EventRecord`s at all, only for
+`run_until`, which returns them. Block contents exist where they are read:
+the states `run_until`, `replay` and `dual_generator_value` build, and the
+skeleton's segments and leaf values; the float chains of `estimate_Qt`
+and `estimate_stationary` carry none, and absorption is one label left.
+With `exact=True`, `replay` runs `_ExactChain`, whose payload is, per
 block, integer numerators over one integer denominator: each float decay
 factor is the dyadic rational it represents, the base integral is an
 integer dot product with the base's `exact_weights`, and Fractions are
-built only for the state it returns. `_run` draws holding times from the
-jump rates `ModelParams` tabulates per pair of colony block counts, and
-keeps `EventRecord`s only for `run_until`, which returns them.
-`DualState`, `LabeledPartition`, `TensorFunction` and (reduced)
-`SetFunction`s are built only where a public function takes or returns
-them.
+built only for the state it returns. `DualState`, `LabeledPartition`,
+`TensorFunction` and (reduced) `SetFunction`s are built only where a
+public function takes or returns them.
 
 One replica driver, `_replica_values`, serves the three estimators. Per
 call it builds what does not depend on the replica: the float start
@@ -40,19 +51,18 @@ path. Replicas draw independent random streams derived deterministically
 from a master seed, so every reported number is reproducible.
 """
 
-import bisect
 import concurrent.futures
 import functools
 import math
 import random
-import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .partitions import (COLONY_1, COLONY_2, LabeledPartition, coag_colony,
-                         enumerate_partitions, random_partition_with_profile,
-                         relabel, singleton_partition)
+from .partitions import (COLONY_1, COLONY_2, LabeledPartition, canonical,
+                         coagulate, colony_merging, enumerate_partitions,
+                         merge_groups, singleton_partition)
 from .setfun import (SetFunction, TensorFunction, _lift,
                      apply_generator_uniform, cell_index, float_sum)
 from .simplex import build_rate_table, per_partition_rate
@@ -73,9 +83,11 @@ class ModelParams:
     u1: Fraction
     u2: Fraction
     b_max: int
-    # per colony block counts the four float event rates and the jump rate
-    # (`[n1][n2]`, see `_event_rates`), per block count the positive-rate
-    # coalescence profiles with cumulative float weights, and the float
+    # per colony block counts (`[n1][n2]`) the four float event rates
+    # (migration out of colony 2, u1 per block, and out of colony 1, u2 per
+    # block; coalescence in colony 1 and in colony 2) and their sum added
+    # left to right, the jump rate; per block count the positive-rate
+    # coalescence profiles with cumulative float weights; the float
     # mutation rate
     _tables: tuple = field(init=False, compare=False, repr=False)
 
@@ -170,10 +182,14 @@ def _start(factors, base):
 class _Chain:
     """Mutable state of one run of the dual (see the module docstring),
     from `state` with the payload `start` (see `_start`), or none (the
-    skeleton)."""
+    skeleton). The labels are a list that events change in place, with
+    the count `n1` of colony-1 blocks kept beside it; the block contents
+    are kept only when `blocks` is true."""
 
-    def __init__(self, state, params, start):
-        self.blocks, self.labels = state.lp.partition, tuple(state.lp.labels)
+    def __init__(self, state, params, start, blocks=True):
+        self.blocks = state.lp.partition if blocks else None
+        self.labels = list(state.lp.labels)
+        self.n1 = self.labels.count(COLONY_1)
         self.theta = params._tables[2]
         if start is None:
             self.factors, self.segments = None, []
@@ -206,18 +222,38 @@ class _Chain:
         self.advance(t - self.clock)
         self.clock = t
 
-    def apply(self, kind, colony, detail):
-        """Migrate block `detail` (1-based) out of `colony`, or coalesce
-        `colony`'s blocks by `detail`, multiplying factors in block order."""
+    def migrate(self, i, target):
+        """Move block i (0-based) to colony `target`."""
+        self.n1 += (target == COLONY_1) - (self.labels[i] == COLONY_1)
+        self.labels[i] = target
         self.events += 1
-        if kind == "migration":
-            target = COLONY_1 if colony == COLONY_2 else COLONY_2
-            self.labels = relabel(self.labels, detail, target)
-            return
-        self.blocks, self.labels, groups = coag_colony(
-            self.blocks, self.labels, colony, detail)
+
+    def coalesce(self, colony, merging):
+        """Unite each position list of `merging` (see `merge_groups`), all
+        blocks of `colony`, multiplying factors in block order."""
+        labels = self.labels
+        groups = merge_groups(len(labels), merging)
+        if colony == COLONY_1:
+            self.n1 -= len(labels) - len(groups)
+        labels[:] = [labels[g[0]] for g in groups]
+        if self.blocks is not None:
+            self.blocks = coagulate(self.blocks, groups)
         if self.factors is not None:
             self._merge(groups)
+        self.events += 1
+
+    def apply(self, kind, colony, detail):
+        """A recorded event: migrate block `detail` (1-based) out of
+        `colony`, or coalesce `colony`'s blocks by the partition `detail`
+        of their ranks."""
+        if kind == "migration":
+            if not 1 <= detail <= len(self.labels):
+                raise IndexError(f"label position {detail} out of range")
+            self.migrate(detail - 1,
+                         COLONY_1 if colony == COLONY_2 else COLONY_2)
+        else:
+            self.coalesce(colony,
+                          colony_merging(self.labels, colony, detail))
 
     def _merge(self, groups):
         merged = []
@@ -234,7 +270,7 @@ class _Chain:
         return tuple(SetFunction(self.level, tuple(g)) for g in self.factors)
 
     def state(self):
-        return DualState(LabeledPartition(self.blocks, self.labels),
+        return DualState(LabeledPartition(self.blocks, tuple(self.labels)),
                          TensorFunction(self.set_functions()), self.clock,
                          self.events)
 
@@ -301,67 +337,87 @@ class _ExactChain(_Chain):
                      for g, d in zip(self.factors, self.dens))
 
 
-def _event_rates(labels, params):
-    """Float rates of migration out of colony 2 (u1 per block), out of
-    colony 1 (u2 per block), coalescence in colony 1 and in colony 2, and
-    their sum, the jump rate, added left to right; tabulated per colony
-    block counts by `ModelParams`."""
-    n1 = labels.count(COLONY_1)
-    return params._tables[0][n1][len(labels) - n1]
-
-
-def _pick_event(labels, rates, total, params, rng):
-    """Categorical sample over migrations (per block) and coalescences
-    (per colony, then profile, then a uniform concrete partition)."""
-    pick = rng.random() * total
-    if pick < rates[0] + rates[1]:
-        label = COLONY_2 if pick < rates[0] else COLONY_1
-        # the k-th block (0-based) of that colony, in block order
-        i = labels.index(label)
-        for _ in range(rng.randrange(labels.count(label))):
-            i = labels.index(label, i + 1)
-        return "migration", label, i + 1
-    pick -= rates[0] + rates[1]
-    # rounding can leave pick at rates[2] when colony 2 has no coalescence
-    # rate; a colony without one is never picked
-    colony = COLONY_1 if pick < rates[2] or rates[3] == 0 else COLONY_2
-    if colony == COLONY_2:
-        pick -= rates[2]
-    b = labels.count(colony)
-    rows, cum, _ = params._tables[1][b]
-    prof = rows[bisect.bisect_right(cum, pick, hi=len(rows) - 1)]
-    detail = random_partition_with_profile(b, prof.merge_sizes, prof.s, rng)
-    return "coalescence", colony, detail
-
-
 def _run(chain, params, rng, at_time, absorb, max_events, record=False):
     """The dual's event loop. Stops at one block (when `absorb`), after
     `max_events` events (truncated), or at `at_time`; returns the event
-    records (kept only when `record`) and whether the run was truncated."""
-    if len(chain.labels) > params.b_max:
-        raise ValueError(f"{len(chain.labels)} blocks exceed b_max="
+    records (kept only when `record`) and whether the run was truncated.
+
+    Per event it draws a holding time at the jump rate tabulated for the
+    colony block counts, then one uniform picks a migration (per block)
+    or a coalescence (per colony, then profile); a migration draws the
+    block, a coalescence shuffles the colony's block positions and unites
+    consecutive chunks of the profile's merge sizes, a uniform partition
+    with that profile. The canonical partition of the colony's ranks that
+    `EventRecord.detail` holds is built only when recording."""
+    labels = chain.labels
+    if len(labels) > params.b_max:
+        raise ValueError(f"{len(labels)} blocks exceed b_max="
                          f"{params.b_max}; migration can gather "
                          "every block in one colony")
+    jump, profs, _ = params._tables
+    random_, expovariate = rng.random, rng.expovariate
+    randrange, shuffle = rng.randrange, rng.shuffle
+    stop = math.inf if at_time is None else at_time
+    cap = math.inf if max_events is None else max_events
     events = []
     count = 0
     while True:
-        if absorb and len(chain.blocks) == 1:
+        n = len(labels)
+        if absorb and n == 1:
             return events, False
-        if max_events is not None and count >= max_events:
+        if count >= cap:
             return events, True
-        rates, total = _event_rates(chain.labels, params)
-        dt = rng.expovariate(total)
-        if at_time is not None and chain.clock + dt >= at_time:
+        n1 = chain.n1
+        rates, total = jump[n1][n - n1]
+        dt = expovariate(total)
+        if chain.clock + dt >= stop:
             chain.advance_to(at_time)
             return events, False
-        kind, colony, detail = _pick_event(chain.labels, rates, total,
-                                           params, rng)
-        chain.advance(dt)
-        chain.apply(kind, colony, detail)
+        pick = random_() * total
+        migration = rates[0] + rates[1]
+        if pick < migration:
+            if pick < rates[0]:
+                colony, target, k = COLONY_2, COLONY_1, randrange(n - n1)
+            else:
+                colony, target, k = COLONY_1, COLONY_2, randrange(n1)
+            # the k-th block (0-based) of that colony, in block order
+            i = labels.index(colony)
+            for _ in range(k):
+                i = labels.index(colony, i + 1)
+            chain.advance(dt)
+            chain.migrate(i, target)
+            kind, detail = "migration", i + 1
+        else:
+            pick -= migration
+            # rounding can leave pick at rates[2] when colony 2 has no
+            # coalescence rate; a colony without one is never picked
+            if pick < rates[2] or rates[3] == 0:
+                colony, b = COLONY_1, n1
+            else:
+                colony, b, pick = COLONY_2, n - n1, pick - rates[2]
+            rows, cum, _ = profs[b]
+            prof = rows[bisect_right(cum, pick, 0, len(rows) - 1)]
+            # the shuffle of the colony's ranks 1..b, applied to their
+            # positions: its draws depend only on b
+            order = [j for j, c in enumerate(labels) if c == colony]
+            if record:
+                rank = {j: r for r, j in enumerate(order, start=1)}
+            shuffle(order)
+            merging, at = [], 0
+            for size in prof.merge_sizes:
+                merging.append(order[at:at + size])
+                at += size
+            if record:
+                detail = canonical(
+                    [[rank[j] for j in g] for g in merging]
+                    + [[rank[j]] for j in order[at:]])
+            chain.advance(dt)
+            chain.coalesce(colony, merging)
+            kind = "coalescence"
         count += 1
         if record:
             events.append(EventRecord(chain.clock, dt, kind, colony, detail,
-                                      len(chain.blocks)))
+                                      len(labels)))
 
 
 @dataclass(frozen=True)
@@ -431,12 +487,43 @@ def evaluate_dual(state, mu):
     return value
 
 
+def _sqrt_of_ratio(n, m):
+    """sqrt(n / m) for integers n >= 0 and m > 0, correctly rounded: an
+    integer square root of at least 55 bits with a sticky last bit (round
+    to odd), then one correctly rounded integer division."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+        a = math.isqrt(n // m)
+        return ((a | (a * a * m != n)) << q) / 1
+    n <<= -2 * q
+    a = math.isqrt(n // m)
+    return (a | (a * a * m != n)) / (1 << -q)
+
+
+def _stdev(values):
+    """Sample standard deviation of at least two floats, exact up to one
+    rounding: the values as integers over their largest denominator (a
+    power of two), the variance as one integer ratio and its correctly
+    rounded square root. This is the value `statistics.stdev` returns
+    from Python 3.11 on; under 3.10 that one can differ in the last bit."""
+    den = max(x.as_integer_ratio()[1] for x in values)
+    k = sx = sxx = 0
+    for x in values:
+        n, d = x.as_integer_ratio()
+        n *= den // d
+        k += 1
+        sx += n
+        sxx += n * n
+    return _sqrt_of_ratio(k * sxx - sx * sx, k * (k - 1) * den * den)
+
+
 def _mc(values, replicas, seed):
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     mean = float_sum(values) / replicas
     if replicas > 1:
-        sd = statistics.stdev(values)
+        sd = _stdev(values)
         se = sd / math.sqrt(replicas)
     else:
         se = 0.0
@@ -515,7 +602,7 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     values = []
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
-        chain = _Chain(state, params, start)
+        chain = _Chain(state, params, start, blocks=skeleton)
         _, truncated = _run(chain, params, rng, t, t is None, EVENT_CAP)
         if truncated:
             goal = "absorption" if t is None else f"time {t}"

@@ -51,6 +51,18 @@ SWEEP_CFG = {
     "b_max": 12,
 }
 
+# the mc_stationary benchmark config: the atom model with Kingman mass 1/2
+MC_STATIONARY_CFG = {
+    "xi": {"kingman_mass": "1/2",
+           "atoms": [{"coords": ["1/2", "1/4"], "weight": "1"}]},
+    "theta": "1",
+    "mutation": {"kind": "uniform", "base": {"densities": ["1"]}},
+    "u1": "1", "u2": "2",
+    "e_star": {"level": 1, "cells": [0]},
+    "b_max": 6,
+    "options": {"mode": "mc", "indices": [[2, 2], [4, 0]]},
+}
+
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -296,6 +308,10 @@ class TestPinnedOutput:
             "1641896ff2a4eed1c04bf0ecb80ac8e990f38be187fc8cd775c77c2382deb7f2",
         "hausdorff_12":
             "0cd2c1a6406a55434527271147244e74bd35bc6f5c0b19bdc8df5e9720647ed0",
+        # a standard error on which `statistics.stdev` of Python 3.10
+        # differs in the last bit from the correctly rounded value
+        "stationary_mc_seed4":
+            "6c2b91b4ac13fe5874db53a8532442acdd35d1584c7bcee4775298ad5a07d3e6",
     }
 
     def test_seeded_outputs_pinned(self, tmp_path):
@@ -320,6 +336,8 @@ class TestPinnedOutput:
                 "mode": "exact", "order": 12}), ["stationary"]),
             "hausdorff_12": (dict(SWEEP_CFG, options={"order": 12}),
                              ["hausdorff"]),
+            "stationary_mc_seed4": (MC_STATIONARY_CFG, [
+                "stationary", "--seed", "4", "--replicas", "500"]),
         }
         outputs = {}
         for name, (payload, argv) in runs.items():

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xistep import COLONY_1, COLONY_2, enumerate_partitions, profile_of
-from xistep.partitions import (coag_colony, profile_multiplicity,
-                               random_partition_with_profile, relabel,
+from xistep.partitions import (coag_colony, profile_multiplicity, relabel,
                                singleton_partition)
+
+# the draw of the event loop's frozen oracle, which `simulator._run` must
+# match to the bit
+from test_simulator import random_partition_with_profile
 
 
 def coag(pi, pi_prime):

@@ -1,5 +1,9 @@
+import bisect
+import functools
 import math
 import random
+import statistics
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,13 +16,13 @@ from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
 from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
-from xistep.partitions import coag_colony, relabel, singleton_partition
+from xistep.partitions import (COLONY_1, COLONY_2, coag_colony, relabel,
+                               singleton_partition)
 from xistep.setfun import decay_factor, float_sum
-from xistep.simulator import (Trajectory, _event_rates, _pick_event,
-                              dual_generator_value, genealogical_evaluate,
-                              replica_rng)
+from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
+                              genealogical_evaluate, replica_rng)
 
-from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, \
+from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, SWEEP, \
     indicator_power, kingman_model, kingman_scalar, seeded
 
 F = Fraction
@@ -31,8 +35,184 @@ def _floated(f):
         for g in f.factors))
 
 
+# The dual's event loop as it stood before it kept the colony counts, drew
+# merge groups from the shuffled ranks and kept block contents only where
+# read, frozen as the oracle of `simulator._run`: the draws, the event
+# records, the final blocks, labels and float payload, the replica values
+# and the skeleton's segments must stay the same to the bit.
+
+
+def random_partition_with_profile(b, merge_sizes, s, rng):
+    """Uniform partition of [b] with the given profile, without enumerating
+    all of P_[b]: consecutive groups of a uniform random permutation induce
+    each qualifying partition equally often."""
+    perm = list(range(1, b + 1))
+    rng.shuffle(perm)
+    blocks = []
+    pos = 0
+    for k in merge_sizes:
+        blocks.append(perm[pos:pos + k])
+        pos += k
+    for _ in range(s):
+        blocks.append(perm[pos:pos + 1])
+        pos += 1
+    # canonical: sorted blocks in least-element order
+    blocks = [tuple(sorted(b)) for b in blocks]
+    blocks.sort(key=lambda b: b[0])
+    return tuple(blocks)
+
+
+def _relabel(eta, k, colony):
+    if not 1 <= k <= len(eta):
+        raise IndexError(f"label position {k} out of range")
+    return eta[:k - 1] + (colony,) + eta[k:]
+
+
+def _coag_colony(blocks, labels, colony, pi_prime):
+    positions = [i for i, c in enumerate(labels) if c == colony]
+    if len(positions) != sum(len(b) for b in pi_prime):
+        raise ValueError("pi_prime does not cover the colony")
+    groups = [sorted(positions[k - 1] for k in b) if len(b) > 1
+              else [positions[b[0] - 1]] for b in pi_prime]
+    groups += [[i] for i, c in enumerate(labels) if c != colony]
+    groups.sort()
+    new_blocks = tuple(tuple(sorted(x for i in g for x in blocks[i]))
+                       if len(g) > 1 else tuple(blocks[g[0]])
+                       for g in groups)
+    return new_blocks, tuple(labels[g[0]] for g in groups), groups
+
+
+class _FrozenChain:
+    """The float payload or skeleton run of the frozen loop."""
+
+    def __init__(self, state, params, start):
+        self.blocks, self.labels = state.lp.partition, tuple(state.lp.labels)
+        self.theta = params._tables[2]
+        if start is None:
+            self.factors, self.segments = None, []
+        else:
+            self.level, self.factors, self.integral = start
+            self.ints = None
+        self.clock, self.events = state.clock, state.events
+
+    def advance(self, dt):
+        if self.factors is None:
+            self.segments.append((self.blocks, dt))
+        else:
+            p = math.exp(-self.theta * dt / 2.0)
+            q = 1 - p
+            if self.ints is None:
+                self.ints = [self.integral(g) for g in self.factors]
+            self.factors = [[p * v + b for v in g]
+                            for g, b in zip(self.factors,
+                                            [q * c for c in self.ints])]
+        self.clock += dt
+
+    def advance_to(self, t):
+        self.advance(t - self.clock)
+        self.clock = t
+
+    def apply(self, kind, colony, detail):
+        self.events += 1
+        if kind == "migration":
+            target = COLONY_1 if colony == COLONY_2 else COLONY_2
+            self.labels = _relabel(self.labels, detail, target)
+            return
+        self.blocks, self.labels, groups = _coag_colony(
+            self.blocks, self.labels, colony, detail)
+        if self.factors is not None:
+            merged = []
+            for group in groups:
+                g = self.factors[group[0]]
+                for j in group[1:]:
+                    g = [x * y for x, y in zip(g, self.factors[j])]
+                merged.append(g)
+            self.factors = merged
+            self.ints = None
+
+
+def _event_rates(labels, params):
+    n1 = labels.count(COLONY_1)
+    return params._tables[0][n1][len(labels) - n1]
+
+
+def _pick_event(labels, rates, total, params, rng):
+    pick = rng.random() * total
+    if pick < rates[0] + rates[1]:
+        label = COLONY_2 if pick < rates[0] else COLONY_1
+        i = labels.index(label)
+        for _ in range(rng.randrange(labels.count(label))):
+            i = labels.index(label, i + 1)
+        return "migration", label, i + 1
+    pick -= rates[0] + rates[1]
+    colony = COLONY_1 if pick < rates[2] or rates[3] == 0 else COLONY_2
+    if colony == COLONY_2:
+        pick -= rates[2]
+    b = labels.count(colony)
+    rows, cum, _ = params._tables[1][b]
+    prof = rows[bisect.bisect_right(cum, pick, hi=len(rows) - 1)]
+    detail = random_partition_with_profile(b, prof.merge_sizes, prof.s, rng)
+    return "coalescence", colony, detail
+
+
+def _frozen_run(chain, params, rng, at_time, absorb, max_events,
+                record=False):
+    events = []
+    count = 0
+    while True:
+        if absorb and len(chain.blocks) == 1:
+            return events, False
+        if max_events is not None and count >= max_events:
+            return events, True
+        rates, total = _event_rates(chain.labels, params)
+        dt = rng.expovariate(total)
+        if at_time is not None and chain.clock + dt >= at_time:
+            chain.advance_to(at_time)
+            return events, False
+        kind, colony, detail = _pick_event(chain.labels, rates, total,
+                                           params, rng)
+        chain.advance(dt)
+        chain.apply(kind, colony, detail)
+        count += 1
+        if record:
+            events.append(EventRecord(chain.clock, dt, kind, colony, detail,
+                                      len(chain.blocks)))
+
+
+def _frozen_replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
+    state = initial_state(f, eta)
+    spec = params.mutation
+    if skeleton:
+        start = None
+        leaves = [(g.level, [float(c) for c in g.coeffs]) for g in f.factors]
+        theta = params._tables[2] if spec.theta > 0 else None
+    else:
+        start = simulator._start(
+            [SetFunction(g.level, tuple(map(float, g.coeffs)))
+             for g in f.factors], spec.base)
+        pair = {label: simulator._float_pairing(m, start[0])
+                for label, m in zip((COLONY_1, COLONY_2), mu)}
+    values = []
+    for rep in range(lo, hi):
+        rng = replica_rng(seed, rep)
+        chain = _FrozenChain(state, params, start)
+        _, truncated = _frozen_run(chain, params, rng, t, t is None,
+                                   simulator.EVENT_CAP)
+        assert not truncated
+        if skeleton:
+            values.append(simulator._leaf_value(chain, leaves, mu, theta,
+                                                spec.base, rng))
+        else:
+            value = 1
+            for g, label in zip(chain.factors, chain.labels):
+                value *= pair[label](g)
+            values.append(float(value))
+    return values
+
+
 class TestJumpRate:
-    """The jump rate the chain draws its holding times with."""
+    """The jump rate the chain draws its holding times with, as the frozen
+    loop reads it from the table."""
 
     def test_single_block(self):
         params = kingman_model()
@@ -80,14 +260,31 @@ class _TopUniform(random.Random):
         return 1 - 2 ** -53
 
 
+# Kingman pair rate 5, u1 = 1, u2 = 1/5: from labels (1, 1, 2) the rates
+# are (1.0, 0.4, 5.0, 0.0) and the top uniform draw leaves pick at 5.0
+# after `pick -= rates[0] + rates[1]`
+ROUNDING = (XiMeasure(kingman_mass=F(5)), F(1), F(1, 5), (1, 1, 2))
+
+
+def _rounding_model():
+    xi, u1, u2, eta = ROUNDING
+    return ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
+                       u1, u2, 4), eta
+
+
 class TestPickEvent:
     def test_colony_without_coalescence_rate_never_picked(self):
         # one block in colony 2: rounding in `pick -= rates[0] + rates[1]`
         # leaves pick == rates[2], which used to pick colony 2
-        rates = (1.0, 0.4, 4.295336530453934, 0.0)
-        kind, colony, detail = _pick_event((1, 1, 2), rates, sum(rates),
-                                           kingman_model(), _TopUniform(0))
-        assert (kind, colony, detail) == ("coalescence", 1, ((1, 2),))
+        params, eta = _rounding_model()
+        rates, total = params._tables[0][2][1]
+        assert rates[3] == 0
+        assert not (1 - 2 ** -53) * total - (rates[0] + rates[1]) < rates[2]
+        record, state = _one_event(initial_state(indicator_power(3), eta),
+                                   params, _TopUniform(0))
+        assert (record.kind, record.colony, record.detail) == \
+            ("coalescence", 1, ((1, 2),))
+        assert state.lp.labels == (1, 2)
 
 
 def _one_event(state, params, rng):
@@ -224,6 +421,135 @@ class TestRunUntil:
         assert abs(mean - exact) < 3 * math.sqrt(var / n)
 
 
+def _hexed(record):
+    return record._replace(time=record.time.hex(), dt=record.dt.hex())
+
+
+def _bits(lists):
+    return [[c.hex() for c in g] for g in lists]
+
+
+@functools.lru_cache(maxsize=None)
+def _frozen_model(name):
+    """The models of the frozen-loop cases, each with its start labels:
+    Kingman alone; the mc_stationary model (Kingman mass 1/2 plus the atom
+    (1/2, 1/4), whose dust 1/4 leaves singletons beside a merger); the
+    exact_sweep measure (two atoms plus Kingman), whose multi-group
+    mergers with dust need many blocks."""
+    xi, u1, u2, n = {
+        "kingman": (KINGMAN, F(1), F(1), 5),
+        "atom": (XiMeasure(F(1, 2), ATOM_HALF_QUARTER.atoms), F(1), F(2), 6),
+        "sweep10": (SWEEP, F(1), F(2), 10),
+        "sweep20": (SWEEP, F(3), F(1, 2), 20)}[name]
+    params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
+                         u1, u2, n)
+    return params, tuple(1 + i % 2 for i in range(n))
+
+
+# a float tensor at two grid levels under the uniform base, cycled over the
+# start blocks
+_FROZEN_FACTORS = (SetFunction(2, (0.3, 1.7, 0.25, 1.1)),
+                   SetFunction.indicator(E_STAR),
+                   SetFunction(1, (0.625, -0.5)))
+
+
+def _frozen_tensor(n, exact=False):
+    if exact:
+        return indicator_power(n)
+    return TensorFunction(tuple(_FROZEN_FACTORS[i % 3] for i in range(n)))
+
+
+class TestFrozenLoop:
+    """`run_until`, the replica driver and the skeleton agree to the bit
+    with the frozen loop above: at absorption, at t = 0 and at mid-run
+    stops, on Kingman alone, the atom with dust and the exact_sweep
+    measure at 10 and 20 start blocks."""
+
+    STOPS = [StopRule(at_absorption=True), StopRule(at_time=0.0),
+             StopRule(at_time=0.3), StopRule(at_time=2.0)]
+
+    @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10",
+                                      "sweep20"])
+    def test_run_until_equals_frozen_loop(self, name):
+        params, eta = _frozen_model(name)
+        replicas = 4 if name == "sweep20" else 12
+        merged = 0
+        for exact in (False, True):
+            f = _frozen_tensor(len(eta), exact)
+            state0 = initial_state(f, eta)
+            for stop in self.STOPS:
+                for rep in range(replicas):
+                    state, traj = run_until(state0, params, stop,
+                                            replica_rng(7, rep))
+                    chain = _FrozenChain(state0, params, simulator._start(
+                        f.factors, params.mutation.base))
+                    events, truncated = _frozen_run(
+                        chain, params, replica_rng(7, rep), stop.at_time,
+                        stop.at_absorption, stop.max_events, record=True)
+                    assert [_hexed(r) for r in traj.events] == \
+                        [_hexed(r) for r in events]
+                    assert traj.truncated == truncated
+                    assert state.lp.partition == chain.blocks
+                    assert state.lp.labels == chain.labels
+                    assert (state.clock.hex(), state.events) == \
+                        (chain.clock.hex(), chain.events)
+                    assert _bits(g.coeffs for g in state.y.factors) == \
+                        _bits(SetFunction(chain.level, tuple(g)).coeffs
+                              for g in chain.factors)
+                    merged += sum(1 for r in events
+                                  if r.kind == "coalescence"
+                                  and sum(len(b) > 1 for b in r.detail) > 1)
+        if name.startswith("sweep"):
+            # several groups merging in one event, beside singletons
+            assert merged > 0
+
+    @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
+    @pytest.mark.parametrize("t", [None, 0.0, 0.3, 2.0])
+    def test_replica_values_equal_frozen_driver(self, name, t):
+        params, eta = _frozen_model(name)
+        mu = (BaseMeasure(1, (F(3, 2), F(1, 2))),
+              BaseMeasure(1, (F(1, 2), F(3, 2))))
+        f = _frozen_tensor(len(eta), exact=True)
+        for skeleton in (False, True):
+            args = (f, eta, mu, t, params, 3, skeleton, 5, 45)
+            assert [v.hex() for v in simulator._replica_values(*args)] == \
+                [v.hex() for v in _frozen_replica_values(*args)]
+
+    @pytest.mark.parametrize("name", ["atom", "sweep10"])
+    def test_skeleton_segments_equal_frozen_loop(self, name):
+        params, eta = _frozen_model(name)
+        state0 = initial_state(indicator_power(len(eta)), eta)
+        for t in (None, 0.0, 0.3, 2.0):
+            for rep in range(12):
+                chain = simulator._Chain(state0, params, None)
+                simulator._run(chain, params, replica_rng(9, rep), t,
+                               t is None, simulator.EVENT_CAP)
+                frozen = _FrozenChain(state0, params, None)
+                _frozen_run(frozen, params, replica_rng(9, rep), t,
+                            t is None, simulator.EVENT_CAP)
+                assert [(b, dt.hex()) for b, dt in chain.segments] == \
+                    [(b, dt.hex()) for b, dt in frozen.segments]
+                assert (chain.blocks, tuple(chain.labels)) == \
+                    (frozen.blocks, frozen.labels)
+
+    def test_rounding_branch_equals_frozen_loop(self):
+        # every uniform at the top: the first coalescence takes the branch
+        # where colony 2 has no coalescence rate and rounding leaves pick
+        # at rates[2]
+        params, eta = _rounding_model()
+        state0 = initial_state(indicator_power(3), eta)
+        state, traj = run_until(state0, params, StopRule(
+            at_time=math.inf, max_events=6), _TopUniform(1))
+        chain = _FrozenChain(state0, params, simulator._start(
+            state0.y.factors, params.mutation.base))
+        events, truncated = _frozen_run(chain, params, _TopUniform(1),
+                                        math.inf, False, 6, record=True)
+        assert traj.events[0].kind == "coalescence" and truncated
+        assert [_hexed(r) for r in traj.events] == \
+            [_hexed(r) for r in events]
+        assert state.lp.labels == chain.labels
+
+
 class TestEvaluateDual:
     def test_all_ones(self):
         state = initial_state(TensorFunction.indicator_power(
@@ -306,6 +632,42 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_stationary(indicator_power(2), (1, 1),
                                 BaseMeasure.uniform(), 10, params, seed=0)
+
+
+# finite floats whose sample variance stays finite, subnormals included
+_FINITE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
+                    allow_infinity=False)
+_TINY = st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False)
+
+
+class TestStdev:
+    """The standard error's standard deviation is exact up to one
+    rounding on every interpreter, so seeded reports agree under Python
+    3.10 and 3.11+."""
+
+    def test_pinned_case_where_python_310_differs(self):
+        # `statistics.stdev` of 3.10 gives 0x1.bfd8df179b0bdp-3 here
+        assert simulator._stdev([0.082, 0.365, 0.6, 0.458]).hex() == \
+            "0x1.bfd8df179b0bep-3"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.stdev rounds correctly from 3.11")
+    @given(xs=st.one_of(
+        st.lists(_FINITE, min_size=2, max_size=40),
+        st.lists(_TINY, min_size=2, max_size=40),
+        st.lists(st.floats(0, 1), min_size=2, max_size=3),
+        st.tuples(_FINITE, st.integers(2, 9)).map(lambda c: [c[0]] * c[1])))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_statistics_stdev(self, xs):
+        assert simulator._stdev(xs) == statistics.stdev(xs)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.stdev rounds correctly from 3.11")
+    def test_equals_statistics_stdev_on_replica_values(self):
+        values = simulator._replica_values(
+            indicator_power(4), (1, 1, 2, 2), (BaseMeasure.uniform(),) * 2,
+            None, _frozen_model("atom")[0], 4, False, 0, 500)
+        assert simulator._stdev(values) == statistics.stdev(values)
 
 
 class TestReplicaDriver:
