@@ -5,18 +5,20 @@ One kernel runs the chain. `_Chain` is the mutable state of one run:
 colony labels (a list that events change in place, with the count of
 colony-1 blocks kept beside it), the blocks in least-element order where
 some caller reads them, and a payload, which is one plain list of
-coefficients per block or, for the genealogical skeleton, none: that
-records lineage segments. Every list holds one coefficient per cell of
-one grid level per run, the highest of the start factors' levels and the
-mutation base's `grid_level`; advance and merge act cell by cell and never
-refine or reduce that level. The base integrals are cached until a
-coalescence, which recomputes all of them: a float payload through the
-base's cached `float_integrator`, the float branch of `integrate_cells`.
-(Reusing the integrals of blocks that did not merge would skip work but
-could change the last bits of a float payload, so it is not done.)
-`_Chain.advance` runs the mutation semigroup, `_Chain.migrate` moves one
-block and `_Chain.coalesce` unites merge groups of one colony's blocks
-(`partitions.merge_groups`), multiplying their factors.
+coefficients or, for the genealogical skeleton, none: that records
+lineage segments. The list holds each block's coefficients one block
+after another, one per cell of one grid level per run, the highest of the
+start factors' levels and the mutation base's `grid_level`; advance and
+merge act cell by cell and never refine or reduce that level, and one
+pass over the list advances every block. The base integrals are cached
+until a coalescence, which recomputes all of them: a float payload
+through the base's cached `float_integrator`, the float branch of
+`integrate_cells`. (Reusing the integrals of blocks that did not merge
+would skip work but could change the last bits of a float payload, so it
+is not done.) `_Chain.advance` runs the mutation semigroup,
+`_Chain.migrate` moves one block and `_Chain.coalesce` unites merge
+groups of one colony's blocks (`partitions.merge_groups`), multiplying
+their factors.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
 the estimators, or from a recorded `Trajectory` in `replay`, the one path
@@ -164,17 +166,18 @@ def replica_rng(seed, replica):
 
 def _start(factors, base):
     """The payload a run starts from, for a tensor's factors under the
-    mutation base `base`: the run's grid level, one coefficient list per
-    factor at that level and the base integral of one list. Runs may share
-    it: advance and merge build new lists and never change these. A
-    rational start (`run_until` on a Fraction tensor) is integrated
-    exactly by `integrate_cells`; the first advance makes it float."""
+    mutation base `base`: the run's grid level, the factors' coefficients
+    at that level one block after another in one list, and the base
+    integral of one block's coefficients. Runs may share it: advance and
+    merge build new lists and never change it. A rational start
+    (`run_until` on a Fraction tensor) is integrated exactly by
+    `integrate_cells`; the first advance makes it float."""
     level = max(base.grid_level, *(g.level for g in factors))
-    lists = tuple(g._coeffs_at(level) for g in factors)
+    cells = [c for g in factors for c in g._coeffs_at(level)]
     # a float payload stays float: integrate it with the float branch of
     # `integrate_cells` directly
-    floats = all(type(c) is float for g in lists for c in g)
-    return (level, lists,
+    floats = all(type(c) is float for c in cells)
+    return (level, cells,
             base.float_integrator(level) if floats
             else functools.partial(base.integrate_cells, level))
 
@@ -184,7 +187,10 @@ class _Chain:
     from `state` with the payload `start` (see `_start`), or none (the
     skeleton). The labels are a list that events change in place, with
     the count `n1` of colony-1 blocks kept beside it; the block contents
-    are kept only when `blocks` is true."""
+    are kept only when `blocks` is true. The payload `cells` holds the
+    blocks' coefficient lists one after another, `width` cells each, and
+    `ints` each block's base integral once per cell, so that one pass
+    over the cells advances every block."""
 
     def __init__(self, state, params, start, blocks=True):
         self.blocks = state.lp.partition if blocks else None
@@ -192,9 +198,10 @@ class _Chain:
         self.n1 = self.labels.count(COLONY_1)
         self.theta = params._tables[2]
         if start is None:
-            self.factors, self.segments = None, []
+            self.cells, self.segments = None, []
         else:
-            self.level, self.factors, self.integral = start
+            self.level, self.cells, self.integral = start
+            self.width = 1 << self.level
             self.ints = None
         self.clock, self.events = state.clock, state.events
 
@@ -203,7 +210,7 @@ class _Chain:
         factor's base integral is invariant under the flow (a convex
         combination with that same integral), so it is computed once and
         carried forward."""
-        if self.factors is None:
+        if self.cells is None:
             self.segments.append((self.blocks, dt))
         else:
             if dt < 0:
@@ -212,11 +219,23 @@ class _Chain:
             p = math.exp(-self.theta * dt / 2.0)
             q = 1 - p
             if self.ints is None:
-                self.ints = [self.integral(g) for g in self.factors]
-            self.factors = [[p * v + b for v in g]
-                            for g, b in zip(self.factors,
-                                            [q * c for c in self.ints])]
+                self.ints = self._per_cell(self.integral)
+            self.cells = [p * v + q * c for v, c in zip(self.cells,
+                                                        self.ints)]
         self.clock += dt
+
+    def _per_cell(self, integral):
+        """Each block's `integral`, once per cell of the block."""
+        cells, w = self.cells, self.width
+        out = []
+        for i in range(0, len(cells), w):
+            out += [integral(cells[i:i + w])] * w
+        return out
+
+    def factors(self):
+        """The coefficient list of each block, in block order."""
+        w = self.width
+        return [self.cells[i:i + w] for i in range(0, len(self.cells), w)]
 
     def advance_to(self, t):
         self.advance(t - self.clock)
@@ -238,7 +257,7 @@ class _Chain:
         labels[:] = [labels[g[0]] for g in groups]
         if self.blocks is not None:
             self.blocks = coagulate(self.blocks, groups)
-        if self.factors is not None:
+        if self.cells is not None:
             self._merge(groups)
         self.events += 1
 
@@ -256,18 +275,22 @@ class _Chain:
                           colony_merging(self.labels, colony, detail))
 
     def _merge(self, groups):
+        cells, w = self.cells, self.width
         merged = []
         for group in groups:
-            g = self.factors[group[0]]
+            i = group[0] * w
+            g = cells[i:i + w]
             for j in group[1:]:
-                g = [x * y for x, y in zip(g, self.factors[j])]
-            merged.append(g)
-        self.factors = merged
+                j *= w
+                g = [x * y for x, y in zip(g, cells[j:j + w])]
+            merged += g
+        self.cells = merged
         self.ints = None
 
     def set_functions(self):
         """The payload as reduced `SetFunction`s, in block order."""
-        return tuple(SetFunction(self.level, tuple(g)) for g in self.factors)
+        return tuple(SetFunction(self.level, tuple(g))
+                     for g in self.factors())
 
     def state(self):
         return DualState(LabeledPartition(self.blocks, tuple(self.labels)),
@@ -289,20 +312,21 @@ class _ExactChain(_Chain):
         factors = state.y.factors
         level = max(base.grid_level, *(g.level for g in factors))
         self.weights, self.scale = base.exact_weights(level)
-        lists, self.dens = [], []
+        cells, self.dens = [], []
         for g in factors:
             ratios = [c.as_integer_ratio() for c in g._coeffs_at(level)]
             den = math.lcm(*(d for _, d in ratios))
-            lists.append([n * (den // d) for n, d in ratios])
+            cells += [n * (den // d) for n, d in ratios]
             self.dens.append(den)
         # no float integral: `advance` integrates with the weights
-        super().__init__(state, params, (level, lists, None))
+        super().__init__(state, params, (level, cells, None))
 
     def advance(self, dt):
         """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
         D -> 2^k D, with J the integral's numerator over D; right after a
         coalescence the integrals are J / (D K), so N and D take a factor
-        K first."""
+        K first. J is kept as taken then; `growth` is the power of two
+        that D has gained since, by which J is scaled."""
         if dt < 0:
             raise ValueError("negative time")
         # `decay_factor(theta, dt, exact=True)`: a / 2^k
@@ -310,15 +334,15 @@ class _ExactChain(_Chain):
             .as_integer_ratio()
         b = two_k - a
         if self.ints is None:
-            self.ints = [sum(v * w for v, w in zip(g, self.weights))
-                         for g in self.factors]
+            self.ints = self._per_cell(
+                lambda g: sum(v * w for v, w in zip(g, self.weights)))
             self.dens = [d * self.scale for d in self.dens]
             a *= self.scale
-        self.factors = [[a * v + bj for v in g]
-                        for g, bj in zip(self.factors,
-                                         [b * j for j in self.ints])]
+            self.growth = 1
+        b *= self.growth
+        self.cells = [a * v + b * j for v, j in zip(self.cells, self.ints)]
         self.dens = [d * two_k for d in self.dens]
-        self.ints = [j * two_k for j in self.ints]
+        self.growth *= two_k
         self.clock += dt
 
     def _merge(self, groups):
@@ -334,7 +358,7 @@ class _ExactChain(_Chain):
     def set_functions(self):
         return tuple(SetFunction(self.level,
                                  tuple(Fraction(n, d) for n in g))
-                     for g, d in zip(self.factors, self.dens))
+                     for g, d in zip(self.factors(), self.dens))
 
 
 def _run(chain, params, rng, at_time, absorb, max_events, record=False):
@@ -613,7 +637,7 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
                                       rng))
         else:
             value = 1
-            for g, label in zip(chain.factors, chain.labels):
+            for g, label in zip(chain.factors(), chain.labels):
                 value *= pair[label](g)
             values.append(float(value))
     return values

@@ -36,10 +36,12 @@ def _floated(f):
 
 
 # The dual's event loop as it stood before it kept the colony counts, drew
-# merge groups from the shuffled ranks and kept block contents only where
-# read, frozen as the oracle of `simulator._run`: the draws, the event
-# records, the final blocks, labels and float payload, the replica values
-# and the skeleton's segments must stay the same to the bit.
+# merge groups from the shuffled ranks, kept block contents only where
+# read and held the payload in one list, frozen as the oracle of
+# `simulator._run`: with its one coefficient list per block and block
+# contents throughout, it gives the event records, final blocks, labels
+# and float payload, replica values and skeleton segments that the loop
+# must keep to the bit.
 
 
 def random_partition_with_profile(b, merge_sizes, s, rng):
@@ -80,6 +82,15 @@ def _coag_colony(blocks, labels, colony, pi_prime):
                        if len(g) > 1 else tuple(blocks[g[0]])
                        for g in groups)
     return new_blocks, tuple(labels[g[0]] for g in groups), groups
+
+
+def _frozen_start(factors, base):
+    level = max(base.grid_level, *(g.level for g in factors))
+    lists = tuple(g._coeffs_at(level) for g in factors)
+    floats = all(type(c) is float for g in lists for c in g)
+    return (level, lists,
+            base.float_integrator(level) if floats
+            else functools.partial(base.integrate_cells, level))
 
 
 class _FrozenChain:
@@ -187,7 +198,7 @@ def _frozen_replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
         leaves = [(g.level, [float(c) for c in g.coeffs]) for g in f.factors]
         theta = params._tables[2] if spec.theta > 0 else None
     else:
-        start = simulator._start(
+        start = _frozen_start(
             [SetFunction(g.level, tuple(map(float, g.coeffs)))
              for g in f.factors], spec.base)
         pair = {label: simulator._float_pairing(m, start[0])
@@ -481,7 +492,7 @@ class TestFrozenLoop:
                 for rep in range(replicas):
                     state, traj = run_until(state0, params, stop,
                                             replica_rng(7, rep))
-                    chain = _FrozenChain(state0, params, simulator._start(
+                    chain = _FrozenChain(state0, params, _frozen_start(
                         f.factors, params.mutation.base))
                     events, truncated = _frozen_run(
                         chain, params, replica_rng(7, rep), stop.at_time,
@@ -540,7 +551,7 @@ class TestFrozenLoop:
         state0 = initial_state(indicator_power(3), eta)
         state, traj = run_until(state0, params, StopRule(
             at_time=math.inf, max_events=6), _TopUniform(1))
-        chain = _FrozenChain(state0, params, simulator._start(
+        chain = _FrozenChain(state0, params, _frozen_start(
             state0.y.factors, params.mutation.base))
         events, truncated = _frozen_run(chain, params, _TopUniform(1),
                                         math.inf, False, 6, record=True)
