@@ -164,22 +164,31 @@ def replica_rng(seed, replica):
     return random.Random(f"xistep:{seed}:{replica}")
 
 
+def _per_cell(cells, width, integral):
+    """Each block's `integral`, once per cell of the block: the blocks are
+    `cells` cut into runs of `width`."""
+    out = []
+    for i in range(0, len(cells), width):
+        out += [integral(cells[i:i + width])] * width
+    return out
+
+
 def _start(factors, base):
     """The payload a run starts from, for a tensor's factors under the
     mutation base `base`: the run's grid level, the factors' coefficients
-    at that level one block after another in one list, and the base
-    integral of one block's coefficients. Runs may share it: advance and
-    merge build new lists and never change it. A rational start
-    (`run_until` on a Fraction tensor) is integrated exactly by
-    `integrate_cells`; the first advance makes it float."""
+    at that level one block after another in one list, the base integral
+    of one block's coefficients and the blocks' integrals (`_per_cell`).
+    Runs may share it: advance and merge build new lists and never change
+    it. A rational start (`run_until` on a Fraction tensor) is integrated
+    exactly by `integrate_cells`; the first advance makes it float."""
     level = max(base.grid_level, *(g.level for g in factors))
     cells = [c for g in factors for c in g._coeffs_at(level)]
     # a float payload stays float: integrate it with the float branch of
     # `integrate_cells` directly
     floats = all(type(c) is float for c in cells)
-    return (level, cells,
-            base.float_integrator(level) if floats
-            else functools.partial(base.integrate_cells, level))
+    integral = (base.float_integrator(level) if floats
+                else functools.partial(base.integrate_cells, level))
+    return level, cells, integral, _per_cell(cells, 1 << level, integral)
 
 
 class _Chain:
@@ -200,9 +209,8 @@ class _Chain:
         if start is None:
             self.cells, self.segments = None, []
         else:
-            self.level, self.cells, self.integral = start
+            self.level, self.cells, self.integral, self.ints = start
             self.width = 1 << self.level
-            self.ints = None
         self.clock, self.events = state.clock, state.events
 
     def advance(self, dt):
@@ -219,18 +227,10 @@ class _Chain:
             p = math.exp(-self.theta * dt / 2.0)
             q = 1 - p
             if self.ints is None:
-                self.ints = self._per_cell(self.integral)
+                self.ints = _per_cell(self.cells, self.width, self.integral)
             self.cells = [p * v + q * c for v, c in zip(self.cells,
                                                         self.ints)]
         self.clock += dt
-
-    def _per_cell(self, integral):
-        """Each block's `integral`, once per cell of the block."""
-        cells, w = self.cells, self.width
-        out = []
-        for i in range(0, len(cells), w):
-            out += [integral(cells[i:i + w])] * w
-        return out
 
     def factors(self):
         """The coefficient list of each block, in block order."""
@@ -319,7 +319,7 @@ class _ExactChain(_Chain):
             cells += [n * (den // d) for n, d in ratios]
             self.dens.append(den)
         # no float integral: `advance` integrates with the weights
-        super().__init__(state, params, (level, cells, None))
+        super().__init__(state, params, (level, cells, None, None))
 
     def advance(self, dt):
         """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
@@ -334,7 +334,8 @@ class _ExactChain(_Chain):
             .as_integer_ratio()
         b = two_k - a
         if self.ints is None:
-            self.ints = self._per_cell(
+            self.ints = _per_cell(
+                self.cells, self.width,
                 lambda g: sum(v * w for v, w in zip(g, self.weights)))
             self.dens = [d * self.scale for d in self.dens]
             a *= self.scale
