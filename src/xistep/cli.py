@@ -76,6 +76,10 @@ def _monomial_inputs(cfg, n, m):
 
 
 def cmd_rates(cfg, args):
+    if cfg.b_max < 4:
+        raise ConfigError("b_max", "the consistency check needs a table of "
+                          "at least 4 blocks, so b_max must be at least 4, "
+                          f"got {cfg.b_max}")
     table = build_rate_table(cfg.xi, cfg.b_max)
     report = _meta(cfg)
     rows = {}

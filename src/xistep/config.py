@@ -155,9 +155,9 @@ class ExperimentConfig:
                            self.u1, self.u2, b_max)
 
     def scalar_params(self, order=4):
-        """Exact-engine params whose table covers `order` lineages (and the
-        four the named rates need), capped at b_max."""
-        table = build_rate_table(self.xi, min(self.b_max, max(order, 4)))
+        """Exact-engine params whose table covers `order` lineages, capped
+        at b_max, and at least the four the named rates need."""
+        table = build_rate_table(self.xi, max(min(order, self.b_max), 4))
         return ScalarParams.from_rate_table(table, self.theta, self.alpha,
                                             self.u1, self.u2)
 

@@ -22,9 +22,10 @@ class ScalarParams:
     """Scalar inputs of the moment systems: mutation rate theta, reference
     mass alpha, migration rates, and `table`, the one source of collision
     rates. Built directly, the seven named rates (up to four lineages) make
-    a 4-block table; given a table, they are read from it. Migration and
-    collision rates must be nonnegative: the stationary systems then have no
-    zero pivot (see `linalg.solve_tridiagonal`)."""
+    a 4-block table; given a table, which must cover those four blocks,
+    they are read from it. Migration and collision rates must be
+    nonnegative: the stationary systems then have no zero pivot (see
+    `linalg.solve_tridiagonal`)."""
 
     theta: Fraction
     alpha: Fraction
@@ -40,10 +41,13 @@ class ScalarParams:
     table: RateTable = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.table is not None and self.table.b_max < 4:
+            raise ValueError(f"rate table with b_max={self.table.b_max} does "
+                             "not cover the named rates, which need 4 blocks")
         rows = {}
         for name, (b, ks, s) in NAMED_RATES.items():
-            covered = self.table is not None and b <= self.table.b_max
-            rate = self.table.rate_of(b, ks, s) if covered else Fraction(0)
+            rate = (Fraction(0) if self.table is None
+                    else self.table.rate_of(b, ks, s))
             given = getattr(self, name)
             given = rate if given is None else Fraction(given)
             if given < 0:

@@ -77,14 +77,6 @@ class LabeledPartition:
         return len(self.partition)
 
 
-def relabel(eta, k, colony):
-    """Copy of the label tuple eta with position k (1-based) set to
-    colony."""
-    if not 1 <= k <= len(eta):
-        raise IndexError(f"label position {k} out of range")
-    return eta[:k - 1] + (colony,) + eta[k:]
-
-
 def colony_merging(labels, colony, pi_prime):
     """The merging of the blocks labeled `colony` by pi_prime, a partition
     of their ranks among that colony's blocks: per block of pi_prime with
@@ -115,17 +107,6 @@ def coagulate(blocks, groups):
     merges with no other is already sorted."""
     return tuple(tuple(sorted(x for i in g for x in blocks[i]))
                  if len(g) > 1 else blocks[g[0]] for g in groups)
-
-
-def coag_colony(blocks, labels, colony, pi_prime):
-    """Coagulate the blocks labeled `colony` by pi_prime, a partition of
-    their ranks among that colony's blocks; the other colony's blocks pass
-    through. Returns the new blocks and labels in least-element order and
-    the merge groups (see `merge_groups`)."""
-    groups = merge_groups(len(labels),
-                          colony_merging(labels, colony, pi_prime))
-    return (coagulate(blocks, groups), tuple(labels[g[0]] for g in groups),
-            groups)
 
 
 def enumerate_partitions(b, skip_singleton=False):

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 def _reduce_cells(level, values):
     """Drop to the coarsest grid level representing the same step function."""
-    while level > 0 and all(values[2 * i] == values[2 * i + 1]
-                            for i in range(len(values) // 2)):
+    while level > 0 and values[::2] == values[1::2]:
         values = values[::2]
         level -= 1
     return level, tuple(values)
@@ -329,12 +328,3 @@ def semigroup_apply_uniform(g, t, spec, exact=False):
     e^{-theta t/2} g + (1 - e^{-theta t/2}) <nu0, g> 1."""
     p = decay_factor(spec.theta, t, exact=exact)
     return g.axpy(p, (1 - p) * spec.base.integrate(g))
-
-
-def sample_mutation_path(x0, t, spec, rng):
-    """Terminal type of the mutation jump process started at x0 run for
-    time t: keep x0 with prob e^{-theta t/2}, else one fresh draw from the
-    base."""
-    if rng.random() < decay_factor(spec.theta, t):
-        return x0
-    return spec.base.sample(rng)

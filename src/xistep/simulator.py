@@ -383,14 +383,14 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
     random_, expovariate = rng.random, rng.expovariate
     randrange, shuffle = rng.randrange, rng.shuffle
     stop = math.inf if at_time is None else at_time
-    cap = math.inf if max_events is None else max_events
+    # `chain.events` counts the events of the chain's whole path
+    cap = math.inf if max_events is None else chain.events + max_events
     events = []
-    count = 0
     while True:
         n = len(labels)
         if absorb and n == 1:
             return events, False
-        if count >= cap:
+        if chain.events >= cap:
             return events, True
         n1 = chain.n1
         rates, total = jump[n1][n - n1]
@@ -439,7 +439,6 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
             chain.advance(dt)
             chain.coalesce(colony, merging)
             kind = "coalescence"
-        count += 1
         if record:
             events.append(EventRecord(chain.clock, dt, kind, colony, detail,
                                       len(labels)))
@@ -571,8 +570,7 @@ def _float_pairing(law, level):
 
     def pair(g):
         lvl = level
-        while lvl > lo and all(g[i] == g[i + 1]
-                               for i in range(0, len(g), 2)):
+        while lvl > lo and g[::2] == g[1::2]:
             g = g[::2]
             lvl -= 1
         return integrals[lvl - lo](g)
@@ -583,9 +581,10 @@ def _float_pairing(law, level):
 def _leaf_value(chain, leaves, mu, theta, base, rng):
     """Genealogical reading of a skeleton run: types drawn at the top of
     the genealogy from the colony laws, mutation paths run down each
-    lineage segment (`sample_mutation_path` at float rate `theta`, or none
-    when theta is None), and f evaluated at the leaves (`leaves`: each
-    factor's level and float coefficients)."""
+    lineage segment (a segment of length d keeps its type with probability
+    exp(-theta d / 2), else draws a fresh one from `base`; none when theta
+    is None), and f evaluated at the leaves (`leaves`: each factor's level
+    and float coefficients)."""
     mu1, mu2 = mu
     top = chain.blocks
     types = [(mu1 if label == COLONY_1 else mu2).sample(rng)
@@ -692,8 +691,8 @@ def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
     plus coalescence differences over nontrivial colony partitions plus
     per-block migration differences."""
-    lp = LabeledPartition(singleton_partition(len(eta)), tuple(eta))
-    base_state = DualState(lp, f)
+    base_state = initial_state(f, eta)
+    lp = base_state.lp
     start = _start(f.factors, params.mutation.base)
     g0 = evaluate_dual(base_state, mu)
     total = Fraction(0)

@@ -467,6 +467,8 @@ class TestErrors:
         ("reversibility --replicas 5", {}, None, "--replicas"),
         ("selftest --replicas 5", {}, None, "--replicas"),
         ("stationary --replicas 5", {}, None, "replicas: --replicas"),
+        # the consistency check needs a 4-block table
+        ("rates", {"b_max": 3}, None, "b_max: "),
     ]
 
     # ids number the cases and leave the command out

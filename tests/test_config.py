@@ -63,8 +63,10 @@ class TestValidConfig:
         assert cfg.scalar_params().table.b_max == 4
         assert cfg.scalar_params(5).table.b_max == 5
         assert cfg.scalar_params(9).table.b_max == 6
+        # the named rates need 4 blocks whatever b_max is
         small = parse_config(dict(VALID, b_max=2, options={}))
-        assert small.scalar_params().table.b_max == 2
+        assert small.scalar_params().table.b_max == 4
+        assert small.scalar_params(2).table.b_max == 4
 
     def test_model_params_tabulate_to_the_start_blocks(self):
         cfg = parse_config(VALID)

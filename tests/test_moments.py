@@ -130,12 +130,17 @@ class TestScalarParamsTable:
         with pytest.raises(ValueError, match="b_max=6"):
             solve_stationary(7, p)
 
-    def test_small_table_names_only_the_rates_it_covers(self):
-        table = build_rate_table(KINGMAN, 2)
+    def test_table_under_four_blocks_refused(self):
+        # such a table used to read the named rates it lacks as 0: on the
+        # atom (1/2, 1/4) a 2-block table gave a3 = 0, where it is 9/20
+        for b_max in (2, 3):
+            table = build_rate_table(ATOM_HALF_QUARTER, b_max)
+            with pytest.raises(ValueError, match=f"b_max={b_max}"):
+                ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1),
+                                             F(2))
+        table = build_rate_table(ATOM_HALF_QUARTER, 4)
         p = ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1), F(2))
-        assert (p.a2, p.a21, p.a4) == (1, 0, 0)
-        assert solve_stationary(2, p) == solve_stationary(
-            2, kingman_scalar(u1=F(1), u2=F(2)))
+        assert p.a3 == F(9, 20)
 
     def test_disagreeing_named_rate_refused(self):
         table = build_rate_table(KINGMAN, 4)

@@ -5,19 +5,60 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xistep import COLONY_1, COLONY_2, enumerate_partitions, profile_of
-from xistep.partitions import (coag_colony, profile_multiplicity, relabel,
-                               singleton_partition)
+from xistep import (COLONY_1, COLONY_2, DualState, LabeledPartition,
+                    SetFunction, TensorFunction, enumerate_partitions,
+                    profile_of)
+from xistep.partitions import profile_multiplicity, singleton_partition
+from xistep.simulator import _Chain, _start
 
-# the draw of the event loop's frozen oracle, which `simulator._run` must
-# match to the bit
-from test_simulator import random_partition_with_profile
+from conftest import kingman_model
+# the frozen event loop's operations on labels and blocks, and its draw,
+# which `simulator._run` must match to the bit
+from test_simulator import (_coag_colony, _relabel,
+                            random_partition_with_profile)
+
+PARAMS = kingman_model()
+# block i of a chain starts with the constant factor PRIMES[i], so each
+# factor after a merge is the product that names the blocks it unites
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _start_at(blocks, labels):
+    """The dual at (blocks, labels) with block i carrying PRIMES[i], and
+    its start payload."""
+    f = TensorFunction(tuple(SetFunction.constant(p)
+                             for p in PRIMES[:len(blocks)]))
+    return (DualState(LabeledPartition(blocks, tuple(labels)), f),
+            _start(f.factors, PARAMS.mutation.base))
+
+
+def kernel_event(start, kind, colony, detail):
+    """One recorded event through the kernel's own route, `_Chain.apply`,
+    from `start` (see `_start_at`): the blocks, labels and factors after
+    it."""
+    state, payload = start
+    chain = _Chain(state, PARAMS, payload)
+    chain.apply(kind, colony, detail)
+    assert chain.events == 1
+    assert chain.n1 == chain.labels.count(COLONY_1)
+    return chain.blocks, tuple(chain.labels), [g for g, in chain.factors()]
+
+
+def kernel_migrate(blocks, labels, k, colony):
+    """Block k (1-based) migrating out of `colony`."""
+    return kernel_event(_start_at(blocks, labels), "migration", colony, k)
+
+
+def kernel_coag(blocks, labels, colony, pi_prime):
+    """`colony`'s blocks coagulated by pi_prime, a partition of their
+    ranks."""
+    return kernel_event(_start_at(blocks, labels), "coalescence", colony,
+                        pi_prime)
 
 
 def coag(pi, pi_prime):
-    """Coagulation of an unlabeled partition: `coag_colony` with every
-    block in colony 1."""
-    return coag_colony(pi, (COLONY_1,) * len(pi), COLONY_1, pi_prime)[0]
+    """Coagulation of an unlabeled partition: every block in colony 1."""
+    return kernel_coag(pi, (COLONY_1,) * len(pi), COLONY_1, pi_prime)[0]
 
 
 def partitions_with_profile(b, merge_sizes, s):
@@ -50,60 +91,50 @@ class TestCoag:
 
 class TestLabeled:
     def test_relabel(self):
-        assert relabel((1, 2, 2), 2, COLONY_1) == (1, 1, 2)
-        assert relabel((1,), 1, COLONY_1) == (1,)
-        assert relabel((2, 2), 1, COLONY_1) == (1, 2)
+        def migrate(labels, k, colony):
+            return kernel_migrate(singleton_partition(len(labels)), labels,
+                                  k, colony)[1]
+
+        assert migrate((1, 2, 2), 2, COLONY_2) == (1, 1, 2)
+        assert migrate((1,), 1, COLONY_1) == (2,)
+        assert migrate((2, 2), 1, COLONY_2) == (1, 2)
+        for k in (0, 3):
+            with pytest.raises(IndexError, match=f"position {k} out"):
+                migrate((2, 2), k, COLONY_2)
 
     def test_coag_labeled_colony1(self):
-        blocks, labels, _ = coag_colony(singleton_partition(4), (1, 1, 2, 2),
+        blocks, labels, _ = kernel_coag(singleton_partition(4), (1, 1, 2, 2),
                                         COLONY_1, ((1, 2),))
         assert blocks == ((1, 2), (3,), (4,))
         assert labels == (1, 2, 2)
 
     def test_coag_labeled_trivial(self):
-        blocks, labels, _ = coag_colony(singleton_partition(4), (1, 1, 2, 2),
+        blocks, labels, _ = kernel_coag(singleton_partition(4), (1, 1, 2, 2),
                                         COLONY_2, singleton_partition(2))
         assert (blocks, labels) == (singleton_partition(4), (1, 1, 2, 2))
 
     def test_coag_labeled_reorders_by_least_element(self):
-        blocks, labels, _ = coag_colony(singleton_partition(3), (2, 1, 2),
+        blocks, labels, _ = kernel_coag(singleton_partition(3), (2, 1, 2),
                                         COLONY_2, ((1, 2),))
         assert blocks == ((1, 3), (2,))
         assert labels == (2, 1)
 
+    # the factors name the merge groups: 2 * 3 unites blocks 0 and 1
+
     def test_merge_groups(self):
-        out = coag_colony(singleton_partition(4), (1, 1, 2, 2), COLONY_1,
+        out = kernel_coag(singleton_partition(4), (1, 1, 2, 2), COLONY_1,
                           ((1, 2),))
-        assert out == (((1, 2), (3,), (4,)), (1, 2, 2), [[0, 1], [2], [3]])
+        assert out == (((1, 2), (3,), (4,)), (1, 2, 2), [2 * 3, 5, 7])
 
     def test_merge_groups_trivial(self):
-        _, _, groups = coag_colony(singleton_partition(3), (1, 2, 1),
-                                   COLONY_1, singleton_partition(2))
-        assert groups == [[0], [1], [2]]
+        _, _, factors = kernel_coag(singleton_partition(3), (1, 2, 1),
+                                    COLONY_1, singleton_partition(2))
+        assert factors == [2, 3, 5]
 
     def test_merge_groups_interleaved(self):
-        out = coag_colony(((1, 4), (2,), (3,)), (2, 1, 2), COLONY_2,
+        out = kernel_coag(((1, 4), (2,), (3,)), (2, 1, 2), COLONY_2,
                           ((1, 2),))
-        assert out == (((1, 3, 4), (2,)), (2, 1), [[0, 2], [1]])
-
-
-def _relabel_oracle(eta, k, colony):
-    """`relabel` as it was written before tuple slicing."""
-    if not 1 <= k <= len(eta):
-        raise IndexError(f"label position {k} out of range")
-    return tuple(colony if i == k - 1 else c for i, c in enumerate(eta))
-
-
-def _coag_colony_oracle(blocks, labels, colony, pi_prime):
-    """`coag_colony` as it was written before singleton groups skipped
-    their sorts."""
-    positions = [i for i, c in enumerate(labels) if c == colony]
-    groups = [sorted(positions[k - 1] for k in b) for b in pi_prime]
-    groups += [[i] for i, c in enumerate(labels) if c != colony]
-    groups.sort()
-    new_blocks = tuple(tuple(sorted(x for i in g for x in blocks[i]))
-                       for g in groups)
-    return new_blocks, tuple(labels[g[0]] for g in groups), groups
+        assert out == (((1, 3, 4), (2,)), (2, 1), [2 * 5, 3])
 
 
 def _labelled_partitions(max_n=6):
@@ -116,26 +147,37 @@ def _labelled_partitions(max_n=6):
 
 
 class TestAgainstOracles:
-    """The event-loop bookkeeping against its earlier bodies, on every
-    labelled partition of up to 6 blocks."""
+    """The kernel's own route (`_Chain.apply`: a migration moves one block
+    out of its colony, a coalescence runs `colony_merging`, `merge_groups` and `coagulate`
+    and multiplies the united factors) against the frozen loop's
+    `_relabel` and `_coag_colony`, on every labelled partition of up to 6
+    blocks."""
 
     def test_relabel(self):
-        for _, labels in _labelled_partitions():
-            for k in range(1, len(labels) + 1):
-                for colony in (COLONY_1, COLONY_2):
-                    assert relabel(labels, k, colony) \
-                        == _relabel_oracle(labels, k, colony)
+        for pi, labels in _labelled_partitions():
+            factors = list(PRIMES[:len(pi)])
+            start = _start_at(pi, labels)
+            for k, colony in enumerate(labels, start=1):
+                other = COLONY_1 if colony == COLONY_2 else COLONY_2
+                assert kernel_event(start, "migration", colony, k) == (
+                    pi, _relabel(labels, k, other), factors)
 
     def test_coag_colony(self):
         calls = 0
         for pi, labels in _labelled_partitions():
+            start = _start_at(pi, labels)
             for colony in (COLONY_1, COLONY_2):
                 count = labels.count(colony)
                 if count == 0:
                     continue
                 for pi_prime in enumerate_partitions(count):
-                    assert coag_colony(pi, labels, colony, pi_prime) \
-                        == _coag_colony_oracle(pi, labels, colony, pi_prime)
+                    blocks, new_labels, groups = _coag_colony(
+                        pi, labels, colony, pi_prime)
+                    factors = [math.prod(PRIMES[i] for i in g)
+                               for g in groups]
+                    assert kernel_event(start, "coalescence", colony,
+                                        pi_prime) == (blocks, new_labels,
+                                                      factors)
                     calls += 1
         assert calls == 19_852
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
                     semigroup_apply_uniform)
 from xistep.setfun import (ONE, apply_generator_uniform, cell_index,
-                           decay_factor, float_sum, sample_mutation_path)
+                           decay_factor, float_sum)
 
 from conftest import E_STAR
 
@@ -281,33 +281,6 @@ class TestMutationSemigroup:
         assert decay_factor(F(2), 0.5, exact=True) == F(math.exp(-0.5))
         with pytest.raises(ValueError):
             decay_factor(F(1), -1)
-
-
-class TestMutationPath:
-    spec = MutationSpec(F(1), base=BaseMeasure.uniform())
-
-    def test_t_zero_keeps_point(self):
-        rng = random.Random(0)
-        assert sample_mutation_path(0.25, 0.0, self.spec, rng) == 0.25
-
-    def test_unchanged_fraction(self):
-        rng = random.Random(1)
-        t, n = 1.0, 50_000
-        kept = sum(sample_mutation_path(0.25, t, self.spec, rng) == 0.25
-                   for _ in range(n))
-        p = math.exp(-t / 2)
-        sigma = math.sqrt(n * p * (1 - p))
-        assert abs(kept - n * p) < 3 * sigma
-
-    def test_long_time_law_is_base(self):
-        rng = random.Random(2)
-        n = 20_000
-        draws = sorted(sample_mutation_path(0.25, 50.0, self.spec, rng)
-                       for _ in range(n))
-        # KS distance against the uniform cdf
-        ks = max(max(abs((i + 1) / n - x), abs(i / n - x))
-                 for i, x in enumerate(draws))
-        assert ks < 1.63 / math.sqrt(n)  # asymptotic 1% critical value
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=64),

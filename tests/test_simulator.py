@@ -16,8 +16,7 @@ from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
 from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
-from xistep.partitions import (COLONY_1, COLONY_2, coag_colony, relabel,
-                               singleton_partition)
+from xistep.partitions import COLONY_1, COLONY_2, singleton_partition
 from xistep.setfun import decay_factor, float_sum
 from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
                               genealogical_evaluate, replica_rng)
@@ -404,6 +403,24 @@ class TestRunUntil:
             initial_state(indicator_power(2), (1, 1)), params,
             StopRule(at_absorption=True, max_events=50), random.Random(0))
         assert traj.truncated and state.lp.block_count == 2
+
+    def test_cap_counts_the_run_and_events_the_path(self):
+        # one counter, the chain's: a run from a state that has taken
+        # events stops after max_events of its own, and the state it
+        # returns counts every event since the start
+        params = ModelParams(XiMeasure(),
+                             MutationSpec(F(1), base=BaseMeasure.uniform()),
+                             F(1), F(1), 4)
+        first, traj = run_until(initial_state(indicator_power(2), (1, 1)),
+                                params,
+                                StopRule(at_absorption=True, max_events=50),
+                                random.Random(0))
+        assert traj.truncated and first.events == len(traj.events) == 50
+        second, traj = run_until(first, params,
+                                 StopRule(at_absorption=True, max_events=30),
+                                 random.Random(1))
+        assert traj.truncated and len(traj.events) == 30
+        assert second.events == 80
 
     def test_zero_mass_requires_cap(self):
         xi = XiMeasure()
@@ -805,6 +822,7 @@ class TestPathStructure:
                                     stop, rng)
             again = replay(f, (1, 2, 1), traj, params, exact=False)
             assert again.lp == state.lp and again.clock == state.clock
+            assert again.events == state.events == len(traj.events)
             assert evaluate_dual(again, mu) == evaluate_dual(state, mu)
 
 
@@ -824,11 +842,11 @@ def _reference_replay(f, eta, trajectory, params, exact):
         factors = advance(factors, ev.dt)
         clock += ev.dt
         if ev.kind == "migration":
-            labels = relabel(labels, ev.detail,
-                             1 if ev.colony == 2 else 2)
+            labels = _relabel(labels, ev.detail,
+                              1 if ev.colony == 2 else 2)
             continue
-        blocks, labels, groups = coag_colony(blocks, labels, ev.colony,
-                                             ev.detail)
+        blocks, labels, groups = _coag_colony(blocks, labels, ev.colony,
+                                              ev.detail)
         merged = []
         for group in groups:
             g = factors[group[0]]
