@@ -25,7 +25,13 @@ class ScalarParams:
     a 4-block table; given a table, which must cover those four blocks,
     they are read from it. Migration and collision rates must be
     nonnegative: the stationary systems then have no zero pivot (see
-    `linalg.solve_tridiagonal`)."""
+    `linalg.solve_tridiagonal`).
+
+    Each instance keeps a cache of generator rows, built on first request
+    (`_generator_row`): per monomial, `generator_on_monomial`'s polynomial
+    and its integer form over the lcm of its denominators. One params
+    object thus builds each row once for the stationary solve and every
+    later residual check; `dataclasses.replace` starts an empty cache."""
 
     theta: Fraction
     alpha: Fraction
@@ -39,8 +45,11 @@ class ScalarParams:
     a31: Fraction = None
     a4: Fraction = None
     table: RateTable = field(default=None, compare=False, repr=False)
+    # (n, m) -> (polynomial, lcm of its denominators, integer coefficients)
+    _rows: dict = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_rows", {})
         if self.table is not None and self.table.b_max < 4:
             raise ValueError(f"rate table with b_max={self.table.b_max} does "
                              "not cover the named rates, which need 4 blocks")
@@ -109,6 +118,12 @@ class MomentPolynomial(dict):
         else:
             self[idx] = c
 
+    def copy(self):
+        """The same terms in a new MomentPolynomial."""
+        out = MomentPolynomial()
+        out.update(self)
+        return out
+
     def shifted(self, dn, dm):
         """Multiply by the (dn, dm) monomial: indices add."""
         return MomentPolynomial({(n + dn, m + dm): c
@@ -154,9 +169,31 @@ def generator_on_monomial(idx, params, rate_table=None):
     MomentPolynomial: mutation, same-colony coalescence (grouped by block
     drop, rates from `params.table`), and per-block migration
     differences. The diagonal, everything that leaves (n, m), is summed
-    once. Only field operations are used: Fraction parameters give Fraction
-    coefficients."""
+    once. A fresh copy of the params' cached row: the caller may change
+    it."""
     _check_table(params, rate_table)
+    return _generator_row(idx, params)[0].copy()
+
+
+def _generator_row(idx, params):
+    """The cached row of (n, m) in `params`: the polynomial of
+    `_generator_poly`, the lcm of its coefficients' denominators and its
+    coefficients times that lcm as ints. Callers must not change it."""
+    row = params._rows.get(idx)
+    if row is None:
+        poly = _generator_poly(idx, params)
+        # a list, not a generator: a tuple built from a generator is
+        # resized, and the tuple free lists keep every resized one
+        scale = math.lcm(*[c.denominator for c in poly.values()])
+        ints = {jdx: c.numerator * (scale // c.denominator)
+                for jdx, c in poly.items()}
+        row = params._rows[idx] = (poly, scale, ints)
+    return row
+
+
+def _generator_poly(idx, params):
+    """The body of `generator_on_monomial`. Only field operations are
+    used: Fraction parameters give Fraction coefficients."""
     n, m = idx
     poly = MomentPolynomial()
     if n == m == 0:
@@ -209,7 +246,8 @@ def stationary_system(N, params, rate_table=None):
     is tridiagonal.
 
     The solve runs on Python ints. Each row, the generator on one
-    monomial, is multiplied by the lcm of its coefficients' denominators.
+    monomial, comes from the params' row cache multiplied by the lcm of
+    its coefficients' denominators.
     The knowns are integer numerators over one common denominator D, so
     each right-hand side is an integer combination of them over D.
     `solve_tridiagonal` returns the order's solution as integers over
@@ -227,17 +265,13 @@ def stationary_system(N, params, rate_table=None):
         pos = {idx: j for j, idx in enumerate(unknowns)}
         matrix, scaled, lifted, scales = [], [], [], []
         for idx in unknowns:
-            poly = generator_on_monomial(idx, params)
-            # a list, not a generator: a tuple built from a generator is
-            # resized, and the tuple free lists keep every resized one
-            scale = math.lcm(*[c.denominator for c in poly.values()])
+            poly, scale, ints = _generator_row(idx, params)
             row = [Fraction(0)] * len(unknowns)
             int_row = [0] * len(unknowns)
             b = 0
-            for jdx, c in poly.items():
-                ci = c.numerator * (scale // c.denominator)
+            for jdx, ci in ints.items():
                 if jdx in pos:
-                    row[pos[jdx]] = c
+                    row[pos[jdx]] = poly[jdx]
                     int_row[pos[jdx]] = ci
                 elif jdx in numerators:
                     b -= ci * numerators[jdx]

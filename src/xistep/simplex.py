@@ -3,12 +3,22 @@
 A measure is a Kingman mass at the zero sequence plus finitely many atoms
 with finitely many positive coordinates, so every collision rate is an
 exact rational.
+
+The rates of an atom come from one integer scan of its coordinates for a
+whole table (`_paintbox_rates`, cached per coordinates and block count):
+its states are the multiset of merge sizes placed and the number l of
+coordinates taken by untouched blocks, each counted once as a set. A
+(n; k1..kr; s) rate then reads the states of its merge sizes, times
+mult_k! for each size k that mult_k groups share and s!/(s - l)! for the
+untouched blocks that take the l coordinates. `build_rate_table`,
+`collision_rate` and `per_partition_rate` all read their rates from it.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .partitions import (iter_profiles, profile_multiplicity, profile_of,
                          is_singleton_partition)
@@ -109,58 +119,97 @@ class CollisionProfile:
         return profile_multiplicity(self.n, self.merge_sizes, self.s)
 
 
-def _atom_rate(atom, profile):
-    """Unnormalized paintbox rate of one atom x for a (n; k1..kr; s)
-    collision, divided by sum x^2. Each block picks coordinate i with
-    probability x_i or lands in the dust with probability 1 - sum x: the r
-    merge groups must take r distinct coordinates, and each of the s
-    untouched blocks takes a coordinate of its own or the dust.
+@lru_cache(maxsize=128)
+def _paintbox_rates(coords, b_max):
+    """Unnormalized paintbox rates of one atom with coordinates x for
+    every (n; k1..kr; s) collision with n <= b_max, each divided by
+    sum x^2, keyed (n, merge_sizes, s); absent keys are 0. Each block
+    picks coordinate i with probability x_i or lands in the dust with
+    probability 1 - sum x: the r merge groups must take r distinct
+    coordinates, and each of the s untouched blocks takes a coordinate of
+    its own or the dust.
 
-    The coordinates are scanned once. A state is the bitmask of merge groups
-    placed and the count l of untouched blocks placed so far; coordinate x
-    stays unused, is taken by an unplaced group of size k (times x^k) or by
-    one of the s - l unplaced untouched blocks (times x (s - l)). The rate
-    sums, over states with every group placed, weight (1 - sum x)^(s - l).
+    One scan over the coordinates serves every profile. A state is the
+    multiset of merge sizes placed so far (a non-increasing tuple) and the
+    number l of coordinates taken by untouched blocks, counted as a set;
+    coordinate x stays unused, takes a group of size k (times x^k) or one
+    untouched block (times x). Its weight E[ks, l] counts each placement
+    once, so a profile reads
 
-    The recurrence runs on integers: with x_i = c_i / D, D the lcm of the
-    coordinates' denominators, the weight of state (mask, l) is an integer
-    over the implied denominator D^(sum of k in mask + l), and the dust is
-    D - sum c over D. Every full-mask term is then over D^n, so the one
-    Fraction built is total * D^2 / (D^n sum c^2)."""
-    ks = profile.merge_sizes
-    s = profile.s
-    den = math.lcm(*(x.denominator for x in atom.coords))
-    cs = [x.numerator * (den // x.denominator) for x in atom.coords]
-    weights = {(0, 0): 1}
+        prod_k mult_k(ks)! * sum_l s!/(s - l)! E[ks, l] (1 - sum x)^(s - l)
+
+    where mult_k(ks) is the number of groups of size k: equal-sized groups
+    are interchangeable in the state but distinct in the collision, and
+    s!/(s - l)! picks which untouched blocks take the l coordinates.
+
+    The scan runs on integers: with x_i = c_i / D, D the lcm of the
+    coordinates' denominators, the weight of state (ks, l) is an integer
+    over the implied denominator D^(sum ks + l), and the dust is D - sum c
+    over D. Every term of an n-block profile is then over D^n, so the one
+    Fraction built per profile is total * D^2 / (D^n sum c^2)."""
+    den = math.lcm(*(x.denominator for x in coords))
+    cs = [x.numerator * (den // x.denominator) for x in coords]
+    weights = {((), 0): 1}
+    grow = {}                     # (sizes, k) -> sizes with k inserted
     for c in cs:
-        powers = [c ** k for k in ks]
+        powers = [c ** k for k in range(b_max + 1)]
         grown = dict(weights)
-        for (mask, ell), w in weights.items():
-            for j, ck in enumerate(powers):
-                if not mask >> j & 1:
-                    key = (mask | 1 << j, ell)
-                    grown[key] = grown.get(key, 0) + w * ck
-            if ell < s:
-                key = (mask, ell + 1)
-                grown[key] = grown.get(key, 0) + w * c * (s - ell)
+        for (sizes, ell), w in weights.items():
+            room = b_max - sum(sizes) - ell
+            for k in range(2, room + 1):
+                key = grow.get((sizes, k))
+                if key is None:
+                    key = grow[sizes, k] = tuple(sorted(sizes + (k,),
+                                                        reverse=True))
+                key = (key, ell)
+                grown[key] = grown.get(key, 0) + w * powers[k]
+            if room:
+                key = (sizes, ell + 1)
+                grown[key] = grown.get(key, 0) + w * c
         weights = grown
-    full = (1 << len(ks)) - 1
     dust = den - sum(cs)
-    total = sum(w * dust ** (s - ell)
-                for (mask, ell), w in weights.items() if mask == full)
-    return Fraction(total * den * den,
-                    den ** profile.n * sum(c * c for c in cs))
+    dusts = [dust ** j for j in range(b_max + 1)]
+    norm = sum(c * c for c in cs)
+    rates = {}
+    for (sizes, ell), w in weights.items():
+        if not sizes:
+            continue
+        placed = sum(sizes)
+        # prod_k mult_k!: the orders of the equal-sized groups
+        orders = math.prod(math.factorial(sizes.count(k))
+                           for k in set(sizes))
+        # the untouched blocks this state serves: s >= l, n = placed + s
+        for s in range(ell, b_max - placed + 1):
+            key = (placed + s, sizes, s)
+            term = math.perm(s, ell) * w * dusts[s - ell] * orders
+            rates[key] = rates.get(key, 0) + term
+    # read-only: the cache hands this one mapping to every caller
+    return MappingProxyType({key: Fraction(total * den * den,
+                                           den ** key[0] * norm)
+                             for key, total in rates.items()})
+
+
+def _atom_rates(xi, b_max):
+    """Per atom of xi, its `_paintbox_rates` up to b_max blocks."""
+    return [(atom.weight, _paintbox_rates(atom.coords, b_max))
+            for atom in xi.atoms]
+
+
+def _rate(xi, atom_rates, profile):
+    """The rate of `profile` under xi, from its `_atom_rates`."""
+    rate = Fraction(0)
+    if profile.merge_sizes == (2,):
+        rate += xi.kingman_mass
+    key = (profile.n, profile.merge_sizes, profile.s)
+    for weight, rates in atom_rates:
+        rate += weight * rates.get(key, 0)
+    return rate
 
 
 def collision_rate(xi, profile):
     """Exact rate of a (n; k1..kr; s)-collision under xi. The Kingman mass
     contributes only to the pairwise profile (r, k1) = (1, 2)."""
-    rate = Fraction(0)
-    if profile.r == 1 and profile.merge_sizes == (2,):
-        rate += xi.kingman_mass
-    for atom in xi.atoms:
-        rate += atom.weight * _atom_rate(atom, profile)
-    return rate
+    return _rate(xi, _atom_rates(xi, profile.n), profile)
 
 
 def per_partition_rate(xi, pi_prime):
@@ -231,18 +280,24 @@ class RateTable:
 
 
 def build_rate_table(xi, b_max=8):
-    """Tabulate rates and multiplicities for all profiles with n <= b_max."""
+    """Tabulate rates and multiplicities for all profiles with n <= b_max.
+    Each atom's coordinates are scanned once for the whole table
+    (`_paintbox_rates`): the scan's states count equal-sized merge groups
+    and the untouched blocks' coordinates as sets, and every profile reads
+    its rate from them with the factors mult_k! and s!/(s - l)!."""
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     if b_max > MAX_BLOCKS:
         raise ValueError(f"b_max={b_max} exceeds the cap of {MAX_BLOCKS} "
                          "blocks")
+    atom_rates = _atom_rates(xi, b_max)
     rows = {}
     for b in range(2, b_max + 1):
         entries = []
         for merge_sizes, s in iter_profiles(b):
             prof = CollisionProfile(b, merge_sizes, s)
-            entries.append((prof, collision_rate(xi, prof), prof.multiplicity))
+            entries.append((prof, _rate(xi, atom_rates, prof),
+                            prof.multiplicity))
         rows[b] = tuple(entries)
     return RateTable(b_max, rows)
 

@@ -177,18 +177,26 @@ def _start(factors, base):
     """The payload a run starts from, for a tensor's factors under the
     mutation base `base`: the run's grid level, the factors' coefficients
     at that level one block after another in one list, the base integral
-    of one block's coefficients and the blocks' integrals (`_per_cell`).
-    Runs may share it: advance and merge build new lists and never change
-    it. A rational start (`run_until` on a Fraction tensor) is integrated
-    exactly by `integrate_cells`; the first advance makes it float."""
+    of one block's coefficients, the blocks' integrals (`_per_cell`) and
+    None; a rational start has no integrals yet and ends with the float
+    integral it switches to. Runs may share it: advance and merge build
+    new lists and never change it.
+
+    A rational start (`run_until` on a Fraction tensor) is integrated
+    exactly by `integrate_cells` at its first advance, which then turns
+    the cells and integrals into floats once (`_Chain._to_float`). That
+    keeps the bits: `p * v` for a float p and a Fraction v is
+    `p * float(v)`. From then on it is integrated as a float payload is."""
     level = max(base.grid_level, *(g.level for g in factors))
     cells = [c for g in factors for c in g._coeffs_at(level)]
     # a float payload stays float: integrate it with the float branch of
     # `integrate_cells` directly
-    floats = all(type(c) is float for c in cells)
-    integral = (base.float_integrator(level) if floats
-                else functools.partial(base.integrate_cells, level))
-    return level, cells, integral, _per_cell(cells, 1 << level, integral)
+    if all(type(c) is float for c in cells):
+        integral = base.float_integrator(level)
+        return level, cells, integral, _per_cell(cells, 1 << level,
+                                                 integral), None
+    return (level, cells, functools.partial(base.integrate_cells, level),
+            None, base.float_integrator(level))
 
 
 class _Chain:
@@ -209,7 +217,8 @@ class _Chain:
         if start is None:
             self.cells, self.segments = None, []
         else:
-            self.level, self.cells, self.integral, self.ints = start
+            (self.level, self.cells, self.integral, self.ints,
+             self.to_float) = start
             self.width = 1 << self.level
         self.clock, self.events = state.clock, state.events
 
@@ -228,9 +237,19 @@ class _Chain:
             q = 1 - p
             if self.ints is None:
                 self.ints = _per_cell(self.cells, self.width, self.integral)
+                if self.to_float is not None:
+                    self._to_float()
             self.cells = [p * v + q * c for v, c in zip(self.cells,
                                                         self.ints)]
         self.clock += dt
+
+    def _to_float(self):
+        """Turn a rational payload, just integrated exactly, into floats,
+        cells and integrals; from now on the float integral `_start` gave
+        integrates it."""
+        self.cells = [float(c) for c in self.cells]
+        self.ints = [float(c) for c in self.ints]
+        self.integral, self.to_float = self.to_float, None
 
     def factors(self):
         """The coefficient list of each block, in block order."""
@@ -264,15 +283,24 @@ class _Chain:
     def apply(self, kind, colony, detail):
         """A recorded event: migrate block `detail` (1-based) out of
         `colony`, or coalesce `colony`'s blocks by the partition `detail`
-        of their ranks."""
+        of their ranks. A record that would change nothing, a migration of
+        a block that is not in `colony` or a partition that merges no
+        blocks, is refused before the chain changes."""
         if kind == "migration":
             if not 1 <= detail <= len(self.labels):
                 raise IndexError(f"label position {detail} out of range")
+            if self.labels[detail - 1] != colony:
+                raise ValueError(
+                    f"migration record out of colony {colony}: block "
+                    f"{detail} is in colony {self.labels[detail - 1]}")
             self.migrate(detail - 1,
                          COLONY_1 if colony == COLONY_2 else COLONY_2)
         else:
-            self.coalesce(colony,
-                          colony_merging(self.labels, colony, detail))
+            merging = colony_merging(self.labels, colony, detail)
+            if not merging:
+                raise ValueError(f"coalescence record in colony {colony}: "
+                                 f"partition {detail} merges nothing")
+            self.coalesce(colony, merging)
 
     def _merge(self, groups):
         cells, w = self.cells, self.width
@@ -319,7 +347,7 @@ class _ExactChain(_Chain):
             cells += [n * (den // d) for n, d in ratios]
             self.dens.append(den)
         # no float integral: `advance` integrates with the weights
-        super().__init__(state, params, (level, cells, None, None))
+        super().__init__(state, params, (level, cells, None, None, None))
 
     def advance(self, dt):
         """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and

@@ -194,6 +194,66 @@ class TestScalarParamsTable:
         assert all(b[(m, n)] == v for (n, m), v in a.items())
 
 
+class TestRowCache:
+    """Each `ScalarParams` builds each generator row once; callers get
+    copies, and the rows are those a fresh params builds."""
+
+    @staticmethod
+    def sweep_params():
+        table = build_rate_table(SWEEP, 8)
+        return ScalarParams.from_rate_table(table, F(3, 2), F(1, 3), F(2),
+                                            F(1))
+
+    def test_returned_polynomial_is_a_copy(self):
+        p = self.sweep_params()
+        first = generator_on_monomial((3, 2), p)
+        want = dict(first)
+        first.add((3, 2), F(7))
+        first.add((9, 9), F(1))
+        del first[(2, 3)]
+        again = generator_on_monomial((3, 2), p)
+        assert type(again) is MomentPolynomial and again is not first
+        assert dict(again) == want
+        # the solve reads the unchanged row too
+        assert stationary_system(5, p)[4].solution == \
+            stationary_system(5, self.sweep_params())[4].solution
+
+    def test_cached_rows_equal_fresh_params(self):
+        p = self.sweep_params()
+        solve_stationary(8, p)
+        indices = [idx for k in range(1, 9) for idx in order_indices(k)]
+        assert set(p._rows) == set(indices)
+        for idx in indices:
+            fresh = self.sweep_params()
+            assert fresh._rows == {}
+            assert generator_on_monomial(idx, p) == \
+                generator_on_monomial(idx, fresh) == \
+                profilewise_generator(idx, fresh)
+
+    def test_replace_starts_an_empty_cache(self):
+        p = self.sweep_params()
+        solve_stationary(4, p)
+        assert p._rows
+        q = replace(p, u1=p.u2, u2=p.u1)
+        assert q._rows == {} and q.table is p.table
+        assert generator_on_monomial((1, 0), q) != \
+            generator_on_monomial((1, 0), p)
+        assert q._rows.keys() == {(1, 0)}
+
+    def test_cached_system_equals_fraction_path(self):
+        # the integer rows (read first) against the Fraction path on a
+        # params whose cache the Fraction path fills itself
+        p = self.sweep_params()
+        got = stationary_system(8, p)
+        again = stationary_system(8, p)
+        want = fraction_stationary_system(8, replace(p))
+        for g, a, w in zip(got, again, want):
+            for name in ("unknowns", "matrix", "rhs", "determinant",
+                         "solution"):
+                assert getattr(g, name) == getattr(a, name) == \
+                    getattr(w, name)
+
+
 class TestMomentPolynomial:
     def test_shift_and_subtract(self):
         a = MomentPolynomial({(1, 0): F(2), (0, 0): F(1)})

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from xistep import (COLONY_1, COLONY_2, DualState, LabeledPartition,
                     SetFunction, TensorFunction, enumerate_partitions,
                     profile_of)
-from xistep.partitions import profile_multiplicity, singleton_partition
+from xistep.partitions import (colony_merging, is_singleton_partition,
+                               profile_multiplicity, singleton_partition)
 from xistep.simulator import _Chain, _start
 
 from conftest import kingman_model
@@ -44,6 +45,21 @@ def kernel_event(start, kind, colony, detail):
     return chain.blocks, tuple(chain.labels), [g for g, in chain.factors()]
 
 
+def assert_refused(start, kind, colony, detail, reason):
+    """`_Chain.apply` refuses the record, naming its kind, colony and
+    detail, and leaves the chain as it was."""
+    state, payload = start
+    chain = _Chain(state, PARAMS, payload)
+    before = (chain.blocks, list(chain.labels), chain.n1, chain.cells)
+    with pytest.raises(ValueError, match=reason) as err:
+        chain.apply(kind, colony, detail)
+    assert f"{kind} record" in str(err.value)
+    assert f"colony {colony}" in str(err.value)
+    assert str(detail) in str(err.value)
+    assert (chain.blocks, chain.labels, chain.n1, chain.cells) == before
+    assert chain.events == 0
+
+
 def kernel_migrate(blocks, labels, k, colony):
     """Block k (1-based) migrating out of `colony`."""
     return kernel_event(_start_at(blocks, labels), "migration", colony, k)
@@ -57,8 +73,16 @@ def kernel_coag(blocks, labels, colony, pi_prime):
 
 
 def coag(pi, pi_prime):
-    """Coagulation of an unlabeled partition: every block in colony 1."""
-    return kernel_coag(pi, (COLONY_1,) * len(pi), COLONY_1, pi_prime)[0]
+    """Coagulation of an unlabeled partition: every block in colony 1. By
+    the all-singletons pi_prime it is pi itself, which the kernel does not
+    replay: such a record merges nothing, and it is checked to be
+    refused."""
+    labels = (COLONY_1,) * len(pi)
+    if is_singleton_partition(pi_prime):
+        assert_refused(_start_at(pi, labels), "coalescence", COLONY_1,
+                       pi_prime, "merges nothing")
+        return pi
+    return kernel_coag(pi, labels, COLONY_1, pi_prime)[0]
 
 
 def partitions_with_profile(b, merge_sizes, s):
@@ -109,9 +133,16 @@ class TestLabeled:
         assert labels == (1, 2, 2)
 
     def test_coag_labeled_trivial(self):
-        blocks, labels, _ = kernel_coag(singleton_partition(4), (1, 1, 2, 2),
-                                        COLONY_2, singleton_partition(2))
-        assert (blocks, labels) == (singleton_partition(4), (1, 1, 2, 2))
+        # used to replay as a counted event that changed nothing
+        assert_refused(_start_at(singleton_partition(4), (1, 1, 2, 2)),
+                       "coalescence", COLONY_2, singleton_partition(2),
+                       "merges nothing")
+
+    def test_migration_from_the_wrong_colony_refused(self):
+        # block 2 is in colony 2; a record moving it out of colony 1 used
+        # to replay as a counted event that changed nothing
+        assert_refused(_start_at(singleton_partition(3), (1, 2, 2)),
+                       "migration", COLONY_1, 2, "block 2 is in colony 2")
 
     def test_coag_labeled_reorders_by_least_element(self):
         blocks, labels, _ = kernel_coag(singleton_partition(3), (2, 1, 2),
@@ -127,9 +158,13 @@ class TestLabeled:
         assert out == (((1, 2), (3,), (4,)), (1, 2, 2), [2 * 3, 5, 7])
 
     def test_merge_groups_trivial(self):
-        _, _, factors = kernel_coag(singleton_partition(3), (1, 2, 1),
-                                    COLONY_1, singleton_partition(2))
-        assert factors == [2, 3, 5]
+        # a partition that merges nothing gives no merge groups, and the
+        # record is refused with the factors untouched
+        assert colony_merging((1, 2, 1), COLONY_1,
+                              singleton_partition(2)) == []
+        assert_refused(_start_at(singleton_partition(3), (1, 2, 1)),
+                       "coalescence", COLONY_1, singleton_partition(2),
+                       "merges nothing")
 
     def test_merge_groups_interleaved(self):
         out = kernel_coag(((1, 4), (2,), (3,)), (2, 1, 2), COLONY_2,
@@ -161,6 +196,8 @@ class TestAgainstOracles:
                 other = COLONY_1 if colony == COLONY_2 else COLONY_2
                 assert kernel_event(start, "migration", colony, k) == (
                     pi, _relabel(labels, k, other), factors)
+                assert_refused(start, "migration", other, k,
+                               f"block {k} is in colony {colony}")
 
     def test_coag_colony(self):
         calls = 0
@@ -171,6 +208,11 @@ class TestAgainstOracles:
                 if count == 0:
                     continue
                 for pi_prime in enumerate_partitions(count):
+                    calls += 1
+                    if is_singleton_partition(pi_prime):
+                        assert_refused(start, "coalescence", colony,
+                                       pi_prime, "merges nothing")
+                        continue
                     blocks, new_labels, groups = _coag_colony(
                         pi, labels, colony, pi_prime)
                     factors = [math.prod(PRIMES[i] for i in g)
@@ -178,7 +220,6 @@ class TestAgainstOracles:
                     assert kernel_event(start, "coalescence", colony,
                                         pi_prime) == (blocks, new_labels,
                                                       factors)
-                    calls += 1
         assert calls == 19_852
 
 

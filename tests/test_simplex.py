@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -8,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from xistep import (CollisionProfile, SimplexAtom, XiMeasure,
                     build_rate_table, check_consistency, collision_rate)
 from xistep.partitions import iter_profiles
-from xistep.simplex import MAX_BLOCKS, _atom_rate, per_partition_rate
+from xistep.simplex import MAX_BLOCKS, _paintbox_rates, per_partition_rate
 
-from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR
+from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR, SWEEP
 
 F = Fraction
 
@@ -187,6 +189,19 @@ def test_rates_scale_linearly(xi, c):
             assert p1 == p2 and m1 == m2 and r2 == c * r1
 
 
+@functools.lru_cache(maxsize=None)
+def injective_sum(coords, powers):
+    """The sum over injective index tuples (i1..ik) of x_i1^p1 ... x_ik^pk
+    for the coordinates x and powers p, in integers over D^(sum p), D the
+    lcm of the coordinates' denominators."""
+    den = math.lcm(*(x.denominator for x in coords))
+    cs = [x.numerator * (den // x.denominator) for x in coords]
+    total = sum(math.prod(cs[i] ** k for i, k in zip(idx, powers))
+                for idx in itertools.permutations(range(len(cs)),
+                                                  len(powers)))
+    return F(total, den ** sum(powers))
+
+
 def injective_sum_rate(xi, profile):
     """Enumerative oracle for collision_rate: per atom x, the sum over l of
     C(s, l) times the sum over injective index tuples (i1..ir, j1..jl) of
@@ -197,11 +212,7 @@ def injective_sum_rate(xi, profile):
         xs = atom.coords
         total = F(0)
         for ell in range(profile.s + 1):
-            powers = profile.merge_sizes + (1,) * ell
-            inj = sum((math.prod(xs[i] ** k for i, k in zip(idx, powers))
-                       for idx in itertools.permutations(range(len(xs)),
-                                                         len(powers))),
-                      F(0))
+            inj = injective_sum(xs, profile.merge_sizes + (1,) * ell)
             total += (math.comb(profile.s, ell) * inj
                       * (1 - sum(xs)) ** (profile.s - ell))
         rate += atom.weight * total / sum(x * x for x in xs)
@@ -255,19 +266,27 @@ def fraction_paintbox_rate(atom, profile):
     return total / sum(x * x for x in atom.coords)
 
 
-def assert_integer_paintbox_matches(atoms, sizes):
-    for atom in atoms:
+def assert_scan_matches_oracles(xi, b_max, sizes):
+    """The one scan per atom up to b_max blocks against the Fraction
+    recurrence, and the table built from it against the injective sums,
+    on every profile of the given block counts."""
+    table = build_rate_table(xi, b_max)
+    for atom in xi.atoms:
+        rates = _paintbox_rates(atom.coords, b_max)
         for b in sizes:
             for merge_sizes, s in iter_profiles(b):
                 prof = CollisionProfile(b, merge_sizes, s)
-                assert _atom_rate(atom, prof) == \
+                assert rates.get((b, merge_sizes, s), 0) == \
                     fraction_paintbox_rate(atom, prof)
+    for b in sizes:
+        for prof, rate, _ in table.profiles(b):
+            assert rate == injective_sum_rate(xi, prof)
 
 
 @given(xi=xi_strategy())
 @settings(max_examples=20, deadline=None)
 def test_integer_paintbox_matches_fraction_recurrence(xi):
-    assert_integer_paintbox_matches(xi.atoms, range(2, 13))
+    assert_scan_matches_oracles(xi, 12, range(2, 13))
 
 
 @pytest.mark.parametrize("atom", [
@@ -275,4 +294,51 @@ def test_integer_paintbox_matches_fraction_recurrence(xi):
     SimplexAtom((F(1, 2), F(1, 4), F(1, 4)), F(3)),
 ], ids=["six_eighths", "zero_dust"])
 def test_integer_paintbox_matches_fraction_recurrence_b20(atom):
-    assert_integer_paintbox_matches([atom], [20])
+    assert_scan_matches_oracles(XiMeasure(atoms=(atom,)), 20, [20])
+
+
+def row_digest(row):
+    return hashlib.sha256("\n".join(
+        f"{p.n};{'+'.join(map(str, p.merge_sizes))};{p.s} {rate} {mult}"
+        for p, rate, mult in row).encode()).hexdigest()
+
+
+class TestPinnedTable:
+    """`build_rate_table(SWEEP, 20)`, row by row, as the per-profile
+    recurrence that the one scan per atom replaced built it."""
+
+    DIGESTS = {
+        2: "d33e927a66b16f8bc2dc965140b555730d00cd8e2e949da8aed1d20d77a820dd",
+        3: "1b3545bc707bc93b280e6ce5a4184bfc4e313db8cf2a4ac32f4911224d8d83ae",
+        4: "5b313d28a0d57924e7ce8c55d5898795b06923378cbf0a6dca6991d23d43f035",
+        5: "2f3a1f145f0536b5c8506cb7c9a2a72ba66afe2ab0a76ece3e899db513826c2e",
+        6: "ad460710a42db22ad8f007b7303d384e51758820c1ab83adab28c04c3bc6f01c",
+        7: "b04b79ae49ef004b72dc0d16187cc60f1188ad89570ce0eebffd91ca51c5046e",
+        8: "8bff6e0c3c5e53515f47894fd60c518cedef08e84ef494a4c3416e304b717a72",
+        9: "dc111e7ed9abb7bf60bf5588d50cefc65d16b27f310c303800c8d63fb99134b0",
+        10: "067166a463b7b395479ef0c5d7e3fd9eaeb5995376e03e0496e3cbe248a79b77",
+        11: "1dca425b1e41c8ebf378a48bf444eb29ba1da1a165b66312bf32652f9bee9f9f",
+        12: "c03cc7b3bd4a459b46ca49edfd76e068331e0b9e81c9e292cbeb70075ec35092",
+        13: "09d8876844aa97eb9673cef28064023be37464811ba0bc54ada4fc2e2d03e3fd",
+        14: "0e6818256033188822bef4c3d33fc75f10d5ac26449924d6e9bbb78d435a6fc5",
+        15: "e8532c1cca35ec4257f53d37668c71032b583d421cbe8b5d10d3a88e7c1b1417",
+        16: "26c21bb0e542472e5ecd13023bc2d4316e881921fe9750b7a537986194c61496",
+        17: "4b6de566dc982fd133da7ab87d980d950e621d23545d84d81bf3dbec3e33deeb",
+        18: "70cd86e838d9032aebb06980419b0e4d823943343b8579a4d740f9b22e863659",
+        19: "fdd9e7dff9fa7675740ce952467c69d056ef3af59d69eab0770168f2e7999b0a",
+        20: "90474644054f45da2e045dcefe8579e27509e0caed029e29a18ff529cfd6939c",
+    }
+
+    def test_sweep_rows_at_the_cap(self):
+        table = build_rate_table(SWEEP, MAX_BLOCKS)
+        assert {b: row_digest(table.profiles(b))
+                for b in range(2, MAX_BLOCKS + 1)} == self.DIGESTS
+
+    def test_cached_scan_serves_smaller_tables(self):
+        # a scan up to 20 blocks and one up to 7 give the same rates
+        big = build_rate_table(SWEEP, MAX_BLOCKS)
+        small = build_rate_table(SWEEP, 7)
+        for b in range(2, 8):
+            assert small.profiles(b) == big.profiles(b)
+            for prof, rate, _ in small.profiles(b):
+                assert collision_rate(SWEEP, prof) == rate

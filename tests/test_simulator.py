@@ -1,5 +1,6 @@
 import bisect
 import functools
+import hashlib
 import math
 import random
 import statistics
@@ -449,6 +450,56 @@ class TestRunUntil:
         assert abs(mean - exact) < 3 * math.sqrt(var / n)
 
 
+class TestRationalStart:
+    """`run_until` and `replay(exact=False)` on a Fraction tensor: the
+    payload turns float once, at the first advance. The digest of the
+    states, records and replays on the mc_transition model was taken when
+    every advance went through Fraction's float fallback instead, so it
+    pins that the conversion keeps every bit."""
+
+    DIGEST = ("8106c6d675c9174b1f4a164782554f561baee4a89a99c04f9c69cf0558f7"
+              "1806")
+
+    @staticmethod
+    def _line(state, records=None):
+        coeffs = [[c.hex() if isinstance(c, float) else str(c)
+                   for c in g.coeffs] for g in state.y.factors]
+        if records is None:
+            return repr((state.clock.hex(), state.events, coeffs))
+        return repr((state.clock.hex(), state.events, state.lp.partition,
+                     state.lp.labels, coeffs,
+                     [(e.time.hex(), e.dt.hex(), e.kind, e.colony, e.detail,
+                       e.block_count) for e in records]))
+
+    def test_states_pinned(self):
+        params = ModelParams(XiMeasure(F(1, 2), ATOM_HALF_QUARTER.atoms),
+                             MutationSpec(F(1), base=BaseMeasure.uniform()),
+                             F(1), F(2), 6)
+        eta = (1, 1, 2, 2)
+        f = indicator_power(4)
+        lines = []
+        for stop in (StopRule(at_time=0.5), StopRule(at_time=2.0),
+                     StopRule(at_absorption=True)):
+            for rep in range(40):
+                state, traj = run_until(initial_state(f, eta), params, stop,
+                                        replica_rng(5, rep))
+                assert all(type(c) is float
+                           for g in state.y.factors for c in g.coeffs)
+                lines.append(self._line(state, traj.events))
+                lines.append(self._line(replay(f, eta, traj, params,
+                                               exact=False)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            self.DIGEST
+
+    def test_unadvanced_start_stays_rational(self):
+        # absorbed at the start: no advance, the Fractions are returned
+        state, _ = run_until(initial_state(indicator_power(1), (2,)),
+                             kingman_model(), StopRule(at_absorption=True),
+                             random.Random(0))
+        assert state.y.factors == indicator_power(1).factors
+        assert all(type(c) is F for c in state.y.factors[0].coeffs)
+
+
 def _hexed(record):
     return record._replace(time=record.time.hex(), dt=record.dt.hex())
 
@@ -824,6 +875,37 @@ class TestPathStructure:
             assert again.lp == state.lp and again.clock == state.clock
             assert again.events == state.events == len(traj.events)
             assert evaluate_dual(again, mu) == evaluate_dual(state, mu)
+
+
+class TestReplayRefusesRecords:
+    """A record that would replay as a counted event changing nothing is
+    refused, on both payloads (Kingman, eta (1, 2))."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("record,message", [
+        # block 1 is in colony 1, not in colony 2
+        (EventRecord(0.1, 0.1, "migration", 2, 1, 2),
+         "migration record out of colony 2: block 1 is in colony 1"),
+        # colony 1's one block by the all-singletons partition
+        (EventRecord(0.1, 0.1, "coalescence", 1, ((1,),), 2),
+         r"coalescence record in colony 1: partition \(\(1,\),\) merges "
+         "nothing")], ids=["migration", "coalescence"])
+    def test_no_op_record_refused(self, exact, record, message):
+        with pytest.raises(ValueError, match=message):
+            replay(indicator_power(2), (1, 2), Trajectory((record,)),
+                   kingman_model(), exact=exact)
+
+    def test_recorded_paths_still_replay(self):
+        params = kingman_model()
+        f = indicator_power(3)
+        for rep in range(20):
+            state, traj = run_until(initial_state(f, (1, 2, 1)), params,
+                                    StopRule(at_absorption=True),
+                                    replica_rng(13, rep))
+            for exact in (False, True):
+                again = replay(f, (1, 2, 1), traj, params, exact=exact)
+                assert again.lp == state.lp
+                assert again.events == len(traj.events)
 
 
 def _reference_replay(f, eta, trajectory, params, exact):
