@@ -24,8 +24,9 @@ from .setfun import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
 from .simhelpers import (coupling_linearity_holds, normalization_holds,
                          random_scalar_params, random_xi)
 from .simplex import build_rate_table, check_consistency
-from .simulator import (StopRule, estimate_Qt, estimate_stationary,
-                        initial_state, replica_rng, run_until)
+from .simulator import (EVENT_CAP, StopRule, estimate_Qt,
+                        estimate_stationary, initial_state, replica_rng,
+                        run_until)
 
 
 def _workers():
@@ -75,6 +76,13 @@ def _monomial_inputs(cfg, n, m):
     return f, eta
 
 
+def _needs_coalescence(cfg, what):
+    """Refuse a run to absorption under a xi without mass, naming xi."""
+    if cfg.xi.total_mass == 0:
+        raise ConfigError("xi", f"{what}, which needs coalescence (xi mass "
+                          "> 0): migration alone never absorbs")
+
+
 def cmd_rates(cfg, args):
     if cfg.b_max < 4:
         raise ConfigError("b_max", "the consistency check needs a table of "
@@ -106,6 +114,9 @@ def cmd_simulate(cfg, args):
                           f"be at least 2, got {cfg.b_max}")
     eta = tuple(cfg.options.get("eta", [1, 1]))
     t = cfg.options.get("t")
+    if t is None and len(eta) > 1:
+        _needs_coalescence(cfg, "simulate without options.t runs to "
+                           "absorption")
     f = TensorFunction.indicator_power(cfg.e_star, len(eta))
     stop = (StopRule(at_time=float(t)) if t is not None
             else StopRule(at_absorption=True))
@@ -122,7 +133,10 @@ def cmd_simulate(cfg, args):
         lines.append(f"{ev.time!r},{ev.kind},{ev.colony},{detail},"
                      f"{ev.block_count}")
     _emit("\n".join(lines), args.out)
-    return None, 1 if traj.truncated else 0
+    if traj.truncated:
+        print(f"simulate: the run stopped at the event cap of {EVENT_CAP} "
+              "events; the trajectory is truncated", file=sys.stderr)
+    return None, int(traj.truncated)
 
 
 def cmd_qt(cfg, args):
@@ -156,6 +170,8 @@ def cmd_stationary(cfg, args):
         report["moments"] = {f"{n},{m}": format_rational(v)
                              for (n, m), v in sorted(moments.items())}
         return report, 0
+    _needs_coalescence(cfg, "the Monte Carlo estimate runs each replica to "
+                       "absorption")
     indices = cfg.options.get("indices")
     if indices is None:
         order = _order(cfg, 2)

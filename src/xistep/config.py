@@ -157,6 +157,10 @@ class ExperimentConfig:
     def scalar_params(self, order=4):
         """Exact-engine params whose table covers `order` lineages, capped
         at b_max, and at least the four the named rates need."""
+        if self.theta == 0:
+            raise ConfigError("theta", "the exact moment engine needs "
+                              "theta > 0: at theta = 0 the order-1 system "
+                              "is singular")
         table = build_rate_table(self.xi, max(min(order, self.b_max), 4))
         return ScalarParams.from_rate_table(table, self.theta, self.alpha,
                                             self.u1, self.u2)
@@ -165,6 +169,8 @@ class ExperimentConfig:
 def parse_config(data, digest=""):
     xi = parse_xi(_get(data, "xi", ""))
     theta = _rat(_get(data, "theta", ""), "theta")
+    if theta < 0:
+        raise ConfigError("theta", f"must be nonnegative, got {theta}")
     mut = _get(data, "mutation", "")
     kind = _get(mut, "kind", "mutation", "uniform")
     if kind != "uniform":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import solve_tridiagonal
+from .rationals import integer_numerators
 from .simplex import (NAMED_RATES, CollisionProfile, RateTable,
                       check_consistency)
 
@@ -182,12 +183,8 @@ def _generator_row(idx, params):
     row = params._rows.get(idx)
     if row is None:
         poly = _generator_poly(idx, params)
-        # a list, not a generator: a tuple built from a generator is
-        # resized, and the tuple free lists keep every resized one
-        scale = math.lcm(*[c.denominator for c in poly.values()])
-        ints = {jdx: c.numerator * (scale // c.denominator)
-                for jdx, c in poly.items()}
-        row = params._rows[idx] = (poly, scale, ints)
+        nums, scale = integer_numerators(poly.values())
+        row = params._rows[idx] = (poly, scale, dict(zip(poly, nums)))
     return row
 
 
@@ -336,11 +333,9 @@ def hausdorff_check(psi):
     if not psi:
         raise ValueError("empty moment array")
     dim = len(next(iter(psi)))
-    values = {m: Fraction(v) for m, v in psi.items()}
-    scale = math.lcm(*(v.denominator for v in values.values()))
+    nums, scale = integer_numerators(psi.values())
     lows, violations, checked = [], [], 0
-    pending = [((0,) * dim, {m: v.numerator * (scale // v.denominator)
-                             for m, v in values.items()}, 0)]
+    pending = [((0,) * dim, dict(zip(psi, nums)), 0)]
     while pending:
         n, table, first = pending.pop()
         lows.append(min(table.values()))

@@ -21,8 +21,8 @@ def canonical(blocks):
     return tuple(bs)
 
 
-def validate_partition(pi, n=None):
-    """Check that pi is a canonical partition of [n] (n inferred if omitted)."""
+def validate_partition(pi):
+    """Check that pi is a canonical partition of [n], n its element count."""
     seen = set()
     for b in pi:
         if not b:
@@ -35,9 +35,8 @@ def validate_partition(pi, n=None):
     mins = [b[0] for b in pi]
     if mins != sorted(mins):
         raise ValueError("blocks not ordered by least element")
-    ground = set(range(1, (n if n is not None else len(seen)) + 1))
-    if seen != ground:
-        raise ValueError(f"blocks do not cover [{len(ground)}]")
+    if seen != set(range(1, len(seen) + 1)):
+        raise ValueError(f"blocks do not cover [{len(seen)}]")
 
 
 def singleton_partition(n):

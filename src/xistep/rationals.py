@@ -1,5 +1,7 @@
-"""Exact rationals as "p/q" strings for configs and reports."""
+"""Exact rationals as "p/q" strings for configs and reports, and lists of
+rationals as integer numerators over one denominator."""
 
+import math
 from fractions import Fraction
 
 
@@ -26,3 +28,14 @@ def format_rational(x):
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def integer_numerators(values):
+    """Rationals (ints, Fractions or floats, which are dyadic) as integer
+    numerators over the lcm of their denominators: `(numerators, lcm)`,
+    with `numerators[i] / lcm == values[i]`."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # a list, not a generator: a tuple built from a generator is resized,
+    # and the tuple free lists keep every resized one
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den

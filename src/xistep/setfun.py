@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import integer_numerators
+
 
 def _reduce_cells(level, values):
     """Drop to the coarsest grid level representing the same step function."""
@@ -213,10 +215,8 @@ class BaseMeasure:
             # float fast path for simulation mode
             return self.float_integrator(level)(coeffs)
         weights, scale = self.exact_weights(level)
-        ratios = [c.as_integer_ratio() for c in coeffs]
-        den = math.lcm(*(d for _, d in ratios))
-        return Fraction(sum(n * (den // d) * w
-                            for (n, d), w in zip(ratios, weights) if n),
+        nums, den = integer_numerators(coeffs)
+        return Fraction(sum(n * w for n, w in zip(nums, weights) if n),
                         den * scale)
 
     def exact_weights(self, level):
@@ -233,9 +233,7 @@ class BaseMeasure:
             w = [self.densities[i >> shift] / cells for i in range(cells)]
             for p, m in self.atoms:
                 w[cell_index(level, p)] += m
-            scale = math.lcm(*(x.denominator for x in w))
-            self._cache[key] = ([x.numerator * (scale // x.denominator)
-                                 for x in w], scale)
+            self._cache[key] = integer_numerators(w)
         return self._cache[key]
 
     def float_integrator(self, level):

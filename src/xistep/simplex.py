@@ -10,8 +10,8 @@ its states are the multiset of merge sizes placed and the number l of
 coordinates taken by untouched blocks, each counted once as a set. A
 (n; k1..kr; s) rate then reads the states of its merge sizes, times
 mult_k! for each size k that mult_k groups share and s!/(s - l)! for the
-untouched blocks that take the l coordinates. `build_rate_table`,
-`collision_rate` and `per_partition_rate` all read their rates from it.
+untouched blocks that take the l coordinates. `build_rate_table` and
+`collision_rate` both read their rates from it.
 """
 
 import math
@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .partitions import (iter_profiles, profile_multiplicity, profile_of,
-                         is_singleton_partition)
+from .partitions import iter_profiles, profile_multiplicity
+from .rationals import integer_numerators
 
 MAX_ATOM_SUPPORT = 8
 # largest block count a rate table (hence b_max and an exact order) covers
@@ -107,10 +107,6 @@ class CollisionProfile:
             raise ValueError("need n = s + sum(k_i) with s >= 0")
 
     @property
-    def r(self):
-        return len(self.merge_sizes)
-
-    @property
     def block_drop(self):
         return sum(k - 1 for k in self.merge_sizes)
 
@@ -147,8 +143,7 @@ def _paintbox_rates(coords, b_max):
     over the implied denominator D^(sum ks + l), and the dust is D - sum c
     over D. Every term of an n-block profile is then over D^n, so the one
     Fraction built per profile is total * D^2 / (D^n sum c^2)."""
-    den = math.lcm(*(x.denominator for x in coords))
-    cs = [x.numerator * (den // x.denominator) for x in coords]
+    cs, den = integer_numerators(coords)
     weights = {((), 0): 1}
     grow = {}                     # (sizes, k) -> sizes with k inserted
     for c in cs:
@@ -210,15 +205,6 @@ def collision_rate(xi, profile):
     """Exact rate of a (n; k1..kr; s)-collision under xi. The Kingman mass
     contributes only to the pairwise profile (r, k1) = (1, 2)."""
     return _rate(xi, _atom_rates(xi, profile.n), profile)
-
-
-def per_partition_rate(xi, pi_prime):
-    """Rate of the collision induced by a concrete partition of [b];
-    zero for the singleton (no-collision) partition."""
-    if is_singleton_partition(pi_prime):
-        return Fraction(0)
-    n, merge_sizes, s = profile_of(pi_prime)
-    return collision_rate(xi, CollisionProfile(n, merge_sizes, s))
 
 
 @dataclass(frozen=True)

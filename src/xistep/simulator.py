@@ -1,29 +1,28 @@
 """The labeled-coalescent dual as a simulatable jump chain, with duality
 functional evaluation and Monte Carlo moment estimators.
 
-One kernel runs the chain. `_Chain` is the mutable state of one run:
-colony labels (a list that events change in place, with the count of
-colony-1 blocks kept beside it), the blocks in least-element order where
-some caller reads them, and a payload, which is one plain list of
-coefficients or, for the genealogical skeleton, none: that records
-lineage segments. The list holds each block's coefficients one block
-after another, one per cell of one grid level per run, the highest of the
-start factors' levels and the mutation base's `grid_level`; advance and
-merge act cell by cell and never refine or reduce that level, and one
-pass over the list advances every block. The base integrals are cached
-until a coalescence, which recomputes all of them: a float payload
-through the base's cached `float_integrator`, the float branch of
-`integrate_cells`. (Reusing the integrals of blocks that did not merge
-would skip work but could change the last bits of a float payload, so it
-is not done.) `_Chain.advance` runs the mutation semigroup,
-`_Chain.migrate` moves one block and `_Chain.coalesce` unites merge
-groups of one colony's blocks (`partitions.merge_groups`), multiplying
-their factors.
+One kernel runs the chain, with one payload type per chain. `_Chain` is
+the mutable state of one run: colony labels (a list that events change in
+place, with the count of colony-1 blocks kept beside it), the blocks in
+least-element order where some caller reads them, and a float payload
+(`_start`, which rounds a rational start once) or, for the genealogical
+skeleton, none: that records lineage segments. The payload holds each
+block's coefficients one block after another, one per cell of the run's
+grid level (`_run_cells`); advance and merge act cell by cell and never
+refine or reduce that level, and one pass over the list advances every
+block. The base integrals are cached until a coalescence, which
+recomputes all of them through the base's cached `float_integrator`.
+(Reusing the integrals of blocks that did not merge would skip work but
+could change the last bits of the payload, so it is not done.)
+`_Chain.advance` runs the mutation semigroup, `_Chain.migrate` moves one
+block and `_Chain.coalesce` unites merge groups of one colony's blocks
+(`partitions.merge_groups`), multiplying their factors. `_ExactChain`
+runs them on integer numerators over one denominator per block.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
-the estimators, or from a recorded `Trajectory` in `replay`, the one path
-with exact semigroup factors; `_Chain.apply` turns a recorded event (and
-`dual_generator_value`'s enumerated ones) into the same two operations.
+the estimators, or from a recorded `Trajectory` in `replay`;
+`_Chain.apply` turns a recorded event (and `dual_generator_value`'s
+enumerated ones) into the same two operations.
 Per event `_run` looks its rates up in the jump rates `ModelParams`
 tabulates per pair of colony block counts, draws, and hands the chain the
 block to move or the merge groups; it builds the canonical partition that
@@ -32,13 +31,12 @@ block to move or the merge groups; it builds the canonical partition that
 the states `run_until`, `replay` and `dual_generator_value` build, and the
 skeleton's segments and leaf values; the float chains of `estimate_Qt`
 and `estimate_stationary` carry none, and absorption is one label left.
-With `exact=True`, `replay` runs `_ExactChain`, whose payload is, per
-block, integer numerators over one integer denominator: each float decay
-factor is the dyadic rational it represents, the base integral is an
-integer dot product with the base's `exact_weights`, and Fractions are
-built only for the state it returns. `DualState`, `LabeledPartition`,
-`TensorFunction` and (reduced) `SetFunction`s are built only where a
-public function takes or returns them.
+`replay(exact=True)` and `dual_generator_value` run `_ExactChain`: each
+float decay factor is the dyadic rational it represents, the base
+integral is an integer dot product with the base's `exact_weights`, and
+Fractions are built only for the state it returns. `DualState`,
+`LabeledPartition`, `TensorFunction` and (reduced) `SetFunction`s are
+built only where a public function takes or returns them.
 
 One replica driver, `_replica_values`, serves the three estimators. Per
 call it builds what does not depend on the replica: the float start
@@ -64,10 +62,11 @@ from typing import NamedTuple
 
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, canonical,
                          coagulate, colony_merging, enumerate_partitions,
-                         merge_groups, singleton_partition)
+                         merge_groups, profile_of, singleton_partition)
 from .setfun import (SetFunction, TensorFunction, _lift,
                      apply_generator_uniform, cell_index, float_sum)
-from .simplex import build_rate_table, per_partition_rate
+from .rationals import integer_numerators
+from .simplex import build_rate_table
 
 # events one run may take: the estimators raise when a replica reaches it,
 # and it is `StopRule`'s default cap
@@ -173,30 +172,28 @@ def _per_cell(cells, width, integral):
     return out
 
 
-def _start(factors, base):
-    """The payload a run starts from, for a tensor's factors under the
-    mutation base `base`: the run's grid level, the factors' coefficients
-    at that level one block after another in one list, the base integral
-    of one block's coefficients, the blocks' integrals (`_per_cell`) and
-    None; a rational start has no integrals yet and ends with the float
-    integral it switches to. Runs may share it: advance and merge build
-    new lists and never change it.
-
-    A rational start (`run_until` on a Fraction tensor) is integrated
-    exactly by `integrate_cells` at its first advance, which then turns
-    the cells and integrals into floats once (`_Chain._to_float`). That
-    keeps the bits: `p * v` for a float p and a Fraction v is
-    `p * float(v)`. From then on it is integrated as a float payload is."""
+def _run_cells(factors, base):
+    """A run's grid level, the highest of the factors' levels and the
+    base's, and the factors' coefficients at it, one block after another
+    in one list."""
     level = max(base.grid_level, *(g.level for g in factors))
-    cells = [c for g in factors for c in g._coeffs_at(level)]
-    # a float payload stays float: integrate it with the float branch of
-    # `integrate_cells` directly
-    if all(type(c) is float for c in cells):
-        integral = base.float_integrator(level)
-        return level, cells, integral, _per_cell(cells, 1 << level,
-                                                 integral), None
-    return (level, cells, functools.partial(base.integrate_cells, level),
-            None, base.float_integrator(level))
+    return level, [c for g in factors for c in g._coeffs_at(level)]
+
+
+def _start(factors, base):
+    """The float payload a run starts from, for a tensor's factors under
+    the mutation base `base`: the run's level and cells (`_run_cells`),
+    the base's float integral of one block and the blocks' integrals
+    (`_per_cell`). `integrate_cells` integrates each block, exactly when
+    it is rational, and cells and integrals are rounded to float once.
+    That gives the bits of advancing a rational start: `p * v` for a
+    float p and a Fraction v is `p * float(v)`. Runs may share the
+    payload: advance and merge build new lists and never change it."""
+    level, cells = _run_cells(factors, base)
+    ints = _per_cell(cells, 1 << level,
+                     functools.partial(base.integrate_cells, level))
+    return (level, [float(c) for c in cells], base.float_integrator(level),
+            [float(j) for j in ints])
 
 
 class _Chain:
@@ -217,8 +214,7 @@ class _Chain:
         if start is None:
             self.cells, self.segments = None, []
         else:
-            (self.level, self.cells, self.integral, self.ints,
-             self.to_float) = start
+            self.level, self.cells, self.integral, self.ints = start
             self.width = 1 << self.level
         self.clock, self.events = state.clock, state.events
 
@@ -237,19 +233,9 @@ class _Chain:
             q = 1 - p
             if self.ints is None:
                 self.ints = _per_cell(self.cells, self.width, self.integral)
-                if self.to_float is not None:
-                    self._to_float()
             self.cells = [p * v + q * c for v, c in zip(self.cells,
                                                         self.ints)]
         self.clock += dt
-
-    def _to_float(self):
-        """Turn a rational payload, just integrated exactly, into floats,
-        cells and integrals; from now on the float integral `_start` gave
-        integrates it."""
-        self.cells = [float(c) for c in self.cells]
-        self.ints = [float(c) for c in self.ints]
-        self.integral, self.to_float = self.to_float, None
 
     def factors(self):
         """The coefficient list of each block, in block order."""
@@ -327,27 +313,27 @@ class _Chain:
 
 
 class _ExactChain(_Chain):
-    """A run with the exact payload of `replay(exact=True)`: per block,
-    integer numerators N_i over one integer denominator D, read as the
-    coefficients N_i / D. Start coefficients (Fractions, ints or floats,
-    which are dyadic rationals) are converted exactly. A float decay
-    factor p is the dyadic rational a / 2^k; the base integral J / (D K)
-    is an integer dot product with the base's `exact_weights` (J) over
-    their denominator (K). Fractions are built only by `set_functions`."""
+    """A run with the exact payload of `replay(exact=True)` and
+    `dual_generator_value`: per block, integer numerators N_i over one
+    integer denominator D, read as the coefficients N_i / D. Start
+    coefficients (Fractions, ints or floats, which are dyadic rationals)
+    are converted exactly (`integer_numerators`). A float decay factor p
+    is the dyadic rational a / 2^k; the base integral J / (D K) is an
+    integer dot product with the base's `exact_weights` (J) over their
+    denominator (K). Fractions are built only by `set_functions`."""
 
     def __init__(self, state, params):
         base = params.mutation.base
-        factors = state.y.factors
-        level = max(base.grid_level, *(g.level for g in factors))
+        level, cells = _run_cells(state.y.factors, base)
         self.weights, self.scale = base.exact_weights(level)
-        cells, self.dens = [], []
-        for g in factors:
-            ratios = [c.as_integer_ratio() for c in g._coeffs_at(level)]
-            den = math.lcm(*(d for _, d in ratios))
-            cells += [n * (den // d) for n, d in ratios]
+        width = 1 << level
+        nums, self.dens = [], []
+        for i in range(0, len(cells), width):
+            block, den = integer_numerators(cells[i:i + width])
+            nums += block
             self.dens.append(den)
         # no float integral: `advance` integrates with the weights
-        super().__init__(state, params, (level, cells, None, None, None))
+        super().__init__(state, params, (level, nums, None, None))
 
     def advance(self, dt):
         """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
@@ -558,7 +544,8 @@ def _stdev(values):
     rounding: the values as integers over their largest denominator (a
     power of two), the variance as one integer ratio and its correctly
     rounded square root. This is the value `statistics.stdev` returns
-    from Python 3.11 on; under 3.10 that one can differ in the last bit."""
+    from Python 3.11 on; under 3.10 that one can differ in the last bit.
+    It streams; `integer_numerators` would hold all the values' ratios."""
     den = max(x.as_integer_ratio()[1] for x in values)
     k = sx = sxx = 0
     for x in values:
@@ -718,10 +705,11 @@ def genealogical_evaluate(f, eta, mu, t, replicas, params, seed):
 def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
     plus coalescence differences over nontrivial colony partitions plus
-    per-block migration differences."""
+    per-block migration differences. Each difference applies one event to
+    a fresh `_ExactChain`; the partitions' rates come from one rate table
+    that covers the larger colony."""
     base_state = initial_state(f, eta)
     lp = base_state.lp
-    start = _start(f.factors, params.mutation.base)
     g0 = evaluate_dual(base_state, mu)
     total = Fraction(0)
     # mutation: sum over variables of <A g_k> with the other factors fixed
@@ -730,21 +718,18 @@ def dual_generator_value(f, eta, mu, params):
         factors[k] = apply_generator_uniform(factors[k], params.mutation)
         total += evaluate_dual(DualState(lp, TensorFunction(tuple(factors))),
                                mu)
-    # coalescence within each colony
-    for colony in (COLONY_1, COLONY_2):
-        b = lp.labels.count(colony)
-        if b >= 2:
-            for pi_prime in enumerate_partitions(b, skip_singleton=True):
-                lam = per_partition_rate(params.xi, pi_prime)
-                if lam == 0:
-                    continue
-                chain = _Chain(base_state, params, start)
-                chain.apply("coalescence", colony, pi_prime)
-                total += lam * (evaluate_dual(chain.state(), mu) - g0)
-    # migration per block
-    for pos, label in enumerate(lp.labels, start=1):
-        u = params.u1 if label == COLONY_2 else params.u2
-        chain = _Chain(base_state, params, start)
-        chain.apply("migration", label, pos)
-        total += u * (evaluate_dual(chain.state(), mu) - g0)
+    # coalescence within each colony, per nontrivial partition, and
+    # migration, per block: (rate, kind, colony, detail)
+    counts = [lp.labels.count(colony) for colony in (COLONY_1, COLONY_2)]
+    table = build_rate_table(params.xi, max(counts))
+    events = [(table.rate_of(*profile_of(pi)), "coalescence", colony, pi)
+              for colony, b in zip((COLONY_1, COLONY_2), counts) if b >= 2
+              for pi in enumerate_partitions(b, skip_singleton=True)]
+    events += [(params.u1 if label == COLONY_2 else params.u2, "migration",
+                label, pos) for pos, label in enumerate(lp.labels, start=1)]
+    for rate, kind, colony, detail in events:
+        if rate:
+            chain = _ExactChain(base_state, params)
+            chain.apply(kind, colony, detail)
+            total += rate * (evaluate_dual(chain.state(), mu) - g0)
     return total

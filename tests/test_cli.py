@@ -9,7 +9,7 @@ from xistep import (BaseMeasure, ScalarParams, build_rate_table,
                     format_rational, solve_stationary)
 from xistep import cli
 from xistep.cli import _selftest_suites, main
-from xistep.simulator import genealogical_evaluate
+from xistep.simulator import EVENT_CAP, genealogical_evaluate
 
 from conftest import ATOM_HALF_QUARTER, indicator_power, kingman_model
 
@@ -312,6 +312,11 @@ class TestPinnedOutput:
         # differs in the last bit from the correctly rounded value
         "stationary_mc_seed4":
             "6c2b91b4ac13fe5874db53a8532442acdd35d1584c7bcee4775298ad5a07d3e6",
+        "reversibility":
+            "23356f9385373320bd84a90ee593b0d130b1a9af25d983e264748d21b5464a2d",
+        # Kingman reaches the final contradiction
+        "reversibility_kingman":
+            "c3de07236c90a11fe190a9a8cdc257e479813f55bd98e66f73cd9de47c3c2922",
     }
 
     def test_seeded_outputs_pinned(self, tmp_path):
@@ -338,6 +343,8 @@ class TestPinnedOutput:
                              ["hausdorff"]),
             "stationary_mc_seed4": (MC_STATIONARY_CFG, [
                 "stationary", "--seed", "4", "--replicas", "500"]),
+            "reversibility": (SWEEP_CFG, ["reversibility"]),
+            "reversibility_kingman": (KINGMAN_CFG, ["reversibility"]),
         }
         outputs = {}
         for name, (payload, argv) in runs.items():
@@ -368,6 +375,24 @@ class TestSimulate:
         kinds = {line.split(",")[1] for line in body}
         assert kinds <= {"coalescence", "migration"}
         assert body[-1].endswith(",1")   # absorbed at one block
+
+    def test_event_cap_says_so(self, tmp_path, capsys):
+        # migration alone up to a far time stop: the run stops at the cap,
+        # writes the truncated trajectory, exits 1 and says why on stderr
+        payload = dict(KINGMAN_CFG, xi={}, options={"t": "100000"})
+        out = tmp_path / "traj.csv"
+        status = main(["simulate", "--config", write_cfg(tmp_path, payload),
+                       "--out", str(out)])
+        assert status == 1
+        assert len(out.read_text().splitlines()) == 4 + EVENT_CAP
+        assert f"event cap of {EVENT_CAP} events" in capsys.readouterr().err
+
+    def test_one_block_needs_no_coalescence(self, tmp_path):
+        payload = dict(KINGMAN_CFG, xi={}, options={"eta": [2]})
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--config", write_cfg(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
 
 
 class TestSelftest:
@@ -469,6 +494,20 @@ class TestErrors:
         ("stationary --replicas 5", {}, None, "replicas: --replicas"),
         # the consistency check needs a 4-block table
         ("rates", {"b_max": 3}, None, "b_max: "),
+        # theta below 0 fails where the config is parsed, theta = 0 where
+        # the exact engine (also mc mode's exact reference) is asked for
+        ("rates", {"theta": "-1"}, None, "config error: theta: "),
+        ("qt", {"theta": "-1", "options": {"t": "1/2"}}, None,
+         "config error: theta: "),
+        ("stationary", {"theta": "0"}, None, "config error: theta: "),
+        ("stationary", {"theta": "0", "options": {"mode": "mc", "order": 1}},
+         None, "config error: theta: "),
+        ("hausdorff", {"theta": "0"}, None, "config error: theta: "),
+        ("reversibility", {"theta": "0"}, None, "config error: theta: "),
+        # a run to absorption needs coalescence
+        ("stationary", {"xi": {}, "options": {"mode": "mc", "order": 1}},
+         None, "config error: xi: "),
+        ("simulate", {"xi": {}}, None, "config error: xi: "),
     ]
 
     # ids number the cases and leave the command out

@@ -107,6 +107,15 @@ class TestFieldErrors:
     def test_migration_rates_positive(self, key, value):
         assert field_error((key,), value).field == key
 
+    def test_exact_engine_needs_positive_theta(self):
+        # theta = 0 parses, since the dual runs without mutation, but the
+        # exact engine refuses it
+        cfg = parse_config(with_field(("theta",), "0"))
+        assert cfg.model_params().mutation.theta == 0
+        with pytest.raises(ConfigError) as info:
+            cfg.scalar_params()
+        assert info.value.field == "theta"
+
     @pytest.mark.parametrize("path,value,field", [
         (("e_star", "level"), 40, "e_star.level"),
         (("e_star", "level"), -1, "e_star.level"),
@@ -126,6 +135,7 @@ class TestFieldErrors:
         (("options", "t"), "-1/2", "options.t"),
         (("options", "t"), True, "options.t"),
         (("theta",), False, "theta"),
+        (("theta",), "-1/3", "theta"),
         (("options", "mode"), ["mc"], "options.mode"),
     ])
     def test_nested_fields_named(self, path, value, field):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from xistep import (CollisionProfile, SimplexAtom, XiMeasure,
                     build_rate_table, check_consistency, collision_rate)
-from xistep.partitions import iter_profiles
-from xistep.simplex import MAX_BLOCKS, _paintbox_rates, per_partition_rate
+from xistep.partitions import iter_profiles, profile_of
+from xistep.simplex import MAX_BLOCKS, _paintbox_rates
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR, SWEEP
 
@@ -49,15 +49,14 @@ class TestCollisionRate:
 
 
 class TestPerPartitionRate:
-    def test_atom_pair(self):
-        assert per_partition_rate(ATOM_HALF_QUARTER,
-                                  ((1, 2), (3,))) == F(11, 20)
+    """A concrete partition collides at the rate of its profile."""
 
-    def test_singleton_partition_is_zero(self):
-        assert per_partition_rate(KINGMAN, ((1,), (2,), (3,))) == 0
+    def test_atom_pair(self):
+        assert rate(ATOM_HALF_QUARTER, *profile_of(((1, 2), (3,)))) \
+            == F(11, 20)
 
     def test_kingman_no_double_pair(self):
-        assert per_partition_rate(KINGMAN, ((1, 2), (3, 4))) == 0
+        assert rate(KINGMAN, *profile_of(((1, 2), (3, 4)))) == 0
 
 
 class TestRateTable:

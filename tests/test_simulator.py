@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
-                    SetFunction, StopRule, TensorFunction, XiMeasure,
-                    estimate_Qt, estimate_stationary, evaluate_dual,
-                    initial_state, replay, run_until, solve_stationary)
+                    ScalarParams, SetFunction, StopRule, TensorFunction,
+                    XiMeasure, estimate_Qt, estimate_stationary,
+                    evaluate_dual, initial_state, replay, run_until,
+                    solve_stationary)
 from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
@@ -451,11 +452,12 @@ class TestRunUntil:
 
 
 class TestRationalStart:
-    """`run_until` and `replay(exact=False)` on a Fraction tensor: the
-    payload turns float once, at the first advance. The digest of the
-    states, records and replays on the mc_transition model was taken when
-    every advance went through Fraction's float fallback instead, so it
-    pins that the conversion keeps every bit."""
+    """`run_until` and `replay(exact=False)` on a Fraction tensor: `_start`
+    integrates each block exactly and rounds the payload to float once,
+    before the run takes its first event. The digest of the states,
+    records and replays on the mc_transition model was taken when every
+    advance went through Fraction's float fallback instead, so it pins
+    that the conversion keeps every bit."""
 
     DIGEST = ("8106c6d675c9174b1f4a164782554f561baee4a89a99c04f9c69cf0558f7"
               "1806")
@@ -491,13 +493,31 @@ class TestRationalStart:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             self.DIGEST
 
-    def test_unadvanced_start_stays_rational(self):
-        # absorbed at the start: no advance, the Fractions are returned
-        state, _ = run_until(initial_state(indicator_power(1), (2,)),
-                             kingman_model(), StopRule(at_absorption=True),
-                             random.Random(0))
-        assert state.y.factors == indicator_power(1).factors
-        assert all(type(c) is F for c in state.y.factors[0].coeffs)
+    def test_unadvanced_start_turns_float(self):
+        # a run that never advances returns its start rounded to float:
+        # absorbed at the start, capped at zero events, or an empty
+        # trajectory replayed on floats
+        params = kingman_model()
+        f = TensorFunction((SetFunction(1, (F(1, 2), F(1, 3))),
+                            SetFunction.indicator(E_STAR)))
+        absorbed, _ = run_until(initial_state(indicator_power(1), (2,)),
+                                params, StopRule(at_absorption=True),
+                                random.Random(0))
+        capped, traj = run_until(initial_state(f, (1, 2)), params,
+                                 StopRule(at_absorption=True, max_events=0),
+                                 random.Random(0))
+        assert traj.truncated and traj.events == ()
+        replayed = replay(f, (1, 2), Trajectory(()), params, exact=False)
+        # the start's integrals are exact, then rounded: float(5/12), not
+        # the float sum (0.5 + float(1/3)) / 2, which is one ulp lower
+        _, cells, _, ints = simulator._start(f.factors, params.mutation.base)
+        assert all(type(c) is float for c in cells + ints)
+        assert ints == [float(F(5, 12))] * 2 + [0.5] * 2
+        for state, start in ((absorbed, indicator_power(1)), (capped, f),
+                             (replayed, f)):
+            assert state.y == _floated(start)
+            assert all(type(c) is float
+                       for g in state.y.factors for c in g.coeffs)
 
 
 def _hexed(record):
@@ -1123,3 +1143,26 @@ class TestDualGenerator:
                     for i in range(5) for j in range(5)}
             rhs = generator_on_monomial((n, m), sp).evaluate(vals)
             assert lhs == rhs
+
+    @pytest.mark.parametrize("name", ["atom", "sweep", "mc_stationary"])
+    def test_matches_scalar_generator_with_multiple_mergers(self, name):
+        # atom measures: multiple and simultaneous mergers reach both
+        # routes, the exact chain with the rate table and the moment
+        # engine's drop rates
+        from xistep.moments import generator_on_monomial
+        xi = {"atom": ATOM_HALF_QUARTER, "sweep": SWEEP,
+              "mc_stationary": XiMeasure(F(1, 2),
+                                         ATOM_HALF_QUARTER.atoms)}[name]
+        base = BaseMeasure.uniform()
+        params = ModelParams(xi, MutationSpec(F(1), base=base), F(2), F(1),
+                             5)
+        sp = ScalarParams.from_rate_table(build_rate_table(xi, 5), F(1),
+                                          base.measure(E_STAR), F(2), F(1))
+        mu1 = BaseMeasure(1, (F(3, 2), F(1, 2)))
+        mu2 = BaseMeasure(1, (F(1, 4), F(7, 4)))
+        vals = {(i, j): mu1.measure(E_STAR) ** i * mu2.measure(E_STAR) ** j
+                for i in range(6) for j in range(6)}
+        for n, m in [(2, 0), (3, 0), (2, 1), (4, 0), (2, 2), (3, 2)]:
+            f, eta = indicator_power(n + m), (1,) * n + (2,) * m
+            lhs = dual_generator_value(f, eta, (mu1, mu2), params)
+            assert lhs == generator_on_monomial((n, m), sp).evaluate(vals)
