@@ -135,8 +135,8 @@ class TestFieldErrors:
         (("options", "t"), "-1/2", "options.t"),
         (("options", "t"), True, "options.t"),
         (("theta",), False, "theta"),
-        (("theta",), "-1/3", "theta"),
         (("options", "mode"), ["mc"], "options.mode"),
+        (("theta",), "-1/3", "theta"),
     ])
     def test_nested_fields_named(self, path, value, field):
         assert field_error(path, value).field == field
