@@ -59,6 +59,19 @@ def _order(value, field_name, b_max):
 
 _MISSING = object()
 
+def _path(field_name, key):
+    return f"{field_name}.{key}" if field_name else key
+
+
+def _known(data, field_name, keys):
+    """Refuse a key of the object `data` at `field_name` that is not
+    one of the fields `keys` read there, so that no misspelled field is
+    skipped without a word."""
+    if isinstance(data, dict):
+        for key in data:
+            if key not in keys:
+                raise ConfigError(_path(field_name, key), "unknown field")
+
 
 def _get(data, key, field_name, default=_MISSING):
     if not isinstance(data, dict):
@@ -66,14 +79,13 @@ def _get(data, key, field_name, default=_MISSING):
     if key in data:
         return data[key]
     if default is _MISSING:
-        raise ConfigError(f"{field_name}.{key}" if field_name else key,
-                          "missing required field")
+        raise ConfigError(_path(field_name, key), "missing required field")
     return default
 
 
 def _items(data, key, field_name, default=_MISSING):
     """(field name, item) for each item of a list field."""
-    where = f"{field_name}.{key}" if field_name else key
+    where = _path(field_name, key)
     value = _get(data, key, field_name, default)
     if not isinstance(value, list):
         raise ConfigError(where, "must be a list")
@@ -81,10 +93,12 @@ def _items(data, key, field_name, default=_MISSING):
 
 
 def parse_xi(data, field_name="xi"):
+    _known(data, field_name, ("kingman_mass", "atoms"))
     mass = _rat(_get(data, "kingman_mass", field_name, "0"),
                 f"{field_name}.kingman_mass")
     atoms = []
     for where, a in _items(data, "atoms", field_name, []):
+        _known(a, where, ("coords", "weight"))
         coords = [_rat(c, f) for f, c in _items(a, "coords", where)]
         weight = _rat(_get(a, "weight", where), f"{where}.weight")
         try:
@@ -98,12 +112,15 @@ def parse_xi(data, field_name="xi"):
 
 
 def parse_base_measure(data, field_name):
+    _known(data, field_name, ("grid_level", "densities", "atoms"))
     level = parse_int(_get(data, "grid_level", field_name, 0),
                  f"{field_name}.grid_level", 0, MAX_GRID_LEVEL)
     dens = [_rat(d, f) for f, d in _items(data, "densities", field_name)]
-    atoms = [(_rat(_get(a, "at", where), f"{where}.at"),
-              _rat(_get(a, "mass", where), f"{where}.mass"))
-             for where, a in _items(data, "atoms", field_name, [])]
+    atoms = []
+    for where, a in _items(data, "atoms", field_name, []):
+        _known(a, where, ("at", "mass"))
+        atoms.append((_rat(_get(a, "at", where), f"{where}.at"),
+                      _rat(_get(a, "mass", where), f"{where}.mass")))
     try:
         return BaseMeasure(level, tuple(dens), tuple(atoms))
     except ValueError as e:
@@ -111,6 +128,7 @@ def parse_base_measure(data, field_name):
 
 
 def parse_dyadic_set(data, field_name):
+    _known(data, field_name, ("level", "cells"))
     level = parse_int(_get(data, "level", field_name), f"{field_name}.level",
                  0, MAX_GRID_LEVEL)
     cells = [parse_int(c, f) for f, c in _items(data, "cells", field_name)]
@@ -167,11 +185,15 @@ class ExperimentConfig:
 
 
 def parse_config(data, digest=""):
+    _known(data, "", ("xi", "theta", "mutation", "u1", "u2", "e_star",
+                      "alpha", "mu1", "mu2", "replicas", "seed", "b_max",
+                      "options"))
     xi = parse_xi(_get(data, "xi", ""))
     theta = _rat(_get(data, "theta", ""), "theta")
     if theta < 0:
         raise ConfigError("theta", f"must be nonnegative, got {theta}")
     mut = _get(data, "mutation", "")
+    _known(mut, "mutation", ("kind", "base"))
     kind = _get(mut, "kind", "mutation", "uniform")
     if kind != "uniform":
         raise ConfigError("mutation.kind",
@@ -198,6 +220,8 @@ def parse_config(data, digest=""):
     options = _get(data, "options", "", {})
     if not isinstance(options, dict):
         raise ConfigError("options", "must be an object")
+    _known(options, "options",
+           ("order", "indices", "eta", "n", "m", "t", "mode"))
     options = dict(options)
     if "order" in options:
         options["order"] = _order(options["order"], "options.order", b_max)

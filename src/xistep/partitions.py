@@ -43,10 +43,6 @@ def singleton_partition(n):
     return tuple((i,) for i in range(1, n + 1))
 
 
-def is_singleton_partition(pi):
-    return all(len(b) == 1 for b in pi)
-
-
 def profile_of(pi_prime):
     """Collision profile (n; k1..kr; s) induced by a partition of [b]:
     merge_sizes are the block sizes >= 2, s counts singletons."""
@@ -108,7 +104,7 @@ def coagulate(blocks, groups):
                  if len(g) > 1 else blocks[g[0]] for g in groups)
 
 
-def enumerate_partitions(b, skip_singleton=False):
+def enumerate_partitions(b):
     """All Bell(b) partitions of [b] via restricted growth strings."""
     if b > MAX_ENUMERATION_SIZE:
         raise ValueError(f"b={b} exceeds cap {MAX_ENUMERATION_SIZE}")
@@ -122,9 +118,7 @@ def enumerate_partitions(b, skip_singleton=False):
             blocks = [[] for _ in range(maxval + 1)]
             for elem, g in enumerate(rgs, start=1):
                 blocks[g].append(elem)
-            pi = tuple(tuple(blk) for blk in blocks)
-            if not (skip_singleton and is_singleton_partition(pi)):
-                out.append(pi)
+            out.append(tuple(tuple(blk) for blk in blocks))
             return
         for v in range(maxval + 2):
             rgs[i] = v

@@ -23,7 +23,6 @@ from types import MappingProxyType
 from .partitions import iter_profiles, profile_multiplicity
 from .rationals import integer_numerators
 
-MAX_ATOM_SUPPORT = 8
 # largest block count a rate table (hence b_max and an exact order) covers
 MAX_BLOCKS = 20
 
@@ -57,8 +56,6 @@ class SimplexAtom:
             raise ValueError("atom coordinates must be non-increasing")
         if sum(coords) > 1:
             raise ValueError("atom coordinate sum exceeds 1")
-        if len(coords) > MAX_ATOM_SUPPORT:
-            raise ValueError(f"atom support larger than {MAX_ATOM_SUPPORT}")
         if self.weight <= 0:
             raise ValueError("atom weight must be positive")
 

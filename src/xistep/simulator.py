@@ -55,6 +55,7 @@ import concurrent.futures
 import functools
 import math
 import random
+import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,14 +77,16 @@ EVENT_CAP = 100_000
 @dataclass(frozen=True)
 class ModelParams:
     """Everything the dual generator needs; the collision rates of up to
-    `b_max` blocks are tabulated from `xi`, and from them the jump rates
-    of every split of up to `b_max` blocks between the colonies."""
+    `b_max` blocks are tabulated from `xi` (`table`), and from them the
+    jump rates of every split of up to `b_max` blocks between the
+    colonies."""
 
     xi: object            # XiMeasure
     mutation: object      # MutationSpec
     u1: Fraction
     u2: Fraction
     b_max: int
+    table: object = field(init=False, compare=False, repr=False)  # RateTable
     # per colony block counts (`[n1][n2]`) the four float event rates
     # (migration out of colony 2, u1 per block, and out of colony 1, u2 per
     # block; coalescence in colony 1 and in colony 2) and their sum added
@@ -98,6 +101,7 @@ class ModelParams:
         if self.u1 <= 0 or self.u2 <= 0:
             raise ValueError("migration rates must be positive")
         table = build_rate_table(self.xi, self.b_max)
+        object.__setattr__(self, "table", table)
         profs = {}
         for b in range(2, self.b_max + 1):
             rows = [(prof, float(rate * mult))
@@ -525,45 +529,15 @@ def evaluate_dual(state, mu):
     return value
 
 
-def _sqrt_of_ratio(n, m):
-    """sqrt(n / m) for integers n >= 0 and m > 0, correctly rounded: an
-    integer square root of at least 55 bits with a sticky last bit (round
-    to odd), then one correctly rounded integer division."""
-    q = (n.bit_length() - m.bit_length() - 109) // 2
-    if q >= 0:
-        m <<= 2 * q
-        a = math.isqrt(n // m)
-        return ((a | (a * a * m != n)) << q) / 1
-    n <<= -2 * q
-    a = math.isqrt(n // m)
-    return (a | (a * a * m != n)) / (1 << -q)
-
-
-def _stdev(values):
-    """Sample standard deviation of at least two floats, exact up to one
-    rounding: the values as integers over their largest denominator (a
-    power of two), the variance as one integer ratio and its correctly
-    rounded square root. This is the value `statistics.stdev` returns
-    from Python 3.11 on; under 3.10 that one can differ in the last bit.
-    It streams; `integer_numerators` would hold all the values' ratios."""
-    den = max(x.as_integer_ratio()[1] for x in values)
-    k = sx = sxx = 0
-    for x in values:
-        n, d = x.as_integer_ratio()
-        n *= den // d
-        k += 1
-        sx += n
-        sxx += n * n
-    return _sqrt_of_ratio(k * sxx - sx * sx, k * (k - 1) * den * den)
-
-
 def _mc(values, replicas, seed):
+    """The mean of the replica values, added left to right
+    (`float_sum`), and its standard error `statistics.stdev / sqrt(n)`,
+    0 for one replica."""
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     mean = float_sum(values) / replicas
     if replicas > 1:
-        sd = _stdev(values)
-        se = sd / math.sqrt(replicas)
+        se = statistics.stdev(values) / math.sqrt(replicas)
     else:
         se = 0.0
     return McEstimate(float(mean), float(se), replicas, seed)
@@ -704,12 +678,17 @@ def genealogical_evaluate(f, eta, mu, t, replicas, params, seed):
 
 def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
-    plus coalescence differences over nontrivial colony partitions plus
-    per-block migration differences. Each difference applies one event to
-    a fresh `_ExactChain`; the partitions' rates come from one rate table
-    that covers the larger colony."""
+    plus coalescence differences over colony partitions plus per-block
+    migration differences. Each difference applies one event to a fresh
+    `_ExactChain`; the partitions' rates come from `params.table`, where
+    the singleton partition, which merges nothing, has rate 0. A colony of
+    more than `b_max` blocks is refused."""
     base_state = initial_state(f, eta)
     lp = base_state.lp
+    counts = [lp.labels.count(colony) for colony in (COLONY_1, COLONY_2)]
+    if max(counts) > params.b_max:
+        raise ValueError(f"a colony of {max(counts)} blocks exceeds "
+                         f"b_max={params.b_max}")
     g0 = evaluate_dual(base_state, mu)
     total = Fraction(0)
     # mutation: sum over variables of <A g_k> with the other factors fixed
@@ -718,13 +697,12 @@ def dual_generator_value(f, eta, mu, params):
         factors[k] = apply_generator_uniform(factors[k], params.mutation)
         total += evaluate_dual(DualState(lp, TensorFunction(tuple(factors))),
                                mu)
-    # coalescence within each colony, per nontrivial partition, and
-    # migration, per block: (rate, kind, colony, detail)
-    counts = [lp.labels.count(colony) for colony in (COLONY_1, COLONY_2)]
-    table = build_rate_table(params.xi, max(counts))
-    events = [(table.rate_of(*profile_of(pi)), "coalescence", colony, pi)
+    # coalescence within each colony, per partition, and migration, per
+    # block: (rate, kind, colony, detail)
+    events = [(params.table.rate_of(*profile_of(pi)), "coalescence",
+               colony, pi)
               for colony, b in zip((COLONY_1, COLONY_2), counts) if b >= 2
-              for pi in enumerate_partitions(b, skip_singleton=True)]
+              for pi in enumerate_partitions(b)]
     events += [(params.u1 if label == COLONY_2 else params.u2, "migration",
                 label, pos) for pos, label in enumerate(lp.labels, start=1)]
     for rate, kind, colony, detail in events:

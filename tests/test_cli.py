@@ -508,6 +508,20 @@ class TestErrors:
         ("stationary", {"xi": {}, "options": {"mode": "mc", "order": 1}},
          None, "config error: xi: "),
         ("simulate", {"xi": {}}, None, "config error: xi: "),
+        # a key that no parser reads is refused with its path
+        ("stationary", {"options": {"ordr": 6}}, None,
+         "config error: options.ordr: unknown field"),
+        ("stationary", {"sed": 5, "options": {"ordr": 6}}, None,
+         "config error: sed: unknown field"),
+        ("rates", {"xi": {"kingman_mass": "1", "atom": []}}, None,
+         "config error: xi.atom: unknown field"),
+        ("qt", {"e_star": {"level": 1, "cell": [0]},
+                "options": {"t": "1/2"}}, None,
+         "config error: e_star.cell: unknown field"),
+        ("simulate", {"mutation": {"kind": "uniform",
+                                   "base": {"densities": ["1"],
+                                            "level": 0}}}, None,
+         "config error: mutation.base.level: unknown field"),
     ]
 
     # ids number the cases and leave the command out

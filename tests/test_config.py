@@ -137,6 +137,20 @@ class TestFieldErrors:
         (("theta",), False, "theta"),
         (("options", "mode"), ["mc"], "options.mode"),
         (("theta",), "-1/3", "theta"),
+        # keys that no parser reads, at every level
+        (("sed",), 5, "sed"),
+        (("xi", "kingman"), "1", "xi.kingman"),
+        (("xi", "atoms", 0, "weigth"), "1", "xi.atoms[0].weigth"),
+        (("mutation", "knd"), "uniform", "mutation.knd"),
+        (("mutation", "base", "density"), ["1"], "mutation.base.density"),
+        (("mutation", "base", "atoms"), [{"at": "0", "mas": "1"}],
+         "mutation.base.atoms[0].mas"),
+        (("mu1",), {"densities": ["1"], "grid": 1}, "mu1.grid"),
+        (("mu2",), {"densities": ["1"], "atoms": [{"at": "0", "mass": "0",
+                                                   "w": "1"}]},
+         "mu2.atoms[0].w"),
+        (("e_star", "cell"), [0], "e_star.cell"),
+        (("options", "ordr"), 6, "options.ordr"),
     ])
     def test_nested_fields_named(self, path, value, field):
         assert field_error(path, value).field == field

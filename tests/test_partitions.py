@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from xistep import (COLONY_1, COLONY_2, DualState, LabeledPartition,
                     SetFunction, TensorFunction, enumerate_partitions,
                     profile_of)
-from xistep.partitions import (colony_merging, is_singleton_partition,
-                               profile_multiplicity, singleton_partition)
+from xistep.partitions import (colony_merging, profile_multiplicity,
+                               singleton_partition)
 from xistep.simulator import _Chain, _start
 
 from conftest import kingman_model
@@ -78,7 +78,7 @@ def coag(pi, pi_prime):
     replay: such a record merges nothing, and it is checked to be
     refused."""
     labels = (COLONY_1,) * len(pi)
-    if is_singleton_partition(pi_prime):
+    if all(len(b) == 1 for b in pi_prime):
         assert_refused(_start_at(pi, labels), "coalescence", COLONY_1,
                        pi_prime, "merges nothing")
         return pi
@@ -209,7 +209,7 @@ class TestAgainstOracles:
                     continue
                 for pi_prime in enumerate_partitions(count):
                     calls += 1
-                    if is_singleton_partition(pi_prime):
+                    if all(len(b) == 1 for b in pi_prime):
                         assert_refused(start, "coalescence", colony,
                                        pi_prime, "merges nothing")
                         continue
@@ -250,7 +250,7 @@ class TestProfiles:
     def test_multiplicity_counts_partitions(self):
         for b in range(2, 7):
             by_profile = {}
-            for pi in enumerate_partitions(b, skip_singleton=True):
+            for pi in enumerate_partitions(b):
                 _, merge_sizes, s = profile_of(pi)
                 by_profile[(merge_sizes, s)] = \
                     by_profile.get((merge_sizes, s), 0) + 1

@@ -240,6 +240,18 @@ def test_paintbox_recurrence_matches_injective_sums_b8(xi):
     assert_rates_match_oracle(xi, 8)
 
 
+@pytest.mark.parametrize("coords", [
+    tuple(F(1, 6 + i) for i in range(9)),
+    tuple(F(1, 12 + i) for i in range(12)),
+], ids=["nine", "twelve"])
+def test_atoms_of_more_than_eight_coordinates(coords):
+    # an atom's support is not capped: the scan runs on any number of
+    # coordinates
+    xi = XiMeasure(F(1, 2), (SimplexAtom(coords, F(1)),))
+    assert_rates_match_oracle(xi, 6)
+    assert check_consistency(build_rate_table(xi, 12)).all_pass
+
+
 def fraction_paintbox_rate(atom, profile):
     """Fraction oracle for the integer `_atom_rate`: the same (mask, l)
     paintbox recurrence, run on the coordinates as Fractions."""

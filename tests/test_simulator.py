@@ -4,7 +4,6 @@ import hashlib
 import math
 import random
 import statistics
-import sys
 from fractions import Fraction
 
 import pytest
@@ -733,40 +732,15 @@ class TestEstimators:
                                 BaseMeasure.uniform(), 10, params, seed=0)
 
 
-# finite floats whose sample variance stays finite, subnormals included
-_FINITE = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
-                    allow_infinity=False)
-_TINY = st.floats(min_value=-1e-300, max_value=1e-300, allow_nan=False)
-
-
 class TestStdev:
-    """The standard error's standard deviation is exact up to one
-    rounding on every interpreter, so seeded reports agree under Python
-    3.10 and 3.11+."""
+    """The standard error's standard deviation is `statistics.stdev`,
+    correctly rounded from Python 3.11 on, the supported floor, so seeded
+    reports agree on every supported interpreter."""
 
     def test_pinned_case_where_python_310_differs(self):
         # `statistics.stdev` of 3.10 gives 0x1.bfd8df179b0bdp-3 here
-        assert simulator._stdev([0.082, 0.365, 0.6, 0.458]).hex() == \
+        assert statistics.stdev([0.082, 0.365, 0.6, 0.458]).hex() == \
             "0x1.bfd8df179b0bep-3"
-
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="statistics.stdev rounds correctly from 3.11")
-    @given(xs=st.one_of(
-        st.lists(_FINITE, min_size=2, max_size=40),
-        st.lists(_TINY, min_size=2, max_size=40),
-        st.lists(st.floats(0, 1), min_size=2, max_size=3),
-        st.tuples(_FINITE, st.integers(2, 9)).map(lambda c: [c[0]] * c[1])))
-    @settings(max_examples=400, deadline=None)
-    def test_equals_statistics_stdev(self, xs):
-        assert simulator._stdev(xs) == statistics.stdev(xs)
-
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="statistics.stdev rounds correctly from 3.11")
-    def test_equals_statistics_stdev_on_replica_values(self):
-        values = simulator._replica_values(
-            indicator_power(4), (1, 1, 2, 2), (BaseMeasure.uniform(),) * 2,
-            None, _frozen_model("atom")[0], 4, False, 0, 500)
-        assert simulator._stdev(values) == statistics.stdev(values)
 
 
 class TestReplicaDriver:
@@ -1166,3 +1140,15 @@ class TestDualGenerator:
             f, eta = indicator_power(n + m), (1,) * n + (2,) * m
             lhs = dual_generator_value(f, eta, (mu1, mu2), params)
             assert lhs == generator_on_monomial((n, m), sp).evaluate(vals)
+
+    def test_colony_past_b_max_refused(self):
+        # the partitions' rates come from the model's table, which covers
+        # b_max blocks per colony: a split of more blocks is read from it,
+        # a colony of more is refused naming b_max
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        f = indicator_power(4)
+        assert dual_generator_value(f, (1, 1, 2, 2), mu,
+                                    kingman_model(b_max=2)) \
+            == dual_generator_value(f, (1, 1, 2, 2), mu, kingman_model())
+        with pytest.raises(ValueError, match="b_max=3"):
+            dual_generator_value(f, (1, 1, 1, 1), mu, kingman_model(b_max=3))
