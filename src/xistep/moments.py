@@ -3,14 +3,19 @@ and the complete-monotonicity (moment-problem) check.
 
 M[n, m] denotes the stationary expectation of the colony-1 mass of a fixed
 reference set raised to n times the colony-2 mass raised to m; M[0, 0] = 1.
-All arithmetic here is exact. The generator's coefficients are Fractions;
-the stationary solve and the Hausdorff table run on integers over one
-common denominator and build Fractions only for the values they return.
+All arithmetic here is exact, and it runs on integers: each generator row
+is built as integer coefficients over one scale, the stationary solve keeps
+every known over one common denominator, and the Hausdorff table is one
+integer table. Fractions are built only where a caller reads them: the
+solved moments, a `MomentPolynomial` when `generator_on_monomial` is
+asked for one, and a `LinearSystem`'s matrix, right sides and determinant
+on first read.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import solve_tridiagonal
 from .rationals import integer_numerators
@@ -28,9 +33,9 @@ class ScalarParams:
     nonnegative: the stationary systems then have no zero pivot (see
     `linalg.solve_tridiagonal`).
 
-    Each instance keeps a cache of generator rows, built on first request
-    (`_generator_row`): per monomial, `generator_on_monomial`'s polynomial
-    and its integer form over the lcm of its denominators. One params
+    Each instance keeps a cache of generator rows, built on integers on
+    first request (`_generator_row`): per monomial, the coefficients of
+    `generator_on_monomial` over the lcm of their denominators. One params
     object thus builds each row once for the stationary solve and every
     later residual check; `dataclasses.replace` starts an empty cache."""
 
@@ -46,7 +51,7 @@ class ScalarParams:
     a31: Fraction = None
     a4: Fraction = None
     table: RateTable = field(default=None, compare=False, repr=False)
-    # (n, m) -> (polynomial, lcm of its denominators, integer coefficients)
+    # (n, m) -> (lcm of the row's denominators, integer coefficients)
     _rows: dict = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -71,10 +76,7 @@ class ScalarParams:
                 rows[b] = rows.get(b, ()) + ((prof, given, prof.multiplicity),)
         if self.table is None:
             object.__setattr__(self, "table", RateTable(4, rows))
-        for row in self.table.rows.values():
-            for prof, rate, _ in row:
-                if rate < 0:
-                    raise ValueError(f"negative rate {rate} for {prof}")
+        self.table.check_nonnegative()
         for name in ("theta", "alpha", "u1", "u2"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
         for name in ("u1", "u2"):
@@ -94,6 +96,18 @@ class ScalarParams:
     @classmethod
     def from_rate_table(cls, table, theta, alpha, u1, u2):
         return cls(theta, alpha, u1, u2, table=table)
+
+    @cached_property
+    def _row_scale(self):
+        """S, the lcm of the denominators of theta/2, theta*alpha/2, u1, u2
+        and the table's drop rates, and the first four times S: every
+        generator row is built on these integers."""
+        values = (self.theta / 2, self.theta * self.alpha / 2, self.u1,
+                  self.u2)
+        scale = math.lcm(self.table.drop_denominator,
+                         *[v.denominator for v in values])
+        return (scale,) + tuple(v.numerator * (scale // v.denominator)
+                                for v in values)
 
 
 def _check_table(params, rate_table):
@@ -118,12 +132,6 @@ class MomentPolynomial(dict):
             self.pop(idx, None)
         else:
             self[idx] = c
-
-    def copy(self):
-        """The same terms in a new MomentPolynomial."""
-        out = MomentPolynomial()
-        out.update(self)
-        return out
 
     def shifted(self, dn, dm):
         """Multiply by the (dn, dm) monomial: indices add."""
@@ -170,65 +178,100 @@ def generator_on_monomial(idx, params, rate_table=None):
     MomentPolynomial: mutation, same-colony coalescence (grouped by block
     drop, rates from `params.table`), and per-block migration
     differences. The diagonal, everything that leaves (n, m), is summed
-    once. A fresh copy of the params' cached row: the caller may change
+    once. Built from the params' cached integer row; the caller may change
     it."""
     _check_table(params, rate_table)
-    return _generator_row(idx, params)[0].copy()
+    scale, ints = _generator_row(idx, params)
+    poly = MomentPolynomial()
+    poly.update((jdx, Fraction(c, scale)) for jdx, c in ints.items())
+    return poly
 
 
 def _generator_row(idx, params):
-    """The cached row of (n, m) in `params`: the polynomial of
-    `_generator_poly`, the lcm of its coefficients' denominators and its
-    coefficients times that lcm as ints. Callers must not change it."""
+    """The cached row of (n, m) in `params`: the lcm of the denominators
+    of `generator_on_monomial`'s coefficients, and those coefficients times
+    it as ints, keyed by monomial. Callers must not change it.
+
+    The row is built on integers over S (`ScalarParams._row_scale`):
+    every term is an int product, and dividing S and the terms by their
+    gcd leaves the lcm form. The terms come in the order diagonal,
+    mutation, colony-1 drops, colony-2 drops, migration; colliding
+    monomials are merged and zero terms dropped, as `MomentPolynomial.add`
+    does."""
     row = params._rows.get(idx)
-    if row is None:
-        poly = _generator_poly(idx, params)
-        nums, scale = integer_numerators(poly.values())
-        row = params._rows[idx] = (poly, scale, dict(zip(poly, nums)))
-    return row
-
-
-def _generator_poly(idx, params):
-    """The body of `generator_on_monomial`. Only field operations are
-    used: Fraction parameters give Fraction coefficients."""
+    if row is not None:
+        return row
     n, m = idx
-    poly = MomentPolynomial()
-    if n == m == 0:
-        return poly
-    theta, alpha, table = params.theta, params.alpha, params.table
-    poly.add((n, m), -(theta * (n + m) / 2 + table.total_drop_rate(n)
-                       + table.total_drop_rate(m)
-                       + m * params.u1 + n * params.u2))
+    table = params.table
+    scale, half_theta, half_mutation, u1, u2 = params._row_scale
+    per_rate = scale // table.drop_denominator
+    drops_n, total_n = table.drop_numerators(n)
+    drops_m, total_m = table.drop_numerators(m)
+    terms = {}
+
+    def add(jdx, c):
+        c += terms.get(jdx, 0)
+        if c:
+            terms[jdx] = c
+        else:
+            terms.pop(jdx, None)
+
+    if n or m:
+        add((n, m), -(half_theta * (n + m) + (total_n + total_m) * per_rate
+                      + m * u1 + n * u2))
     # mutation: each variable independently at rate theta/2
     if n:
-        poly.add((n - 1, m), theta * alpha * n / 2)
+        add((n - 1, m), half_mutation * n)
     if m:
-        poly.add((n, m - 1), theta * alpha * m / 2)
+        add((n, m - 1), half_mutation * m)
     # coalescence within each colony
-    for count, other, place in ((n, m, 0), (m, n, 1)):
-        if count >= 2:
-            for drop, rate in table.drop_rates(count):
-                low = ((count - drop, other) if place == 0
-                       else (other, count - drop))
-                poly.add(low, rate)
+    for drop, rate in drops_n:
+        add((n - drop, m), rate * per_rate)
+    for drop, rate in drops_m:
+        add((n, m - drop), rate * per_rate)
     # migration, per block
     if m:
-        poly.add((n + 1, m - 1), m * params.u1)
+        add((n + 1, m - 1), m * u1)
     if n:
-        poly.add((n - 1, m + 1), n * params.u2)
-    return poly
+        add((n - 1, m + 1), n * u2)
+    g = math.gcd(scale, *terms.values())
+    if g > 1:
+        scale //= g
+        terms = {jdx: c // g for jdx, c in terms.items()}
+    row = params._rows[idx] = (scale, terms)
+    return row
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """One order's stationary equations: square exact system plus its
-    determinant (rows and unknowns ordered by descending first index)."""
+    """One order's stationary equations and their exact solution (rows and
+    unknowns ordered by descending first index). The solve ran on
+    integers: row i of `rows` is the generator's coefficients times
+    `scales[i]`, its right side is `lifted[i] / (scales[i] * common)`, and
+    `det` is the determinant of `rows`. `matrix`, `rhs` and `determinant`
+    are these in Fractions, built on first read."""
 
     unknowns: tuple
-    matrix: tuple
-    rhs: tuple
-    determinant: Fraction
     solution: dict
+    rows: tuple = field(repr=False)
+    lifted: tuple = field(repr=False)
+    scales: tuple = field(repr=False)
+    common: int = field(repr=False)
+    det: int = field(repr=False)
+
+    @cached_property
+    def matrix(self):
+        return tuple(tuple(Fraction(c, scale) for c in row)
+                     for row, scale in zip(self.rows, self.scales))
+
+    @cached_property
+    def rhs(self):
+        return tuple(Fraction(b, scale * self.common)
+                     for b, scale in zip(self.lifted, self.scales))
+
+    @cached_property
+    def determinant(self):
+        return Fraction(self.det, math.prod(self.scales))
 
 
 def order_indices(k):
@@ -242,17 +285,15 @@ def stationary_system(N, params, rate_table=None):
     other term of the generator lowers the order, so each order's system
     is tridiagonal.
 
-    The solve runs on Python ints. Each row, the generator on one
-    monomial, comes from the params' row cache multiplied by the lcm of
-    its coefficients' denominators.
-    The knowns are integer numerators over one common denominator D, so
-    each right-hand side is an integer combination of them over D.
-    `solve_tridiagonal` returns the order's solution as integers over
-    det * D. D grows, and every numerator is rescaled, only when a
-    solution's reduced denominator does not divide it. Fractions are built
-    only for what the returned LinearSystem records: the unscaled matrix
-    (the generator's own coefficients), the right sides, the determinant
-    and the solution."""
+    The solve runs on Python ints. Each row is the params' cached integer
+    row (`_generator_row`). The knowns are integer numerators over one
+    common denominator D, so each right-hand side is an integer
+    combination of them over D. `solve_tridiagonal` returns the order's
+    solution as integers over M = det * D. D grows to lcm(D, M / g), g the
+    gcd of M and the order's numerators, and every numerator is rescaled,
+    only when the solution's reduced denominators do not divide it.
+    Fractions are built for the solution; the returned LinearSystem keeps
+    the integer system and builds its Fraction views on first read."""
     _check_table(params, rate_table)
     common = 1                   # D: each known is numerators[idx] / D
     numerators = {(0, 0): 1}
@@ -260,41 +301,39 @@ def stationary_system(N, params, rate_table=None):
     for k in range(1, N + 1):
         unknowns = order_indices(k)
         pos = {idx: j for j, idx in enumerate(unknowns)}
-        matrix, scaled, lifted, scales = [], [], [], []
+        rows, lifted, scales = [], [], []
         for idx in unknowns:
-            poly, scale, ints = _generator_row(idx, params)
-            row = [Fraction(0)] * len(unknowns)
-            int_row = [0] * len(unknowns)
+            scale, ints = _generator_row(idx, params)
+            row = [0] * len(unknowns)
             b = 0
-            for jdx, ci in ints.items():
-                if jdx in pos:
-                    row[pos[jdx]] = poly[jdx]
-                    int_row[pos[jdx]] = ci
+            for jdx, c in ints.items():
+                j = pos.get(jdx)
+                if j is not None:
+                    row[j] = c
                 elif jdx in numerators:
-                    b -= ci * numerators[jdx]
+                    b -= c * numerators[jdx]
                 else:
                     raise AssertionError(f"index {jdx} unresolved at order {k}")
-            matrix.append(tuple(row))
-            scaled.append(int_row)
+            rows.append(row)
             lifted.append(b)
             scales.append(scale)
-        numers, det = solve_tridiagonal(scaled, lifted)
-        solution = [Fraction(x, det * common) for x in numers]
-        rhs = tuple(Fraction(b, scale * common)
-                    for b, scale in zip(lifted, scales))
-        systems.append(LinearSystem(unknowns, tuple(matrix), rhs,
-                                    Fraction(det, math.prod(scales)),
-                                    dict(zip(unknowns, solution))))
-        grown = common
-        for x in solution:
-            if grown % x.denominator:
-                grown = math.lcm(grown, x.denominator)
+        numers, det = solve_tridiagonal(rows, lifted)
+        whole = det * common     # each unknown is numers[i] / whole
+        systems.append(LinearSystem(
+            unknowns, {idx: Fraction(x, whole)
+                       for idx, x in zip(unknowns, numers)},
+            tuple(map(tuple, rows)), tuple(lifted), tuple(scales), common,
+            det))
+        g = math.gcd(whole, *numers)
+        reduced = whole // g     # signed, as whole is
+        grown = math.lcm(common, reduced)
         if grown != common:
             factor = grown // common
             numerators = {idx: v * factor for idx, v in numerators.items()}
             common = grown
-        for idx, x in zip(unknowns, solution):
-            numerators[idx] = x.numerator * (common // x.denominator)
+        factor = common // reduced
+        for idx, x in zip(unknowns, numers):
+            numerators[idx] = x // g * factor
     return systems
 
 

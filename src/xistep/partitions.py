@@ -5,6 +5,7 @@ integers and blocks are ordered by least element, which makes equality
 canonical.
 """
 
+import math
 from dataclasses import dataclass
 
 # Bell(12) = 4 213 597 partitions is as far as enumeration goes
@@ -131,34 +132,32 @@ def enumerate_partitions(b):
 
 def profile_multiplicity(b, merge_sizes, s):
     """Number of partitions of [b] realizing the profile:
-    b! / (prod k_i! * prod_j m_j!) with m_j counting blocks of size j."""
-    import math
-    counts = {}
-    for k in tuple(merge_sizes) + (1,) * s:
-        counts[k] = counts.get(k, 0) + 1
-    denom = 1
+    b! / (prod k_i! * prod_j m_j!) with m_j counting blocks of size j.
+    merge_sizes is non-increasing, as in a CollisionProfile, so equal
+    sizes come in runs: multiplying by each size's place in its run gives
+    m_j! for every size j."""
+    denom = math.factorial(s)
+    run, prev = 0, None
     for k in merge_sizes:
-        denom *= math.factorial(k)
-    for m in counts.values():
-        denom *= math.factorial(m)
+        run = run + 1 if k == prev else 1
+        denom *= math.factorial(k) * run
+        prev = k
     return math.factorial(b) // denom
 
 
 def iter_profiles(b):
     """All collision profiles (merge_sizes, s) achievable from b blocks,
-    excluding the trivial no-collision profile. Generated as integer
-    partitions of b with at least one part >= 2."""
+    excluding the trivial no-collision profile, in sorted order. Generated
+    as integer partitions of b with at least one part >= 2: each
+    non-increasing run of parts >= 2 with sum at most b is one profile,
+    its remainder the untouched blocks."""
     profiles = []
 
-    def rec(remaining, max_part, parts):
-        if remaining == 0:
-            merge_sizes = tuple(p for p in parts if p >= 2)
-            if merge_sizes:
-                s = len(parts) - len(merge_sizes)
-                profiles.append((merge_sizes, s))
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            rec(remaining - p, p, parts + [p])
+    def rec(remaining, max_part, merge_sizes):
+        if merge_sizes:
+            profiles.append((merge_sizes, remaining))
+        for k in range(min(remaining, max_part), 1, -1):
+            rec(remaining - k, k, merge_sizes + (k,))
 
-    rec(b, b, [])
+    rec(b, b, ())
     return sorted(profiles)

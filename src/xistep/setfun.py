@@ -77,18 +77,6 @@ class DyadicSet:
     def full(cls):
         return cls(0, frozenset({0}))
 
-    def _at_level(self, level):
-        out = set()
-        shift = level - self.level
-        for c in self.cells:
-            out.update(range(c << shift, (c + 1) << shift))
-        return out
-
-    def intersection(self, other):
-        lvl = max(self.level, other.level)
-        return DyadicSet(lvl, frozenset(self._at_level(lvl)
-                                        & other._at_level(lvl)))
-
     def complement(self):
         full = set(range(1 << self.level))
         return DyadicSet(self.level, frozenset(full - self.cells))
@@ -127,21 +115,9 @@ class SetFunction:
         a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
         return SetFunction(lvl, tuple(x + y for x, y in zip(a, b)))
 
-    def scale(self, c):
-        return SetFunction(self.level, tuple(c * v for v in self.coeffs))
-
     def axpy(self, a, b):
         """a * self + b * 1, in one pass."""
         return SetFunction(self.level, tuple(a * v + b for v in self.coeffs))
-
-    def multiply(self, other):
-        """Pointwise product; indicators multiply via set intersection."""
-        lvl = max(self.level, other.level)
-        a, b = self._coeffs_at(lvl), other._coeffs_at(lvl)
-        return SetFunction(lvl, tuple(x * y for x, y in zip(a, b)))
-
-    def value_at(self, point):
-        return self.coeffs[cell_index(self.level, point)]
 
 
 ONE = SetFunction.constant(Fraction(1))

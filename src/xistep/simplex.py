@@ -5,7 +5,7 @@ with finitely many positive coordinates, so every collision rate is an
 exact rational.
 
 The rates of an atom come from one integer scan of its coordinates for a
-whole table (`_paintbox_rates`, cached per coordinates and block count):
+whole table (`_paintbox_scan`, cached per coordinates and block count):
 its states are the multiset of merge sizes placed and the number l of
 coordinates taken by untouched blocks, each counted once as a set. A
 (n; k1..kr; s) rate then reads the states of its merge sizes, times
@@ -113,14 +113,13 @@ class CollisionProfile:
 
 
 @lru_cache(maxsize=128)
-def _paintbox_rates(coords, b_max):
+def _paintbox_scan(coords, b_max):
     """Unnormalized paintbox rates of one atom with coordinates x for
     every (n; k1..kr; s) collision with n <= b_max, each divided by
-    sum x^2, keyed (n, merge_sizes, s); absent keys are 0. Each block
-    picks coordinate i with probability x_i or lands in the dust with
-    probability 1 - sum x: the r merge groups must take r distinct
-    coordinates, and each of the s untouched blocks takes a coordinate of
-    its own or the dust.
+    sum x^2. Each block picks coordinate i with probability x_i or lands
+    in the dust with probability 1 - sum x: the r merge groups must take r
+    distinct coordinates, and each of the s untouched blocks takes a
+    coordinate of its own or the dust.
 
     One scan over the coordinates serves every profile. A state is the
     multiset of merge sizes placed so far (a non-increasing tuple) and the
@@ -138,8 +137,9 @@ def _paintbox_rates(coords, b_max):
     The scan runs on integers: with x_i = c_i / D, D the lcm of the
     coordinates' denominators, the weight of state (ks, l) is an integer
     over the implied denominator D^(sum ks + l), and the dust is D - sum c
-    over D. Every term of an n-block profile is then over D^n, so the one
-    Fraction built per profile is total * D^2 / (D^n sum c^2)."""
+    over D. Every term of an n-block profile is then over D^n. Returns
+    (D, sum c^2, totals): the rate of the profile keyed (n, merge_sizes,
+    s) is totals[key] * D^2 / (D^n sum c^2), and absent keys are 0."""
     cs, den = integer_numerators(coords)
     weights = {((), 0): 1}
     grow = {}                     # (sizes, k) -> sizes with k inserted
@@ -161,7 +161,6 @@ def _paintbox_rates(coords, b_max):
         weights = grown
     dust = den - sum(cs)
     dusts = [dust ** j for j in range(b_max + 1)]
-    norm = sum(c * c for c in cs)
     rates = {}
     for (sizes, ell), w in weights.items():
         if not sizes:
@@ -176,32 +175,43 @@ def _paintbox_rates(coords, b_max):
             term = math.perm(s, ell) * w * dusts[s - ell] * orders
             rates[key] = rates.get(key, 0) + term
     # read-only: the cache hands this one mapping to every caller
-    return MappingProxyType({key: Fraction(total * den * den,
-                                           den ** key[0] * norm)
-                             for key, total in rates.items()})
+    return den, sum(c * c for c in cs), MappingProxyType(rates)
 
 
 def _atom_rates(xi, b_max):
-    """Per atom of xi, its `_paintbox_rates` up to b_max blocks."""
-    return [(atom.weight, _paintbox_rates(atom.coords, b_max))
+    """Per atom of xi, its weight and its `_paintbox_scan` up to b_max
+    blocks."""
+    return [(atom.weight,) + _paintbox_scan(atom.coords, b_max)
             for atom in xi.atoms]
 
 
-def _rate(xi, atom_rates, profile):
-    """The rate of `profile` under xi, from its `_atom_rates`."""
-    rate = Fraction(0)
-    if profile.merge_sizes == (2,):
-        rate += xi.kingman_mass
-    key = (profile.n, profile.merge_sizes, profile.s)
-    for weight, rates in atom_rates:
-        rate += weight * rates.get(key, 0)
-    return rate
+def _rates(xi, atom_rates, b, keys):
+    """The rates under xi of the b-block profiles keyed (b, merge_sizes,
+    s), from its `_atom_rates`. An atom of weight w adds
+    w * total / (D^(b - 2) sum c^2); every rate is summed as an integer
+    over the lcm of these denominators and the Kingman mass's, and
+    reduced once. The Kingman mass contributes only to the pairwise
+    profile (r, k1) = (1, 2)."""
+    kingman = xi.kingman_mass
+    dens = [weight.denominator * den ** (b - 2) * norm
+            for weight, den, norm, _ in atom_rates]
+    common = math.lcm(kingman.denominator, *dens)
+    pairwise = kingman.numerator * (common // kingman.denominator)
+    factors = [(weight.numerator * (common // d), totals)
+               for (weight, _, _, totals), d in zip(atom_rates, dens)]
+    out = []
+    for key in keys:
+        total = pairwise if key[1] == (2,) else 0
+        for factor, totals in factors:
+            total += factor * totals.get(key, 0)
+        out.append(Fraction(total, common))
+    return out
 
 
 def collision_rate(xi, profile):
-    """Exact rate of a (n; k1..kr; s)-collision under xi. The Kingman mass
-    contributes only to the pairwise profile (r, k1) = (1, 2)."""
-    return _rate(xi, _atom_rates(xi, profile.n), profile)
+    """Exact rate of a (n; k1..kr; s)-collision under xi."""
+    key = (profile.n, profile.merge_sizes, profile.s)
+    return _rates(xi, _atom_rates(xi, profile.n), profile.n, [key])[0]
 
 
 @dataclass(frozen=True)
@@ -251,23 +261,50 @@ class RateTable:
         return self._drop_rates.get(b, ())
 
     @cached_property
-    def _total_drop_rates(self):
-        return {b: sum(total for _, total in drops)
-                for b, drops in self._drop_rates.items()}
+    def _drop_numerators(self):
+        drops = self._drop_rates
+        nums, den = integer_numerators([total for row in drops.values()
+                                        for _, total in row])
+        nums = iter(nums)
+        out = {}
+        for b, row in drops.items():
+            pairs = tuple((drop, next(nums)) for drop, _ in row)
+            out[b] = (pairs, sum(num for _, num in pairs))
+        return den, out
 
-    def total_drop_rate(self, b):
-        """The sum of `drop_rates(b)`: the rate at which b blocks see any
-        collision at all."""
+    @property
+    def drop_denominator(self):
+        """L, the lcm of the denominators of every `drop_rates` sum."""
+        return self._drop_numerators[0]
+
+    def drop_numerators(self, b):
+        """`drop_rates(b)` on integers over `drop_denominator`: the (block
+        drop, numerator) pairs and the numerator of their total, the rate
+        at which b blocks see any collision at all."""
         self._covers(b)
-        return self._total_drop_rates.get(b, 0)
+        return self._drop_numerators[1].get(b, ((), 0))
+
+    @cached_property
+    def _negative_rate(self):
+        return next(((prof, rate) for row in self.rows.values()
+                     for prof, rate, _ in row if rate < 0), None)
+
+    def check_nonnegative(self):
+        """Raise ValueError naming the first profile whose rate is
+        negative. The rows are scanned once per table."""
+        if self._negative_rate is not None:
+            prof, rate = self._negative_rate
+            raise ValueError(f"negative rate {rate} for {prof}")
 
 
 def build_rate_table(xi, b_max=8):
     """Tabulate rates and multiplicities for all profiles with n <= b_max.
     Each atom's coordinates are scanned once for the whole table
-    (`_paintbox_rates`): the scan's states count equal-sized merge groups
+    (`_paintbox_scan`): the scan's states count equal-sized merge groups
     and the untouched blocks' coordinates as sets, and every profile reads
-    its rate from them with the factors mult_k! and s!/(s - l)!."""
+    its rate from them with the factors mult_k! and s!/(s - l)!. The rates
+    of one block count are summed over the atoms on integers
+    (`_rates`)."""
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     if b_max > MAX_BLOCKS:
@@ -276,12 +313,11 @@ def build_rate_table(xi, b_max=8):
     atom_rates = _atom_rates(xi, b_max)
     rows = {}
     for b in range(2, b_max + 1):
-        entries = []
-        for merge_sizes, s in iter_profiles(b):
-            prof = CollisionProfile(b, merge_sizes, s)
-            entries.append((prof, _rate(xi, atom_rates, prof),
-                            prof.multiplicity))
-        rows[b] = tuple(entries)
+        profiles = iter_profiles(b)
+        rates = _rates(xi, atom_rates, b, [(b, ks, s) for ks, s in profiles])
+        rows[b] = tuple((CollisionProfile(b, ks, s), rate,
+                         profile_multiplicity(b, ks, s))
+                        for (ks, s), rate in zip(profiles, rates))
     return RateTable(b_max, rows)
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
-                    ScalarParams, SimplexAtom, TensorFunction, XiMeasure,
-                    build_rate_table)
+                    ScalarParams, SetFunction, SimplexAtom, TensorFunction,
+                    XiMeasure, build_rate_table)
+from xistep.setfun import cell_index
 
 F = Fraction
 
@@ -59,6 +60,35 @@ def rand_consistent_params(rng, symmetric=False, alpha=None):
                         u1=u1, u2=u1 if symmetric else fr(1, 5),
                         a2=a2, a21=a21, a3=a3, a211=a211, a22=a22,
                         a31=a31, a4=a4)
+
+
+def scale(g, c):
+    """The set function c * g."""
+    return g.axpy(c, 0)
+
+
+def multiply(g, h):
+    """The pointwise product of two set functions."""
+    level = max(g.level, h.level)
+    pairs = zip(g._coeffs_at(level), h._coeffs_at(level))
+    return SetFunction(level, tuple(x * y for x, y in pairs))
+
+
+def value_at(g, point):
+    """The value of the set function g at a point of [0, 1]."""
+    return g.coeffs[cell_index(g.level, point)]
+
+
+def intersection(a, b):
+    """The intersection of two dyadic sets, at the finer of their levels."""
+    level = max(a.level, b.level)
+
+    def cells(d):
+        shift = level - d.level
+        return {i for c in d.cells
+                for i in range(c << shift, (c + 1) << shift)}
+
+    return DyadicSet(level, frozenset(cells(a) & cells(b)))
 
 
 def seeded(n):

@@ -317,6 +317,11 @@ class TestPinnedOutput:
         # Kingman reaches the final contradiction
         "reversibility_kingman":
             "c3de07236c90a11fe190a9a8cdc257e479813f55bd98e66f73cd9de47c3c2922",
+        # the sweep measure at the block cap, where the numbers are largest
+        "stationary_exact_20":
+            "921a48d5b42110a74d564712655932dc6e92672c06d3fd414f3fab6a4c3e079a",
+        "hausdorff_20":
+            "8e98555fc5c8f92e51810875fed8af3b40b5ad8b9576e67fd52c9193e45f1887",
     }
 
     def test_seeded_outputs_pinned(self, tmp_path):
@@ -345,6 +350,10 @@ class TestPinnedOutput:
                 "stationary", "--seed", "4", "--replicas", "500"]),
             "reversibility": (SWEEP_CFG, ["reversibility"]),
             "reversibility_kingman": (KINGMAN_CFG, ["reversibility"]),
+            "stationary_exact_20": (dict(SWEEP_CFG, b_max=20, options={
+                "mode": "exact", "order": 20}), ["stationary"]),
+            "hausdorff_20": (dict(SWEEP_CFG, b_max=20, options={
+                "order": 20}), ["hausdorff"]),
         }
         outputs = {}
         for name, (payload, argv) in runs.items():

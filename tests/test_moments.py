@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from xistep import (HausdorffReport, MomentPolynomial, RateTable,
                     generator_on_monomial, hausdorff_check, order_indices,
                     solve_stationary, stationary_system)
 from xistep.linalg import solve_exact, solve_tridiagonal
-from xistep.moments import LinearSystem
+from xistep.moments import _generator_row
+from xistep.partitions import iter_profiles
+from xistep.simplex import CollisionProfile
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, SWEEP, kingman_scalar, \
     rand_consistent_params, seeded
@@ -105,6 +108,83 @@ def profilewise_generator(idx, params):
         poly.add((n - 1, m + 1), n * params.u2)
         poly.add((n, m), -n * params.u2)
     return poly
+
+
+def lcm_form(poly):
+    """A Fraction polynomial as (lcm of its denominators, its coefficients
+    times that lcm as ints): the form of `_generator_row`."""
+    scale = math.lcm(*(c.denominator for c in poly.values()))
+    return scale, {idx: int(c * scale) for idx, c in poly.items()}
+
+
+@st.composite
+def random_table_params(draw):
+    """ScalarParams on a rate table of 4 to 20 blocks with random
+    nonnegative rates, not necessarily consistent: a share of them zero,
+    the rest with denominators up to 10^digits. theta, alpha, u1 and u2
+    take large denominators too, alpha its endpoints and u1, u2 the value
+    0."""
+    rng = draw(st.randoms(use_true_random=False))
+    b_max = draw(st.integers(4, 20))
+    zero_share = draw(st.sampled_from([0, 0.5, 0.95, 1]))
+    digits = draw(st.integers(1, 15))
+
+    def rate():
+        if rng.random() < zero_share:
+            return F(0)
+        return F(rng.randint(1, 10 ** digits), rng.randint(1, 10 ** digits))
+
+    rows = {}
+    for b in range(2, b_max + 1):
+        rows[b] = tuple((prof, rate(), prof.multiplicity)
+                        for prof in (CollisionProfile(b, ks, s)
+                                     for ks, s in iter_profiles(b)))
+    theta = draw(st.fractions(min_value=F(1, 10 ** 6), max_value=5,
+                              max_denominator=10 ** 12))
+    alpha = draw(st.one_of(st.just(F(0)), st.just(F(1)),
+                           st.fractions(0, 1, max_denominator=10 ** 12)))
+    migration = st.one_of(st.just(F(0)),
+                          st.fractions(0, 5, max_denominator=10 ** 12))
+    u1, u2 = draw(migration), draw(migration)
+    return ScalarParams.from_rate_table(RateTable(b_max, rows), theta,
+                                        alpha, u1, u2)
+
+
+class TestIntegerRows:
+    """`_generator_row` builds each row on integers; the Fraction oracle
+    `profilewise_generator` sums one term per profile instead. Every index
+    up to the table's b_max is checked."""
+
+    @staticmethod
+    def assert_rows_match_oracle(p):
+        for k in range(p.table.b_max + 1):
+            for idx in order_indices(k):
+                want = profilewise_generator(idx, p)
+                assert _generator_row(idx, p) == lcm_form(want), idx
+                got = generator_on_monomial(idx, p)
+                assert type(got) is MomentPolynomial and got == want, idx
+
+    @given(random_table_params())
+    @settings(max_examples=30, deadline=None)
+    def test_random_tables(self, p):
+        self.assert_rows_match_oracle(p)
+
+    @given(st.randoms(use_true_random=False),
+           st.sampled_from([None, F(0), F(1)]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_random_consistent_params(self, rng, alpha, migration):
+        p = rand_consistent_params(rng, alpha=alpha)
+        if not migration:
+            p = replace(p, u1=F(0), u2=F(0))
+        self.assert_rows_match_oracle(p)
+
+    @pytest.mark.parametrize("theta,alpha,u1,u2", [
+        (F(3, 2), F(1, 3), 1, 2), (1, 0, 0, 0), (F(1, 7), 1, F(1, 3), 0)],
+        ids=["sweep_point", "alpha0_no_migration", "alpha1_u2_zero"])
+    def test_sweep_table_at_b_max_20(self, theta, alpha, u1, u2):
+        table = build_rate_table(SWEEP, 20)
+        self.assert_rows_match_oracle(ScalarParams.from_rate_table(
+            table, theta, alpha, u1, u2))
 
 
 class TestScalarParamsTable:
@@ -230,6 +310,18 @@ class TestRowCache:
                 generator_on_monomial(idx, fresh) == \
                 profilewise_generator(idx, fresh)
 
+    def test_fraction_views_built_on_first_read(self):
+        systems = stationary_system(6, self.sweep_params())
+        views = {"matrix", "rhs", "determinant"}
+        assert all(not views & vars(s).keys() for s in systems)
+        last = systems[-1]
+        matrix = last.matrix
+        assert last.matrix is matrix
+        assert views & vars(last).keys() == {"matrix"}
+        assert type(last.determinant) is F and type(last.rhs[0]) is F
+        assert views <= vars(last).keys()
+        assert all(not views & vars(s).keys() for s in systems[:-1])
+
     def test_replace_starts_an_empty_cache(self):
         p = self.sweep_params()
         solve_stationary(4, p)
@@ -241,8 +333,7 @@ class TestRowCache:
         assert q._rows.keys() == {(1, 0)}
 
     def test_cached_system_equals_fraction_path(self):
-        # the integer rows (read first) against the Fraction path on a
-        # params whose cache the Fraction path fills itself
+        # the solve from a filled row cache against the Fraction oracle
         p = self.sweep_params()
         got = stationary_system(8, p)
         again = stationary_system(8, p)
@@ -399,10 +490,15 @@ def fraction_thomas(matrix, rhs):
     return solution, det
 
 
+FractionSystem = namedtuple("FractionSystem", "unknowns matrix rhs "
+                            "determinant solution")
+
+
 def fraction_stationary_system(N, params):
-    """Oracle for `stationary_system`: rows straight from
-    `generator_on_monomial`, right sides summed in Fractions over the
-    Fraction knowns, and `fraction_thomas`."""
+    """Oracle for `stationary_system`: rows from `profilewise_generator`,
+    right sides summed in Fractions over the Fraction knowns, and
+    `fraction_thomas`. Returns one FractionSystem per order, with the
+    fields that `LinearSystem` shows."""
     knowns = {(0, 0): F(1)}
     systems = []
     for k in range(1, N + 1):
@@ -412,7 +508,7 @@ def fraction_stationary_system(N, params):
         for idx in unknowns:
             row = [F(0)] * len(unknowns)
             b = F(0)
-            for jdx, c in generator_on_monomial(idx, params).items():
+            for jdx, c in profilewise_generator(idx, params).items():
                 if jdx in pos:
                     row[pos[jdx]] = c
                 else:
@@ -421,8 +517,8 @@ def fraction_stationary_system(N, params):
             rhs.append(b)
         solution, det = fraction_thomas(matrix, rhs)
         sol = dict(zip(unknowns, solution))
-        systems.append(LinearSystem(unknowns, tuple(matrix), tuple(rhs),
-                                    det, sol))
+        systems.append(FractionSystem(unknowns, tuple(matrix), tuple(rhs),
+                                      det, sol))
         knowns.update(sol)
     return systems
 

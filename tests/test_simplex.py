@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from xistep import (CollisionProfile, SimplexAtom, XiMeasure,
                     build_rate_table, check_consistency, collision_rate)
 from xistep.partitions import iter_profiles, profile_of
-from xistep.simplex import MAX_BLOCKS, _paintbox_rates
+from xistep.simplex import MAX_BLOCKS, _paintbox_scan
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR, SWEEP
 
@@ -253,7 +253,7 @@ def test_atoms_of_more_than_eight_coordinates(coords):
 
 
 def fraction_paintbox_rate(atom, profile):
-    """Fraction oracle for the integer `_atom_rate`: the same (mask, l)
+    """Fraction oracle for the integer `_paintbox_scan`: the same (mask, l)
     paintbox recurrence, run on the coordinates as Fractions."""
     ks = profile.merge_sizes
     s = profile.s
@@ -283,11 +283,12 @@ def assert_scan_matches_oracles(xi, b_max, sizes):
     on every profile of the given block counts."""
     table = build_rate_table(xi, b_max)
     for atom in xi.atoms:
-        rates = _paintbox_rates(atom.coords, b_max)
+        den, norm, totals = _paintbox_scan(atom.coords, b_max)
         for b in sizes:
             for merge_sizes, s in iter_profiles(b):
                 prof = CollisionProfile(b, merge_sizes, s)
-                assert rates.get((b, merge_sizes, s), 0) == \
+                assert F(totals.get((b, merge_sizes, s), 0) * den * den,
+                         den ** b * norm) == \
                     fraction_paintbox_rate(atom, prof)
     for b in sizes:
         for prof, rate, _ in table.profiles(b):

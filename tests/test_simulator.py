@@ -23,7 +23,7 @@ from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
                               genealogical_evaluate, replica_rng)
 
 from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, SWEEP, \
-    indicator_power, kingman_model, kingman_scalar, seeded
+    indicator_power, kingman_model, kingman_scalar, multiply, scale, seeded
 
 F = Fraction
 
@@ -336,8 +336,9 @@ class TestStep:
         assert record.kind == "coalescence"
         assert state.lp.block_count == 1
         p = F(math.exp(-record.dt / 2))
-        expected = SetFunction.indicator(c).axpy(p, (1 - p) * F(1, 2)) \
-            .multiply(SetFunction.indicator(d).axpy(p, (1 - p) * F(1, 2)))
+        expected = multiply(
+            SetFunction.indicator(c).axpy(p, (1 - p) * F(1, 2)),
+            SetFunction.indicator(d).axpy(p, (1 - p) * F(1, 2)))
         assert state.y.factors[0] == expected
 
     def test_event_frequencies_match_rates(self):
@@ -663,7 +664,7 @@ class TestEvaluateDual:
 
     def test_linearity(self):
         c = DyadicSet(2, frozenset({1}))
-        g = SetFunction.constant(F(2)) + SetFunction.indicator(c).scale(F(3))
+        g = SetFunction.constant(F(2)) + scale(SetFunction.indicator(c), F(3))
         f = TensorFunction((g, SetFunction.indicator(E_STAR)))
         state = initial_state(f, (1, 1))
         mu = BaseMeasure.uniform()
@@ -927,7 +928,7 @@ def _reference_replay(f, eta, trajectory, params, exact):
         for group in groups:
             g = factors[group[0]]
             for j in group[1:]:
-                g = g.multiply(factors[j])
+                g = multiply(g, factors[j])
             merged.append(g)
         factors = merged
     if trajectory.stop_time is not None:
