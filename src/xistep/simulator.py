@@ -3,29 +3,39 @@ functional evaluation and Monte Carlo moment estimators.
 
 One kernel runs the chain, with one payload type per chain. `_Chain` is
 the mutable state of one run: colony labels (a list that events change in
-place, with the count of colony-1 blocks kept beside it), the blocks in
-least-element order where some caller reads them, and a float payload
-(`_start`, which rounds a rational start once) or, for the genealogical
-skeleton, none: that records lineage segments. The payload holds each
-block's coefficients one block after another, one per cell of the run's
-grid level (`_run_cells`); advance and merge act cell by cell and never
-refine or reduce that level, and one pass over the list advances every
-block. The base integrals are cached until a coalescence, which
-recomputes all of them through the base's cached `float_integrator`.
-(Reusing the integrals of blocks that did not merge would skip work but
-could change the last bits of the payload, so it is not done.)
-`_Chain.advance` runs the mutation semigroup, `_Chain.migrate` moves one
-block and `_Chain.coalesce` unites merge groups of one colony's blocks
-(`partitions.merge_groups`), multiplying their factors. `_ExactChain`
-runs them on integer numerators over one denominator per block.
+place), the blocks in least-element order where some caller reads them,
+and a float payload (`_start`, which rounds a rational start once) or,
+for the genealogical skeleton, none: that records lineage segments. The
+payload holds each block's coefficients one block after another, one per
+cell of the run's grid level (`_run_cells`); advance and merge act cell
+by cell and never refine or reduce that level, and one pass over the list
+advances every block. The base integrals are cached until a coalescence,
+which recomputes all of them through the base's cached
+`float_integrator`. (Reusing the integrals of blocks that did not merge
+would skip work but could change the last bits of the payload, so it is
+not done.) `_flow` runs the mutation semigroup and `_merged` unites merge
+groups of one colony's blocks (`partitions.merge_groups`), multiplying
+their factors; `_Chain.advance` and `_Chain.apply` act through them.
+`_ExactChain` advances integer numerators over one denominator per block
+and merges them through `_merged` too.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
 the estimators, or from a recorded `Trajectory` in `replay`;
 `_Chain.apply` turns a recorded event (and `dual_generator_value`'s
-enumerated ones) into the same two operations.
+enumerated ones) into a migration or a coalescence.
 Per event `_run` looks its rates up in the jump rates `ModelParams`
-tabulates per pair of colony block counts, draws, and hands the chain the
-block to move or the merge groups; it builds the canonical partition that
+tabulates per pair of colony block counts, draws, and moves a block or
+unites the merge groups. It keeps the run's clock, event count, count of
+colony-1 blocks, blocks and payload in locals, advancing and merging the
+payload through `_flow` and `_merged`, and writes them back to the chain
+when the run ends. Its draws are the stdlib's `expovariate`, `randrange`
+and `shuffle` written out on the generator's `random` and `getrandbits`,
+the same calls in the same order, so streams and results are those of
+the helpers for a `random.Random` whose `_randbelow` is the getrandbits
+one, as `replica_rng`'s streams are (see `_run`). The frozen loop of the
+simulator tests calls the helpers and holds `_run`'s records, payload
+bits, replica values, skeleton segments and generator state after the run
+to its own. `_run` builds the canonical partition that
 `EventRecord.detail` holds, and keeps `EventRecord`s at all, only for
 `run_until`, which returns them. Block contents exist where they are read:
 the states `run_until`, `replay` and `dual_generator_value` build, and the
@@ -51,7 +61,6 @@ path. Replicas draw independent random streams derived deterministically
 from a master seed, so every reported number is reproducible.
 """
 
-import concurrent.futures
 import functools
 import math
 import random
@@ -200,20 +209,47 @@ def _start(factors, base):
             [float(j) for j in ints])
 
 
+def _flow(cells, ints, width, integral, theta, dt):
+    """A float payload of blocks of `width` cells advanced by the mutation
+    semigroup over dt, g -> p g + (1 - p) <base, g> with p = exp(-theta dt
+    / 2) (`decay_factor`, inlined), and the blocks' base integrals once
+    per cell. Each block's integral is invariant under the flow (a convex
+    combination with that same integral), so `ints` is carried forward;
+    after a merge it is None, and `integral` computes it again."""
+    if ints is None:
+        ints = _per_cell(cells, width, integral)
+    p = math.exp(-theta * dt / 2.0)
+    q = 1 - p
+    return [p * v + q * c for v, c in zip(cells, ints)], ints
+
+
+def _merged(cells, width, groups):
+    """A payload of blocks of `width` cells united by `groups` (see
+    `merge_groups`): per group the cellwise product of its blocks, in
+    block order."""
+    merged = []
+    for group in groups:
+        i = group[0] * width
+        g = cells[i:i + width]
+        for j in group[1:]:
+            j *= width
+            g = [x * y for x, y in zip(g, cells[j:j + width])]
+        merged += g
+    return merged
+
+
 class _Chain:
     """Mutable state of one run of the dual (see the module docstring),
     from `state` with the payload `start` (see `_start`), or none (the
-    skeleton). The labels are a list that events change in place, with
-    the count `n1` of colony-1 blocks kept beside it; the block contents
-    are kept only when `blocks` is true. The payload `cells` holds the
-    blocks' coefficient lists one after another, `width` cells each, and
-    `ints` each block's base integral once per cell, so that one pass
-    over the cells advances every block."""
+    skeleton). The labels are a list that events change in place; the
+    block contents are kept only when `blocks` is true. The payload
+    `cells` holds the blocks' coefficient lists one after another, `width`
+    cells each, and `ints` each block's base integral once per cell, so
+    that one pass over the cells advances every block (`_flow`)."""
 
     def __init__(self, state, params, start, blocks=True):
         self.blocks = state.lp.partition if blocks else None
         self.labels = list(state.lp.labels)
-        self.n1 = self.labels.count(COLONY_1)
         self.theta = params._tables[2]
         if start is None:
             self.cells, self.segments = None, []
@@ -223,22 +259,15 @@ class _Chain:
         self.clock, self.events = state.clock, state.events
 
     def advance(self, dt):
-        """Mutation semigroup over dt: g -> p g + (1 - p) <base, g>. Each
-        factor's base integral is invariant under the flow (a convex
-        combination with that same integral), so it is computed once and
-        carried forward."""
+        """Mutation semigroup over dt (`_flow`), or on the skeleton a
+        lineage segment of length dt."""
         if self.cells is None:
             self.segments.append((self.blocks, dt))
         else:
             if dt < 0:
                 raise ValueError("negative time")
-            # `decay_factor`, inlined
-            p = math.exp(-self.theta * dt / 2.0)
-            q = 1 - p
-            if self.ints is None:
-                self.ints = _per_cell(self.cells, self.width, self.integral)
-            self.cells = [p * v + q * c for v, c in zip(self.cells,
-                                                        self.ints)]
+            self.cells, self.ints = _flow(self.cells, self.ints, self.width,
+                                          self.integral, self.theta, dt)
         self.clock += dt
 
     def factors(self):
@@ -250,59 +279,37 @@ class _Chain:
         self.advance(t - self.clock)
         self.clock = t
 
-    def migrate(self, i, target):
-        """Move block i (0-based) to colony `target`."""
-        self.n1 += (target == COLONY_1) - (self.labels[i] == COLONY_1)
-        self.labels[i] = target
-        self.events += 1
-
-    def coalesce(self, colony, merging):
-        """Unite each position list of `merging` (see `merge_groups`), all
-        blocks of `colony`, multiplying factors in block order."""
-        labels = self.labels
-        groups = merge_groups(len(labels), merging)
-        if colony == COLONY_1:
-            self.n1 -= len(labels) - len(groups)
-        labels[:] = [labels[g[0]] for g in groups]
-        if self.blocks is not None:
-            self.blocks = coagulate(self.blocks, groups)
-        if self.cells is not None:
-            self._merge(groups)
-        self.events += 1
-
     def apply(self, kind, colony, detail):
         """A recorded event: migrate block `detail` (1-based) out of
         `colony`, or coalesce `colony`'s blocks by the partition `detail`
-        of their ranks. A record that would change nothing, a migration of
-        a block that is not in `colony` or a partition that merges no
-        blocks, is refused before the chain changes."""
+        of their ranks, uniting each merge group's blocks and multiplying
+        their factors in block order. A record that would change nothing,
+        a migration of a block that is not in `colony` or a partition that
+        merges no blocks, is refused before the chain changes."""
+        labels = self.labels
         if kind == "migration":
-            if not 1 <= detail <= len(self.labels):
+            if not 1 <= detail <= len(labels):
                 raise IndexError(f"label position {detail} out of range")
-            if self.labels[detail - 1] != colony:
+            if labels[detail - 1] != colony:
                 raise ValueError(
                     f"migration record out of colony {colony}: block "
-                    f"{detail} is in colony {self.labels[detail - 1]}")
-            self.migrate(detail - 1,
-                         COLONY_1 if colony == COLONY_2 else COLONY_2)
+                    f"{detail} is in colony {labels[detail - 1]}")
+            labels[detail - 1] = COLONY_1 if colony == COLONY_2 else COLONY_2
         else:
-            merging = colony_merging(self.labels, colony, detail)
+            merging = colony_merging(labels, colony, detail)
             if not merging:
                 raise ValueError(f"coalescence record in colony {colony}: "
                                  f"partition {detail} merges nothing")
-            self.coalesce(colony, merging)
+            groups = merge_groups(len(labels), merging)
+            labels[:] = [labels[g[0]] for g in groups]
+            if self.blocks is not None:
+                self.blocks = coagulate(self.blocks, groups)
+            if self.cells is not None:
+                self._merge(groups)
+        self.events += 1
 
     def _merge(self, groups):
-        cells, w = self.cells, self.width
-        merged = []
-        for group in groups:
-            i = group[0] * w
-            g = cells[i:i + w]
-            for j in group[1:]:
-                j *= w
-                g = [x * y for x, y in zip(g, cells[j:j + w])]
-            merged += g
-        self.cells = merged
+        self.cells = _merged(self.cells, self.width, groups)
         self.ints = None
 
     def set_functions(self):
@@ -391,75 +398,127 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
     block, a coalescence shuffles the colony's block positions and unites
     consecutive chunks of the profile's merge sizes, a uniform partition
     with that profile. The canonical partition of the colony's ranks that
-    `EventRecord.detail` holds is built only when recording."""
+    `EventRecord.detail` holds is built only when recording.
+
+    The draws are the stdlib helpers' bodies, made on the generator's own
+    `random` and `getrandbits` calls in the helpers' order, without their
+    frames: the holding time is `expovariate(total)`, -log(1 - U) /
+    total; a block index k below m is `randrange(m)`, k drawn as
+    `getrandbits` of m's bit length again while k >= m; the shuffle is
+    `shuffle`, Fisher-Yates from the last position down to the second,
+    the partner of position i drawn below i + 1 that way. They equal the
+    helpers of CPython 3.10 to 3.13 for a `random.Random` whose
+    `_randbelow` is the getrandbits one: `replica_rng`'s streams, and any
+    subclass that does not override `random` without also defining
+    `getrandbits`. The frozen loop of the simulator tests, which calls the
+    helpers, holds the records, the payload bits and the generator's state
+    after the run to them."""
     labels = chain.labels
     if len(labels) > params.b_max:
         raise ValueError(f"{len(labels)} blocks exceed b_max="
                          f"{params.b_max}; migration can gather "
                          "every block in one colony")
-    jump, profs, _ = params._tables
-    random_, expovariate = rng.random, rng.expovariate
-    randrange, shuffle = rng.randrange, rng.shuffle
+    jump, profs, theta = params._tables
+    random_, getrandbits, log = rng.random, rng.getrandbits, math.log
     stop = math.inf if at_time is None else at_time
     # `chain.events` counts the events of the chain's whole path
     cap = math.inf if max_events is None else chain.events + max_events
-    events = []
-    while True:
-        n = len(labels)
-        if absorb and n == 1:
-            return events, False
-        if chain.events >= cap:
-            return events, True
-        n1 = chain.n1
-        rates, total = jump[n1][n - n1]
-        dt = expovariate(total)
-        if chain.clock + dt >= stop:
-            chain.advance_to(at_time)
-            return events, False
-        pick = random_() * total
-        migration = rates[0] + rates[1]
-        if pick < migration:
-            if pick < rates[0]:
-                colony, target, k = COLONY_2, COLONY_1, randrange(n - n1)
+    # the chain's state in locals, written back when the run ends (the
+    # labels and segments are the chain's own lists), and the count of
+    # colony-1 blocks
+    clock, events = chain.clock, chain.events
+    n1 = labels.count(COLONY_1)
+    blocks, cells = chain.blocks, chain.cells
+    if cells is None:
+        segments = chain.segments
+    else:
+        ints, width, integral = chain.ints, chain.width, chain.integral
+    records = []
+    try:
+        while True:
+            n = len(labels)
+            if absorb and n == 1:
+                return records, False
+            if events >= cap:
+                return records, True
+            rates, total = jump[n1][n - n1]
+            dt = -log(1.0 - random_()) / total
+            if clock + dt >= stop:
+                break
+            pick = random_() * total
+            # `_Chain.advance` over the holding time
+            if cells is None:
+                segments.append((blocks, dt))
             else:
-                colony, target, k = COLONY_1, COLONY_2, randrange(n1)
-            # the k-th block (0-based) of that colony, in block order
-            i = labels.index(colony)
-            for _ in range(k):
-                i = labels.index(colony, i + 1)
-            chain.advance(dt)
-            chain.migrate(i, target)
-            kind, detail = "migration", i + 1
-        else:
-            pick -= migration
-            # rounding can leave pick at rates[2] when colony 2 has no
-            # coalescence rate; a colony without one is never picked
-            if pick < rates[2] or rates[3] == 0:
-                colony, b = COLONY_1, n1
+                cells, ints = _flow(cells, ints, width, integral, theta, dt)
+            clock += dt
+            events += 1
+            migration = rates[0] + rates[1]
+            if pick < migration:
+                if pick < rates[0]:
+                    colony, target, m = COLONY_2, COLONY_1, n - n1
+                    n1 += 1
+                else:
+                    colony, target, m = COLONY_1, COLONY_2, n1
+                    n1 -= 1
+                bits = m.bit_length()
+                k = getrandbits(bits)
+                while k >= m:
+                    k = getrandbits(bits)
+                # the k-th block (0-based) of that colony, in block order
+                i = labels.index(colony)
+                for _ in range(k):
+                    i = labels.index(colony, i + 1)
+                labels[i] = target
+                kind, detail = "migration", i + 1
             else:
-                colony, b, pick = COLONY_2, n - n1, pick - rates[2]
-            rows, cum, _ = profs[b]
-            prof = rows[bisect_right(cum, pick, 0, len(rows) - 1)]
-            # the shuffle of the colony's ranks 1..b, applied to their
-            # positions: its draws depend only on b
-            order = [j for j, c in enumerate(labels) if c == colony]
+                pick -= migration
+                # rounding can leave pick at rates[2] when colony 2 has no
+                # coalescence rate; a colony without one is never picked
+                if pick < rates[2] or rates[3] == 0:
+                    colony, b = COLONY_1, n1
+                else:
+                    colony, b, pick = COLONY_2, n - n1, pick - rates[2]
+                rows, cum, _ = profs[b]
+                prof = rows[bisect_right(cum, pick, 0, len(rows) - 1)]
+                # the shuffle of the colony's ranks 1..b, applied to their
+                # positions: its draws depend only on b
+                order = [j for j, c in enumerate(labels) if c == colony]
+                if record:
+                    rank = {j: r for r, j in enumerate(order, start=1)}
+                for i in range(b - 1, 0, -1):
+                    bits = (i + 1).bit_length()
+                    j = getrandbits(bits)
+                    while j > i:
+                        j = getrandbits(bits)
+                    order[i], order[j] = order[j], order[i]
+                merging, at = [], 0
+                for size in prof.merge_sizes:
+                    merging.append(order[at:at + size])
+                    at += size
+                if record:
+                    detail = canonical(
+                        [[rank[j] for j in g] for g in merging]
+                        + [[rank[j]] for j in order[at:]])
+                groups = merge_groups(n, merging)
+                if colony == COLONY_1:
+                    n1 -= n - len(groups)
+                labels[:] = [labels[g[0]] for g in groups]
+                if blocks is not None:
+                    blocks = coagulate(blocks, groups)
+                if cells is not None:
+                    cells, ints = _merged(cells, width, groups), None
+                kind = "coalescence"
             if record:
-                rank = {j: r for r, j in enumerate(order, start=1)}
-            shuffle(order)
-            merging, at = [], 0
-            for size in prof.merge_sizes:
-                merging.append(order[at:at + size])
-                at += size
-            if record:
-                detail = canonical(
-                    [[rank[j] for j in g] for g in merging]
-                    + [[rank[j]] for j in order[at:]])
-            chain.advance(dt)
-            chain.coalesce(colony, merging)
-            kind = "coalescence"
-        if record:
-            events.append(EventRecord(chain.clock, dt, kind, colony, detail,
-                                      len(labels)))
+                records.append(EventRecord(clock, dt, kind, colony, detail,
+                                           len(labels)))
+    finally:
+        chain.clock, chain.events = clock, events
+        chain.blocks, chain.cells = blocks, cells
+        if cells is not None:
+            chain.ints = ints
+    chain.advance_to(at_time)
+    return records, False
 
 
 @dataclass(frozen=True)
@@ -637,6 +696,8 @@ def _fan_out(fn, args, replicas, workers):
     makes the merged result identical to a sequential run."""
     if workers <= 1 or replicas < 2 * workers:
         return fn(*args, 0, replicas)
+    # imported here: no other path needs it, and it slows every import
+    import concurrent.futures
     chunk = -(-replicas // workers)
     spans = [(lo, min(lo + chunk, replicas))
              for lo in range(0, replicas, chunk)]

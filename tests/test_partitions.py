@@ -41,7 +41,6 @@ def kernel_event(start, kind, colony, detail):
     chain = _Chain(state, PARAMS, payload)
     chain.apply(kind, colony, detail)
     assert chain.events == 1
-    assert chain.n1 == chain.labels.count(COLONY_1)
     return chain.blocks, tuple(chain.labels), [g for g, in chain.factors()]
 
 
@@ -50,13 +49,13 @@ def assert_refused(start, kind, colony, detail, reason):
     detail, and leaves the chain as it was."""
     state, payload = start
     chain = _Chain(state, PARAMS, payload)
-    before = (chain.blocks, list(chain.labels), chain.n1, chain.cells)
+    before = (chain.blocks, list(chain.labels), chain.cells)
     with pytest.raises(ValueError, match=reason) as err:
         chain.apply(kind, colony, detail)
     assert f"{kind} record" in str(err.value)
     assert f"colony {colony}" in str(err.value)
     assert str(detail) in str(err.value)
-    assert (chain.blocks, chain.labels, chain.n1, chain.cells) == before
+    assert (chain.blocks, chain.labels, chain.cells) == before
     assert chain.events == 0
 
 

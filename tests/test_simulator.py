@@ -265,7 +265,13 @@ class TestJumpRate:
 
 
 class _TopUniform(random.Random):
-    """Stream whose uniform draws all return the largest float below 1."""
+    """Stream whose uniform draws all return the largest float below 1.
+    Defining `getrandbits` keeps the stdlib's integer draws on it, as on
+    `random.Random`, so the frozen loop's `randrange` and `shuffle` draw
+    the integers `simulator._run` draws; overriding `random` alone would
+    switch them to draws from `random`."""
+
+    getrandbits = random.Random.getrandbits
 
     def random(self):
         return 1 - 2 ** -53
@@ -562,7 +568,8 @@ class TestFrozenLoop:
     """`run_until`, the replica driver and the skeleton agree to the bit
     with the frozen loop above: at absorption, at t = 0 and at mid-run
     stops, on Kingman alone, the atom with dust and the exact_sweep
-    measure at 10 and 20 start blocks."""
+    measure at 10 and 20 start blocks. The generator's state after a run
+    equals the frozen loop's too, so the run drew as many bits."""
 
     STOPS = [StopRule(at_absorption=True), StopRule(at_time=0.0),
              StopRule(at_time=0.3), StopRule(at_time=2.0)]
@@ -578,13 +585,14 @@ class TestFrozenLoop:
             state0 = initial_state(f, eta)
             for stop in self.STOPS:
                 for rep in range(replicas):
-                    state, traj = run_until(state0, params, stop,
-                                            replica_rng(7, rep))
+                    rng, frozen_rng = replica_rng(7, rep), replica_rng(7, rep)
+                    state, traj = run_until(state0, params, stop, rng)
                     chain = _FrozenChain(state0, params, _frozen_start(
                         f.factors, params.mutation.base))
                     events, truncated = _frozen_run(
-                        chain, params, replica_rng(7, rep), stop.at_time,
+                        chain, params, frozen_rng, stop.at_time,
                         stop.at_absorption, stop.max_events, record=True)
+                    assert rng.getstate() == frozen_rng.getstate()
                     assert [_hexed(r) for r in traj.events] == \
                         [_hexed(r) for r in events]
                     assert traj.truncated == truncated
@@ -614,18 +622,21 @@ class TestFrozenLoop:
             assert [v.hex() for v in simulator._replica_values(*args)] == \
                 [v.hex() for v in _frozen_replica_values(*args)]
 
-    @pytest.mark.parametrize("name", ["atom", "sweep10"])
+    @pytest.mark.parametrize("name", ["atom", "sweep10", "kingman",
+                                      "sweep20"])
     def test_skeleton_segments_equal_frozen_loop(self, name):
         params, eta = _frozen_model(name)
         state0 = initial_state(indicator_power(len(eta)), eta)
         for t in (None, 0.0, 0.3, 2.0):
             for rep in range(12):
+                rng, frozen_rng = replica_rng(9, rep), replica_rng(9, rep)
                 chain = simulator._Chain(state0, params, None)
-                simulator._run(chain, params, replica_rng(9, rep), t,
-                               t is None, simulator.EVENT_CAP)
+                simulator._run(chain, params, rng, t, t is None,
+                               simulator.EVENT_CAP)
                 frozen = _FrozenChain(state0, params, None)
-                _frozen_run(frozen, params, replica_rng(9, rep), t,
-                            t is None, simulator.EVENT_CAP)
+                _frozen_run(frozen, params, frozen_rng, t, t is None,
+                            simulator.EVENT_CAP)
+                assert rng.getstate() == frozen_rng.getstate()
                 assert [(b, dt.hex()) for b, dt in chain.segments] == \
                     [(b, dt.hex()) for b, dt in frozen.segments]
                 assert (chain.blocks, tuple(chain.labels)) == \
@@ -637,16 +648,18 @@ class TestFrozenLoop:
         # at rates[2]
         params, eta = _rounding_model()
         state0 = initial_state(indicator_power(3), eta)
+        rng, frozen_rng = _TopUniform(1), _TopUniform(1)
         state, traj = run_until(state0, params, StopRule(
-            at_time=math.inf, max_events=6), _TopUniform(1))
+            at_time=math.inf, max_events=6), rng)
         chain = _FrozenChain(state0, params, _frozen_start(
             state0.y.factors, params.mutation.base))
-        events, truncated = _frozen_run(chain, params, _TopUniform(1),
+        events, truncated = _frozen_run(chain, params, frozen_rng,
                                         math.inf, False, 6, record=True)
         assert traj.events[0].kind == "coalescence" and truncated
         assert [_hexed(r) for r in traj.events] == \
             [_hexed(r) for r in events]
         assert state.lp.labels == chain.labels
+        assert rng.getstate() == frozen_rng.getstate()
 
 
 class TestEvaluateDual:
