@@ -19,12 +19,11 @@ from .partitions import profile_of
 from .rationals import format_rational
 from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                             final_contradiction, residual_with_denominator)
-from .setfun import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
-                     TensorFunction, semigroup_apply_uniform)
+from .setfun import BaseMeasure, DyadicSet, SetFunction, TensorFunction
 from .simhelpers import (coupling_linearity_holds, normalization_holds,
                          random_scalar_params, random_xi)
 from .simplex import build_rate_table, check_consistency
-from .simulator import (EVENT_CAP, StopRule, estimate_Qt,
+from .simulator import (EVENT_CAP, StopRule, _flow, _start, estimate_Qt,
                         estimate_stationary, initial_state, replica_rng,
                         run_until)
 
@@ -261,16 +260,17 @@ def _selftest_suites(seed):
     suites.append(("rate_consistency", not failures,
                    "; ".join(failures[:3])))
 
-    spec = MutationSpec(Fraction(3, 2), base=BaseMeasure.uniform())
+    # the float advance of every Monte Carlo replica (`simulator._flow`)
     g = SetFunction.indicator(DyadicSet(2, frozenset({0, 3})))
+    level, cells, integral, ints = _start([g], BaseMeasure.uniform())
+    width, theta = 1 << level, 1.5
     ok = True
     for _ in range(5):
         s, t = rng.random(), rng.random()
-        lhs = semigroup_apply_uniform(semigroup_apply_uniform(g, s, spec),
-                                      t, spec)
-        rhs = semigroup_apply_uniform(g, s + t, spec)
-        ok = ok and all(abs(a - b) < 1e-12
-                        for a, b in zip(lhs._coeffs_at(2), rhs._coeffs_at(2)))
+        mid, mid_ints = _flow(cells, ints, width, integral, theta, s)
+        lhs, _ = _flow(mid, mid_ints, width, integral, theta, t)
+        rhs, _ = _flow(cells, ints, width, integral, theta, s + t)
+        ok = ok and all(abs(a - b) < 1e-12 for a, b in zip(lhs, rhs))
     suites.append(("semigroup_law", ok, ""))
 
     ok = all(coupling_linearity_holds(rng) for _ in range(5))

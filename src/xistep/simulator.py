@@ -5,7 +5,8 @@ One kernel runs the chain, with one payload type per chain. `_Chain` is
 the mutable state of one run: colony labels (a list that events change in
 place), the blocks in least-element order where some caller reads them,
 and a float payload (`_start`, which rounds a rational start once) or,
-for the genealogical skeleton, none: that records lineage segments. The
+for the genealogical skeleton, none: that records lineage segments, each
+holding time and, after each coalescence, its merge groups. The
 payload holds each block's coefficients one block after another, one per
 cell of the run's grid level (`_run_cells`); advance and merge act cell
 by cell and never refine or reduce that level, and one pass over the list
@@ -20,7 +21,10 @@ their factors; `_Chain.advance` and `_Chain.apply` act through them.
 and merges them through `_merged` too.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
-the estimators, or from a recorded `Trajectory` in `replay`;
+the estimators, or from a recorded `Trajectory` in `replay`. A `StopRule`
+is the one description of when `_run` stops: at a time of at least 0 or
+at absorption, capped at `max_events`. `run_until` passes its caller's;
+`_replica_values` builds one per call.
 `_Chain.apply` turns a recorded event (and `dual_generator_value`'s
 enumerated ones) into a migration or a coalescence.
 Per event `_run` looks its rates up in the jump rates `ModelParams`
@@ -36,11 +40,12 @@ one, as `replica_rng`'s streams are (see `_run`). The frozen loop of the
 simulator tests calls the helpers and holds `_run`'s records, payload
 bits, replica values, skeleton segments and generator state after the run
 to its own. `_run` builds the canonical partition that
-`EventRecord.detail` holds, and keeps `EventRecord`s at all, only for
-`run_until`, which returns them. Block contents exist where they are read:
-the states `run_until`, `replay` and `dual_generator_value` build, and the
-skeleton's segments and leaf values; the float chains of `estimate_Qt`
-and `estimate_stationary` carry none, and absorption is one label left.
+`EventRecord.detail` holds, keeps `EventRecord`s at all and keeps the
+blocks, only for `run_until`, which returns them. Block contents exist
+where they are read: the states `run_until`, `replay` and
+`dual_generator_value` build. The estimators' chains carry none:
+absorption is one label left, and the skeleton's leaf values read merge
+groups and leaves by position.
 `replay(exact=True)` and `dual_generator_value` run `_ExactChain`: each
 float decay factor is the dyadic rational it represents, the base
 integral is an integer dot product with the base's `exact_weights`, and
@@ -105,10 +110,12 @@ class ModelParams:
     _tables: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "u1", Fraction(self.u1))
-        object.__setattr__(self, "u2", Fraction(self.u2))
-        if self.u1 <= 0 or self.u2 <= 0:
-            raise ValueError("migration rates must be positive")
+        for name in ("u1", "u2"):
+            u = Fraction(getattr(self, name))
+            if u <= 0:
+                raise ValueError(f"migration rate {name} must be positive, "
+                                 f"got {u}")
+            object.__setattr__(self, name, u)
         table = build_rate_table(self.xi, self.b_max)
         object.__setattr__(self, "table", table)
         profs = {}
@@ -242,13 +249,15 @@ class _Chain:
     """Mutable state of one run of the dual (see the module docstring),
     from `state` with the payload `start` (see `_start`), or none (the
     skeleton). The labels are a list that events change in place; the
-    block contents are kept only when `blocks` is true. The payload
-    `cells` holds the blocks' coefficient lists one after another, `width`
-    cells each, and `ints` each block's base integral once per cell, so
-    that one pass over the cells advances every block (`_flow`)."""
+    blocks start as the state's and are kept by `apply`, and by `_run`
+    only when it records. The payload `cells` holds the blocks'
+    coefficient lists one after another, `width` cells each, and `ints`
+    each block's base integral once per cell, so that one pass over the
+    cells advances every block (`_flow`). The skeleton's `segments` hold
+    each holding time and, after each coalescence, its merge groups."""
 
-    def __init__(self, state, params, start, blocks=True):
-        self.blocks = state.lp.partition if blocks else None
+    def __init__(self, state, params, start):
+        self.blocks = state.lp.partition
         self.labels = list(state.lp.labels)
         self.theta = params._tables[2]
         if start is None:
@@ -262,7 +271,7 @@ class _Chain:
         """Mutation semigroup over dt (`_flow`), or on the skeleton a
         lineage segment of length dt."""
         if self.cells is None:
-            self.segments.append((self.blocks, dt))
+            self.segments.append(dt)
         else:
             if dt < 0:
                 raise ValueError("negative time")
@@ -302,10 +311,8 @@ class _Chain:
                                  f"partition {detail} merges nothing")
             groups = merge_groups(len(labels), merging)
             labels[:] = [labels[g[0]] for g in groups]
-            if self.blocks is not None:
-                self.blocks = coagulate(self.blocks, groups)
-            if self.cells is not None:
-                self._merge(groups)
+            self.blocks = coagulate(self.blocks, groups)
+            self._merge(groups)
         self.events += 1
 
     def _merge(self, groups):
@@ -387,10 +394,13 @@ class _ExactChain(_Chain):
                      for g, d in zip(self.factors(), self.dens))
 
 
-def _run(chain, params, rng, at_time, absorb, max_events, record=False):
-    """The dual's event loop. Stops at one block (when `absorb`), after
-    `max_events` events (truncated), or at `at_time`; returns the event
-    records (kept only when `record`) and whether the run was truncated.
+def _run(chain, params, rng, stop, record=False):
+    """The dual's event loop under the `StopRule` `stop`: it stops at one
+    block (`at_absorption`), after `max_events` events (truncated), or at
+    `at_time`; returns the event records (kept only when `record`) and
+    whether the run was truncated. The chain's blocks are kept only when
+    recording, for the state `run_until` returns; otherwise None is
+    written back.
 
     Per event it draws a holding time at the jump rate tabulated for the
     colony block counts, then one uniform picks a migration (per block)
@@ -398,7 +408,9 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
     block, a coalescence shuffles the colony's block positions and unites
     consecutive chunks of the profile's merge sizes, a uniform partition
     with that profile. The canonical partition of the colony's ranks that
-    `EventRecord.detail` holds is built only when recording.
+    `EventRecord.detail` holds is built only when recording. On the
+    skeleton each holding time and each coalescence's merge groups are
+    appended to the segments.
 
     The draws are the stdlib helpers' bodies, made on the generator's own
     `random` and `getrandbits` calls in the helpers' order, without their
@@ -407,7 +419,7 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
     `getrandbits` of m's bit length again while k >= m; the shuffle is
     `shuffle`, Fisher-Yates from the last position down to the second,
     the partner of position i drawn below i + 1 that way. They equal the
-    helpers of CPython 3.10 to 3.13 for a `random.Random` whose
+    helpers of CPython 3.11 to 3.13 for a `random.Random` whose
     `_randbelow` is the getrandbits one: `replica_rng`'s streams, and any
     subclass that does not override `random` without also defining
     `getrandbits`. The frozen loop of the simulator tests, which calls the
@@ -420,15 +432,17 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
                          "every block in one colony")
     jump, profs, theta = params._tables
     random_, getrandbits, log = rng.random, rng.getrandbits, math.log
-    stop = math.inf if at_time is None else at_time
+    at_time, absorb = stop.at_time, stop.at_absorption
+    end = math.inf if at_time is None else at_time
     # `chain.events` counts the events of the chain's whole path
-    cap = math.inf if max_events is None else chain.events + max_events
+    cap = (math.inf if stop.max_events is None
+           else chain.events + stop.max_events)
     # the chain's state in locals, written back when the run ends (the
     # labels and segments are the chain's own lists), and the count of
     # colony-1 blocks
     clock, events = chain.clock, chain.events
     n1 = labels.count(COLONY_1)
-    blocks, cells = chain.blocks, chain.cells
+    blocks, cells = chain.blocks if record else None, chain.cells
     if cells is None:
         segments = chain.segments
     else:
@@ -443,12 +457,12 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
                 return records, True
             rates, total = jump[n1][n - n1]
             dt = -log(1.0 - random_()) / total
-            if clock + dt >= stop:
+            if clock + dt >= end:
                 break
             pick = random_() * total
             # `_Chain.advance` over the holding time
             if cells is None:
-                segments.append((blocks, dt))
+                segments.append(dt)
             else:
                 cells, ints = _flow(cells, ints, width, integral, theta, dt)
             clock += dt
@@ -504,9 +518,11 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
                 if colony == COLONY_1:
                     n1 -= n - len(groups)
                 labels[:] = [labels[g[0]] for g in groups]
-                if blocks is not None:
+                if record:
                     blocks = coagulate(blocks, groups)
-                if cells is not None:
+                if cells is None:
+                    segments.append(groups)
+                else:
                     cells, ints = _merged(cells, width, groups), None
                 kind = "coalescence"
             if record:
@@ -523,9 +539,9 @@ def _run(chain, params, rng, at_time, absorb, max_events, record=False):
 
 @dataclass(frozen=True)
 class StopRule:
-    """Stop at a fixed time or at absorption (one block), exactly one of
-    the two; max_events caps the run and sets `truncated` when exhausted
-    first."""
+    """Stop at a fixed time of at least 0 or at absorption (one block),
+    exactly one of the two; max_events caps the run and sets `truncated`
+    when exhausted first."""
 
     at_time: float = None
     at_absorption: bool = False
@@ -535,6 +551,10 @@ class StopRule:
         if (self.at_time is None) != bool(self.at_absorption):
             raise ValueError("stop rule needs exactly one target: a time "
                              "or absorption")
+        # `not >=` also refuses NaN
+        if self.at_time is not None and not self.at_time >= 0:
+            raise ValueError(f"at_time must be at least 0, got "
+                             f"{self.at_time}")
 
 
 @dataclass(frozen=True)
@@ -554,8 +574,7 @@ def run_until(state, params, stop, rng):
         raise ValueError("absorption needs an event cap when xi has no mass")
     chain = _Chain(state, params, _start(state.y.factors,
                                          params.mutation.base))
-    events, truncated = _run(chain, params, rng, stop.at_time,
-                             stop.at_absorption, stop.max_events, record=True)
+    events, truncated = _run(chain, params, rng, stop, record=True)
     return chain.state(), Trajectory(tuple(events), truncated,
                                      None if truncated else stop.at_time)
 
@@ -627,31 +646,31 @@ def _float_pairing(law, level):
 
 
 def _leaf_value(chain, leaves, mu, theta, base, rng):
-    """Genealogical reading of a skeleton run: types drawn at the top of
-    the genealogy from the colony laws, mutation paths run down each
-    lineage segment (a segment of length d keeps its type with probability
-    exp(-theta d / 2), else draws a fresh one from `base`; none when theta
-    is None), and f evaluated at the leaves (`leaves`: each factor's level
-    and float coefficients)."""
+    """Genealogical reading of a skeleton run from singleton blocks: types
+    drawn at the top of the genealogy from the colony laws, then the
+    segments read backwards. A holding time d runs a mutation path down
+    each lineage (it keeps its type with probability exp(-theta d / 2),
+    else draws a fresh one from `base`; none when theta is None); a
+    coalescence's merge groups hand each block's type to the blocks it
+    united. f is evaluated at the leaves by position (`leaves`: each
+    factor's level and float coefficients)."""
     mu1, mu2 = mu
-    top = chain.blocks
     types = [(mu1 if label == COLONY_1 else mu2).sample(rng)
              for label in chain.labels]
-    for blocks, duration in reversed(chain.segments):
-        if blocks != top:
-            # a coalescence: each block inherits the type of the later
-            # block that holds it
-            owner = {i: x for b, x in zip(top, types) for i in b}
-            types = [owner[b[0]] for b in blocks]
-            top = blocks
-        if duration > 0 and theta is not None:
-            keep = math.exp(-theta * duration / 2.0)
+    for step in reversed(chain.segments):
+        if type(step) is list:
+            before = [None] * sum(map(len, step))
+            for x, group in zip(types, step):
+                for i in group:
+                    before[i] = x
+            types = before
+        elif step > 0 and theta is not None:
+            keep = math.exp(-theta * step / 2.0)
             types = [x if rng.random() < keep else base.sample(rng)
                      for x in types]
-    leaf_types = {b[0]: x for b, x in zip(top, types)}
     value = 1.0
-    for i, (level, coeffs) in enumerate(leaves, start=1):
-        value *= coeffs[cell_index(level, leaf_types[i])]
+    for (level, coeffs), x in zip(leaves, types):
+        value *= coeffs[cell_index(level, x)]
     return value
 
 
@@ -659,7 +678,13 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     """Values of replicas lo..hi-1, each on stream `replica_rng(seed, rep)`
     and run to time t, or to absorption when t is None: the mu-pairing of
     the surviving float factors, or on the skeleton the leaf value of f.
-    What does not depend on the replica is built once per call."""
+    What does not depend on the replica is built once per call; a time
+    below 0, and absorption under a xi without mass, which migration
+    alone never reaches, are refused before any replica is drawn."""
+    # `EVENT_CAP` read per call, so that a patched cap holds
+    stop = StopRule(at_time=t, at_absorption=t is None, max_events=EVENT_CAP)
+    if t is None and params.xi.total_mass == 0:
+        raise ValueError("absorption needs coalescence (xi mass > 0)")
     state = initial_state(f, eta)
     spec = params.mutation
     if skeleton:
@@ -674,8 +699,8 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     values = []
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
-        chain = _Chain(state, params, start, blocks=skeleton)
-        _, truncated = _run(chain, params, rng, t, t is None, EVENT_CAP)
+        chain = _Chain(state, params, start)
+        _, truncated = _run(chain, params, rng, stop)
         if truncated:
             goal = "absorption" if t is None else f"time {t}"
             raise RuntimeError(f"replica {rep} reached the event cap of "
@@ -719,8 +744,6 @@ def estimate_stationary(f, eta, pi_tilde, replicas, params, seed,
                         workers=1):
     """Runs each replica to absorption and pairs the single surviving
     factor with the mutation-invariant measure."""
-    if params.xi.total_mass == 0:
-        raise ValueError("stationary estimate needs coalescence (xi mass > 0)")
     values = _fan_out(_replica_values,
                       (f, eta, (pi_tilde, pi_tilde), None, params, seed,
                        False), replicas, workers)

@@ -189,6 +189,20 @@ class TestStationary:
         assert json.loads(text)["moments"]["2,0"] == "11/32"
 
 
+class TestMutationBase:
+    def test_base_with_an_atom(self, tmp_path):
+        # the atom at 1/4 adds mass 1/2 on e_star = [0, 1/2) to the
+        # density's 1/4, so alpha, the first moment, is 3/4
+        base = {"densities": ["1/2"], "atoms": [{"at": "1/4", "mass": "1/2"}]}
+        payload = dict(KINGMAN_CFG, mutation={"kind": "uniform", "base": base},
+                       options={"order": 1})
+        del payload["alpha"]
+        status, text = run(tmp_path, ["stationary", "--config",
+                                      write_cfg(tmp_path, payload)])
+        assert status == 0
+        assert json.loads(text)["moments"]["1,0"] == "3/4"
+
+
 class TestReversibility:
     def test_symmetric_kingman_verdict(self, tmp_path):
         cfg = write_cfg(tmp_path, KINGMAN_CFG)
@@ -415,6 +429,17 @@ class TestSelftest:
             "rate_consistency", "semigroup_law", "coupling_linearity",
             "path_normalization", "stationary_moments"}
 
+    def test_broken_flow_detected(self, monkeypatch):
+        # the law is checked on the advance the replicas run: a decay
+        # linear in the time breaks it
+        def linear(cells, ints, width, integral, theta, dt):
+            p = 1 - theta * dt / 2
+            return [p * v + (1 - p) * c for v, c in zip(cells, ints)], ints
+
+        monkeypatch.setattr(cli, "_flow", linear)
+        suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
+        assert not suites["semigroup_law"]
+
     def test_perturbed_rates_detected(self, monkeypatch):
         def perturbed(xi, b_max):
             table = build_rate_table(xi, b_max)
@@ -433,6 +458,15 @@ class TestErrors:
         status, _ = run(tmp_path, ["qt", "--config", cfg])
         assert status == 2
         assert "options.t" in capsys.readouterr().err
+
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"xi": ')
+        status, _ = run(tmp_path, ["rates", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert "config error: (file): invalid JSON" in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         status = main(["rates", "--config", str(tmp_path / "nope.json")])
@@ -531,6 +565,11 @@ class TestErrors:
                                    "base": {"densities": ["1"],
                                             "level": 0}}}, None,
          "config error: mutation.base.level: unknown field"),
+        # values that the model's types refuse, named by their field
+        ("rates", {"xi": {"kingman_mass": "-1"}}, None,
+         "config error: xi: kingman_mass must be nonnegative"),
+        ("rates", {"e_star": {"level": 1, "cells": [5]}}, None,
+         "config error: e_star: cell index out of range"),
     ]
 
     # ids number the cases and leave the command out

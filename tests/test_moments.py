@@ -67,19 +67,6 @@ class TestGeneratorOnMonomial:
                 generator_on_monomial(idx, p)
 
 
-    def test_grouped_drops_match_profile_by_profile(self):
-        rng = seeded(39)
-        table = build_rate_table(SWEEP, 12)
-        params = [ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1),
-                                               F(2))]
-        params += [rand_consistent_params(rng) for _ in range(5)]
-        for p in params:
-            for k in range(1, p.table.b_max + 1):
-                for idx in order_indices(k):
-                    assert generator_on_monomial(idx, p) == \
-                        profilewise_generator(idx, p)
-
-
 def profilewise_generator(idx, params):
     """Oracle for generator_on_monomial: one coalescence term per profile
     of the table instead of one per block drop."""
@@ -179,8 +166,10 @@ class TestIntegerRows:
         self.assert_rows_match_oracle(p)
 
     @pytest.mark.parametrize("theta,alpha,u1,u2", [
-        (F(3, 2), F(1, 3), 1, 2), (1, 0, 0, 0), (F(1, 7), 1, F(1, 3), 0)],
-        ids=["sweep_point", "alpha0_no_migration", "alpha1_u2_zero"])
+        (F(3, 2), F(1, 3), 1, 2), (1, 0, 0, 0), (F(1, 7), 1, F(1, 3), 0),
+        (1, F(1, 2), 1, 2)],
+        ids=["sweep_point", "alpha0_no_migration", "alpha1_u2_zero",
+             "exact_sweep"])
     def test_sweep_table_at_b_max_20(self, theta, alpha, u1, u2):
         table = build_rate_table(SWEEP, 20)
         self.assert_rows_match_oracle(ScalarParams.from_rate_table(
@@ -233,6 +222,18 @@ class TestScalarParamsTable:
         with pytest.raises(ValueError, match="u1 must be nonnegative"):
             ScalarParams(F(1), F(1, 2), F(-1), F(1), a2=F(1), a21=F(1),
                          a211=F(1))
+
+    @pytest.mark.parametrize("theta,alpha,message", [
+        (F(0), F(1, 2), "theta must be positive"),
+        (F(-1), F(1, 2), "theta must be positive"),
+        (F(1), F(-1, 3), r"alpha must lie in \[0,1\]"),
+        (F(1), F(4, 3), r"alpha must lie in \[0,1\]")],
+        ids=["theta_zero", "theta_negative", "alpha_below_0",
+             "alpha_above_1"])
+    def test_theta_and_alpha_refused(self, theta, alpha, message):
+        table = build_rate_table(KINGMAN, 4)
+        with pytest.raises(ValueError, match=message):
+            ScalarParams.from_rate_table(table, theta, alpha, F(1), F(1))
 
     def test_negative_named_rate_refused(self):
         # consistent rates that used to end in a zero pivot

@@ -9,7 +9,7 @@ from xistep import (COLONY_1, COLONY_2, DualState, LabeledPartition,
                     SetFunction, TensorFunction, enumerate_partitions,
                     profile_of)
 from xistep.partitions import (colony_merging, profile_multiplicity,
-                               singleton_partition)
+                               singleton_partition, validate_partition)
 from xistep.simulator import _Chain, _start
 
 from conftest import kingman_model
@@ -288,3 +288,21 @@ def test_coag_block_count(b, rnd):
 def test_partition_size_cap():
     with pytest.raises(ValueError):
         enumerate_partitions(13)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: validate_partition(((1,), ())), "empty block"),
+    (lambda: validate_partition(((2, 1),)), r"block \(2, 1\) not sorted"),
+    (lambda: validate_partition(((1, 2), (2,))), "blocks not disjoint"),
+    (lambda: validate_partition(((2,), (1,))),
+     "blocks not ordered by least element"),
+    (lambda: validate_partition(((1,), (3,))), r"blocks do not cover \[2\]"),
+    (lambda: LabeledPartition(singleton_partition(2), (1,)),
+     "one label per block required"),
+    (lambda: LabeledPartition(singleton_partition(1), (3,)),
+     "labels must be colony 1 or 2")],
+    ids=["empty_block", "unsorted_block", "overlapping_blocks",
+         "blocks_out_of_order", "gap", "label_count", "unknown_colony"])
+def test_invalid_partition_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

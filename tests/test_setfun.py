@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
-                    semigroup_apply_uniform)
+                    TensorFunction, semigroup_apply_uniform)
 from xistep.setfun import (ONE, apply_generator_uniform, cell_index,
                            decay_factor, float_sum)
 
@@ -295,3 +295,23 @@ def test_invariance_of_base_integral(q, level):
     after = spec.base.integrate(
         semigroup_apply_uniform(g, 0.8, spec, exact=True))
     assert abs(float(after - before)) < 1e-12
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: cell_index(2, 1.5), r"point outside \[0,1\]"),
+    (lambda: cell_index(2, -0.25), r"point outside \[0,1\]"),
+    (lambda: DyadicSet(1, frozenset({2})),
+     "cell index out of range for level"),
+    (lambda: SetFunction(1, (F(1),)), "need one coefficient per cell"),
+    (lambda: TensorFunction(()), "tensor needs at least one factor"),
+    (lambda: BaseMeasure(1, (F(3), F(-1))), "measure must be nonnegative"),
+    (lambda: BaseMeasure(0, (F(1, 2),), ((F(3, 2), F(1, 2)),)),
+     r"atom position outside \[0,1\]"),
+    (lambda: MutationSpec(F(-1), BaseMeasure.uniform()),
+     "theta must be nonnegative")],
+    ids=["point_above_1", "point_below_0", "cell_out_of_range",
+         "wrong_coefficient_count", "empty_tensor", "negative_density",
+         "atom_outside", "negative_theta"])
+def test_invalid_input_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

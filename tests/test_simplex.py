@@ -354,3 +354,31 @@ class TestPinnedTable:
             assert small.profiles(b) == big.profiles(b)
             for prof, rate, _ in small.profiles(b):
                 assert collision_rate(SWEEP, prof) == rate
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SimplexAtom((), F(1)), "atom needs at least one coordinate"),
+    (lambda: SimplexAtom((F(1, 2), F(0)), F(1)),
+     "atom coordinates must be positive"),
+    (lambda: SimplexAtom((F(1, 4), F(1, 2)), F(1)),
+     "atom coordinates must be non-increasing"),
+    (lambda: SimplexAtom((F(1, 2), F(1, 2), F(1, 4)), F(1)),
+     "atom coordinate sum exceeds 1"),
+    (lambda: SimplexAtom((F(1, 2),), F(0)), "atom weight must be positive"),
+    (lambda: XiMeasure(F(-1)), "kingman_mass must be nonnegative"),
+    (lambda: CollisionProfile(3, (), 3),
+     "merge sizes must all be >= 2 and nonempty"),
+    (lambda: CollisionProfile(5, (2, 3), 0),
+     "merge sizes must be non-increasing"),
+    (lambda: CollisionProfile(4, (2,), 1),
+     r"need n = s \+ sum\(k_i\) with s >= 0"),
+    (lambda: build_rate_table(KINGMAN, 0), "b_max must be >= 1"),
+    (lambda: check_consistency(build_rate_table(KINGMAN, 3)),
+     "consistency check needs a table covering b <= 4")],
+    ids=["atom_empty", "atom_zero_coordinate", "atom_increasing",
+         "atom_sum_above_1", "atom_zero_weight", "negative_kingman_mass",
+         "profile_no_merger", "profile_increasing", "profile_miscounted",
+         "table_b_max_0", "consistency_three_blocks"])
+def test_invalid_input_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

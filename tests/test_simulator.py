@@ -9,16 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
-                    ScalarParams, SetFunction, StopRule, TensorFunction,
-                    XiMeasure, estimate_Qt, estimate_stationary,
-                    evaluate_dual, initial_state, replay, run_until,
-                    solve_stationary)
+from xistep import (BaseMeasure, DualState, DyadicSet, LabeledPartition,
+                    ModelParams, MutationSpec, ScalarParams, SetFunction,
+                    StopRule, TensorFunction, XiMeasure, estimate_Qt,
+                    estimate_stationary, evaluate_dual, initial_state,
+                    replay, run_until, solve_stationary)
 from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
 from xistep.partitions import COLONY_1, COLONY_2, singleton_partition
-from xistep.setfun import decay_factor, float_sum
+from xistep.setfun import cell_index, decay_factor, float_sum
 from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
                               genealogical_evaluate, replica_rng)
 
@@ -190,6 +190,43 @@ def _frozen_run(chain, params, rng, at_time, absorb, max_events,
                                       len(chain.blocks)))
 
 
+def _frozen_leaf_value(chain, leaves, mu, theta, base, rng):
+    """The leaf value of the frozen skeleton, which finds each coalescence
+    by comparing consecutive (blocks, dt) segments."""
+    mu1, mu2 = mu
+    top = chain.blocks
+    types = [(mu1 if label == COLONY_1 else mu2).sample(rng)
+             for label in chain.labels]
+    for blocks, duration in reversed(chain.segments):
+        if blocks != top:
+            owner = {i: x for b, x in zip(top, types) for i in b}
+            types = [owner[b[0]] for b in blocks]
+            top = blocks
+        if duration > 0 and theta is not None:
+            keep = math.exp(-theta * duration / 2.0)
+            types = [x if rng.random() < keep else base.sample(rng)
+                     for x in types]
+    leaf_types = {b[0]: x for b, x in zip(top, types)}
+    value = 1.0
+    for i, (level, coeffs) in enumerate(leaves, start=1):
+        value *= coeffs[cell_index(level, leaf_types[i])]
+    return value
+
+
+def _frozen_steps(chain):
+    """The frozen skeleton's segments as `_run` keeps them: each holding
+    time (in hex) and, after a coalescence, its merge groups, the
+    positions of the blocks before it that each block after it unites."""
+    steps = []
+    after = [b for b, _ in chain.segments[1:]] + [chain.blocks]
+    for (before, dt), later in zip(chain.segments, after):
+        steps.append(dt.hex())
+        if later != before:
+            steps.append([[i for i, b in enumerate(before) if set(b) <= set(c)]
+                          for c in later])
+    return steps
+
+
 def _frozen_replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     state = initial_state(f, eta)
     spec = params.mutation
@@ -211,8 +248,8 @@ def _frozen_replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
                                    simulator.EVENT_CAP)
         assert not truncated
         if skeleton:
-            values.append(simulator._leaf_value(chain, leaves, mu, theta,
-                                                spec.base, rng))
+            values.append(_frozen_leaf_value(chain, leaves, mu, theta,
+                                             spec.base, rng))
         else:
             value = 1
             for g, label in zip(chain.factors, chain.labels):
@@ -376,6 +413,22 @@ class TestRunUntil:
             with pytest.raises(ValueError, match="exactly one target"):
                 StopRule(**targets)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_stop_time_below_zero_refused(self, t):
+        # a negative time used to fail only after the first holding time
+        # was drawn, with a bare "negative time"; the skeleton returned
+        # an estimate
+        params = kingman_model()
+        f, eta = indicator_power(2), (1, 2)
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        for run in (lambda: StopRule(at_time=t),
+                    lambda: estimate_Qt(f, eta, mu, t, 5, params, 0),
+                    lambda: genealogical_evaluate(f, eta, mu, t, 5, params,
+                                                  0)):
+            with pytest.raises(ValueError,
+                               match=f"at_time must be at least 0, got {t}"):
+                run()
+
     @pytest.mark.parametrize("t", [None, 0.5])
     def test_unrecorded_run_takes_the_same_path(self, t):
         # the replica driver's loop keeps no records; its run is the one
@@ -389,12 +442,16 @@ class TestRunUntil:
             chain = simulator._Chain(start, params, simulator._start(
                 start.y.factors, params.mutation.base))
             events, truncated = simulator._run(
-                chain, params, replica_rng(3, 0), t, t is None,
-                simulator.EVENT_CAP, record)
-            runs.append((events, truncated, chain.state()))
-        (recorded, trunc_a, state_a), (unrecorded, trunc_b, state_b) = runs
-        assert len(recorded) == state_a.events > 0 and unrecorded == []
-        assert (trunc_a, state_a) == (trunc_b, state_b)
+                chain, params, replica_rng(3, 0),
+                StopRule(at_time=t, at_absorption=t is None), record)
+            runs.append((events, (truncated, chain.labels,
+                                  _bits(chain.factors()), chain.clock.hex(),
+                                  chain.events)))
+        # only a recording run keeps the blocks
+        assert chain.blocks is None
+        (recorded, path_a), (unrecorded, path_b) = runs
+        assert len(recorded) == path_a[-1] > 0 and unrecorded == []
+        assert path_a == path_b
 
     def test_absorbed_start_returns_immediately(self):
         params = kingman_model()
@@ -631,16 +688,15 @@ class TestFrozenLoop:
             for rep in range(12):
                 rng, frozen_rng = replica_rng(9, rep), replica_rng(9, rep)
                 chain = simulator._Chain(state0, params, None)
-                simulator._run(chain, params, rng, t, t is None,
-                               simulator.EVENT_CAP)
+                simulator._run(chain, params, rng,
+                               StopRule(at_time=t, at_absorption=t is None))
                 frozen = _FrozenChain(state0, params, None)
                 _frozen_run(frozen, params, frozen_rng, t, t is None,
                             simulator.EVENT_CAP)
                 assert rng.getstate() == frozen_rng.getstate()
-                assert [(b, dt.hex()) for b, dt in chain.segments] == \
-                    [(b, dt.hex()) for b, dt in frozen.segments]
-                assert (chain.blocks, tuple(chain.labels)) == \
-                    (frozen.blocks, frozen.labels)
+                assert [s.hex() if type(s) is float else s
+                        for s in chain.segments] == _frozen_steps(frozen)
+                assert tuple(chain.labels) == frozen.labels
 
     def test_rounding_branch_equals_frozen_loop(self):
         # every uniform at the top: the first coalescence takes the branch
@@ -737,13 +793,26 @@ class TestEstimators:
             estimate_Qt(indicator_power(2), (1, 1), mu, None, 10,
                         kingman_model(), 0)
 
-    def test_zero_mass_refused(self):
+    def test_zero_mass_refused(self, monkeypatch):
+        # a run to absorption, from any start, is refused before a replica
+        # is drawn; the skeleton used to run replica 0 to the event cap
         xi = XiMeasure()
         params = ModelParams(xi, MutationSpec(F(1), base=BaseMeasure.uniform()),
                              F(1), F(1), 4)
-        with pytest.raises(ValueError):
-            estimate_stationary(indicator_power(2), (1, 1),
-                                BaseMeasure.uniform(), 10, params, seed=0)
+
+        def no_replica(seed, replica):
+            raise AssertionError("a replica was drawn")
+
+        monkeypatch.setattr(simulator, "replica_rng", no_replica)
+        pi = BaseMeasure.uniform()
+        for f, eta in ((indicator_power(2), (1, 1)),
+                       (indicator_power(1), (2,))):
+            for run in (lambda: estimate_stationary(f, eta, pi, 10, params,
+                                                    seed=0),
+                        lambda: genealogical_evaluate(f, eta, (pi, pi), None,
+                                                      10, params, 0)):
+                with pytest.raises(ValueError, match=r"xi mass > 0"):
+                    run()
 
 
 class TestStdev:
@@ -885,9 +954,33 @@ class TestPathStructure:
             assert evaluate_dual(again, mu) == evaluate_dual(state, mu)
 
 
+class TestRefusals:
+    """Bad input to the dual's types and runs fails naming what is wrong
+    (Kingman, b_max 6)."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: run_until(initial_state(indicator_power(7), (1,) * 7),
+                           kingman_model(), StopRule(at_time=1.0),
+                           random.Random(0)),
+         "7 blocks exceed b_max=6"),
+        (lambda: kingman_model(u1=F(0)),
+         "migration rate u1 must be positive, got 0"),
+        (lambda: kingman_model(u2=F(-1)),
+         "migration rate u2 must be positive, got -1"),
+        (lambda: DualState(LabeledPartition(singleton_partition(2), (1, 2)),
+                           indicator_power(3)),
+         "tensor arity must equal block count")],
+        ids=["blocks_past_b_max", "u1_zero", "u2_negative",
+             "dual_state_arity"])
+    def test_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestReplayRefusesRecords:
     """A record that would replay as a counted event changing nothing is
-    refused, on both payloads (Kingman, eta (1, 2))."""
+    refused, on both payloads (Kingman, eta (1, 2)), and so is a negative
+    holding time."""
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("record,message", [
@@ -900,6 +993,13 @@ class TestReplayRefusesRecords:
          "nothing")], ids=["migration", "coalescence"])
     def test_no_op_record_refused(self, exact, record, message):
         with pytest.raises(ValueError, match=message):
+            replay(indicator_power(2), (1, 2), Trajectory((record,)),
+                   kingman_model(), exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_negative_holding_time_refused(self, exact):
+        record = EventRecord(-0.1, -0.1, "migration", 1, 1, 1)
+        with pytest.raises(ValueError, match="negative time"):
             replay(indicator_power(2), (1, 2), Trajectory((record,)),
                    kingman_model(), exact=exact)
 
