@@ -16,7 +16,7 @@ from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                             residual, residual_with_denominator,
                             verify_paper_factorizations)
 from .setfun import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
-                     TensorFunction, semigroup_apply_uniform)
+                     TensorFunction)
 from .simplex import (CollisionProfile, RateTable, SimplexAtom, XiMeasure,
                       build_rate_table, check_consistency, collision_rate)
 from .simulator import (DualState, McEstimate, ModelParams, StopRule,

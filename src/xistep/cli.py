@@ -23,9 +23,9 @@ from .setfun import BaseMeasure, DyadicSet, SetFunction, TensorFunction
 from .simhelpers import (coupling_linearity_holds, normalization_holds,
                          random_scalar_params, random_xi)
 from .simplex import build_rate_table, check_consistency
-from .simulator import (EVENT_CAP, StopRule, _flow, _start, estimate_Qt,
-                        estimate_stationary, initial_state, replica_rng,
-                        run_until)
+from .simulator import (EVENT_CAP, StopRule, _FloatPayload, _start,
+                        estimate_Qt, estimate_stationary, initial_state,
+                        replica_rng, run_until)
 
 
 def _workers():
@@ -260,17 +260,18 @@ def _selftest_suites(seed):
     suites.append(("rate_consistency", not failures,
                    "; ".join(failures[:3])))
 
-    # the float advance of every Monte Carlo replica (`simulator._flow`)
+    # the float advance of every Monte Carlo replica (`_FloatPayload`)
     g = SetFunction.indicator(DyadicSet(2, frozenset({0, 3})))
-    level, cells, integral, ints = _start([g], BaseMeasure.uniform())
-    width, theta = 1 << level, 1.5
+    start, theta = _start([g], BaseMeasure.uniform()), 1.5
     ok = True
     for _ in range(5):
         s, t = rng.random(), rng.random()
-        mid, mid_ints = _flow(cells, ints, width, integral, theta, s)
-        lhs, _ = _flow(mid, mid_ints, width, integral, theta, t)
-        rhs, _ = _flow(cells, ints, width, integral, theta, s + t)
-        ok = ok and all(abs(a - b) < 1e-12 for a, b in zip(lhs, rhs))
+        lhs, rhs = _FloatPayload(start, theta), _FloatPayload(start, theta)
+        lhs.advance(s)
+        lhs.advance(t)
+        rhs.advance(s + t)
+        ok = ok and all(abs(a - b) < 1e-12
+                        for a, b in zip(lhs.cells, rhs.cells))
     suites.append(("semigroup_law", ok, ""))
 
     ok = all(coupling_linearity_holds(rng) for _ in range(5))

@@ -96,6 +96,9 @@ def parse_xi(data, field_name="xi"):
     _known(data, field_name, ("kingman_mass", "atoms"))
     mass = _rat(_get(data, "kingman_mass", field_name, "0"),
                 f"{field_name}.kingman_mass")
+    if mass < 0:
+        raise ConfigError(f"{field_name}.kingman_mass",
+                          f"must be nonnegative, got {mass}")
     atoms = []
     for where, a in _items(data, "atoms", field_name, []):
         _known(a, where, ("coords", "weight"))
@@ -105,10 +108,7 @@ def parse_xi(data, field_name="xi"):
             atoms.append(SimplexAtom(tuple(coords), weight))
         except ValueError as e:
             raise ConfigError(where, str(e)) from e
-    try:
-        return XiMeasure(mass, tuple(atoms))
-    except ValueError as e:
-        raise ConfigError(field_name, str(e)) from e
+    return XiMeasure(mass, tuple(atoms))
 
 
 def parse_base_measure(data, field_name):
@@ -131,11 +131,9 @@ def parse_dyadic_set(data, field_name):
     _known(data, field_name, ("level", "cells"))
     level = parse_int(_get(data, "level", field_name), f"{field_name}.level",
                  0, MAX_GRID_LEVEL)
-    cells = [parse_int(c, f) for f, c in _items(data, "cells", field_name)]
-    try:
-        return DyadicSet(level, frozenset(cells))
-    except ValueError as e:
-        raise ConfigError(field_name, str(e)) from e
+    cells = [parse_int(c, f, 0, (1 << level) - 1)
+             for f, c in _items(data, "cells", field_name)]
+    return DyadicSet(level, frozenset(cells))
 
 
 def _index(value, field_name, b_max):

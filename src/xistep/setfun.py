@@ -1,5 +1,5 @@
 """Dyadic sets on [0,1], the set-function algebra, base measures, and the
-uniform jump mutation generator/semigroup.
+uniform jump mutation generator.
 
 A set function is stored as one coefficient per cell of a dyadic grid,
 reduced to the coarsest level that represents it; this makes equality,
@@ -14,7 +14,6 @@ routine is built from, once per grid level and cached on the measure:
 A `SetFunction` is built where a public function returns one.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,19 +285,3 @@ def apply_generator_uniform(g, spec):
     """(theta/2) * (<nu0, g> * 1 - g), exactly."""
     half = spec.theta / 2
     return g.axpy(-half, half * spec.base.integrate(g))
-
-
-def decay_factor(theta, t, exact=False):
-    """exp(-theta t / 2); in exact mode the float is embedded as the exact
-    dyadic rational it represents, so downstream algebra stays rational."""
-    if t < 0:
-        raise ValueError("negative time")
-    p = math.exp(-float(theta) * float(t) / 2.0)
-    return Fraction(p) if exact else p
-
-
-def semigroup_apply_uniform(g, t, spec, exact=False):
-    """Closed-form mutation semigroup:
-    e^{-theta t/2} g + (1 - e^{-theta t/2}) <nu0, g> 1."""
-    p = decay_factor(spec.theta, t, exact=exact)
-    return g.axpy(p, (1 - p) * spec.base.integrate(g))

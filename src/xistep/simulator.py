@@ -1,69 +1,69 @@
 """The labeled-coalescent dual as a simulatable jump chain, with duality
 functional evaluation and Monte Carlo moment estimators.
 
-One kernel runs the chain, with one payload type per chain. `_Chain` is
-the mutable state of one run: colony labels (a list that events change in
-place), the blocks in least-element order where some caller reads them,
-and a float payload (`_start`, which rounds a rational start once) or,
-for the genealogical skeleton, none: that records lineage segments, each
-holding time and, after each coalescence, its merge groups. The
-payload holds each block's coefficients one block after another, one per
-cell of the run's grid level (`_run_cells`); advance and merge act cell
-by cell and never refine or reduce that level, and one pass over the list
-advances every block. The base integrals are cached until a coalescence,
-which recomputes all of them through the base's cached
-`float_integrator`. (Reusing the integrals of blocks that did not merge
-would skip work but could change the last bits of the payload, so it is
-not done.) `_flow` runs the mutation semigroup and `_merged` unites merge
-groups of one colony's blocks (`partitions.merge_groups`), multiplying
-their factors; `_Chain.advance` and `_Chain.apply` act through them.
-`_ExactChain` advances integer numerators over one denominator per block
-and merges them through `_merged` too.
+One kernel runs the chain. `_Chain` is the mutable state of one run:
+colony labels (a list that events change in place), the blocks in
+least-element order where some caller reads them, the clock, the event
+count and one payload, what rides on the blocks. A payload has two
+operations, `advance(dt)` over a holding time and `merge(groups)` by the
+merge groups of one colony's blocks (`partitions.merge_groups`); nothing
+else of it is read, so it never changes the path. The float payload
+(`_FloatPayload`, from `_start`, which rounds a rational start once) runs
+in `run_until`, the estimators and `replay(exact=False)`, the exact one
+(`_ExactPayload`) in `replay(exact=True)` and `dual_generator_value`.
+The genealogical skeleton (`_Skeleton`) is a list whose advance and merge
+append each holding time and each coalescence's merge groups.
+
+The two coefficient payloads (`_Cells`) hold each block's coefficients
+one block after another, one per cell of the run's grid level
+(`_run_cells`); advance and merge act cell by cell and never refine or
+reduce that level, and one pass over the list advances every block. The
+base integrals are cached until a coalescence, which recomputes all of
+them. (Reusing the integrals of blocks that did not merge would skip
+work but could change the last bits of the payload, so it is not done.)
+A merge multiplies the factors of each group's blocks in block order.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
 the estimators, or from a recorded `Trajectory` in `replay`. A `StopRule`
 is the one description of when `_run` stops: at a time of at least 0 or
 at absorption, capped at `max_events`. `run_until` passes its caller's;
-`_replica_values` builds one per call.
+the estimators build one per call (`_replica_stop`).
 `_Chain.apply` turns a recorded event (and `dual_generator_value`'s
 enumerated ones) into a migration or a coalescence.
 Per event `_run` looks its rates up in the jump rates `ModelParams`
 tabulates per pair of colony block counts, draws, and moves a block or
 unites the merge groups. It keeps the run's clock, event count, count of
-colony-1 blocks, blocks and payload in locals, advancing and merging the
-payload through `_flow` and `_merged`, and writes them back to the chain
-when the run ends. Its draws are the stdlib's `expovariate`, `randrange`
-and `shuffle` written out on the generator's `random` and `getrandbits`,
-the same calls in the same order, so streams and results are those of
-the helpers for a `random.Random` whose `_randbelow` is the getrandbits
-one, as `replica_rng`'s streams are (see `_run`). The frozen loop of the
-simulator tests calls the helpers and holds `_run`'s records, payload
-bits, replica values, skeleton segments and generator state after the run
-to its own. `_run` builds the canonical partition that
+colony-1 blocks and blocks in locals, with the payload's advance and
+merge bound to locals, and writes clock, count and blocks back to the
+chain when the run ends. Its draws are the stdlib's `expovariate`,
+`randrange` and `shuffle` written out on the generator's `random` and
+`getrandbits`, the same calls in the same order, so streams and results
+are those of the helpers for a `random.Random` whose `_randbelow` is the
+getrandbits one, as `replica_rng`'s streams are (see `_run`). The frozen
+loop of the simulator tests calls the helpers and holds `_run`'s records,
+payload bits, replica values, skeleton segments and generator state
+after the run to its own. `_run` builds the canonical partition that
 `EventRecord.detail` holds, keeps `EventRecord`s at all and keeps the
 blocks, only for `run_until`, which returns them. Block contents exist
 where they are read: the states `run_until`, `replay` and
 `dual_generator_value` build. The estimators' chains carry none:
 absorption is one label left, and the skeleton's leaf values read merge
-groups and leaves by position.
-`replay(exact=True)` and `dual_generator_value` run `_ExactChain`: each
-float decay factor is the dyadic rational it represents, the base
-integral is an integer dot product with the base's `exact_weights`, and
-Fractions are built only for the state it returns. `DualState`,
-`LabeledPartition`, `TensorFunction` and (reduced) `SetFunction`s are
-built only where a public function takes or returns them.
+groups and leaves by position. `DualState`, `LabeledPartition`,
+`TensorFunction` and (reduced) `SetFunction`s are built only where a
+public function takes or returns them.
 
 One replica driver, `_replica_values`, serves the three estimators. Per
 call it builds what does not depend on the replica: the float start
-payload (`_start`), the pairing of a coefficient list with each colony
-law (`_float_pairing`, the bits of `evaluate_dual` without building
+(`_start`), the pairing of a coefficient list with each colony law
+(`_float_pairing`, the bits of `evaluate_dual` without building
 `SetFunction`s) and, on the skeleton, the float leaf coefficients of f.
-Each replica runs a `_Chain` from that payload to t or to absorption and
-yields the mu-pairing of its surviving factors or, on the skeleton, the
-genealogical leaf value. No run may exceed `EVENT_CAP` events: a replica
-that reaches it raises instead of returning a value from a truncated
-path. Replicas draw independent random streams derived deterministically
-from a master seed, so every reported number is reproducible.
+Each replica runs a `_Chain` with a float payload from that start, or
+with a skeleton, to t or to absorption and yields the mu-pairing of its
+surviving factors or the genealogical leaf value. No run may exceed
+`EVENT_CAP` events: a replica that reaches it raises instead of returning
+a value from a truncated path. Replicas draw independent random streams
+derived deterministically from a master seed, so every reported number is
+reproducible.
 """
 
 import functools
@@ -201,14 +201,14 @@ def _run_cells(factors, base):
 
 
 def _start(factors, base):
-    """The float payload a run starts from, for a tensor's factors under
-    the mutation base `base`: the run's level and cells (`_run_cells`),
-    the base's float integral of one block and the blocks' integrals
-    (`_per_cell`). `integrate_cells` integrates each block, exactly when
-    it is rational, and cells and integrals are rounded to float once.
-    That gives the bits of advancing a rational start: `p * v` for a
-    float p and a Fraction v is `p * float(v)`. Runs may share the
-    payload: advance and merge build new lists and never change it."""
+    """The start of a float payload (`_FloatPayload`), for a tensor's
+    factors under the mutation base `base`: the run's level and cells
+    (`_run_cells`), the base's float integral of one block and the blocks'
+    integrals (`_per_cell`). `integrate_cells` integrates each block,
+    exactly when it is rational, and cells and integrals are rounded to
+    float once. That gives the bits of advancing a rational start: `p * v`
+    for a float p and a Fraction v is `p * float(v)`. Payloads may share a
+    start: advance and merge build new lists and never change it."""
     level, cells = _run_cells(factors, base)
     ints = _per_cell(cells, 1 << level,
                      functools.partial(base.integrate_cells, level))
@@ -216,73 +216,152 @@ def _start(factors, base):
             [float(j) for j in ints])
 
 
-def _flow(cells, ints, width, integral, theta, dt):
-    """A float payload of blocks of `width` cells advanced by the mutation
-    semigroup over dt, g -> p g + (1 - p) <base, g> with p = exp(-theta dt
-    / 2) (`decay_factor`, inlined), and the blocks' base integrals once
-    per cell. Each block's integral is invariant under the flow (a convex
-    combination with that same integral), so `ints` is carried forward;
-    after a merge it is None, and `integral` computes it again."""
-    if ints is None:
-        ints = _per_cell(cells, width, integral)
-    p = math.exp(-theta * dt / 2.0)
-    q = 1 - p
-    return [p * v + q * c for v, c in zip(cells, ints)], ints
+class _Cells:
+    """A coefficient payload: the blocks' coefficient lists one after
+    another in `cells`, `width` cells each at the run's grid level, and
+    `ints`, each block's base integral once per cell, or None after a
+    merge until the next advance computes them again."""
 
+    __slots__ = ("level", "width", "cells", "ints")
 
-def _merged(cells, width, groups):
-    """A payload of blocks of `width` cells united by `groups` (see
-    `merge_groups`): per group the cellwise product of its blocks, in
-    block order."""
-    merged = []
-    for group in groups:
-        i = group[0] * width
-        g = cells[i:i + width]
-        for j in group[1:]:
-            j *= width
-            g = [x * y for x, y in zip(g, cells[j:j + width])]
-        merged += g
-    return merged
-
-
-class _Chain:
-    """Mutable state of one run of the dual (see the module docstring),
-    from `state` with the payload `start` (see `_start`), or none (the
-    skeleton). The labels are a list that events change in place; the
-    blocks start as the state's and are kept by `apply`, and by `_run`
-    only when it records. The payload `cells` holds the blocks'
-    coefficient lists one after another, `width` cells each, and `ints`
-    each block's base integral once per cell, so that one pass over the
-    cells advances every block (`_flow`). The skeleton's `segments` hold
-    each holding time and, after each coalescence, its merge groups."""
-
-    def __init__(self, state, params, start):
-        self.blocks = state.lp.partition
-        self.labels = list(state.lp.labels)
-        self.theta = params._tables[2]
-        if start is None:
-            self.cells, self.segments = None, []
-        else:
-            self.level, self.cells, self.integral, self.ints = start
-            self.width = 1 << self.level
-        self.clock, self.events = state.clock, state.events
-
-    def advance(self, dt):
-        """Mutation semigroup over dt (`_flow`), or on the skeleton a
-        lineage segment of length dt."""
-        if self.cells is None:
-            self.segments.append(dt)
-        else:
-            if dt < 0:
-                raise ValueError("negative time")
-            self.cells, self.ints = _flow(self.cells, self.ints, self.width,
-                                          self.integral, self.theta, dt)
-        self.clock += dt
+    def merge(self, groups):
+        """The blocks united by `groups` (see `merge_groups`): per group
+        the cellwise product of its blocks, in block order."""
+        cells, width = self.cells, self.width
+        merged = []
+        for group in groups:
+            i = group[0] * width
+            g = cells[i:i + width]
+            for j in group[1:]:
+                j *= width
+                g = [x * y for x, y in zip(g, cells[j:j + width])]
+            merged += g
+        self.cells, self.ints = merged, None
 
     def factors(self):
         """The coefficient list of each block, in block order."""
         w = self.width
         return [self.cells[i:i + w] for i in range(0, len(self.cells), w)]
+
+
+class _FloatPayload(_Cells):
+    """The float payload of `run_until`, the estimators and
+    `replay(exact=False)`, from a start (`_start`) under the float
+    mutation rate `theta`."""
+
+    __slots__ = ("integral", "theta")
+
+    def __init__(self, start, theta):
+        self.level, self.cells, self.integral, self.ints = start
+        self.width, self.theta = 1 << self.level, theta
+
+    def advance(self, dt):
+        """The mutation semigroup over dt, g -> p g + (1 - p) <base, g>
+        with p = exp(-theta dt / 2), cell by cell. Each block's integral
+        is invariant under the flow (a convex combination with that same
+        integral), so `ints` is carried forward; after a merge `integral`
+        computes it again."""
+        ints = self.ints
+        if ints is None:
+            ints = self.ints = _per_cell(self.cells, self.width,
+                                         self.integral)
+        p = math.exp(-self.theta * dt / 2.0)
+        q = 1 - p
+        self.cells = [p * v + q * c for v, c in zip(self.cells, ints)]
+
+    def set_functions(self):
+        """The payload as reduced `SetFunction`s, in block order."""
+        return tuple(SetFunction(self.level, tuple(g))
+                     for g in self.factors())
+
+
+class _ExactPayload(_Cells):
+    """The exact payload of `replay(exact=True)` and
+    `dual_generator_value`: per block, integer numerators N_i over one
+    integer denominator D, read as the coefficients N_i / D. Start
+    coefficients (Fractions, ints or floats, which are dyadic rationals)
+    are converted exactly (`integer_numerators`). A float decay factor p
+    is the dyadic rational a / 2^k; the base integral J / (D K) is an
+    integer dot product with the base's `exact_weights` (J) over their
+    denominator (K). Fractions are built only by `set_functions`."""
+
+    __slots__ = ("theta", "weights", "scale", "dens", "growth")
+
+    def __init__(self, factors, base, theta):
+        level, cells = _run_cells(factors, base)
+        self.level, self.width, self.theta = level, 1 << level, theta
+        self.weights, self.scale = base.exact_weights(level)
+        nums, self.dens = [], []
+        for i in range(0, len(cells), self.width):
+            block, den = integer_numerators(cells[i:i + self.width])
+            nums += block
+            self.dens.append(den)
+        self.cells, self.ints = nums, None
+
+    def advance(self, dt):
+        """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
+        D -> 2^k D, with J the integral's numerator over D; right after a
+        coalescence the integrals are J / (D K), so N and D take a factor
+        K first. J is kept as taken then; `growth` is the power of two
+        that D has gained since, by which J is scaled."""
+        # p = exp(-theta dt / 2) = a / 2^k
+        a, two_k = math.exp(-self.theta * float(dt) / 2.0) \
+            .as_integer_ratio()
+        b = two_k - a
+        if self.ints is None:
+            self.ints = _per_cell(
+                self.cells, self.width,
+                lambda g: sum(v * w for v, w in zip(g, self.weights)))
+            self.dens = [d * self.scale for d in self.dens]
+            a *= self.scale
+            self.growth = 1
+        b *= self.growth
+        self.cells = [a * v + b * j for v, j in zip(self.cells, self.ints)]
+        self.dens = [d * two_k for d in self.dens]
+        self.growth *= two_k
+
+    def merge(self, groups):
+        dens = []
+        for group in groups:
+            d = self.dens[group[0]]
+            for j in group[1:]:
+                d *= self.dens[j]
+            dens.append(d)
+        super().merge(groups)
+        self.dens = dens
+
+    def set_functions(self):
+        return tuple(SetFunction(self.level,
+                                 tuple(Fraction(n, d) for n in g))
+                     for g, d in zip(self.factors(), self.dens))
+
+
+class _Skeleton(list):
+    """The genealogical skeleton's payload: the run's segments, each
+    holding time and, after each coalescence, its merge groups."""
+
+    advance = merge = list.append
+
+
+class _Chain:
+    """Mutable state of one run of the dual (see the module docstring),
+    from `state` with one payload: labels, blocks, clock, event count and
+    the payload. The labels are a list that events change in place; the
+    blocks start as the state's and are kept by `apply`, and by `_run`
+    only when it records."""
+
+    def __init__(self, state, payload):
+        self.blocks = state.lp.partition
+        self.labels = list(state.lp.labels)
+        self.payload = payload
+        self.clock, self.events = state.clock, state.events
+
+    def advance(self, dt):
+        """The payload advanced over dt, a time of at least 0."""
+        if dt < 0:
+            raise ValueError("negative time")
+        self.payload.advance(dt)
+        self.clock += dt
 
     def advance_to(self, t):
         self.advance(t - self.clock)
@@ -291,9 +370,9 @@ class _Chain:
     def apply(self, kind, colony, detail):
         """A recorded event: migrate block `detail` (1-based) out of
         `colony`, or coalesce `colony`'s blocks by the partition `detail`
-        of their ranks, uniting each merge group's blocks and multiplying
-        their factors in block order. A record that would change nothing,
-        a migration of a block that is not in `colony` or a partition that
+        of their ranks, uniting each merge group's blocks and merging the
+        payload by the groups. A record that would change nothing, a
+        migration of a block that is not in `colony` or a partition that
         merges no blocks, is refused before the chain changes."""
         labels = self.labels
         if kind == "migration":
@@ -312,86 +391,13 @@ class _Chain:
             groups = merge_groups(len(labels), merging)
             labels[:] = [labels[g[0]] for g in groups]
             self.blocks = coagulate(self.blocks, groups)
-            self._merge(groups)
+            self.payload.merge(groups)
         self.events += 1
-
-    def _merge(self, groups):
-        self.cells = _merged(self.cells, self.width, groups)
-        self.ints = None
-
-    def set_functions(self):
-        """The payload as reduced `SetFunction`s, in block order."""
-        return tuple(SetFunction(self.level, tuple(g))
-                     for g in self.factors())
 
     def state(self):
         return DualState(LabeledPartition(self.blocks, tuple(self.labels)),
-                         TensorFunction(self.set_functions()), self.clock,
-                         self.events)
-
-
-class _ExactChain(_Chain):
-    """A run with the exact payload of `replay(exact=True)` and
-    `dual_generator_value`: per block, integer numerators N_i over one
-    integer denominator D, read as the coefficients N_i / D. Start
-    coefficients (Fractions, ints or floats, which are dyadic rationals)
-    are converted exactly (`integer_numerators`). A float decay factor p
-    is the dyadic rational a / 2^k; the base integral J / (D K) is an
-    integer dot product with the base's `exact_weights` (J) over their
-    denominator (K). Fractions are built only by `set_functions`."""
-
-    def __init__(self, state, params):
-        base = params.mutation.base
-        level, cells = _run_cells(state.y.factors, base)
-        self.weights, self.scale = base.exact_weights(level)
-        width = 1 << level
-        nums, self.dens = [], []
-        for i in range(0, len(cells), width):
-            block, den = integer_numerators(cells[i:i + width])
-            nums += block
-            self.dens.append(den)
-        # no float integral: `advance` integrates with the weights
-        super().__init__(state, params, (level, nums, None, None))
-
-    def advance(self, dt):
-        """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
-        D -> 2^k D, with J the integral's numerator over D; right after a
-        coalescence the integrals are J / (D K), so N and D take a factor
-        K first. J is kept as taken then; `growth` is the power of two
-        that D has gained since, by which J is scaled."""
-        if dt < 0:
-            raise ValueError("negative time")
-        # `decay_factor(theta, dt, exact=True)`: a / 2^k
-        a, two_k = math.exp(-self.theta * float(dt) / 2.0) \
-            .as_integer_ratio()
-        b = two_k - a
-        if self.ints is None:
-            self.ints = _per_cell(
-                self.cells, self.width,
-                lambda g: sum(v * w for v, w in zip(g, self.weights)))
-            self.dens = [d * self.scale for d in self.dens]
-            a *= self.scale
-            self.growth = 1
-        b *= self.growth
-        self.cells = [a * v + b * j for v, j in zip(self.cells, self.ints)]
-        self.dens = [d * two_k for d in self.dens]
-        self.growth *= two_k
-        self.clock += dt
-
-    def _merge(self, groups):
-        dens = []
-        for group in groups:
-            d = self.dens[group[0]]
-            for j in group[1:]:
-                d *= self.dens[j]
-            dens.append(d)
-        super()._merge(groups)
-        self.dens = dens
-
-    def set_functions(self):
-        return tuple(SetFunction(self.level,
-                                 tuple(Fraction(n, d) for n in g))
-                     for g, d in zip(self.factors(), self.dens))
+                         TensorFunction(self.payload.set_functions()),
+                         self.clock, self.events)
 
 
 def _run(chain, params, rng, stop, record=False):
@@ -408,9 +414,9 @@ def _run(chain, params, rng, stop, record=False):
     block, a coalescence shuffles the colony's block positions and unites
     consecutive chunks of the profile's merge sizes, a uniform partition
     with that profile. The canonical partition of the colony's ranks that
-    `EventRecord.detail` holds is built only when recording. On the
-    skeleton each holding time and each coalescence's merge groups are
-    appended to the segments.
+    `EventRecord.detail` holds is built only when recording. The payload
+    is advanced over each holding time and merged by each coalescence's
+    groups, and nothing else of it is read.
 
     The draws are the stdlib helpers' bodies, made on the generator's own
     `random` and `getrandbits` calls in the helpers' order, without their
@@ -430,7 +436,7 @@ def _run(chain, params, rng, stop, record=False):
         raise ValueError(f"{len(labels)} blocks exceed b_max="
                          f"{params.b_max}; migration can gather "
                          "every block in one colony")
-    jump, profs, theta = params._tables
+    jump, profs, _ = params._tables
     random_, getrandbits, log = rng.random, rng.getrandbits, math.log
     at_time, absorb = stop.at_time, stop.at_absorption
     end = math.inf if at_time is None else at_time
@@ -438,15 +444,11 @@ def _run(chain, params, rng, stop, record=False):
     cap = (math.inf if stop.max_events is None
            else chain.events + stop.max_events)
     # the chain's state in locals, written back when the run ends (the
-    # labels and segments are the chain's own lists), and the count of
-    # colony-1 blocks
+    # labels are the chain's own list), and the count of colony-1 blocks
     clock, events = chain.clock, chain.events
     n1 = labels.count(COLONY_1)
-    blocks, cells = chain.blocks if record else None, chain.cells
-    if cells is None:
-        segments = chain.segments
-    else:
-        ints, width, integral = chain.ints, chain.width, chain.integral
+    blocks = chain.blocks if record else None
+    advance, merge = chain.payload.advance, chain.payload.merge
     records = []
     try:
         while True:
@@ -460,11 +462,7 @@ def _run(chain, params, rng, stop, record=False):
             if clock + dt >= end:
                 break
             pick = random_() * total
-            # `_Chain.advance` over the holding time
-            if cells is None:
-                segments.append(dt)
-            else:
-                cells, ints = _flow(cells, ints, width, integral, theta, dt)
+            advance(dt)
             clock += dt
             events += 1
             migration = rates[0] + rates[1]
@@ -520,19 +518,13 @@ def _run(chain, params, rng, stop, record=False):
                 labels[:] = [labels[g[0]] for g in groups]
                 if record:
                     blocks = coagulate(blocks, groups)
-                if cells is None:
-                    segments.append(groups)
-                else:
-                    cells, ints = _merged(cells, width, groups), None
+                merge(groups)
                 kind = "coalescence"
             if record:
                 records.append(EventRecord(clock, dt, kind, colony, detail,
                                            len(labels)))
     finally:
-        chain.clock, chain.events = clock, events
-        chain.blocks, chain.cells = blocks, cells
-        if cells is not None:
-            chain.ints = ints
+        chain.clock, chain.events, chain.blocks = clock, events, blocks
     chain.advance_to(at_time)
     return records, False
 
@@ -572,8 +564,8 @@ def run_until(state, params, stop, rng):
     remaining holding time so Y is evaluated exactly at the stop time."""
     if params.xi.total_mass == 0 and stop.at_absorption and stop.max_events is None:
         raise ValueError("absorption needs an event cap when xi has no mass")
-    chain = _Chain(state, params, _start(state.y.factors,
-                                         params.mutation.base))
+    chain = _Chain(state, _FloatPayload(
+        _start(state.y.factors, params.mutation.base), params._tables[2]))
     events, truncated = _run(chain, params, rng, stop, record=True)
     return chain.state(), Trajectory(tuple(events), truncated,
                                      None if truncated else stop.at_time)
@@ -584,10 +576,10 @@ def replay(f, eta, trajectory, params, exact=True):
     fresh initial tensor. Uses the recorded holding times, so two replays
     share identical semigroup factors; linearity checks then hold exactly
     in rational mode."""
-    state = initial_state(f, eta)
-    chain = (_ExactChain(state, params) if exact
-             else _Chain(state, params, _start(f.factors,
-                                               params.mutation.base)))
+    base, theta = params.mutation.base, params._tables[2]
+    payload = (_ExactPayload(f.factors, base, theta) if exact
+               else _FloatPayload(_start(f.factors, base), theta))
+    chain = _Chain(initial_state(f, eta), payload)
     for ev in trajectory.events:
         chain.advance(ev.dt)
         chain.apply(ev.kind, ev.colony, ev.detail)
@@ -657,7 +649,7 @@ def _leaf_value(chain, leaves, mu, theta, base, rng):
     mu1, mu2 = mu
     types = [(mu1 if label == COLONY_1 else mu2).sample(rng)
              for label in chain.labels]
-    for step in reversed(chain.segments):
+    for step in reversed(chain.payload):
         if type(step) is list:
             before = [None] * sum(map(len, step))
             for x, group in zip(types, step):
@@ -674,23 +666,28 @@ def _leaf_value(chain, leaves, mu, theta, base, rng):
     return value
 
 
-def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
-    """Values of replicas lo..hi-1, each on stream `replica_rng(seed, rep)`
-    and run to time t, or to absorption when t is None: the mu-pairing of
-    the surviving float factors, or on the skeleton the leaf value of f.
-    What does not depend on the replica is built once per call; a time
-    below 0, and absorption under a xi without mass, which migration
-    alone never reaches, are refused before any replica is drawn."""
-    # `EVENT_CAP` read per call, so that a patched cap holds
+def _replica_stop(t, params):
+    """The `StopRule` of the estimators' replicas: to time t, or to
+    absorption when t is None, capped at `EVENT_CAP` (read per call, so
+    that a patched cap holds). A time below 0, and absorption under a xi
+    without mass, which migration alone never reaches, are refused here,
+    before any replica is drawn or any worker is started."""
     stop = StopRule(at_time=t, at_absorption=t is None, max_events=EVENT_CAP)
     if t is None and params.xi.total_mass == 0:
         raise ValueError("absorption needs coalescence (xi mass > 0)")
+    return stop
+
+
+def _replica_values(f, eta, mu, stop, params, seed, skeleton, lo, hi):
+    """Values of replicas lo..hi-1, each on stream `replica_rng(seed, rep)`
+    and run under `stop` (see `_replica_stop`): the mu-pairing of the
+    surviving float factors, or on the skeleton the leaf value of f. What
+    does not depend on the replica is built once per call."""
     state = initial_state(f, eta)
-    spec = params.mutation
+    spec, theta = params.mutation, params._tables[2]
     if skeleton:
-        start = None
         leaves = [(g.level, [float(c) for c in g.coeffs]) for g in f.factors]
-        theta = params._tables[2] if spec.theta > 0 else None
+        leaf_theta = theta if spec.theta > 0 else None
     else:
         start = _start([SetFunction(g.level, tuple(map(float, g.coeffs)))
                         for g in f.factors], spec.base)
@@ -699,18 +696,20 @@ def _replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
     values = []
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
-        chain = _Chain(state, params, start)
+        payload = _Skeleton() if skeleton else _FloatPayload(start, theta)
+        chain = _Chain(state, payload)
         _, truncated = _run(chain, params, rng, stop)
         if truncated:
-            goal = "absorption" if t is None else f"time {t}"
+            goal = ("absorption" if stop.at_absorption
+                    else f"time {stop.at_time}")
             raise RuntimeError(f"replica {rep} reached the event cap of "
-                               f"{EVENT_CAP} before {goal}")
+                               f"{stop.max_events} before {goal}")
         if skeleton:
-            values.append(_leaf_value(chain, leaves, mu, theta, spec.base,
-                                      rng))
+            values.append(_leaf_value(chain, leaves, mu, leaf_theta,
+                                      spec.base, rng))
         else:
             value = 1
-            for g, label in zip(chain.factors(), chain.labels):
+            for g, label in zip(payload.factors(), chain.labels):
                 value *= pair[label](g)
             values.append(float(value))
     return values
@@ -735,8 +734,9 @@ def estimate_Qt(f, eta, mu, t, replicas, params, seed, workers=1):
     """Monte Carlo transition moment at time t via the duality identity."""
     if t is None:
         raise ValueError("transition moment needs a time t")
-    values = _fan_out(_replica_values, (f, eta, mu, t, params, seed, False),
-                      replicas, workers)
+    values = _fan_out(_replica_values,
+                      (f, eta, mu, _replica_stop(t, params), params, seed,
+                       False), replicas, workers)
     return _mc(values, replicas, seed)
 
 
@@ -745,18 +745,20 @@ def estimate_stationary(f, eta, pi_tilde, replicas, params, seed,
     """Runs each replica to absorption and pairs the single surviving
     factor with the mutation-invariant measure."""
     values = _fan_out(_replica_values,
-                      (f, eta, (pi_tilde, pi_tilde), None, params, seed,
-                       False), replicas, workers)
+                      (f, eta, (pi_tilde, pi_tilde),
+                       _replica_stop(None, params), params, seed, False),
+                      replicas, workers)
     return _mc(values, replicas, seed)
 
 
 def genealogical_evaluate(f, eta, mu, t, replicas, params, seed):
-    """Unbiased sampler for the same dual expectations: runs the skeleton
-    chain (no payload) up to t or, when t is None, to absorption, draws
+    """Unbiased sampler for the same dual expectations: runs the chain with
+    the skeleton payload up to t or, when t is None, to absorption, draws
     types at the top of the genealogy from the colony laws mu = (mu1, mu2)
     and runs mutation paths down each lineage segment; f (a tensor of
     indicator-style factors) is evaluated at the leaves."""
-    values = _replica_values(f, eta, mu, t, params, seed, True, 0, replicas)
+    values = _replica_values(f, eta, mu, _replica_stop(t, params), params,
+                             seed, True, 0, replicas)
     return _mc(values, replicas, seed)
 
 
@@ -764,9 +766,9 @@ def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
     plus coalescence differences over colony partitions plus per-block
     migration differences. Each difference applies one event to a fresh
-    `_ExactChain`; the partitions' rates come from `params.table`, where
-    the singleton partition, which merges nothing, has rate 0. A colony of
-    more than `b_max` blocks is refused."""
+    chain with the exact payload; the partitions' rates come from
+    `params.table`, where the singleton partition, which merges nothing,
+    has rate 0. A colony of more than `b_max` blocks is refused."""
     base_state = initial_state(f, eta)
     lp = base_state.lp
     counts = [lp.labels.count(colony) for colony in (COLONY_1, COLONY_2)]
@@ -789,9 +791,11 @@ def dual_generator_value(f, eta, mu, params):
               for pi in enumerate_partitions(b)]
     events += [(params.u1 if label == COLONY_2 else params.u2, "migration",
                 label, pos) for pos, label in enumerate(lp.labels, start=1)]
+    base, theta = params.mutation.base, params._tables[2]
     for rate, kind, colony, detail in events:
         if rate:
-            chain = _ExactChain(base_state, params)
+            chain = _Chain(base_state,
+                           _ExactPayload(f.factors, base, theta))
             chain.apply(kind, colony, detail)
             total += rate * (evaluate_dual(chain.state(), mu) - g0)
     return total

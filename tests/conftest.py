@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -72,6 +73,23 @@ def multiply(g, h):
     level = max(g.level, h.level)
     pairs = zip(g._coeffs_at(level), h._coeffs_at(level))
     return SetFunction(level, tuple(x * y for x, y in pairs))
+
+
+def decay_factor(theta, t, exact=False):
+    """exp(-theta t / 2); in exact mode the float is embedded as the exact
+    dyadic rational it represents, so downstream algebra stays rational."""
+    if t < 0:
+        raise ValueError("negative time")
+    p = math.exp(-float(theta) * float(t) / 2.0)
+    return Fraction(p) if exact else p
+
+
+def semigroup_apply_uniform(g, t, spec, exact=False):
+    """Closed-form mutation semigroup on a set function, the oracle of the
+    simulator's payload advance:
+    e^{-theta t/2} g + (1 - e^{-theta t/2}) <nu0, g> 1."""
+    p = decay_factor(spec.theta, t, exact=exact)
+    return g.axpy(p, (1 - p) * spec.base.integrate(g))
 
 
 def value_at(g, point):

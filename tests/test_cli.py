@@ -432,11 +432,15 @@ class TestSelftest:
     def test_broken_flow_detected(self, monkeypatch):
         # the law is checked on the advance the replicas run: a decay
         # linear in the time breaks it
-        def linear(cells, ints, width, integral, theta, dt):
-            p = 1 - theta * dt / 2
-            return [p * v + (1 - p) * c for v, c in zip(cells, ints)], ints
+        class Linear(cli._FloatPayload):
+            __slots__ = ()
 
-        monkeypatch.setattr(cli, "_flow", linear)
+            def advance(self, dt):
+                p = 1 - self.theta * dt / 2
+                self.cells = [p * v + (1 - p) * c
+                              for v, c in zip(self.cells, self.ints)]
+
+        monkeypatch.setattr(cli, "_FloatPayload", Linear)
         suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["semigroup_law"]
 
@@ -450,6 +454,13 @@ class TestSelftest:
         monkeypatch.setattr(cli, "build_rate_table", perturbed)
         suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["rate_consistency"]
+
+
+# `TestErrors.BAD_INPUT` cases whose needle changed after their ids were
+# taken, by index: their ids keep the needle they were first written with
+BAD_INPUT_ID_NEEDLES = {
+    49: "config error: xi: kingman_mass must be nonnegative",
+    50: "config error: e_star: cell index out of range"}
 
 
 class TestErrors:
@@ -565,16 +576,18 @@ class TestErrors:
                                    "base": {"densities": ["1"],
                                             "level": 0}}}, None,
          "config error: mutation.base.level: unknown field"),
-        # values that the model's types refuse, named by their field
+        # values that the model's types would refuse, named by their full
+        # field path where the parser reads them
         ("rates", {"xi": {"kingman_mass": "-1"}}, None,
-         "config error: xi: kingman_mass must be nonnegative"),
+         "config error: xi.kingman_mass: must be nonnegative, got -1"),
         ("rates", {"e_star": {"level": 1, "cells": [5]}}, None,
-         "config error: e_star: cell index out of range"),
+         "config error: e_star.cells[0]: must be at most 1, got 5"),
     ]
 
-    # ids number the cases and leave the command out
+    # ids number the cases and leave the command out; they show each
+    # case's needle as first written (`BAD_INPUT_ID_NEEDLES`)
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[
-        f"change{i}-{env}-{needle}"
+        f"change{i}-{env}-{BAD_INPUT_ID_NEEDLES.get(i, needle)}"
         for i, (_, _, env, needle) in enumerate(BAD_INPUT)])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  monkeypatch, command,

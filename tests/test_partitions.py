@@ -10,7 +10,7 @@ from xistep import (COLONY_1, COLONY_2, DualState, LabeledPartition,
                     profile_of)
 from xistep.partitions import (colony_merging, profile_multiplicity,
                                singleton_partition, validate_partition)
-from xistep.simulator import _Chain, _start
+from xistep.simulator import _Chain, _FloatPayload, _start
 
 from conftest import kingman_model
 # the frozen event loop's operations on labels and blocks, and its draw,
@@ -33,29 +33,34 @@ def _start_at(blocks, labels):
             _start(f.factors, PARAMS.mutation.base))
 
 
+def _chain_at(start):
+    """A chain from `start` (see `_start_at`) with its float payload."""
+    state, payload = start
+    return _Chain(state, _FloatPayload(payload, PARAMS._tables[2]))
+
+
 def kernel_event(start, kind, colony, detail):
     """One recorded event through the kernel's own route, `_Chain.apply`,
     from `start` (see `_start_at`): the blocks, labels and factors after
     it."""
-    state, payload = start
-    chain = _Chain(state, PARAMS, payload)
+    chain = _chain_at(start)
     chain.apply(kind, colony, detail)
     assert chain.events == 1
-    return chain.blocks, tuple(chain.labels), [g for g, in chain.factors()]
+    return (chain.blocks, tuple(chain.labels),
+            [g for g, in chain.payload.factors()])
 
 
 def assert_refused(start, kind, colony, detail, reason):
     """`_Chain.apply` refuses the record, naming its kind, colony and
     detail, and leaves the chain as it was."""
-    state, payload = start
-    chain = _Chain(state, PARAMS, payload)
-    before = (chain.blocks, list(chain.labels), chain.cells)
+    chain = _chain_at(start)
+    before = (chain.blocks, list(chain.labels), chain.payload.cells)
     with pytest.raises(ValueError, match=reason) as err:
         chain.apply(kind, colony, detail)
     assert f"{kind} record" in str(err.value)
     assert f"colony {colony}" in str(err.value)
     assert str(detail) in str(err.value)
-    assert (chain.blocks, chain.labels, chain.cells) == before
+    assert (chain.blocks, chain.labels, chain.payload.cells) == before
     assert chain.events == 0
 
 

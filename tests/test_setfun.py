@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
-                    TensorFunction, semigroup_apply_uniform)
-from xistep.setfun import (ONE, apply_generator_uniform, cell_index,
-                           decay_factor, float_sum)
+                    TensorFunction)
+from xistep.setfun import ONE, apply_generator_uniform, cell_index, float_sum
 
-from conftest import E_STAR, intersection, multiply, scale, value_at
+from conftest import (E_STAR, decay_factor, intersection, multiply, scale,
+                      semigroup_apply_uniform, value_at)
 
 F = Fraction
 

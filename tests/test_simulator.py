@@ -18,12 +18,13 @@ from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
 from xistep.partitions import COLONY_1, COLONY_2, singleton_partition
-from xistep.setfun import cell_index, decay_factor, float_sum
+from xistep.setfun import cell_index, float_sum
 from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
                               genealogical_evaluate, replica_rng)
 
 from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, SWEEP, \
-    indicator_power, kingman_model, kingman_scalar, multiply, scale, seeded
+    decay_factor, indicator_power, kingman_model, kingman_scalar, multiply, \
+    scale, seeded
 
 F = Fraction
 
@@ -439,14 +440,13 @@ class TestRunUntil:
         start = initial_state(_floated(indicator_power(4)), (1, 2, 1, 2))
         runs = []
         for record in (True, False):
-            chain = simulator._Chain(start, params, simulator._start(
-                start.y.factors, params.mutation.base))
+            chain = simulator._Chain(start, _float_payload(start, params))
             events, truncated = simulator._run(
                 chain, params, replica_rng(3, 0),
                 StopRule(at_time=t, at_absorption=t is None), record)
             runs.append((events, (truncated, chain.labels,
-                                  _bits(chain.factors()), chain.clock.hex(),
-                                  chain.events)))
+                                  _bits(chain.payload.factors()),
+                                  chain.clock.hex(), chain.events)))
         # only a recording run keeps the blocks
         assert chain.blocks is None
         (recorded, path_a), (unrecorded, path_b) = runs
@@ -583,6 +583,13 @@ class TestRationalStart:
                        for g in state.y.factors for c in g.coeffs)
 
 
+def _float_payload(state, params):
+    """The float payload `run_until` starts a run from `state` with."""
+    return simulator._FloatPayload(
+        simulator._start(state.y.factors, params.mutation.base),
+        params._tables[2])
+
+
 def _hexed(record):
     return record._replace(time=record.time.hex(), dt=record.dt.hex())
 
@@ -674,10 +681,12 @@ class TestFrozenLoop:
         mu = (BaseMeasure(1, (F(3, 2), F(1, 2))),
               BaseMeasure(1, (F(1, 2), F(3, 2))))
         f = _frozen_tensor(len(eta), exact=True)
+        stop = simulator._replica_stop(t, params)
         for skeleton in (False, True):
-            args = (f, eta, mu, t, params, 3, skeleton, 5, 45)
-            assert [v.hex() for v in simulator._replica_values(*args)] == \
-                [v.hex() for v in _frozen_replica_values(*args)]
+            args = (params, 3, skeleton, 5, 45)
+            assert [v.hex() for v in
+                    simulator._replica_values(f, eta, mu, stop, *args)] == \
+                [v.hex() for v in _frozen_replica_values(f, eta, mu, t, *args)]
 
     @pytest.mark.parametrize("name", ["atom", "sweep10", "kingman",
                                       "sweep20"])
@@ -687,7 +696,7 @@ class TestFrozenLoop:
         for t in (None, 0.0, 0.3, 2.0):
             for rep in range(12):
                 rng, frozen_rng = replica_rng(9, rep), replica_rng(9, rep)
-                chain = simulator._Chain(state0, params, None)
+                chain = simulator._Chain(state0, simulator._Skeleton())
                 simulator._run(chain, params, rng,
                                StopRule(at_time=t, at_absorption=t is None))
                 frozen = _FrozenChain(state0, params, None)
@@ -695,7 +704,7 @@ class TestFrozenLoop:
                             simulator.EVENT_CAP)
                 assert rng.getstate() == frozen_rng.getstate()
                 assert [s.hex() if type(s) is float else s
-                        for s in chain.segments] == _frozen_steps(frozen)
+                        for s in chain.payload] == _frozen_steps(frozen)
                 assert tuple(chain.labels) == frozen.labels
 
     def test_rounding_branch_equals_frozen_loop(self):
@@ -716,6 +725,47 @@ class TestFrozenLoop:
             [_hexed(r) for r in events]
         assert state.lp.labels == chain.labels
         assert rng.getstate() == frozen_rng.getstate()
+
+
+class TestPayloadStream:
+    """What rides on the blocks does not change the jump chain: from the
+    same start and stream, `_run` with the float payload, the exact
+    payload and the skeleton takes one path, to a time and to
+    absorption, and leaves the generator in one state. The exact payload
+    driven live equals `replay(exact=True)` of the path it took."""
+
+    @pytest.mark.parametrize("xi,n", [(KINGMAN, 5), (ATOM_HALF_QUARTER, 6),
+                                      (SWEEP, 10)],
+                             ids=["kingman", "atom", "sweep"])
+    def test_payloads_take_one_path(self, xi, n):
+        params = ModelParams(xi, MutationSpec(F(1),
+                                              base=BaseMeasure.uniform()),
+                             F(1), F(2), n)
+        eta = tuple(1 + i % 2 for i in range(n))
+        f = indicator_power(n)
+        state0 = initial_state(f, eta)
+        base, theta = params.mutation.base, params._tables[2]
+        for stop in (StopRule(at_time=0.4), StopRule(at_absorption=True)):
+            for rep in range(6):
+                chains, runs = [], []
+                for payload in (_float_payload(state0, params),
+                                simulator._ExactPayload(f.factors, base,
+                                                        theta),
+                                simulator._Skeleton()):
+                    rng = replica_rng(23, rep)
+                    chain = simulator._Chain(state0, payload)
+                    records, truncated = simulator._run(chain, params, rng,
+                                                        stop, record=True)
+                    chains.append(chain)
+                    runs.append(((rng.getstate(), tuple(chain.labels),
+                                  chain.blocks, chain.clock.hex(),
+                                  chain.events, truncated),
+                                 [_hexed(r) for r in records]))
+                assert runs[0] == runs[1] == runs[2]
+                trajectory = Trajectory(tuple(records), truncated,
+                                        None if truncated else stop.at_time)
+                assert chains[1].state() == replay(f, eta, trajectory,
+                                                   params, exact=True)
 
 
 class TestEvaluateDual:
@@ -866,7 +916,7 @@ class TestReplicaDriver:
                 assert float_sum(values) / replicas == est.mean
                 # per replica too: a last-bit change can vanish in the sum
                 assert simulator._replica_values(
-                    f, eta, laws, t, params, seed, False, 0,
+                    f, eta, laws, stop, params, seed, False, 0,
                     replicas) == values
 
     @pytest.mark.parametrize("estimator", ["qt", "stationary",
@@ -975,6 +1025,26 @@ class TestRefusals:
     def test_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    def test_estimators_refuse_before_the_pool(self, monkeypatch):
+        # the refusals come from the estimators themselves: no worker pool
+        # is started to refuse in each worker
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        f, eta = indicator_power(2), (1, 2)
+        pi = BaseMeasure.uniform()
+        massless = ModelParams(XiMeasure(), MutationSpec(F(1), base=pi),
+                               F(1), F(1), 4)
+        with pytest.raises(ValueError, match=r"xi mass > 0"):
+            estimate_stationary(f, eta, pi, 10, massless, 0, workers=2)
+        with pytest.raises(ValueError, match="at_time must be at least 0"):
+            estimate_Qt(f, eta, (pi, pi), -1.0, 10, kingman_model(), 0,
+                        workers=2)
 
 
 class TestReplayRefusesRecords:
