@@ -17,11 +17,18 @@ append each holding time and each coalescence's merge groups.
 The two coefficient payloads (`_Cells`) hold each block's coefficients
 one block after another, one per cell of the run's grid level
 (`_run_cells`); advance and merge act cell by cell and never refine or
-reduce that level, and one pass over the list advances every block. The
-base integrals are cached until a coalescence, which recomputes all of
-them. (Reusing the integrals of blocks that did not merge would skip
-work but could change the last bits of the payload, so it is not done.)
-A merge multiplies the factors of each group's blocks in block order.
+reduce that level, and one pass over the list flows every block. A merge
+multiplies the factors of each group's blocks in block order. Under
+uniform-jump mutation the flow g -> p g + (1 - p) <base, g> is the same
+in both colonies and T_s T_t = T_{s+t}, so the float payload defers it:
+`advance` only adds to a pending time, and the flow over that time runs
+once, at the next coalescence or when the factors are read. A run to
+absorption flows once per coalescence instead of once per event, most
+of which are migrations. The flow keeps each block's base integral, so
+the float payload keeps its integrals throughout and computes one only
+for a block that a coalescence unites from several. The exact payload
+flows at every advance and recomputes its integrals (numerators over a
+grown denominator) after each coalescence.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
 the estimators, or from a recorded `Trajectory` in `replay`. A `StopRule`
@@ -219,8 +226,9 @@ def _start(factors, base):
 class _Cells:
     """A coefficient payload: the blocks' coefficient lists one after
     another in `cells`, `width` cells each at the run's grid level, and
-    `ints`, each block's base integral once per cell, or None after a
-    merge until the next advance computes them again."""
+    `ints`, each block's base integral once per cell. This `merge` leaves
+    `ints` None, and the exact payload's next advance computes them
+    again; the float payload's own `merge` keeps them current."""
 
     __slots__ = ("level", "width", "cells", "ints")
 
@@ -247,27 +255,59 @@ class _Cells:
 class _FloatPayload(_Cells):
     """The float payload of `run_until`, the estimators and
     `replay(exact=False)`, from a start (`_start`) under the float
-    mutation rate `theta`."""
+    mutation rate `theta`. The flow is deferred: `advance` adds to
+    `pending`, and the first `merge`, `factors` or `set_functions` after
+    it runs the flow over the pending time once (`flow`). `ints` holds
+    each block's base integral throughout."""
 
-    __slots__ = ("integral", "theta")
+    __slots__ = ("integral", "theta", "pending")
 
     def __init__(self, start, theta):
         self.level, self.cells, self.integral, self.ints = start
-        self.width, self.theta = 1 << self.level, theta
+        self.width, self.theta, self.pending = 1 << self.level, theta, 0.0
 
     def advance(self, dt):
-        """The mutation semigroup over dt, g -> p g + (1 - p) <base, g>
-        with p = exp(-theta dt / 2), cell by cell. Each block's integral
-        is invariant under the flow (a convex combination with that same
-        integral), so `ints` is carried forward; after a merge `integral`
-        computes it again."""
-        ints = self.ints
-        if ints is None:
-            ints = self.ints = _per_cell(self.cells, self.width,
-                                         self.integral)
-        p = math.exp(-self.theta * dt / 2.0)
+        """The mutation semigroup over dt, deferred: the flows of
+        consecutive holding times compose to the flow of their sum."""
+        self.pending += dt
+
+    def flow(self):
+        """The mutation semigroup over the pending time s,
+        g -> p g + (1 - p) <base, g> with p = exp(-theta s / 2), cell by
+        cell. Each block's integral is invariant under the flow (a convex
+        combination with that same integral), so `ints` stays."""
+        p = math.exp(-self.theta * self.pending / 2.0)
         q = 1 - p
-        self.cells = [p * v + q * c for v, c in zip(self.cells, ints)]
+        self.cells = [p * v + q * c for v, c in zip(self.cells, self.ints)]
+        self.pending = 0.0
+
+    def merge(self, groups):
+        """The blocks united by `groups` after the pending flow: per group
+        the cellwise product of its blocks, in block order. A block that
+        merges with no other keeps its integral; a merged group's is
+        computed."""
+        if self.pending:
+            self.flow()
+        cells, ints, width = self.cells, self.ints, self.width
+        merged, merged_ints = [], []
+        for group in groups:
+            i = group[0] * width
+            if len(group) == 1:
+                merged += cells[i:i + width]
+                merged_ints += ints[i:i + width]
+                continue
+            g = cells[i:i + width]
+            for j in group[1:]:
+                j *= width
+                g = [x * y for x, y in zip(g, cells[j:j + width])]
+            merged += g
+            merged_ints += [self.integral(g)] * width
+        self.cells, self.ints = merged, merged_ints
+
+    def factors(self):
+        if self.pending:
+            self.flow()
+        return super().factors()
 
     def set_functions(self):
         """The payload as reduced `SetFunction`s, in block order."""
@@ -561,9 +601,13 @@ class Trajectory:
 
 def run_until(state, params, stop, rng):
     """Run the jump chain; on a time stop the tensor is advanced by the
-    remaining holding time so Y is evaluated exactly at the stop time."""
+    remaining holding time so Y is evaluated exactly at the stop time. A
+    stop time before the state's clock is refused before any draw."""
     if params.xi.total_mass == 0 and stop.at_absorption and stop.max_events is None:
         raise ValueError("absorption needs an event cap when xi has no mass")
+    if stop.at_time is not None and stop.at_time < state.clock:
+        raise ValueError(f"stop time {stop.at_time} is before the state's "
+                         f"clock {state.clock}")
     chain = _Chain(state, _FloatPayload(
         _start(state.y.factors, params.mutation.base), params._tables[2]))
     events, truncated = _run(chain, params, rng, stop, record=True)

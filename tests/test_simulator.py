@@ -17,6 +17,7 @@ from xistep import (BaseMeasure, DualState, DyadicSet, LabeledPartition,
 from xistep import build_rate_table, simulator
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
+from xistep.linalg import solve_exact
 from xistep.partitions import COLONY_1, COLONY_2, singleton_partition
 from xistep.setfun import cell_index, float_sum
 from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
@@ -95,30 +96,53 @@ def _frozen_start(factors, base):
 
 
 class _FrozenChain:
-    """The float payload or skeleton run of the frozen loop."""
+    """The float payload or skeleton run of the frozen loop. The float
+    payload defers its flow as `_FloatPayload` does: holding times add to
+    a pending time, which flows at the next coalescence and when the
+    factors are read (`floats`), and a block that merges with no other
+    keeps its integral. With `eager`, every holding time flows at once
+    and every integral is recomputed after a coalescence, as the loop
+    stood before the flow was deferred."""
 
-    def __init__(self, state, params, start):
+    def __init__(self, state, params, start, eager=False):
         self.blocks, self.labels = state.lp.partition, tuple(state.lp.labels)
         self.theta = params._tables[2]
         if start is None:
             self.factors, self.segments = None, []
         else:
             self.level, self.factors, self.integral = start
-            self.ints = None
+            self.eager, self.pending = eager, 0.0
+            self.ints = None if eager else [self.integral(g)
+                                            for g in self.factors]
         self.clock, self.events = state.clock, state.events
 
     def advance(self, dt):
         if self.factors is None:
             self.segments.append((self.blocks, dt))
-        else:
-            p = math.exp(-self.theta * dt / 2.0)
-            q = 1 - p
+        elif self.eager:
             if self.ints is None:
                 self.ints = [self.integral(g) for g in self.factors]
-            self.factors = [[p * v + b for v in g]
-                            for g, b in zip(self.factors,
-                                            [q * c for c in self.ints])]
+            self._flow(dt)
+        else:
+            self.pending += dt
         self.clock += dt
+
+    def _flow(self, dt):
+        p = math.exp(-self.theta * dt / 2.0)
+        q = 1 - p
+        self.factors = [[p * v + b for v in g]
+                        for g, b in zip(self.factors,
+                                        [q * c for c in self.ints])]
+
+    def flush(self):
+        if self.pending:
+            self._flow(self.pending)
+            self.pending = 0.0
+
+    def floats(self):
+        """The factors after the pending flow, as floats."""
+        self.flush()
+        return [[float(v) for v in g] for g in self.factors]
 
     def advance_to(self, t):
         self.advance(t - self.clock)
@@ -133,14 +157,18 @@ class _FrozenChain:
         self.blocks, self.labels, groups = _coag_colony(
             self.blocks, self.labels, colony, detail)
         if self.factors is not None:
-            merged = []
+            self.flush()
+            merged, ints = [], []
             for group in groups:
                 g = self.factors[group[0]]
                 for j in group[1:]:
                     g = [x * y for x, y in zip(g, self.factors[j])]
                 merged.append(g)
+                if not self.eager:
+                    ints.append(self.ints[group[0]] if len(group) == 1
+                                else self.integral(g))
             self.factors = merged
-            self.ints = None
+            self.ints = None if self.eager else ints
 
 
 def _event_rates(labels, params):
@@ -253,7 +281,7 @@ def _frozen_replica_values(f, eta, mu, t, params, seed, skeleton, lo, hi):
                                              spec.base, rng))
         else:
             value = 1
-            for g, label in zip(chain.factors, chain.labels):
+            for g, label in zip(chain.floats(), chain.labels):
                 value *= pair[label](g)
             values.append(float(value))
     return values
@@ -430,6 +458,21 @@ class TestRunUntil:
                                match=f"at_time must be at least 0, got {t}"):
                 run()
 
+    def test_stop_time_before_the_clock_refused_without_drawing(self):
+        # it used to draw a holding time first, then fail with a bare
+        # "negative time"
+        params = kingman_model()
+        state, _ = run_until(initial_state(indicator_power(2), (1, 2)),
+                             params, StopRule(at_time=2.0),
+                             random.Random(0))
+        assert state.clock == 2.0
+        rng = random.Random(1)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="stop time 1.0 is before the "
+                           "state's clock 2.0"):
+            run_until(state, params, StopRule(at_time=1.0), rng)
+        assert rng.getstate() == before
+
     @pytest.mark.parametrize("t", [None, 0.5])
     def test_unrecorded_run_takes_the_same_path(self, t):
         # the replica driver's loop keeps no records; its run is the one
@@ -518,12 +561,15 @@ class TestRationalStart:
     """`run_until` and `replay(exact=False)` on a Fraction tensor: `_start`
     integrates each block exactly and rounds the payload to float once,
     before the run takes its first event. The digest of the states,
-    records and replays on the mc_transition model was taken when every
-    advance went through Fraction's float fallback instead, so it pins
-    that the conversion keeps every bit."""
+    records and replays on the mc_transition model was first taken when
+    every advance went through Fraction's float fallback instead, and
+    retaken when the flow was deferred to once per coalescence, which
+    moved coefficients by at most 1.2e-15 relative and nothing else. The
+    frozen loop, which flows a Fraction start through that fallback,
+    holds the conversion to every bit."""
 
-    DIGEST = ("8106c6d675c9174b1f4a164782554f561baee4a89a99c04f9c69cf0558f7"
-              "1806")
+    DIGEST = ("fbfe192e412a8ebb3d2e7d503c936eb99b3a00fa33510cda3a525e964ba1"
+              "586a")
 
     @staticmethod
     def _line(state, records=None):
@@ -666,7 +712,7 @@ class TestFrozenLoop:
                         (chain.clock.hex(), chain.events)
                     assert _bits(g.coeffs for g in state.y.factors) == \
                         _bits(SetFunction(chain.level, tuple(g)).coeffs
-                              for g in chain.factors)
+                              for g in chain.floats())
                     merged += sum(1 for r in events
                                   if r.kind == "coalescence"
                                   and sum(len(b) > 1 for b in r.detail) > 1)
@@ -725,6 +771,161 @@ class TestFrozenLoop:
             [_hexed(r) for r in events]
         assert state.lp.labels == chain.labels
         assert rng.getstate() == frozen_rng.getstate()
+
+
+class _CountingPayload(simulator._FloatPayload):
+    """The float payload, counting the flows it runs."""
+
+    __slots__ = ("flows",)
+
+    def __init__(self, start, theta):
+        super().__init__(start, theta)
+        self.flows = 0
+
+    def flow(self):
+        self.flows += 1
+        super().flow()
+
+
+class TestDeferredFlow:
+    """The float payload flows once per coalescence, and once more when
+    its factors are read after a time stop left time pending, instead of
+    once per event; the path is the frozen loop's, and the payload is
+    within rounding of the eager flow's."""
+
+    @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
+    def test_one_flow_per_coalescence(self, name):
+        params, eta = _frozen_model(name)
+        f = _frozen_tensor(len(eta))
+        state0 = initial_state(f, eta)
+        start = simulator._start(f.factors, params.mutation.base)
+        flows = 0
+        for stop in TestFrozenLoop.STOPS:
+            for rep in range(12):
+                rng, frozen_rng = replica_rng(11, rep), replica_rng(11, rep)
+                payload = _CountingPayload(start, params._tables[2])
+                chain = simulator._Chain(state0, payload)
+                records, truncated = simulator._run(chain, params, rng, stop,
+                                                    record=True)
+                frozen = _FrozenChain(state0, params, _frozen_start(
+                    f.factors, params.mutation.base), eager=True)
+                events, frozen_truncated = _frozen_run(
+                    frozen, params, frozen_rng, stop.at_time,
+                    stop.at_absorption, stop.max_events, record=True)
+                assert rng.getstate() == frozen_rng.getstate()
+                assert [_hexed(r) for r in records] == \
+                    [_hexed(r) for r in events]
+                assert (truncated, tuple(chain.labels), chain.blocks,
+                        chain.clock.hex(), chain.events) == \
+                    (frozen_truncated, frozen.labels, frozen.blocks,
+                     frozen.clock.hex(), frozen.events)
+                coalescences = sum(r.kind == "coalescence" for r in records)
+                assert payload.flows == coalescences
+                payload.factors()
+                payload.factors()
+                pending = stop.at_time is not None and stop.at_time > 0
+                assert payload.flows == coalescences + pending
+                flows += payload.flows
+        assert flows > 0
+
+    @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
+    def test_within_rounding_of_the_eager_flow(self, name):
+        params, eta = _frozen_model(name)
+        for exact in (False, True):
+            f = _frozen_tensor(len(eta), exact)
+            state0 = initial_state(f, eta)
+            for stop in TestFrozenLoop.STOPS:
+                for rep in range(12):
+                    chain = simulator._Chain(state0,
+                                             _float_payload(state0, params))
+                    simulator._run(chain, params, replica_rng(13, rep), stop)
+                    frozen = _FrozenChain(state0, params, _frozen_start(
+                        f.factors, params.mutation.base), eager=True)
+                    _frozen_run(frozen, params, replica_rng(13, rep),
+                                stop.at_time, stop.at_absorption,
+                                stop.max_events)
+                    for g, h in zip(chain.payload.factors(), frozen.floats(),
+                                    strict=True):
+                        scale = max(map(abs, h))
+                        assert all(abs(x - y) <= 1e-12 * scale
+                                   for x, y in zip(g, h, strict=True))
+
+
+def exact_event_mix(params, n1, n2):
+    """Expected events, migrations and coalescences of the dual from n1
+    blocks in colony 1 and n2 in colony 2 to one block, in Fractions, by
+    first-step analysis of the block-count chain (n1, n2). A migration
+    keeps the total n1 + n2 and a coalescence lowers it, so the totals
+    are solved from 2 up, each a linear system in n1 (`solve_exact`)
+    whose coalescence terms read the lower totals' solutions."""
+    u1, u2 = params.u1, params.u2
+    # per block count, each coalescence profile's block count after it
+    # and its rate summed over the partitions with that profile
+    coal = {b: [(len(prof.merge_sizes) + prof.s, rate * mult)
+                for prof, rate, mult in params.table.profiles(b) if rate > 0]
+            for b in range(2, n1 + n2 + 1)}
+    solved = {1: {0: (F(0),) * 3, 1: (F(0),) * 3}}
+    for n in range(2, n1 + n2 + 1):
+        matrix, rhs = [], ([], [], [])
+        for k in range(n + 1):
+            into1, into2 = (n - k) * u1, k * u2
+            c1, c2 = coal.get(k, []), coal.get(n - k, [])
+            coalescence = sum(r for _, r in c1) + sum(r for _, r in c2)
+            row = [F(0)] * (n + 1)
+            row[k] = into1 + into2 + coalescence
+            if k < n:
+                row[k + 1] = -into1
+            if k:
+                row[k - 1] = -into2
+            matrix.append(row)
+            rewards = (into1 + into2 + coalescence, into1 + into2,
+                       coalescence)
+            for i, reward in enumerate(rewards):
+                rhs[i].append(
+                    reward
+                    + sum(r * solved[a + n - k][a][i] for a, r in c1)
+                    + sum(r * solved[k + a][k][i] for a, r in c2))
+        columns = [solve_exact(matrix, side)[0] for side in rhs]
+        solved[n] = {k: tuple(x[k] for x in columns) for k in range(n + 1)}
+    return solved[n1 + n2][n1]
+
+
+class TestEventMix:
+    """The dual's event mix to absorption against the exact block-count
+    chain (`exact_event_mix`). The float payload flows once per
+    coalescence, not once per event: on the mc_stationary model from
+    (2, 2), 2.87 flows per replica instead of 10.26."""
+
+    def test_mc_stationary_mix(self):
+        params, _ = _frozen_model("atom")
+        events, migrations, coalescences = exact_event_mix(params, 2, 2)
+        assert events == migrations + coalescences
+        assert (round(float(events), 4), round(float(migrations), 3),
+                round(float(coalescences), 3)) == (10.2606, 7.388, 2.872)
+
+    @pytest.mark.parametrize("xi,eta", [
+        (KINGMAN, (1, 1, 2, 2)), (ATOM_HALF_QUARTER, (1, 1, 2, 2)),
+        (SWEEP, (1, 2, 1, 2, 1, 2))], ids=["kingman", "atom", "sweep"])
+    def test_run_means_match_exact_mix(self, xi, eta):
+        params = ModelParams(xi, MutationSpec(F(1),
+                                              base=BaseMeasure.uniform()),
+                             F(1), F(2), len(eta))
+        state0 = initial_state(indicator_power(len(eta)), eta)
+        replicas = 3000
+        samples = []
+        for rep in range(replicas):
+            chain = simulator._Chain(state0, simulator._Skeleton())
+            simulator._run(chain, params, replica_rng(31, rep),
+                           StopRule(at_absorption=True))
+            coalescences = sum(type(s) is list for s in chain.payload)
+            samples.append((chain.events, chain.events - coalescences,
+                            coalescences))
+        exact = exact_event_mix(params, eta.count(COLONY_1),
+                                eta.count(COLONY_2))
+        for sample, value in zip(zip(*samples), exact, strict=True):
+            # Kingman's coalescences are binary: n - 1 of them, exactly
+            se = statistics.stdev(sample) / math.sqrt(replicas)
+            assert abs(statistics.fmean(sample) - value) <= 4 * se
 
 
 class TestPayloadStream:
