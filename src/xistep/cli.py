@@ -23,9 +23,9 @@ from .setfun import BaseMeasure, DyadicSet, SetFunction, TensorFunction
 from .simhelpers import (coupling_linearity_holds, normalization_holds,
                          random_scalar_params, random_xi)
 from .simplex import build_rate_table, check_consistency
-from .simulator import (EVENT_CAP, StopRule, _FloatPayload, _start,
-                        estimate_Qt, estimate_stationary, initial_state,
-                        replica_rng, run_until)
+from .simulator import (EVENT_CAP, StopRule, _ExactPayload, _FloatPayload,
+                        _start, estimate_Qt, estimate_stationary,
+                        initial_state, replica_rng, run_until)
 
 
 def _workers():
@@ -260,11 +260,13 @@ def _selftest_suites(seed):
     suites.append(("rate_consistency", not failures,
                    "; ".join(failures[:3])))
 
-    # the float flow of every Monte Carlo replica (`_FloatPayload`), which
-    # defers it: T_s T_t, flowed after s, against T_{s+t}, both read
-    # through the flushing `factors`
+    # the flow of every Monte Carlo replica (`_FloatPayload`) and of exact
+    # replay (`_ExactPayload`), both deferred: T_s T_t, flowed after s,
+    # against T_{s+t} (float) or T_s T_t with no flow between (exact, `==`),
+    # read through the flushing `factors`
     g = SetFunction.indicator(DyadicSet(2, frozenset({0, 3})))
-    start, theta = _start([g], BaseMeasure.uniform()), 1.5
+    base = BaseMeasure.uniform()
+    start, theta = _start([g], base), 1.5
     ok = True
     for _ in range(5):
         s, t = rng.random(), rng.random()
@@ -275,6 +277,13 @@ def _selftest_suites(seed):
         rhs.advance(s + t)
         (a,), (b,) = lhs.factors(), rhs.factors()
         ok = ok and all(abs(x - y) < 1e-12 for x, y in zip(a, b))
+        lhs, rhs = (_ExactPayload([g], base, theta) for _ in range(2))
+        lhs.advance(s)
+        lhs.flow()
+        lhs.advance(t)
+        rhs.advance(s)
+        rhs.advance(t)
+        ok = ok and lhs.set_functions() == rhs.set_functions()
     suites.append(("semigroup_law", ok, ""))
 
     ok = all(coupling_linearity_holds(rng) for _ in range(5))

@@ -116,6 +116,10 @@ def parse_base_measure(data, field_name):
     level = parse_int(_get(data, "grid_level", field_name, 0),
                  f"{field_name}.grid_level", 0, MAX_GRID_LEVEL)
     dens = [_rat(d, f) for f, d in _items(data, "densities", field_name)]
+    if len(dens) != 1 << level:
+        raise ConfigError(f"{field_name}.densities",
+                          f"need one density per grid cell, 2^grid_level = "
+                          f"{1 << level}, got {len(dens)}")
     atoms = []
     for where, a in _items(data, "atoms", field_name, []):
         _known(a, where, ("at", "mass"))

@@ -16,19 +16,18 @@ append each holding time and each coalescence's merge groups.
 
 The two coefficient payloads (`_Cells`) hold each block's coefficients
 one block after another, one per cell of the run's grid level
-(`_run_cells`); advance and merge act cell by cell and never refine or
+(`_run_cells`); flow and merge act cell by cell and never refine or
 reduce that level, and one pass over the list flows every block. A merge
 multiplies the factors of each group's blocks in block order. Under
 uniform-jump mutation the flow g -> p g + (1 - p) <base, g> is the same
-in both colonies and T_s T_t = T_{s+t}, so the float payload defers it:
-`advance` only adds to a pending time, and the flow over that time runs
-once, at the next coalescence or when the factors are read. A run to
-absorption flows once per coalescence instead of once per event, most
-of which are migrations. The flow keeps each block's base integral, so
-the float payload keeps its integrals throughout and computes one only
-for a block that a coalescence unites from several. The exact payload
-flows at every advance and recomputes its integrals (numerators over a
-grown denominator) after each coalescence.
+in both colonies and T_s T_t = T_{s+t}, so both payloads defer it:
+`advance` only adds to a pending time (float) or multiplies a pending
+decay factor (exact), and the flow over it runs once, at the next
+coalescence or when the factors are read, once per coalescence instead
+of once per event, most of which are migrations. The flow keeps each
+block's base integral, so both payloads keep their integrals and compute
+one only for a block that a coalescence unites from several. The exact
+flows compose exactly, so its results equal those of eager flows.
 
 Events come from the RNG in `_run`, the one loop behind `run_until` and
 the estimators, or from a recorded `Trajectory` in `replay`. A `StopRule`
@@ -73,8 +72,10 @@ derived deterministically from a master seed, so every reported number is
 reproducible.
 """
 
+import copy
 import functools
 import math
+import operator
 import random
 import statistics
 from bisect import bisect_right
@@ -225,29 +226,42 @@ def _start(factors, base):
 
 class _Cells:
     """A coefficient payload: the blocks' coefficient lists one after
-    another in `cells`, `width` cells each at the run's grid level, and
-    `ints`, each block's base integral once per cell. This `merge` leaves
-    `ints` None, and the exact payload's next advance computes them
-    again; the float payload's own `merge` keeps them current."""
+    another in `cells`, `width` cells each at the run's grid level, `ints`,
+    each block's base integral once per cell, and the deferred flow:
+    `advance` only adds to `pending`, and the first `merge` or `factors`
+    after it runs the flow once (`flow`), which keeps `ints`."""
 
-    __slots__ = ("level", "width", "cells", "ints")
+    __slots__ = ("level", "width", "cells", "ints", "integral", "theta",
+                 "pending")
 
     def merge(self, groups):
-        """The blocks united by `groups` (see `merge_groups`): per group
-        the cellwise product of its blocks, in block order."""
-        cells, width = self.cells, self.width
-        merged = []
+        """The blocks united by `groups` (see `merge_groups`) after the
+        pending flow: per group the cellwise product of its blocks, in
+        block order. A block that merges with no other keeps its
+        integral; a merged group's is computed (`integral`)."""
+        if self.pending != self.idle:
+            self.flow()
+        cells, ints, width = self.cells, self.ints, self.width
+        merged, merged_ints = [], []
         for group in groups:
             i = group[0] * width
+            if len(group) == 1:
+                merged += cells[i:i + width]
+                merged_ints += ints[i:i + width]
+                continue
             g = cells[i:i + width]
             for j in group[1:]:
                 j *= width
                 g = [x * y for x, y in zip(g, cells[j:j + width])]
             merged += g
-        self.cells, self.ints = merged, None
+            merged_ints += [self.integral(g)] * width
+        self.cells, self.ints = merged, merged_ints
 
     def factors(self):
-        """The coefficient list of each block, in block order."""
+        """The coefficient list of each block after the pending flow, in
+        block order."""
+        if self.pending != self.idle:
+            self.flow()
         w = self.width
         return [self.cells[i:i + w] for i in range(0, len(self.cells), w)]
 
@@ -255,12 +269,10 @@ class _Cells:
 class _FloatPayload(_Cells):
     """The float payload of `run_until`, the estimators and
     `replay(exact=False)`, from a start (`_start`) under the float
-    mutation rate `theta`. The flow is deferred: `advance` adds to
-    `pending`, and the first `merge`, `factors` or `set_functions` after
-    it runs the flow over the pending time once (`flow`). `ints` holds
-    each block's base integral throughout."""
+    mutation rate `theta`; `pending` is the time since the last flow."""
 
-    __slots__ = ("integral", "theta", "pending")
+    __slots__ = ()
+    idle = 0.0
 
     def __init__(self, start, theta):
         self.level, self.cells, self.integral, self.ints = start
@@ -281,34 +293,6 @@ class _FloatPayload(_Cells):
         self.cells = [p * v + q * c for v, c in zip(self.cells, self.ints)]
         self.pending = 0.0
 
-    def merge(self, groups):
-        """The blocks united by `groups` after the pending flow: per group
-        the cellwise product of its blocks, in block order. A block that
-        merges with no other keeps its integral; a merged group's is
-        computed."""
-        if self.pending:
-            self.flow()
-        cells, ints, width = self.cells, self.ints, self.width
-        merged, merged_ints = [], []
-        for group in groups:
-            i = group[0] * width
-            if len(group) == 1:
-                merged += cells[i:i + width]
-                merged_ints += ints[i:i + width]
-                continue
-            g = cells[i:i + width]
-            for j in group[1:]:
-                j *= width
-                g = [x * y for x, y in zip(g, cells[j:j + width])]
-            merged += g
-            merged_ints += [self.integral(g)] * width
-        self.cells, self.ints = merged, merged_ints
-
-    def factors(self):
-        if self.pending:
-            self.flow()
-        return super().factors()
-
     def set_functions(self):
         """The payload as reduced `SetFunction`s, in block order."""
         return tuple(SetFunction(self.level, tuple(g))
@@ -320,55 +304,54 @@ class _ExactPayload(_Cells):
     `dual_generator_value`: per block, integer numerators N_i over one
     integer denominator D, read as the coefficients N_i / D. Start
     coefficients (Fractions, ints or floats, which are dyadic rationals)
-    are converted exactly (`integer_numerators`). A float decay factor p
-    is the dyadic rational a / 2^k; the base integral J / (D K) is an
-    integer dot product with the base's `exact_weights` (J) over their
-    denominator (K). Fractions are built only by `set_functions`."""
+    are converted exactly (`integer_numerators`). The base integral is
+    J / (D K), J an integer dot product with the base's `exact_weights`
+    over their denominator K; `ints` holds J. A float decay factor is the
+    dyadic rational a / 2^k, and `pending` is (A, T), the product of the
+    pending holding times' a / 2^k, (1, 1) when none is. Fractions are
+    built only by `set_functions`."""
 
-    __slots__ = ("theta", "weights", "scale", "dens", "growth")
+    __slots__ = ("scale", "dens")
+    idle = (1, 1)
 
     def __init__(self, factors, base, theta):
         level, cells = _run_cells(factors, base)
         self.level, self.width, self.theta = level, 1 << level, theta
-        self.weights, self.scale = base.exact_weights(level)
+        weights, self.scale = base.exact_weights(level)
+        self.integral = lambda g: sum(map(operator.mul, g, weights))
         nums, self.dens = [], []
         for i in range(0, len(cells), self.width):
             block, den = integer_numerators(cells[i:i + self.width])
             nums += block
             self.dens.append(den)
-        self.cells, self.ints = nums, None
+        self.cells, self.pending = nums, self.idle
+        self.ints = _per_cell(nums, self.width, self.integral)
 
     def advance(self, dt):
-        """g -> p g + (1 - p) <base, g> as N -> a N + (2^k - a) J and
-        D -> 2^k D, with J the integral's numerator over D; right after a
-        coalescence the integrals are J / (D K), so N and D take a factor
-        K first. J is kept as taken then; `growth` is the power of two
-        that D has gained since, by which J is scaled."""
+        """The mutation semigroup over dt, deferred: the decay factors of
+        consecutive holding times multiply exactly."""
         # p = exp(-theta dt / 2) = a / 2^k
         a, two_k = math.exp(-self.theta * float(dt) / 2.0) \
             .as_integer_ratio()
-        b = two_k - a
-        if self.ints is None:
-            self.ints = _per_cell(
-                self.cells, self.width,
-                lambda g: sum(v * w for v, w in zip(g, self.weights)))
-            self.dens = [d * self.scale for d in self.dens]
-            a *= self.scale
-            self.growth = 1
-        b *= self.growth
+        A, T = self.pending
+        self.pending = (A * a, T * two_k)
+
+    def flow(self):
+        """g -> p g + (1 - p) <base, g> with p = A / T as
+        N -> A K N + (T - A) J over D -> T K D; the integral stays, so its
+        numerator over the new D K is T K J."""
+        A, T = self.pending
+        a, b, tk = A * self.scale, T - A, T * self.scale
         self.cells = [a * v + b * j for v, j in zip(self.cells, self.ints)]
-        self.dens = [d * two_k for d in self.dens]
-        self.growth *= two_k
+        self.ints = [tk * j for j in self.ints]
+        self.dens = [tk * d for d in self.dens]
+        self.pending = self.idle
 
     def merge(self, groups):
-        dens = []
-        for group in groups:
-            d = self.dens[group[0]]
-            for j in group[1:]:
-                d *= self.dens[j]
-            dens.append(d)
+        """`_Cells.merge`, then per group the product of its blocks'
+        denominators."""
         super().merge(groups)
-        self.dens = dens
+        self.dens = [math.prod([self.dens[j] for j in g]) for g in groups]
 
     def set_functions(self):
         return tuple(SetFunction(self.level,
@@ -398,8 +381,9 @@ class _Chain:
 
     def advance(self, dt):
         """The payload advanced over dt, a time of at least 0."""
-        if dt < 0:
-            raise ValueError("negative time")
+        # `not >=` also refuses NaN
+        if not dt >= 0:
+            raise ValueError(f"holding time must be at least 0, got {dt}")
         self.payload.advance(dt)
         self.clock += dt
 
@@ -810,7 +794,7 @@ def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
     plus coalescence differences over colony partitions plus per-block
     migration differences. Each difference applies one event to a fresh
-    chain with the exact payload; the partitions' rates come from
+    chain with a copy of one exact payload; the partitions' rates come from
     `params.table`, where the singleton partition, which merges nothing,
     has rate 0. A colony of more than `b_max` blocks is refused."""
     base_state = initial_state(f, eta)
@@ -835,11 +819,11 @@ def dual_generator_value(f, eta, mu, params):
               for pi in enumerate_partitions(b)]
     events += [(params.u1 if label == COLONY_2 else params.u2, "migration",
                 label, pos) for pos, label in enumerate(lp.labels, start=1)]
-    base, theta = params.mutation.base, params._tables[2]
+    # a merge builds new lists, so the copies never change `start`
+    start = _ExactPayload(f.factors, params.mutation.base, params._tables[2])
     for rate, kind, colony, detail in events:
         if rate:
-            chain = _Chain(base_state,
-                           _ExactPayload(f.factors, base, theta))
+            chain = _Chain(base_state, copy.copy(start))
             chain.apply(kind, colony, detail)
             total += rate * (evaluate_dual(chain.state(), mu) - g0)
     return total

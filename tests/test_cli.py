@@ -461,6 +461,25 @@ class TestSelftest:
         suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["semigroup_law"]
 
+    def test_broken_exact_flow_detected(self, monkeypatch):
+        # an exact flow that leaves the integrals' numerators unscaled:
+        # they stay over the old denominator, so a second flow adds too
+        # little of the integral, while one flow over s + t is right
+        class Unscaled(cli._ExactPayload):
+            __slots__ = ()
+
+            def flow(self):
+                A, T = self.pending
+                a, b, tk = A * self.scale, T - A, T * self.scale
+                self.cells = [a * v + b * j
+                              for v, j in zip(self.cells, self.ints)]
+                self.dens = [tk * d for d in self.dens]
+                self.pending = self.idle
+
+        monkeypatch.setattr(cli, "_ExactPayload", Unscaled)
+        suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
+        assert not suites["semigroup_law"]
+
     def test_perturbed_rates_detected(self, monkeypatch):
         def perturbed(xi, b_max):
             table = build_rate_table(xi, b_max)
@@ -599,6 +618,19 @@ class TestErrors:
          "config error: xi.kingman_mass: must be nonnegative, got -1"),
         ("rates", {"e_star": {"level": 1, "cells": [5]}}, None,
          "config error: e_star.cells[0]: must be at most 1, got 5"),
+        # a density count other than 2^grid_level, in each base measure
+        ("rates", {"mutation": {"kind": "uniform",
+                                "base": {"grid_level": 1,
+                                         "densities": ["1"]}}}, None,
+         "config error: mutation.base.densities: need one density per grid "
+         "cell, 2^grid_level = 2, got 1"),
+        ("rates", {"mu1": {"densities": ["1", "1"]}}, None,
+         "config error: mu1.densities: need one density per grid cell, "
+         "2^grid_level = 1, got 2"),
+        ("rates", {"mu2": {"grid_level": 2,
+                           "densities": ["1", "1", "1"]}}, None,
+         "config error: mu2.densities: need one density per grid cell, "
+         "2^grid_level = 4, got 3"),
     ]
 
     # ids number the cases and leave the command out; they show each

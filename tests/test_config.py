@@ -121,7 +121,8 @@ class TestFieldErrors:
         (("e_star", "level"), -1, "e_star.level"),
         (("e_star", "cells"), 3, "e_star.cells"),
         (("e_star", "cells"), [0, "x"], "e_star.cells[1]"),
-        (("mutation", "base", "grid_level"), "1", "mutation.base"),
+        # one density for the two cells of grid level 1
+        (("mutation", "base", "grid_level"), "1", "mutation.base.densities"),
         (("mutation", "base", "grid_level"), 99, "mutation.base.grid_level"),
         (("mutation", "base"), [1], "mutation.base"),
         (("xi", "atoms"), 5, "xi.atoms"),

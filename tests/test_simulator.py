@@ -773,60 +773,73 @@ class TestFrozenLoop:
         assert rng.getstate() == frozen_rng.getstate()
 
 
-class _CountingPayload(simulator._FloatPayload):
-    """The float payload, counting the flows it runs."""
+def _counting(payload_class):
+    """`payload_class`, counting the flows it runs."""
 
-    __slots__ = ("flows",)
+    class Counting(payload_class):
+        __slots__ = ("flows",)
 
-    def __init__(self, start, theta):
-        super().__init__(start, theta)
-        self.flows = 0
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.flows = 0
 
-    def flow(self):
-        self.flows += 1
-        super().flow()
+        def flow(self):
+            self.flows += 1
+            super().flow()
+
+    return Counting
 
 
 class TestDeferredFlow:
-    """The float payload flows once per coalescence, and once more when
-    its factors are read after a time stop left time pending, instead of
-    once per event; the path is the frozen loop's, and the payload is
-    within rounding of the eager flow's."""
+    """Both coefficient payloads flow once per coalescence, and once more
+    when their factors are read after a time stop left time pending,
+    instead of once per event; the path is the frozen loop's, and the
+    float payload is within rounding of the eager flow's. The exact
+    payload's deferral is exact: the replay tests hold it `==` to the
+    eager `_reference_replay`."""
 
     @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
     def test_one_flow_per_coalescence(self, name):
         params, eta = _frozen_model(name)
         f = _frozen_tensor(len(eta))
         state0 = initial_state(f, eta)
-        start = simulator._start(f.factors, params.mutation.base)
-        flows = 0
-        for stop in TestFrozenLoop.STOPS:
-            for rep in range(12):
-                rng, frozen_rng = replica_rng(11, rep), replica_rng(11, rep)
-                payload = _CountingPayload(start, params._tables[2])
-                chain = simulator._Chain(state0, payload)
-                records, truncated = simulator._run(chain, params, rng, stop,
-                                                    record=True)
-                frozen = _FrozenChain(state0, params, _frozen_start(
-                    f.factors, params.mutation.base), eager=True)
-                events, frozen_truncated = _frozen_run(
-                    frozen, params, frozen_rng, stop.at_time,
-                    stop.at_absorption, stop.max_events, record=True)
-                assert rng.getstate() == frozen_rng.getstate()
-                assert [_hexed(r) for r in records] == \
-                    [_hexed(r) for r in events]
-                assert (truncated, tuple(chain.labels), chain.blocks,
-                        chain.clock.hex(), chain.events) == \
-                    (frozen_truncated, frozen.labels, frozen.blocks,
-                     frozen.clock.hex(), frozen.events)
-                coalescences = sum(r.kind == "coalescence" for r in records)
-                assert payload.flows == coalescences
-                payload.factors()
-                payload.factors()
-                pending = stop.at_time is not None and stop.at_time > 0
-                assert payload.flows == coalescences + pending
-                flows += payload.flows
-        assert flows > 0
+        base, theta = params.mutation.base, params._tables[2]
+        payloads = {
+            "float": lambda: _counting(simulator._FloatPayload)(
+                simulator._start(f.factors, base), theta),
+            "exact": lambda: _counting(simulator._ExactPayload)(
+                f.factors, base, theta)}
+        for kind, make in payloads.items():
+            flows = 0
+            for stop in TestFrozenLoop.STOPS:
+                for rep in range(12):
+                    rng = replica_rng(11, rep)
+                    frozen_rng = replica_rng(11, rep)
+                    payload = make()
+                    chain = simulator._Chain(state0, payload)
+                    records, truncated = simulator._run(chain, params, rng,
+                                                        stop, record=True)
+                    frozen = _FrozenChain(state0, params, _frozen_start(
+                        f.factors, base), eager=True)
+                    events, frozen_truncated = _frozen_run(
+                        frozen, params, frozen_rng, stop.at_time,
+                        stop.at_absorption, stop.max_events, record=True)
+                    assert rng.getstate() == frozen_rng.getstate()
+                    assert [_hexed(r) for r in records] == \
+                        [_hexed(r) for r in events]
+                    assert (truncated, tuple(chain.labels), chain.blocks,
+                            chain.clock.hex(), chain.events) == \
+                        (frozen_truncated, frozen.labels, frozen.blocks,
+                         frozen.clock.hex(), frozen.events)
+                    coalescences = sum(r.kind == "coalescence"
+                                       for r in records)
+                    assert payload.flows == coalescences
+                    payload.factors()
+                    payload.factors()
+                    pending = stop.at_time is not None and stop.at_time > 0
+                    assert payload.flows == coalescences + pending, kind
+                    flows += payload.flows
+            assert flows > 0, kind
 
     @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
     def test_within_rounding_of_the_eager_flow(self, name):
@@ -1250,8 +1263,8 @@ class TestRefusals:
 
 class TestReplayRefusesRecords:
     """A record that would replay as a counted event changing nothing is
-    refused, on both payloads (Kingman, eta (1, 2)), and so is a negative
-    holding time."""
+    refused, on both payloads (Kingman, eta (1, 2)), and so is a holding
+    time or stop time below 0 or NaN."""
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("record,message", [
@@ -1269,10 +1282,17 @@ class TestReplayRefusesRecords:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_negative_holding_time_refused(self, exact):
-        record = EventRecord(-0.1, -0.1, "migration", 1, 1, 1)
-        with pytest.raises(ValueError, match="negative time"):
-            replay(indicator_power(2), (1, 2), Trajectory((record,)),
-                   kingman_model(), exact=exact)
+        # NaN used to pass the `dt < 0` test: float replay returned NaN
+        # coefficients and clock, exact replay failed converting NaN to a
+        # ratio; a NaN stop time reached the same test
+        for dt in (-0.1, math.nan):
+            record = EventRecord(dt, dt, "migration", 1, 1, 1)
+            for traj in (Trajectory((record,)),
+                         Trajectory((), stop_time=dt)):
+                with pytest.raises(ValueError, match="holding time must be "
+                                   f"at least 0, got {dt}"):
+                    replay(indicator_power(2), (1, 2), traj,
+                           kingman_model(), exact=exact)
 
     def test_recorded_paths_still_replay(self):
         params = kingman_model()
