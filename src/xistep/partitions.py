@@ -6,6 +6,7 @@ canonical.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 # Bell(12) = 4 213 597 partitions is as far as enumeration goes
@@ -23,21 +24,34 @@ def canonical(blocks):
 
 
 def validate_partition(pi):
-    """Check that pi is a canonical partition of [n], n its element count."""
-    seen = set()
+    """Check that pi is a canonical partition of [n], n its element count:
+    nonempty, strictly increasing blocks, disjoint, ordered by least
+    element and covering [n]. One pass over the blocks; a block's own
+    faults are reported first, then the order, then the cover."""
+    seen, least, ordered = set(), -math.inf, True
     for b in pi:
         if not b:
             raise ValueError("empty block")
-        if tuple(sorted(b)) != tuple(b):
-            raise ValueError(f"block {b} not sorted")
-        if seen & set(b):
+        if not all(map(operator.lt, b, b[1:])):
+            if sorted(b) != list(b):
+                raise ValueError(f"block {b} not sorted")
+            raise ValueError(f"block {b} repeats an element")
+        count = len(seen)
+        seen.update(b)
+        if len(seen) != count + len(b):
             raise ValueError("blocks not disjoint")
-        seen |= set(b)
-    mins = [b[0] for b in pi]
-    if mins != sorted(mins):
+        ordered = ordered and least <= b[0]
+        least = b[0]
+    if not ordered:
         raise ValueError("blocks not ordered by least element")
     if seen != set(range(1, len(seen) + 1)):
         raise ValueError(f"blocks do not cover [{len(seen)}]")
+
+
+def validate_labels(labels):
+    """Check that every label is colony 1 or 2."""
+    if any(c not in (COLONY_1, COLONY_2) for c in labels):
+        raise ValueError("labels must be colony 1 or 2")
 
 
 def singleton_partition(n):
@@ -65,8 +79,7 @@ class LabeledPartition:
         validate_partition(self.partition)
         if len(self.labels) != len(self.partition):
             raise ValueError("one label per block required")
-        if any(c not in (COLONY_1, COLONY_2) for c in self.labels):
-            raise ValueError("labels must be colony 1 or 2")
+        validate_labels(self.labels)
 
     @property
     def block_count(self):

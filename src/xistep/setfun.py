@@ -11,9 +11,13 @@ the routine behind `BaseMeasure.integrate`, or directly with what that
 routine is built from, once per grid level and cached on the measure:
 `BaseMeasure.float_integrator` for float lists and
 `BaseMeasure.exact_weights` for integer numerators over one denominator.
-A `SetFunction` is built where a public function returns one.
+A `SetFunction` is built where a public function returns one. Exact
+integrals stay integers (`integral_ratio`) until a Fraction is returned:
+once per integral in `integrate_cells`, once per product of integrals in
+`simulator.evaluate_dual`.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,11 +33,19 @@ def _reduce_cells(level, values):
 
 
 def _lift(values, from_level, to_level):
+    if from_level == to_level:
+        return list(values)
     reps = 1 << (to_level - from_level)
     out = []
     for v in values:
         out.extend([v] * reps)
     return out
+
+
+def weighted_sum(weights, nums):
+    """The integer dot product of `exact_weights` with a step function's
+    integer numerators: the numerator of its exact integral."""
+    return sum(map(operator.mul, weights, nums))
 
 
 def float_sum(terms):
@@ -183,16 +195,23 @@ class BaseMeasure:
     def integrate_cells(self, level, coeffs):
         """Integral of the step function with one coefficient per cell of
         the level-`level` grid; `level` is at least `grid_level`.
-        Rational coefficients give a Fraction: their integer numerators
-        over the lcm of their denominators, weighed by `exact_weights`
-        and reduced once."""
+        Rational coefficients give a Fraction, `integral_ratio` reduced
+        once."""
         if any(type(c) is float for c in coeffs):
             # float fast path for simulation mode
             return self.float_integrator(level)(coeffs)
+        return Fraction(*self.integral_ratio(level, coeffs))
+
+    def integral_ratio(self, level, coeffs):
+        """The exact integral of rational coefficients (ints, Fractions or
+        floats, which are dyadic) at grid level `level` as two integers,
+        numerator and denominator, not reduced: their integer numerators
+        over the lcm of their denominators, weighed by `exact_weights`
+        (`weighted_sum`). `evaluate_dual` multiplies these across blocks
+        and reduces the product once."""
         weights, scale = self.exact_weights(level)
         nums, den = integer_numerators(coeffs)
-        return Fraction(sum(n * w for n, w in zip(nums, weights) if n),
-                        den * scale)
+        return weighted_sum(weights, nums), den * scale
 
     def exact_weights(self, level):
         """The exact integral at one grid level as integer cell weights

@@ -16,8 +16,9 @@ append each holding time and each coalescence's merge groups.
 
 The two coefficient payloads (`_Cells`) hold each block's coefficients
 one block after another, one per cell of the run's grid level
-(`_run_cells`); flow and merge act cell by cell and never refine or
-reduce that level, and one pass over the list flows every block. A merge
+(`_run_level`), and start each distinct factor once (`_per_factor`);
+flow and merge act cell by cell and never refine or reduce that level,
+and one pass over the list flows every block. A merge
 multiplies the factors of each group's blocks in block order. Under
 uniform-jump mutation the flow g -> p g + (1 - p) <base, g> is the same
 in both colonies and T_s T_t = T_{s+t}, so both payloads defer it:
@@ -56,7 +57,15 @@ where they are read: the states `run_until`, `replay` and
 absorption is one label left, and the skeleton's leaf values read merge
 groups and leaves by position. `DualState`, `LabeledPartition`,
 `TensorFunction` and (reduced) `SetFunction`s are built only where a
-public function takes or returns them.
+public function takes or returns them; `replay` checks eta and the
+arity once and starts its chain from singleton blocks without one.
+Exact values stay integers until a Fraction is returned: the exact
+payload reduces each block's grid level on its integer numerators and
+builds one Fraction per kept cell, one `SetFunction` for equal blocks
+(`_ExactPayload.set_functions`), and `evaluate_dual` multiplies a
+rational state's block integrals as integer numerators and
+denominators, once per distinct factor object and colony, and builds
+one Fraction.
 
 One replica driver, `_replica_values`, serves the three estimators. Per
 call it builds what does not depend on the replica: the float start
@@ -75,7 +84,6 @@ reproducible.
 import copy
 import functools
 import math
-import operator
 import random
 import statistics
 from bisect import bisect_right
@@ -85,9 +93,11 @@ from typing import NamedTuple
 
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, canonical,
                          coagulate, colony_merging, enumerate_partitions,
-                         merge_groups, profile_of, singleton_partition)
-from .setfun import (SetFunction, TensorFunction, _lift,
-                     apply_generator_uniform, cell_index, float_sum)
+                         merge_groups, profile_of, singleton_partition,
+                         validate_labels, validate_partition)
+from .setfun import (SetFunction, TensorFunction, _lift, _reduce_cells,
+                     apply_generator_uniform, cell_index, float_sum,
+                     weighted_sum)
 from .rationals import integer_numerators
 from .simplex import build_rate_table
 
@@ -159,8 +169,12 @@ class DualState:
     events: int = 0
 
     def __post_init__(self):
-        if self.y.arity != self.lp.block_count:
-            raise ValueError("tensor arity must equal block count")
+        _check_arity(self.y, self.lp.block_count)
+
+
+def _check_arity(f, blocks):
+    if f.arity != blocks:
+        raise ValueError("tensor arity must equal block count")
 
 
 def initial_state(f, eta):
@@ -191,37 +205,44 @@ def replica_rng(seed, replica):
     return random.Random(f"xistep:{seed}:{replica}")
 
 
-def _per_cell(cells, width, integral):
-    """Each block's `integral`, once per cell of the block: the blocks are
-    `cells` cut into runs of `width`."""
-    out = []
-    for i in range(0, len(cells), width):
-        out += [integral(cells[i:i + width])] * width
-    return out
+def _run_level(factors, base):
+    """A run's grid level: the highest of the factors' levels and the
+    base's."""
+    return max(base.grid_level, *(g.level for g in factors))
 
 
-def _run_cells(factors, base):
-    """A run's grid level, the highest of the factors' levels and the
-    base's, and the factors' coefficients at it, one block after another
-    in one list."""
-    level = max(base.grid_level, *(g.level for g in factors))
-    return level, [c for g in factors for c in g._coeffs_at(level)]
+def _per_factor(factors, start):
+    """`start(g)` for each factor g, computed once per distinct factor
+    object: a tensor may repeat one factor, as an indicator power does."""
+    done = {}
+    for g in factors:
+        if id(g) not in done:
+            done[id(g)] = start(g)
+    return [done[id(g)] for g in factors]
 
 
 def _start(factors, base):
     """The start of a float payload (`_FloatPayload`), for a tensor's
-    factors under the mutation base `base`: the run's level and cells
-    (`_run_cells`), the base's float integral of one block and the blocks'
-    integrals (`_per_cell`). `integrate_cells` integrates each block,
-    exactly when it is rational, and cells and integrals are rounded to
-    float once. That gives the bits of advancing a rational start: `p * v`
-    for a float p and a Fraction v is `p * float(v)`. Payloads may share a
-    start: advance and merge build new lists and never change it."""
-    level, cells = _run_cells(factors, base)
-    ints = _per_cell(cells, 1 << level,
-                     functools.partial(base.integrate_cells, level))
-    return (level, [float(c) for c in cells], base.float_integrator(level),
-            [float(j) for j in ints])
+    factors under the mutation base `base`: the run's level, the factors'
+    cells at it one block after another, the base's float integral of one
+    block and each block's integral once per cell. `integrate_cells`
+    integrates each factor, exactly when it is rational, and cells and
+    integrals are rounded to float once. That gives the bits of advancing
+    a rational start: `p * v` for a float p and a Fraction v is
+    `p * float(v)`. Payloads may share a start: advance and merge build
+    new lists and never change it."""
+    level = _run_level(factors, base)
+
+    def start(g):
+        cells = g._coeffs_at(level)
+        return ([float(c) for c in cells],
+                float(base.integrate_cells(level, cells)))
+
+    starts = _per_factor(factors, start)
+    width = 1 << level
+    return (level, [c for cells, _ in starts for c in cells],
+            base.float_integrator(level),
+            [j for _, j in starts for _ in range(width)])
 
 
 class _Cells:
@@ -304,28 +325,32 @@ class _ExactPayload(_Cells):
     `dual_generator_value`: per block, integer numerators N_i over one
     integer denominator D, read as the coefficients N_i / D. Start
     coefficients (Fractions, ints or floats, which are dyadic rationals)
-    are converted exactly (`integer_numerators`). The base integral is
-    J / (D K), J an integer dot product with the base's `exact_weights`
-    over their denominator K; `ints` holds J. A float decay factor is the
-    dyadic rational a / 2^k, and `pending` is (A, T), the product of the
-    pending holding times' a / 2^k, (1, 1) when none is. Fractions are
-    built only by `set_functions`."""
+    are converted exactly (`integer_numerators`), once per distinct
+    factor. The base integral is J / (D K), J the integer dot product
+    (`weighted_sum`) with the base's `exact_weights` over their
+    denominator K; `ints` holds J. A float decay factor is the dyadic
+    rational a / 2^k, and `pending` is (A, T), the product of the pending
+    holding times' a / 2^k, (1, 1) when none is. Fractions are built only
+    by `set_functions`."""
 
     __slots__ = ("scale", "dens")
     idle = (1, 1)
 
     def __init__(self, factors, base, theta):
-        level, cells = _run_cells(factors, base)
+        level = _run_level(factors, base)
         self.level, self.width, self.theta = level, 1 << level, theta
         weights, self.scale = base.exact_weights(level)
-        self.integral = lambda g: sum(map(operator.mul, g, weights))
-        nums, self.dens = [], []
-        for i in range(0, len(cells), self.width):
-            block, den = integer_numerators(cells[i:i + self.width])
-            nums += block
-            self.dens.append(den)
-        self.cells, self.pending = nums, self.idle
-        self.ints = _per_cell(nums, self.width, self.integral)
+        self.integral = functools.partial(weighted_sum, weights)
+
+        def start(g):
+            nums, den = integer_numerators(g._coeffs_at(level))
+            return nums, den, self.integral(nums)
+
+        starts = _per_factor(factors, start)
+        self.cells = [n for nums, _, _ in starts for n in nums]
+        self.dens = [den for _, den, _ in starts]
+        self.ints = [j for _, _, j in starts for _ in range(self.width)]
+        self.pending = self.idle
 
     def advance(self, dt):
         """The mutation semigroup over dt, deferred: the decay factors of
@@ -354,9 +379,22 @@ class _ExactPayload(_Cells):
         self.dens = [math.prod([self.dens[j] for j in g]) for g in groups]
 
     def set_functions(self):
-        return tuple(SetFunction(self.level,
-                                 tuple(Fraction(n, d) for n in g))
-                     for g, d in zip(self.factors(), self.dens))
+        """The payload as reduced `SetFunction`s, in block order. A block's
+        numerators share one denominator, so equal numerators are equal
+        coefficients: the grid level is reduced on the integers, and one
+        Fraction is built per cell kept. Blocks with equal numerators and
+        denominator share one `SetFunction`: the flow is the same for
+        every block, so blocks that started from one factor and have not
+        merged since stay equal."""
+        made, out = {}, []
+        for g, d in zip(self.factors(), self.dens):
+            key = (d, *g)
+            if key not in made:
+                level, nums = _reduce_cells(self.level, g)
+                made[key] = SetFunction(level, tuple([Fraction(n, d)
+                                                      for n in nums]))
+            out.append(made[key])
+        return tuple(out)
 
 
 class _Skeleton(list):
@@ -367,17 +405,20 @@ class _Skeleton(list):
 
 
 class _Chain:
-    """Mutable state of one run of the dual (see the module docstring),
-    from `state` with one payload: labels, blocks, clock, event count and
-    the payload. The labels are a list that events change in place; the
-    blocks start as the state's and are kept by `apply`, and by `_run`
-    only when it records."""
+    """Mutable state of one run of the dual (see the module docstring):
+    labels, blocks, clock, event count and the payload. The labels are a
+    list that events change in place; the blocks are kept by `apply`, and
+    by `_run` only when it records."""
 
-    def __init__(self, state, payload):
-        self.blocks = state.lp.partition
-        self.labels = list(state.lp.labels)
-        self.payload = payload
-        self.clock, self.events = state.clock, state.events
+    def __init__(self, blocks, labels, payload, clock=0.0, events=0):
+        self.blocks, self.labels, self.payload = blocks, list(labels), payload
+        self.clock, self.events = clock, events
+
+    @classmethod
+    def of(cls, state, payload):
+        """A chain from a `DualState`, with `payload` on its blocks."""
+        return cls(state.lp.partition, state.lp.labels, payload,
+                   state.clock, state.events)
 
     def advance(self, dt):
         """The payload advanced over dt, a time of at least 0."""
@@ -395,9 +436,10 @@ class _Chain:
         """A recorded event: migrate block `detail` (1-based) out of
         `colony`, or coalesce `colony`'s blocks by the partition `detail`
         of their ranks, uniting each merge group's blocks and merging the
-        payload by the groups. A record that would change nothing, a
+        payload by the groups. A detail that is not a partition of the
+        colony's ranks 1..b, and a record that would change nothing, a
         migration of a block that is not in `colony` or a partition that
-        merges no blocks, is refused before the chain changes."""
+        merges no blocks, are refused before the chain changes."""
         labels = self.labels
         if kind == "migration":
             if not 1 <= detail <= len(labels):
@@ -408,7 +450,13 @@ class _Chain:
                     f"{detail} is in colony {labels[detail - 1]}")
             labels[detail - 1] = COLONY_1 if colony == COLONY_2 else COLONY_2
         else:
-            merging = colony_merging(labels, colony, detail)
+            try:
+                validate_partition(detail)
+                merging = colony_merging(labels, colony, detail)
+            except ValueError as err:
+                raise ValueError(f"coalescence record in colony {colony}: "
+                                 f"{detail} is not a partition of its "
+                                 f"ranks: {err}") from None
             if not merging:
                 raise ValueError(f"coalescence record in colony {colony}: "
                                  f"partition {detail} merges nothing")
@@ -592,7 +640,7 @@ def run_until(state, params, stop, rng):
     if stop.at_time is not None and stop.at_time < state.clock:
         raise ValueError(f"stop time {stop.at_time} is before the state's "
                          f"clock {state.clock}")
-    chain = _Chain(state, _FloatPayload(
+    chain = _Chain.of(state, _FloatPayload(
         _start(state.y.factors, params.mutation.base), params._tables[2]))
     events, truncated = _run(chain, params, rng, stop, record=True)
     return chain.state(), Trajectory(tuple(events), truncated,
@@ -603,11 +651,16 @@ def replay(f, eta, trajectory, params, exact=True):
     """Re-apply a recorded event stream, up to its stop time if any, to a
     fresh initial tensor. Uses the recorded holding times, so two replays
     share identical semigroup factors; linearity checks then hold exactly
-    in rational mode."""
+    in rational mode. The labels and the arity are checked as
+    `initial_state` checks them, before any event is applied; the chain
+    starts from singleton blocks labeled by eta."""
+    labels = tuple(eta)
+    validate_labels(labels)
+    _check_arity(f, len(labels))
     base, theta = params.mutation.base, params._tables[2]
     payload = (_ExactPayload(f.factors, base, theta) if exact
                else _FloatPayload(_start(f.factors, base), theta))
-    chain = _Chain(initial_state(f, eta), payload)
+    chain = _Chain(singleton_partition(len(labels)), labels, payload)
     for ev in trajectory.events:
         chain.advance(ev.dt)
         chain.apply(ev.kind, ev.colony, ev.detail)
@@ -618,13 +671,33 @@ def replay(f, eta, trajectory, params, exact=True):
 
 def evaluate_dual(state, mu):
     """<mu_eta, Y>: the product over blocks of the factor integrated
-    against the block label's colony measure."""
+    against the block label's colony measure. A state with a float
+    coefficient multiplies the blocks' integrals left to right from 1. A
+    rational state multiplies each block's integral as two integers
+    (`BaseMeasure.integral_ratio`, at the finer of the factor's and the
+    measure's grid levels, as `integrate` pairs them, once per distinct
+    factor object and colony) and builds one Fraction, the same value as
+    the product of the blocks' Fractions."""
     mu1, mu2 = mu
-    value = 1
-    for g, label in zip(state.y.factors, state.lp.labels):
-        m = mu1 if label == COLONY_1 else mu2
-        value *= m.integrate(g)
-    return value
+    factors, labels = state.y.factors, state.lp.labels
+    if any(type(c) is float for g in factors for c in g.coeffs):
+        value = 1
+        for g, label in zip(factors, labels):
+            value *= (mu1 if label == COLONY_1 else mu2).integrate(g)
+        return value
+    num = den = 1
+    ratios = {}
+    for g, label in zip(factors, labels):
+        # once per distinct factor object and colony
+        key = (id(g), label)
+        if key not in ratios:
+            m = mu1 if label == COLONY_1 else mu2
+            level = max(m.grid_level, g.level)
+            ratios[key] = m.integral_ratio(level, g._coeffs_at(level))
+        n, d = ratios[key]
+        num *= n
+        den *= d
+    return Fraction(num, den)
 
 
 def _mc(values, replicas, seed):
@@ -711,7 +784,7 @@ def _replica_values(f, eta, mu, stop, params, seed, skeleton, lo, hi):
     and run under `stop` (see `_replica_stop`): the mu-pairing of the
     surviving float factors, or on the skeleton the leaf value of f. What
     does not depend on the replica is built once per call."""
-    state = initial_state(f, eta)
+    lp = initial_state(f, eta).lp
     spec, theta = params.mutation, params._tables[2]
     if skeleton:
         leaves = [(g.level, [float(c) for c in g.coeffs]) for g in f.factors]
@@ -725,7 +798,7 @@ def _replica_values(f, eta, mu, stop, params, seed, skeleton, lo, hi):
     for rep in range(lo, hi):
         rng = replica_rng(seed, rep)
         payload = _Skeleton() if skeleton else _FloatPayload(start, theta)
-        chain = _Chain(state, payload)
+        chain = _Chain(lp.partition, lp.labels, payload)
         _, truncated = _run(chain, params, rng, stop)
         if truncated:
             goal = ("absorption" if stop.at_absorption
@@ -823,7 +896,7 @@ def dual_generator_value(f, eta, mu, params):
     start = _ExactPayload(f.factors, params.mutation.base, params._tables[2])
     for rate, kind, colony, detail in events:
         if rate:
-            chain = _Chain(base_state, copy.copy(start))
+            chain = _Chain.of(base_state, copy.copy(start))
             chain.apply(kind, colony, detail)
             total += rate * (evaluate_dual(chain.state(), mu) - g0)
     return total

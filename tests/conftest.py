@@ -97,6 +97,35 @@ def value_at(g, point):
     return g.coeffs[cell_index(g.level, point)]
 
 
+def reference_integral(m, g):
+    """<m, g> for a set function with rational coefficients, in Fractions
+    cell by cell: each coefficient times its cell's density over the cell
+    count, plus each atom's mass times the value at the atom."""
+    level = max(m.grid_level, g.level)
+    shift = level - m.grid_level
+    cells = g._coeffs_at(level)
+    return (sum(Fraction(c) * m.densities[i >> shift]
+                for i, c in enumerate(cells)) / len(cells)
+            + sum(mass * Fraction(value_at(g, p)) for p, mass in m.atoms))
+
+
+def reference_evaluate_dual(state, mu):
+    """`evaluate_dual` as it stood before it paired rational states on
+    integers, the oracle of that pairing: the blocks' integrals multiplied
+    left to right from 1, each `mu.integrate(g)` of the block's colony law.
+    A block with a float coefficient takes the float route of `integrate`;
+    a rational block's Fraction is `reference_integral`, which is equal."""
+    mu1, mu2 = mu
+    value = 1
+    for g, label in zip(state.y.factors, state.lp.labels):
+        m = mu1 if label == 1 else mu2
+        if any(type(c) is float for c in g.coeffs):
+            value *= m.integrate(g)
+        else:
+            value *= reference_integral(m, g)
+    return value
+
+
 def intersection(a, b):
     """The intersection of two dyadic sets, at the finer of their levels."""
     level = max(a.level, b.level)

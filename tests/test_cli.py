@@ -492,11 +492,69 @@ class TestSelftest:
         assert not suites["rate_consistency"]
 
 
-# `TestErrors.BAD_INPUT` cases whose needle changed after their ids were
-# taken, by index: their ids keep the needle they were first written with
-BAD_INPUT_ID_NEEDLES = {
-    49: "config error: xi: kingman_mass must be nonnegative",
-    50: "config error: e_star: cell index out of range"}
+# `TestErrors.BAD_INPUT` case ids, one per row and fixed when the row is
+# written, so that correcting a needle renames no test. These rows keep
+# the ids they were first given (number, XISTEP_THREADS value and needle
+# as first written); a row past them is named by its number and command.
+BAD_INPUT_IDS = (
+    "change0-None-options.order",
+    "change1-None-options.order",
+    "change2-None-options.order",
+    "change3-None-options.order",
+    "change4-None-b_max",
+    "change5-None-options.indices[0]",
+    "change6-None-replicas",
+    "change7-None-seed",
+    "change8-None-b_max",
+    "change9-None-u1",
+    "change10-None-u2",
+    "change11-abc-XISTEP_THREADS",
+    "change12-0-XISTEP_THREADS",
+    "change13--2-XISTEP_THREADS",
+    "change14-None-options.mode",
+    "change15-None-options.eta[0]",
+    "change16-None-options.eta[1]",
+    "change17-None-options.eta",
+    "change18-None-options.t",
+    "change19-None-options.t",
+    "change20-None-options.t",
+    "change21-None-options.n",
+    "change22-None-options.m",
+    "change23-None-options.n+m",
+    "change24-None-b_max=4",
+    "change25-None-options.order",
+    "change26-None-options.order",
+    "change27-None-at least 4",
+    "change28-None-b_max: options.eta",
+    "change29-None---replicas",
+    "change30-None---replicas",
+    "change31-None---replicas",
+    "change32-None---replicas",
+    "change33-None---replicas",
+    "change34-None-replicas: --replicas",
+    "change35-None-b_max: ",
+    "change36-None-config error: theta: ",
+    "change37-None-config error: theta: ",
+    "change38-None-config error: theta: ",
+    "change39-None-config error: theta: ",
+    "change40-None-config error: theta: ",
+    "change41-None-config error: theta: ",
+    "change42-None-config error: xi: ",
+    "change43-None-config error: xi: ",
+    "change44-None-config error: options.ordr: unknown field",
+    "change45-None-config error: sed: unknown field",
+    "change46-None-config error: xi.atom: unknown field",
+    "change47-None-config error: e_star.cell: unknown field",
+    "change48-None-config error: mutation.base.level: unknown field",
+    "change49-None-config error: xi: kingman_mass must be nonnegative",
+    "change50-None-config error: e_star: cell index out of range",
+    "change51-None-config error: mutation.base.densities: need one "
+    "density per grid cell, 2^grid_level = 2, got 1",
+    "change52-None-config error: mu1.densities: need one density per grid "
+    "cell, 2^grid_level = 1, got 2",
+    "change53-None-config error: mu2.densities: need one density per grid "
+    "cell, 2^grid_level = 4, got 3",
+)
 
 
 class TestErrors:
@@ -633,11 +691,9 @@ class TestErrors:
          "2^grid_level = 4, got 3"),
     ]
 
-    # ids number the cases and leave the command out; they show each
-    # case's needle as first written (`BAD_INPUT_ID_NEEDLES`)
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[
-        f"change{i}-{env}-{BAD_INPUT_ID_NEEDLES.get(i, needle)}"
-        for i, (_, _, env, needle) in enumerate(BAD_INPUT)])
+        BAD_INPUT_IDS[i] if i < len(BAD_INPUT_IDS) else f"change{i}-{command}"
+        for i, (command, *_) in enumerate(BAD_INPUT)])
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys,
                                                  monkeypatch, command,
                                                  change, env, needle):

@@ -36,7 +36,7 @@ def _start_at(blocks, labels):
 def _chain_at(start):
     """A chain from `start` (see `_start_at`) with its float payload."""
     state, payload = start
-    return _Chain(state, _FloatPayload(payload, PARAMS._tables[2]))
+    return _Chain.of(state, _FloatPayload(payload, PARAMS._tables[2]))
 
 
 def kernel_event(start, kind, colony, detail):
@@ -141,6 +141,22 @@ class TestLabeled:
         assert_refused(_start_at(singleton_partition(4), (1, 1, 2, 2)),
                        "coalescence", COLONY_2, singleton_partition(2),
                        "merges nothing")
+
+    @pytest.mark.parametrize("labels,detail,reason", [
+        ((1, 1), ((1, 1),), "repeats an element"),
+        ((1, 2, 1, 1), ((1, 2, 2),), "repeats an element"),
+        ((1, 2, 1, 1), ((1, 2, 2), (3,)), "repeats an element"),
+        ((1, 2, 1, 1), ((1, 3), (3,)), "blocks not disjoint"),
+        ((1, 2, 1, 1), ((1, 2),), "covers 2 blocks, colony 1 has 3")],
+        ids=["repeat", "repeat_in_block", "repeat_and_cover", "overlap",
+             "rank_count"])
+    def test_detail_not_a_partition_refused(self, labels, detail, reason):
+        # "repeat", "repeat_in_block" and "overlap" have as many ranks as
+        # the colony has blocks, so only the partition check refuses them;
+        # they used to replay as some other event (a repeated rank squared
+        # its block's factor)
+        assert_refused(_start_at(singleton_partition(len(labels)), labels),
+                       "coalescence", COLONY_1, detail, reason)
 
     def test_migration_from_the_wrong_colony_refused(self):
         # block 2 is in colony 2; a record moving it out of colony 1 used
@@ -298,6 +314,12 @@ def test_partition_size_cap():
 @pytest.mark.parametrize("make,message", [
     (lambda: validate_partition(((1,), ())), "empty block"),
     (lambda: validate_partition(((2, 1),)), r"block \(2, 1\) not sorted"),
+    (lambda: validate_partition(((1, 1),)),
+     r"block \(1, 1\) repeats an element"),
+    (lambda: validate_partition(((1, 2, 2), (3,))),
+     r"block \(1, 2, 2\) repeats an element"),
+    (lambda: LabeledPartition(((1, 1),), (1,)),
+     r"block \(1, 1\) repeats an element"),
     (lambda: validate_partition(((1, 2), (2,))), "blocks not disjoint"),
     (lambda: validate_partition(((2,), (1,))),
      "blocks not ordered by least element"),
@@ -306,7 +328,9 @@ def test_partition_size_cap():
      "one label per block required"),
     (lambda: LabeledPartition(singleton_partition(1), (3,)),
      "labels must be colony 1 or 2")],
-    ids=["empty_block", "unsorted_block", "overlapping_blocks",
+    ids=["empty_block", "unsorted_block", "repeated_element",
+         "repeated_element_covering", "labeled_repeated_element",
+         "overlapping_blocks",
          "blocks_out_of_order", "gap", "label_count", "unknown_colony"])
 def test_invalid_partition_refused(make, message):
     with pytest.raises(ValueError, match=message):

@@ -25,7 +25,7 @@ from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
 
 from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, SWEEP, \
     decay_factor, indicator_power, kingman_model, kingman_scalar, multiply, \
-    scale, seeded
+    reference_evaluate_dual, scale, seeded
 
 F = Fraction
 
@@ -483,7 +483,7 @@ class TestRunUntil:
         start = initial_state(_floated(indicator_power(4)), (1, 2, 1, 2))
         runs = []
         for record in (True, False):
-            chain = simulator._Chain(start, _float_payload(start, params))
+            chain = simulator._Chain.of(start, _float_payload(start, params))
             events, truncated = simulator._run(
                 chain, params, replica_rng(3, 0),
                 StopRule(at_time=t, at_absorption=t is None), record)
@@ -742,7 +742,7 @@ class TestFrozenLoop:
         for t in (None, 0.0, 0.3, 2.0):
             for rep in range(12):
                 rng, frozen_rng = replica_rng(9, rep), replica_rng(9, rep)
-                chain = simulator._Chain(state0, simulator._Skeleton())
+                chain = simulator._Chain.of(state0, simulator._Skeleton())
                 simulator._run(chain, params, rng,
                                StopRule(at_time=t, at_absorption=t is None))
                 frozen = _FrozenChain(state0, params, None)
@@ -816,7 +816,7 @@ class TestDeferredFlow:
                     rng = replica_rng(11, rep)
                     frozen_rng = replica_rng(11, rep)
                     payload = make()
-                    chain = simulator._Chain(state0, payload)
+                    chain = simulator._Chain.of(state0, payload)
                     records, truncated = simulator._run(chain, params, rng,
                                                         stop, record=True)
                     frozen = _FrozenChain(state0, params, _frozen_start(
@@ -849,8 +849,8 @@ class TestDeferredFlow:
             state0 = initial_state(f, eta)
             for stop in TestFrozenLoop.STOPS:
                 for rep in range(12):
-                    chain = simulator._Chain(state0,
-                                             _float_payload(state0, params))
+                    chain = simulator._Chain.of(
+                        state0, _float_payload(state0, params))
                     simulator._run(chain, params, replica_rng(13, rep), stop)
                     frozen = _FrozenChain(state0, params, _frozen_start(
                         f.factors, params.mutation.base), eager=True)
@@ -927,7 +927,7 @@ class TestEventMix:
         replicas = 3000
         samples = []
         for rep in range(replicas):
-            chain = simulator._Chain(state0, simulator._Skeleton())
+            chain = simulator._Chain.of(state0, simulator._Skeleton())
             simulator._run(chain, params, replica_rng(31, rep),
                            StopRule(at_absorption=True))
             coalescences = sum(type(s) is list for s in chain.payload)
@@ -967,7 +967,7 @@ class TestPayloadStream:
                                                         theta),
                                 simulator._Skeleton()):
                     rng = replica_rng(23, rep)
-                    chain = simulator._Chain(state0, payload)
+                    chain = simulator._Chain.of(state0, payload)
                     records, truncated = simulator._run(chain, params, rng,
                                                         stop, record=True)
                     chains.append(chain)
@@ -1294,6 +1294,39 @@ class TestReplayRefusesRecords:
                     replay(indicator_power(2), (1, 2), traj,
                            kingman_model(), exact=exact)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("eta,detail", [
+        ((1, 1), ((1, 1),)), ((1, 1, 1), ((1, 2, 2),)),
+        ((1, 1, 1), ((1, 2, 2), (3,)))],
+        ids=["repeat", "repeat_in_block", "repeat_and_cover"])
+    def test_repeated_rank_refused(self, exact, eta, detail):
+        # such a record used to replay as a counted event, the repeated
+        # rank squaring its block's factor
+        record = EventRecord(0.1, 0.1, "coalescence", 1, detail, len(eta))
+        with pytest.raises(ValueError, match="coalescence record in colony "
+                           r"1: .* repeats an element"):
+            replay(indicator_power(len(eta)), eta, Trajectory((record,)),
+                   kingman_model(), exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n,eta,message", [
+        (3, (1, 2), "tensor arity must equal block count"),
+        (2, (1, 3), "labels must be colony 1 or 2"),
+        # both wrong: the labels are named, as `initial_state` names them
+        (3, (0, 2), "labels must be colony 1 or 2")],
+        ids=["arity", "label", "label_and_arity"])
+    def test_bad_start_refused_before_any_event(self, exact, n, eta,
+                                                message):
+        # `initial_state`'s message for the same start; the record's NaN
+        # holding time would be refused if an event were applied first
+        f = indicator_power(n)
+        with pytest.raises(ValueError, match=message):
+            initial_state(f, eta)
+        record = EventRecord(math.nan, math.nan, "migration", 1, 1, 2)
+        with pytest.raises(ValueError, match=message):
+            replay(f, eta, Trajectory((record,)), kingman_model(),
+                   exact=exact)
+
     def test_recorded_paths_still_replay(self):
         params = kingman_model()
         f = indicator_power(3)
@@ -1503,6 +1536,160 @@ class TestFlatPayload:
                 ref = evaluate_dual(initial_state(TensorFunction(factors),
                                                   labels), mu)
                 assert value == pytest.approx(ref, rel=1e-12)
+
+
+def _replayed_payload(f, eta, traj, params):
+    """The exact payload of `replay(f, eta, traj, params)`, driven by the
+    same chain operations."""
+    payload = simulator._ExactPayload(f.factors, params.mutation.base,
+                                      params._tables[2])
+    chain = simulator._Chain(singleton_partition(len(eta)), eta, payload)
+    for ev in traj.events:
+        chain.advance(ev.dt)
+        chain.apply(ev.kind, ev.colony, ev.detail)
+    if traj.stop_time is not None:
+        chain.advance_to(traj.stop_time)
+    return payload
+
+
+class TestIntegerPairing:
+    """`evaluate_dual` pairs a rational state's blocks as integers and
+    builds one Fraction; it equals the frozen product of the blocks'
+    Fractions (`reference_evaluate_dual`), and a state with floats keeps
+    that product's bits. The exact payload reduces its states on integer
+    numerators."""
+
+    @given(case=replay_case())
+    @settings(max_examples=60, deadline=None)
+    def test_pairing_equals_reference(self, case):
+        params, f, eta, traj, mu = case
+        state = replay(f, eta, traj, params, exact=True)
+        value = evaluate_dual(state, mu)
+        assert type(value) is F
+        assert value == reference_evaluate_dual(state, mu)
+        state = replay(f, eta, traj, params, exact=False)
+        value = evaluate_dual(state, mu)
+        assert type(value) is float
+        assert value.hex() == reference_evaluate_dual(state, mu).hex()
+
+    def test_mixed_state_keeps_the_product_bits(self):
+        # a float block after rational ones: the Fractions multiply first,
+        # then the float
+        law = BaseMeasure(1, (F(1, 2), F(1)), ((F(1, 4), F(1, 4)),))
+        mu = (law, BaseMeasure(3, tuple(F(k, 4) for k in (1, 7, 2, 6, 3,
+                                                           5, 4, 4))))
+        factors = (SetFunction(1, (F(1, 3), F(2))), SetFunction.constant(3),
+                   SetFunction(2, (0.1, 0.7, -0.3, 1.9)))
+        for eta in [(1, 2, 1), (2, 1, 2), (1, 1, 2)]:
+            state = initial_state(TensorFunction(factors), eta)
+            value = evaluate_dual(state, mu)
+            assert type(value) is float
+            assert value.hex() == reference_evaluate_dual(state, mu).hex()
+
+    @given(case=replay_case())
+    @settings(max_examples=40, deadline=None)
+    def test_set_functions_reduce_on_integers(self, case):
+        params, f, eta, traj, _ = case
+        payload = _replayed_payload(f, eta, traj, params)
+        assert payload.set_functions() == tuple(
+            SetFunction(payload.level, tuple(F(n, d) for n in g))
+            for g, d in zip(payload.factors(), payload.dens))
+
+    def test_state_reducing_to_level_0(self):
+        # constant factors in a level-2 run (the base's grid) reduce to
+        # level 0, on their own and after merging
+        params = ModelParams(ATOM_HALF_QUARTER,
+                             MutationSpec(F(1),
+                                          base=TestFlatPayload.FINE_BASE),
+                             F(1), F(2), 6)
+        f = TensorFunction((SetFunction.constant(F(3, 7)),
+                            SetFunction.constant(F(-2)),
+                            SetFunction(1, (F(5, 3), F(5, 3)))))
+        eta = (1, 1, 2)
+        for rep in range(6):
+            stop = (StopRule(at_absorption=True) if rep % 2
+                    else StopRule(at_time=0.5))
+            _, traj = run_until(initial_state(f, eta), params, stop,
+                                replica_rng(43, rep))
+            payload = _replayed_payload(f, eta, traj, params)
+            assert payload.level == 2
+            factors = payload.set_functions()
+            assert {g.level for g in factors} == {0}
+            assert factors == tuple(
+                SetFunction(2, tuple(F(n, d) for n in g))
+                for g, d in zip(payload.factors(), payload.dens))
+            assert replay(f, eta, traj, params).y.factors == factors
+
+
+def _distinct(f):
+    """A tensor equal to f whose factors are distinct objects."""
+    return TensorFunction(tuple(SetFunction(x.level, x.coeffs)
+                                for x in f.factors))
+
+
+class TestRepeatedFactors:
+    """A payload starts each distinct factor object once, the exact
+    payload's states share one `SetFunction` among equal blocks, and
+    `evaluate_dual` pairs each distinct factor object once per colony; a
+    tensor that repeats one factor object runs, replays and pairs as one
+    made of equal but distinct objects, on both payloads and through
+    `run_until`."""
+
+    MU = (BaseMeasure(1, (F(3, 2), F(1, 2))), TestFlatPayload.FINE_BASE)
+
+    def _assert_same_value(self, state):
+        mu = self.MU
+        value = evaluate_dual(state, mu)
+        again = evaluate_dual(DualState(state.lp, _distinct(state.y)), mu)
+        assert value == again
+        if type(value) is float:
+            assert value.hex() == again.hex()
+
+    def test_repeated_object_equals_distinct_objects(self):
+        params = ModelParams(ATOM_HALF_QUARTER,
+                             MutationSpec(F(3, 2),
+                                          base=TestFlatPayload.FINE_BASE),
+                             F(1), F(1, 2), 6)
+        g, h = SetFunction(1, (F(1, 3), F(2))), SetFunction.indicator(E_STAR)
+        fg = SetFunction(g.level, tuple(map(float, g.coeffs)))
+        eta = (1, 2, 1, 2)
+        for same in (TensorFunction((g, h, g, g)),
+                     TensorFunction((fg, h, fg, fg))):
+            distinct = _distinct(same)
+            assert distinct == same
+            assert len(set(map(id, distinct.factors))) == 4
+            self._assert_same_value(initial_state(same, eta))
+            for rep in range(8):
+                stop = (StopRule(at_absorption=True) if rep % 2
+                        else StopRule(at_time=0.6))
+                runs = [run_until(initial_state(t, eta), params, stop,
+                                  replica_rng(47, rep))
+                        for t in (same, distinct)]
+                assert runs[0] == runs[1]
+                assert _bits(g.coeffs for g in runs[0][0].y.factors) == \
+                    _bits(g.coeffs for g in runs[1][0].y.factors)
+                traj = runs[0][1]
+                for exact in (False, True):
+                    a, b = (replay(t, eta, traj, params, exact=exact)
+                            for t in (same, distinct))
+                    assert a == b
+                    if not exact:
+                        assert _bits(g.coeffs for g in a.y.factors) == \
+                            _bits(g.coeffs for g in b.y.factors)
+                    self._assert_same_value(a)
+
+    def test_equal_exact_blocks_share_a_set_function(self):
+        # blocks that start from one factor and do not merge stay equal
+        params = kingman_model()
+        f, eta = indicator_power(4), (1, 2, 1, 2)
+        shared = 0
+        for rep in range(10):
+            _, traj = run_until(initial_state(f, eta), params,
+                                StopRule(at_time=0.3), replica_rng(53, rep))
+            factors = replay(f, eta, traj, params).y.factors
+            assert len(set(map(id, factors))) == len(set(factors))
+            shared += len(factors) - len(set(factors))
+        assert shared > 0
 
 
 class TestDualGenerator:
