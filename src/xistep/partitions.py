@@ -81,6 +81,17 @@ class LabeledPartition:
             raise ValueError("one label per block required")
         validate_labels(self.labels)
 
+    @classmethod
+    def _canonical(cls, partition, labels):
+        """A labeled partition built without `__post_init__`'s checks, for
+        the dual's chains: their blocks start as a checked partition and
+        change only by `coagulate`, which keeps them canonical, and their
+        labels start checked and change only to colony 1 or 2."""
+        lp = object.__new__(cls)
+        object.__setattr__(lp, "partition", partition)
+        object.__setattr__(lp, "labels", labels)
+        return lp
+
     @property
     def block_count(self):
         return len(self.partition)

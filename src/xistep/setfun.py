@@ -109,6 +109,17 @@ class SetFunction:
         object.__setattr__(self, "coeffs", vals)
 
     @classmethod
+    def _reduced(cls, level, coeffs):
+        """The set function of a coefficient tuple already at its coarsest
+        level (`_reduce_cells`), built without `__post_init__`'s check and
+        reduction: for the simulator's payloads, whose states reduce their
+        cells themselves."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "level", level)
+        object.__setattr__(g, "coeffs", coeffs)
+        return g
+
+    @classmethod
     def constant(cls, c):
         return cls(0, (c,))
 

@@ -112,6 +112,15 @@ class CollisionProfile:
         return profile_multiplicity(self.n, self.merge_sizes, self.s)
 
 
+@lru_cache(maxsize=MAX_BLOCKS)
+def _profiles(b):
+    """Every achievable collision profile of b blocks (`iter_profiles`'s
+    order) with its multiplicity, validated once per block count: the
+    profiles are immutable, so every rate table shares them."""
+    return tuple((CollisionProfile(b, ks, s), profile_multiplicity(b, ks, s))
+                 for ks, s in iter_profiles(b))
+
+
 @lru_cache(maxsize=128)
 def _paintbox_scan(coords, b_max):
     """Unnormalized paintbox rates of one atom with coordinates x for
@@ -304,7 +313,8 @@ def build_rate_table(xi, b_max=8):
     and the untouched blocks' coordinates as sets, and every profile reads
     its rate from them with the factors mult_k! and s!/(s - l)!. The rates
     of one block count are summed over the atoms on integers
-    (`_rates`)."""
+    (`_rates`), for the profiles and multiplicities every table shares
+    (`_profiles`)."""
     if b_max < 1:
         raise ValueError("b_max must be >= 1")
     if b_max > MAX_BLOCKS:
@@ -313,11 +323,11 @@ def build_rate_table(xi, b_max=8):
     atom_rates = _atom_rates(xi, b_max)
     rows = {}
     for b in range(2, b_max + 1):
-        profiles = iter_profiles(b)
-        rates = _rates(xi, atom_rates, b, [(b, ks, s) for ks, s in profiles])
-        rows[b] = tuple((CollisionProfile(b, ks, s), rate,
-                         profile_multiplicity(b, ks, s))
-                        for (ks, s), rate in zip(profiles, rates))
+        profiles = _profiles(b)
+        rates = _rates(xi, atom_rates, b,
+                       [(b, prof.merge_sizes, prof.s) for prof, _ in profiles])
+        rows[b] = tuple((prof, rate, mult)
+                        for (prof, mult), rate in zip(profiles, rates))
     return RateTable(b_max, rows)
 
 

@@ -16,7 +16,8 @@ append each holding time and each coalescence's merge groups.
 
 The two coefficient payloads (`_Cells`) hold each block's coefficients
 one block after another, one per cell of the run's grid level
-(`_run_level`), and start each distinct factor once (`_per_factor`);
+(`_run_level`), and start each distinct factor once, keeping recent
+starts across calls (`_per_factor`);
 flow and merge act cell by cell and never refine or reduce that level,
 and one pass over the list flows every block. A merge
 multiplies the factors of each group's blocks in block order. Under
@@ -36,7 +37,9 @@ is the one description of when `_run` stops: at a time of at least 0 or
 at absorption, capped at `max_events`. `run_until` passes its caller's;
 the estimators build one per call (`_replica_stop`).
 `_Chain.apply` turns a recorded event (and `dual_generator_value`'s
-enumerated ones) into a migration or a coalescence.
+enumerated ones) into a migration or a coalescence. `replay` decodes a
+trajectory through it once per eta (`_decode`), on a skeleton that it
+keeps on the trajectory, and drives each payload along that skeleton.
 Per event `_run` looks its rates up in the jump rates `ModelParams`
 tabulates per pair of colony block counts, draws, and moves a block or
 unites the merge groups. It keeps the run's clock, event count, count of
@@ -57,8 +60,12 @@ where they are read: the states `run_until`, `replay` and
 absorption is one label left, and the skeleton's leaf values read merge
 groups and leaves by position. `DualState`, `LabeledPartition`,
 `TensorFunction` and (reduced) `SetFunction`s are built only where a
-public function takes or returns them; `replay` checks eta and the
-arity once and starts its chain from singleton blocks without one.
+public function takes or returns them, and a chain's state builds them
+without re-checks (`LabeledPartition._canonical`,
+`SetFunction._reduced`): the blocks stay canonical, and each payload
+reduces its set functions itself. `replay` checks eta and the arity once
+per call and decodes each trajectory once per eta, from singleton blocks
+without a `DualState`.
 Exact values stay integers until a Fraction is returned: the exact
 payload reduces each block's grid level on its integer numerators and
 builds one Fraction per kept cell, one `SetFunction` for equal blocks
@@ -211,14 +218,32 @@ def _run_level(factors, base):
     return max(base.grid_level, *(g.level for g in factors))
 
 
-def _per_factor(factors, start):
-    """`start(g)` for each factor g, computed once per distinct factor
-    object: a tensor may repeat one factor, as an indicator power does."""
-    done = {}
+# the factor starts of recent calls of `_per_factor`, oldest first
+_STARTS = {}
+_STARTS_CAP = 64
+
+
+def _per_factor(kind, factors, level, base, start):
+    """`start(g)` for each factor g, the `kind` of start ("float" or
+    "exact") of g at grid level `level` under the mutation base `base`.
+    Each is computed once per distinct factor object and kept across calls
+    in a memo of at most `_STARTS_CAP` starts that forgets the oldest
+    first: a tensor may repeat one factor, as an indicator power does, and
+    replaying a path on several tensors, or recording many paths from one,
+    starts the same factors again. The memo is keyed by the identities of
+    g and `base`, since hashing a `SetFunction` hashes every coefficient;
+    an entry holds g and `base`, so no other object takes their ids while
+    it lives. Payloads share a start and never change it."""
+    out = []
     for g in factors:
-        if id(g) not in done:
-            done[id(g)] = start(g)
-    return [done[id(g)] for g in factors]
+        key = (kind, id(g), level, id(base))
+        hit = _STARTS.get(key)
+        if hit is None:
+            if len(_STARTS) >= _STARTS_CAP:
+                del _STARTS[next(iter(_STARTS))]
+            hit = _STARTS[key] = (g, base, start(g))
+        out.append(hit[2])
+    return out
 
 
 def _start(factors, base):
@@ -238,7 +263,7 @@ def _start(factors, base):
         return ([float(c) for c in cells],
                 float(base.integrate_cells(level, cells)))
 
-    starts = _per_factor(factors, start)
+    starts = _per_factor("float", factors, level, base, start)
     width = 1 << level
     return (level, [c for cells, _ in starts for c in cells],
             base.float_integrator(level),
@@ -315,8 +340,10 @@ class _FloatPayload(_Cells):
         self.pending = 0.0
 
     def set_functions(self):
-        """The payload as reduced `SetFunction`s, in block order."""
-        return tuple(SetFunction(self.level, tuple(g))
+        """The payload as reduced `SetFunction`s, in block order, each
+        reduced once (`_reduce_cells`) and built without a re-check."""
+        level, reduced = self.level, SetFunction._reduced
+        return tuple(reduced(*_reduce_cells(level, g))
                      for g in self.factors())
 
 
@@ -346,7 +373,7 @@ class _ExactPayload(_Cells):
             nums, den = integer_numerators(g._coeffs_at(level))
             return nums, den, self.integral(nums)
 
-        starts = _per_factor(factors, start)
+        starts = _per_factor("exact", factors, level, base, start)
         self.cells = [n for nums, _, _ in starts for n in nums]
         self.dens = [den for _, den, _ in starts]
         self.ints = [j for _, _, j in starts for _ in range(self.width)]
@@ -385,14 +412,15 @@ class _ExactPayload(_Cells):
         Fraction is built per cell kept. Blocks with equal numerators and
         denominator share one `SetFunction`: the flow is the same for
         every block, so blocks that started from one factor and have not
-        merged since stay equal."""
+        merged since stay equal. The reduction is the one the set function
+        needs, so it is built without a re-check."""
         made, out = {}, []
         for g, d in zip(self.factors(), self.dens):
             key = (d, *g)
             if key not in made:
                 level, nums = _reduce_cells(self.level, g)
-                made[key] = SetFunction(level, tuple([Fraction(n, d)
-                                                      for n in nums]))
+                made[key] = SetFunction._reduced(
+                    level, tuple([Fraction(n, d) for n in nums]))
             out.append(made[key])
         return tuple(out)
 
@@ -467,9 +495,12 @@ class _Chain:
         self.events += 1
 
     def state(self):
-        return DualState(LabeledPartition(self.blocks, tuple(self.labels)),
-                         TensorFunction(self.payload.set_functions()),
-                         self.clock, self.events)
+        """The chain's `DualState`: its blocks are canonical and its labels
+        colonies, so the labeled partition is built without a re-check."""
+        return DualState(
+            LabeledPartition._canonical(self.blocks, tuple(self.labels)),
+            TensorFunction(self.payload.set_functions()), self.clock,
+            self.events)
 
 
 def _run(chain, params, rng, stop, record=False):
@@ -629,6 +660,14 @@ class Trajectory:
     events: tuple
     truncated: bool = False
     stop_time: float = None
+    # per start labels, the path as `replay` decoded it (`_decode`); not
+    # part of ==, hash or repr, not pickled, and empty in a
+    # `dataclasses.replace` copy
+    _decoded: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
+
+    def __getstate__(self):
+        return dict(self.__dict__, _decoded={})
 
 
 def run_until(state, params, stop, rng):
@@ -647,26 +686,58 @@ def run_until(state, params, stop, rng):
                                      None if truncated else stop.at_time)
 
 
+def _decode(trajectory, labels):
+    """The path of `trajectory` from singleton blocks labeled `labels` (a
+    checked tuple): its skeleton (`_Skeleton`: each holding time, up to
+    the stop time if any, and each coalescence's merge groups), final
+    labeled partition, clock and event count. The records go through
+    `_Chain.apply` once per trajectory and labels and are kept on the
+    trajectory; a path with a bad record raises on every call and is not
+    kept."""
+    decoded = trajectory._decoded.get(labels)
+    if decoded is None:
+        chain = _Chain(singleton_partition(len(labels)), labels, _Skeleton())
+        for ev in trajectory.events:
+            chain.advance(ev.dt)
+            chain.apply(ev.kind, ev.colony, ev.detail)
+        if trajectory.stop_time is not None:
+            chain.advance_to(trajectory.stop_time)
+        decoded = trajectory._decoded[labels] = (
+            chain.payload,
+            LabeledPartition._canonical(chain.blocks, tuple(chain.labels)),
+            chain.clock, chain.events)
+    return decoded
+
+
 def replay(f, eta, trajectory, params, exact=True):
     """Re-apply a recorded event stream, up to its stop time if any, to a
     fresh initial tensor. Uses the recorded holding times, so two replays
     share identical semigroup factors; linearity checks then hold exactly
     in rational mode. The labels and the arity are checked as
-    `initial_state` checks them, before any event is applied; the chain
-    starts from singleton blocks labeled by eta."""
+    `initial_state` checks them, before any event is applied.
+
+    The records are checked and decoded once per trajectory and eta
+    (`_decode`), from singleton blocks labeled by eta; each replay then
+    drives its payload along the decoded skeleton, advancing it over each
+    holding time and merging it by each coalescence's groups, the same
+    calls with the same arguments as applying the records. The state's
+    partition is the decoded one, and its set functions are built without
+    a re-check (`SetFunction._reduced`)."""
     labels = tuple(eta)
     validate_labels(labels)
     _check_arity(f, len(labels))
+    skeleton, lp, clock, events = _decode(trajectory, labels)
     base, theta = params.mutation.base, params._tables[2]
     payload = (_ExactPayload(f.factors, base, theta) if exact
                else _FloatPayload(_start(f.factors, base), theta))
-    chain = _Chain(singleton_partition(len(labels)), labels, payload)
-    for ev in trajectory.events:
-        chain.advance(ev.dt)
-        chain.apply(ev.kind, ev.colony, ev.detail)
-    if trajectory.stop_time is not None:
-        chain.advance_to(trajectory.stop_time)
-    return chain.state()
+    advance, merge = payload.advance, payload.merge
+    for step in skeleton:
+        if type(step) is list:
+            merge(step)
+        else:
+            advance(step)
+    return DualState(lp, TensorFunction(payload.set_functions()), clock,
+                     events)
 
 
 def evaluate_dual(state, mu):

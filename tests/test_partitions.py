@@ -192,6 +192,14 @@ class TestLabeled:
         assert out == (((1, 3, 4), (2,)), (2, 1), [2 * 5, 3])
 
 
+def test_canonical_builder_equals_the_constructor():
+    # the dual's chains build their labeled partitions without a re-check
+    for pi, labels in _labelled_partitions(5):
+        built = LabeledPartition._canonical(pi, labels)
+        assert built == LabeledPartition(pi, labels)
+        assert built.block_count == len(pi)
+
+
 def _labelled_partitions(max_n=6):
     """Every partition of [n], n <= max_n, with every colony labelling."""
     for n in range(1, max_n + 1):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
                     TensorFunction)
-from xistep.setfun import ONE, apply_generator_uniform, cell_index, float_sum
+from xistep.setfun import (ONE, _reduce_cells, apply_generator_uniform,
+                           cell_index, float_sum)
 
 from conftest import (E_STAR, decay_factor, intersection, multiply, scale,
                       semigroup_apply_uniform, value_at)
@@ -58,6 +59,24 @@ class TestSetFunction:
         g = SetFunction.indicator(interval(1, 3, 2))
         assert value_at(g, F(1, 4)) == 1
         assert value_at(g, F(3, 4)) == 0
+
+    @given(level=st.integers(0, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_builder_equals_the_constructor(self, level, data):
+        # the simulator's states reduce their cells with `_reduce_cells`
+        # and build the set function without a re-check; step functions
+        # with repeated halves reduce through several levels
+        coeff = st.one_of(st.fractions(-2, 2, max_denominator=5),
+                          st.sampled_from([0.0, -0.0, 0.5, 1e-310]))
+        half = data.draw(st.lists(coeff, min_size=1 << level,
+                                  max_size=1 << level))
+        for cells in (half, [c for c in half for _ in range(2)]):
+            lvl = level + (len(cells) > len(half))
+            built = SetFunction._reduced(*_reduce_cells(lvl, cells))
+            checked = SetFunction(lvl, tuple(cells))
+            assert built == checked
+            assert (built.level, type(built.coeffs)) == \
+                (checked.level, tuple)
 
 
 class TestBaseMeasure:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from xistep import (CollisionProfile, SimplexAtom, XiMeasure,
                     build_rate_table, check_consistency, collision_rate)
-from xistep.partitions import iter_profiles, profile_of
+from xistep.partitions import iter_profiles, profile_multiplicity, profile_of
 from xistep.simplex import MAX_BLOCKS, _paintbox_scan
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, STAR, SWEEP
@@ -106,6 +106,31 @@ class TestRateTable:
                                        (2, F(9, 20)))
         with pytest.raises(ValueError, match="b_max=7"):
             table.drop_rates(8)
+
+    def test_profiles_equal_freshly_validated_ones(self):
+        # every table shares one validated tuple of profiles per block
+        # count; each equals the profile `CollisionProfile` validates from
+        # `iter_profiles`' (merge sizes, s), with its multiplicity
+        tables = [build_rate_table(xi, MAX_BLOCKS)
+                  for xi in (SWEEP, KINGMAN, ATOM_HALF_QUARTER)]
+        for b in range(2, MAX_BLOCKS + 1):
+            fresh = [(CollisionProfile(b, ks, s),
+                      profile_multiplicity(b, ks, s))
+                     for ks, s in iter_profiles(b)]
+            for table in tables:
+                assert [(prof, mult) for prof, _, mult
+                        in table.profiles(b)] == fresh
+            assert all(type(prof.merge_sizes) is tuple
+                       for prof, _ in fresh)
+            # the same objects in every table, and in a smaller one
+            first = [prof for prof, _, _ in tables[0].profiles(b)]
+            for table in tables[1:]:
+                assert all(p is q for p, (q, _, _)
+                           in zip(first, table.profiles(b)))
+        small = build_rate_table(STAR, 6)
+        for b in range(2, 7):
+            assert all(p is q for (p, _, _), (q, _, _)
+                       in zip(small.profiles(b), tables[0].profiles(b)))
 
     def test_cap_is_named(self):
         with pytest.raises(ValueError, match=f"cap of {MAX_BLOCKS}"):

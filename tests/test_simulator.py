@@ -1,7 +1,10 @@
 import bisect
+import copy
+import dataclasses
 import functools
 import hashlib
 import math
+import pickle
 import random
 import statistics
 from fractions import Fraction
@@ -1261,10 +1264,23 @@ class TestRefusals:
                         workers=2)
 
 
+def _refused_twice(f, eta, traj, params, exact, message):
+    """`replay` refuses `traj` with `message` on a first and on a second
+    call, in the same words, and keeps no decoded path on it."""
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message) as err:
+            replay(f, eta, traj, params, exact=exact)
+        texts.append(str(err.value))
+        assert traj._decoded == {}
+    assert texts[0] == texts[1]
+
+
 class TestReplayRefusesRecords:
     """A record that would replay as a counted event changing nothing is
     refused, on both payloads (Kingman, eta (1, 2)), and so is a holding
-    time or stop time below 0 or NaN."""
+    time or stop time below 0 or NaN. A refused trajectory is refused
+    again on a second replay, and no decoded path is kept on it."""
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("record,message", [
@@ -1276,9 +1292,8 @@ class TestReplayRefusesRecords:
          r"coalescence record in colony 1: partition \(\(1,\),\) merges "
          "nothing")], ids=["migration", "coalescence"])
     def test_no_op_record_refused(self, exact, record, message):
-        with pytest.raises(ValueError, match=message):
-            replay(indicator_power(2), (1, 2), Trajectory((record,)),
-                   kingman_model(), exact=exact)
+        _refused_twice(indicator_power(2), (1, 2), Trajectory((record,)),
+                       kingman_model(), exact, message)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_negative_holding_time_refused(self, exact):
@@ -1289,10 +1304,9 @@ class TestReplayRefusesRecords:
             record = EventRecord(dt, dt, "migration", 1, 1, 1)
             for traj in (Trajectory((record,)),
                          Trajectory((), stop_time=dt)):
-                with pytest.raises(ValueError, match="holding time must be "
-                                   f"at least 0, got {dt}"):
-                    replay(indicator_power(2), (1, 2), traj,
-                           kingman_model(), exact=exact)
+                _refused_twice(indicator_power(2), (1, 2), traj,
+                               kingman_model(), exact,
+                               f"holding time must be at least 0, got {dt}")
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("eta,detail", [
@@ -1303,10 +1317,10 @@ class TestReplayRefusesRecords:
         # such a record used to replay as a counted event, the repeated
         # rank squaring its block's factor
         record = EventRecord(0.1, 0.1, "coalescence", 1, detail, len(eta))
-        with pytest.raises(ValueError, match="coalescence record in colony "
-                           r"1: .* repeats an element"):
-            replay(indicator_power(len(eta)), eta, Trajectory((record,)),
-                   kingman_model(), exact=exact)
+        _refused_twice(indicator_power(len(eta)), eta, Trajectory((record,)),
+                       kingman_model(), exact,
+                       r"coalescence record in colony 1: .* repeats an "
+                       "element")
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("n,eta,message", [
@@ -1323,9 +1337,23 @@ class TestReplayRefusesRecords:
         with pytest.raises(ValueError, match=message):
             initial_state(f, eta)
         record = EventRecord(math.nan, math.nan, "migration", 1, 1, 2)
-        with pytest.raises(ValueError, match=message):
-            replay(f, eta, Trajectory((record,)), kingman_model(),
-                   exact=exact)
+        _refused_twice(f, eta, Trajectory((record,)), kingman_model(),
+                       exact, message)
+
+    def test_later_bad_record_keeps_nothing(self):
+        # the first record is good: the path is refused at the second, and
+        # a valid eta decoded before is kept beside nothing for the bad one
+        good = EventRecord(0.1, 0.1, "migration", 1, 1, 2)
+        bad = EventRecord(0.3, 0.2, "migration", 1, 2, 2)
+        traj = Trajectory((good, bad))
+        params = kingman_model()
+        # from (1, 1) both records are good: block 1, then block 2 leave
+        assert replay(indicator_power(2), (1, 1), traj, params).lp.labels \
+            == (2, 2)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="block 2 is in colony 2"):
+                replay(indicator_power(2), (1, 2), traj, params, exact=exact)
+        assert list(traj._decoded) == [(1, 1)]
 
     def test_recorded_paths_still_replay(self):
         params = kingman_model()
@@ -1338,6 +1366,138 @@ class TestReplayRefusesRecords:
                 again = replay(f, (1, 2, 1), traj, params, exact=exact)
                 assert again.lp == state.lp
                 assert again.events == len(traj.events)
+
+
+class TestDecodedPaths:
+    """`replay` decodes a trajectory once per eta and keeps the decoded
+    path on it, outside its ==, hash, repr and pickling; replays through
+    a kept path equal replays of fresh, equal trajectories."""
+
+    # good from (1, 1, 2) and from (1, 2, 1), with different blocks:
+    # colony 1's two blocks merge, then colony 2's block moves to colony 1
+    EVENTS = (EventRecord(0.1, 0.1, "coalescence", 1, ((1, 2),), 2),
+              EventRecord(0.35, 0.25, "migration", 2, 2, 2))
+    TENSOR = TensorFunction((SetFunction(1, (F(1, 3), F(2))),
+                             SetFunction.indicator(E_STAR),
+                             SetFunction(2, (0.3, 1.7, 0.25, 1.1))))
+
+    @staticmethod
+    def _assert_same(a, b, exact):
+        assert a == b
+        if not exact:
+            assert _bits(g.coeffs for g in a.y.factors) == \
+                _bits(g.coeffs for g in b.y.factors)
+            assert a.clock.hex() == b.clock.hex()
+
+    def test_two_etas_equal_fresh_trajectories(self):
+        params = kingman_model()
+        traj = Trajectory(self.EVENTS, stop_time=0.5)
+        etas = [(1, 1, 2), (1, 2, 1)]
+        for _ in range(2):
+            for exact in (True, False):
+                for eta in etas:
+                    fresh = Trajectory(self.EVENTS, stop_time=0.5)
+                    self._assert_same(
+                        replay(self.TENSOR, eta, traj, params, exact=exact),
+                        replay(self.TENSOR, eta, fresh, params, exact=exact),
+                        exact)
+        assert list(traj._decoded) == etas
+        assert [traj._decoded[eta][1].partition for eta in etas] == \
+            [((1, 2), (3,)), ((1, 3), (2,))]
+
+    def test_records_decoded_once_per_eta(self, monkeypatch):
+        calls = []
+        apply = simulator._Chain.apply
+
+        def counting(chain, *args):
+            calls.append(args)
+            return apply(chain, *args)
+
+        monkeypatch.setattr(simulator._Chain, "apply", counting)
+        params = kingman_model()
+        traj = Trajectory(self.EVENTS, stop_time=0.5)
+        for eta in [(1, 1, 2), (1, 2, 1), (1, 1, 2)]:
+            for exact in (True, False):
+                replay(self.TENSOR, eta, traj, params, exact=exact)
+                replay(indicator_power(3), eta, traj, params, exact=exact)
+        # two etas, each decoded once
+        assert len(calls) == 2 * len(self.EVENTS)
+
+    def test_recorded_paths_equal_fresh_trajectories(self):
+        params, eta = _frozen_model("atom")
+        tensors = [_frozen_tensor(len(eta)),
+                   _frozen_tensor(len(eta), exact=True)]
+        for rep in range(8):
+            stop = (StopRule(at_absorption=True) if rep % 2
+                    else StopRule(at_time=0.6))
+            _, traj = run_until(initial_state(tensors[0], eta), params,
+                                stop, replica_rng(59, rep))
+            for _ in range(2):
+                for f in tensors:
+                    for exact in (True, False):
+                        fresh = Trajectory(traj.events, traj.truncated,
+                                           traj.stop_time)
+                        self._assert_same(
+                            replay(f, eta, traj, params, exact=exact),
+                            replay(f, eta, fresh, params, exact=exact),
+                            exact)
+            assert list(traj._decoded) == [eta]
+
+    def test_kept_path_outside_eq_hash_repr_pickle_and_replace(self):
+        params, eta = kingman_model(), (1, 2, 1)
+        f = indicator_power(3)
+        _, traj = run_until(initial_state(f, eta), params,
+                            StopRule(at_time=0.7), replica_rng(61, 0))
+        fresh = Trajectory(traj.events, traj.truncated, traj.stop_time)
+        before = (repr(traj), hash(traj), pickle.dumps(traj))
+        state = replay(f, eta, traj, params)
+        assert traj._decoded and not fresh._decoded
+        assert traj == fresh and hash(traj) == hash(fresh)
+        assert (repr(traj), hash(traj), pickle.dumps(traj)) == before
+        assert repr(traj) == repr(fresh) and "_decoded" not in repr(traj)
+        assert pickle.dumps(traj) == pickle.dumps(fresh)
+        for back in (pickle.loads(pickle.dumps(traj)), copy.copy(traj)):
+            assert back == traj and back._decoded == {}
+            assert replay(f, eta, back, params) == state
+        moved = dataclasses.replace(traj, stop_time=0.9)
+        assert moved._decoded == {}
+        assert replay(f, eta, moved, params) == replay(
+            f, eta, Trajectory(traj.events, traj.truncated, 0.9), params)
+        assert replay(f, eta, traj, params) == state
+        with pytest.raises(ValueError, match="_decoded"):
+            dataclasses.replace(traj, _decoded={})
+
+    @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
+    @pytest.mark.parametrize("t", [0.3, 2.0, None])
+    def test_both_readers_of_a_path_agree(self, monkeypatch, name, t):
+        # the skeleton `genealogical_evaluate`'s chain builds on a stream
+        # is the decoded skeleton of the path `run_until` records on it
+        params, eta = _frozen_model(name)
+        f = indicator_power(len(eta))
+        seen = []
+        leaf_value = simulator._leaf_value
+
+        def keep(chain, *args):
+            seen.append((list(chain.payload), chain.clock, chain.events,
+                         tuple(chain.labels)))
+            return leaf_value(chain, *args)
+
+        monkeypatch.setattr(simulator, "_leaf_value", keep)
+        mu = (BaseMeasure.uniform(), BaseMeasure.uniform())
+        genealogical_evaluate(f, eta, mu, t, 12, params, 67)
+        stop = StopRule(at_time=t, at_absorption=t is None)
+        merges = 0
+        for rep, (steps, clock, events, labels) in enumerate(seen):
+            _, traj = run_until(initial_state(f, eta), params, stop,
+                                replica_rng(67, rep))
+            skeleton, lp, decoded_clock, count = simulator._decode(traj, eta)
+            assert [s.hex() if type(s) is float else s for s in skeleton] \
+                == [s.hex() if type(s) is float else s for s in steps]
+            assert decoded_clock.hex() == clock.hex()
+            assert count == events == len(traj.events)
+            assert lp.labels == labels
+            merges += sum(type(s) is list for s in steps)
+        assert len(seen) == 12 and merges > 0
 
 
 def _reference_replay(f, eta, trajectory, params, exact):
@@ -1690,6 +1850,136 @@ class TestRepeatedFactors:
             assert len(set(map(id, factors))) == len(set(factors))
             shared += len(factors) - len(set(factors))
         assert shared > 0
+
+
+class TestChainStates:
+    """The states of `run_until`, `replay` and `dual_generator_value` are
+    built without re-checks; each equals what the validating constructors
+    build from the same parts."""
+
+    @staticmethod
+    def _assert_checked(state):
+        lp = state.lp
+        assert LabeledPartition(lp.partition, lp.labels) == lp
+        for g in state.y.factors:
+            assert type(g.coeffs) is tuple
+            assert SetFunction(g.level, g.coeffs) == g
+
+    @given(case=replay_case())
+    @settings(max_examples=40, deadline=None)
+    def test_replay_and_run_until_states(self, case):
+        params, f, eta, traj, _ = case
+        for exact in (True, False):
+            self._assert_checked(replay(f, eta, traj, params, exact=exact))
+        state, _ = run_until(initial_state(f, eta), params,
+                             StopRule(at_time=0.4), random.Random(3))
+        self._assert_checked(state)
+
+    def test_dual_generator_states(self, monkeypatch):
+        states = []
+        chain_state = simulator._Chain.state
+
+        def keep(chain):
+            states.append(chain_state(chain))
+            return states[-1]
+
+        monkeypatch.setattr(simulator._Chain, "state", keep)
+        base = TestFlatPayload.FINE_BASE
+        params = ModelParams(SWEEP, MutationSpec(F(1), base=base), F(1),
+                             F(2), 6)
+        f = TensorFunction((SetFunction(1, (F(1, 3), F(2))),
+                            SetFunction.constant(F(3, 7)),
+                            SetFunction.indicator(E_STAR),
+                            SetFunction(2, (F(1), F(1), F(2), F(2)))))
+        mu = (BaseMeasure.uniform(), base)
+        dual_generator_value(f, (1, 1, 2, 1), mu, params)
+        # the four partitions of colony 1's three ranks that merge, and
+        # one migration per block
+        assert len(states) == 8
+        for state in states:
+            self._assert_checked(state)
+
+
+class TestStartMemo:
+    """Both payloads start each factor once across calls, in a bounded
+    memo keyed by the identities of the factor and the base; a warm memo
+    gives every state a cold one gives, to the bit."""
+
+    @staticmethod
+    def _counting(calls):
+        def start(g):
+            calls.append(g)
+            return object()
+        return start
+
+    def test_each_factor_starts_once_across_calls(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STARTS", {})
+        calls = []
+        start = self._counting(calls)
+        g, h = SetFunction(1, (F(1, 3), F(2))), SetFunction.indicator(E_STAR)
+        base = BaseMeasure.uniform()
+        a = simulator._per_factor("exact", (g, h, g), 1, base, start)
+        b = simulator._per_factor("exact", (h, g), 1, base, start)
+        assert calls == [g, h]
+        assert a[0] is a[2] is b[1] and a[1] is b[0]
+        # another kind, level or base object, or an equal factor that is
+        # another object, starts again
+        for args in (("float", (g,), 1, base), ("exact", (g,), 2, base),
+                     ("exact", (g,), 1, BaseMeasure.uniform()),
+                     ("exact", (SetFunction(g.level, g.coeffs),), 1, base)):
+            simulator._per_factor(*args, start)
+        assert len(calls) == 6
+        # an entry holds its factor and base, so their ids stay theirs
+        assert all(key[1] == id(entry[0]) and key[3] == id(entry[1])
+                   for key, entry in simulator._STARTS.items())
+
+    def test_memo_forgets_the_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_STARTS", {})
+        monkeypatch.setattr(simulator, "_STARTS_CAP", 3)
+        calls = []
+        start = self._counting(calls)
+        base = BaseMeasure.uniform()
+        factors = [SetFunction.constant(F(k)) for k in range(5)]
+        for g in factors:
+            simulator._per_factor("exact", (g,), 0, base, start)
+        assert [entry[0] for entry in simulator._STARTS.values()] == \
+            factors[2:]
+        simulator._per_factor("exact", (factors[4],), 0, base, start)
+        simulator._per_factor("exact", (factors[0],), 0, base, start)
+        assert calls == factors + [factors[0]]
+        assert len(simulator._STARTS) == 3
+
+    def test_warm_memo_gives_the_cold_states(self, monkeypatch):
+        params, eta = _frozen_model("atom")
+        f = _frozen_tensor(len(eta))
+        fq = _frozen_tensor(len(eta), exact=True)
+        stop = StopRule(at_time=0.6)
+
+        def states():
+            out = []
+            for rep in range(6):
+                state, traj = run_until(initial_state(fq, eta), params,
+                                        stop, replica_rng(71, rep))
+                out.append(state)
+                out += [replay(g, eta, traj, params, exact=exact)
+                        for g in (f, fq) for exact in (True, False)]
+            return out
+
+        def digest(out):
+            return [(repr(s), _bits(g.coeffs for g in s.y.factors
+                                    if type(g.coeffs[0]) is float))
+                    for s in out]
+
+        class Cold(dict):
+            """A memo that never finds a start."""
+
+            def get(self, key, default=None):
+                return default
+
+        warm = states()
+        assert digest(states()) == digest(warm)
+        monkeypatch.setattr(simulator, "_STARTS", Cold())
+        assert digest(states()) == digest(warm)
 
 
 class TestDualGenerator:
