@@ -77,12 +77,6 @@ class XiMeasure:
     def total_mass(self):
         return self.kingman_mass + sum(a.weight for a in self.atoms)
 
-    def scaled(self, c):
-        c = Fraction(c)
-        return XiMeasure(self.kingman_mass * c,
-                         tuple(SimplexAtom(a.coords, a.weight * c)
-                               for a in self.atoms))
-
 
 @dataclass(frozen=True)
 class CollisionProfile:

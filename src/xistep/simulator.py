@@ -1,91 +1,54 @@
 """The labeled-coalescent dual as a simulatable jump chain, with duality
 functional evaluation and Monte Carlo moment estimators.
 
-One kernel runs the chain. `_Chain` is the mutable state of one run:
-colony labels (a list that events change in place), the blocks in
-least-element order where some caller reads them, the clock, the event
-count and one payload, what rides on the blocks. A payload has two
-operations, `advance(dt)` over a holding time and `merge(groups)` by the
-merge groups of one colony's blocks (`partitions.merge_groups`); nothing
-else of it is read, so it never changes the path. The float payload
-(`_FloatPayload`, from `_start`, which rounds a rational start once) runs
-in `run_until`, the estimators and `replay(exact=False)`, the exact one
-(`_ExactPayload`) in `replay(exact=True)` and `dual_generator_value`.
-The genealogical skeleton (`_Skeleton`) is a list whose advance and merge
-append each holding time and each coalescence's merge groups.
+The pieces, and the tests in `tests/test_simulator.py` that hold them:
 
-The two coefficient payloads (`_Cells`) hold each block's coefficients
-one block after another, one per cell of the run's grid level
-(`_run_level`), and start each distinct factor once, keeping recent
-starts across calls (`_per_factor`);
-flow and merge act cell by cell and never refine or reduce that level,
-and one pass over the list flows every block. A merge
-multiplies the factors of each group's blocks in block order. Under
-uniform-jump mutation the flow g -> p g + (1 - p) <base, g> is the same
-in both colonies and T_s T_t = T_{s+t}, so both payloads defer it:
-`advance` only adds to a pending time (float) or multiplies a pending
-decay factor (exact), and the flow over it runs once, at the next
-coalescence or when the factors are read, once per coalescence instead
-of once per event, most of which are migrations. The flow keeps each
-block's base integral, so both payloads keep their integrals and compute
-one only for a block that a coalescence unites from several. The exact
-flows compose exactly, so its results equal those of eager flows.
-
-Events come from the RNG in `_run`, the one loop behind `run_until` and
-the estimators, or from a recorded `Trajectory` in `replay`. A `StopRule`
-is the one description of when `_run` stops: at a time of at least 0 or
-at absorption, capped at `max_events`. `run_until` passes its caller's;
-the estimators build one per call (`_replica_stop`).
-`_Chain.apply` turns a recorded event (and `dual_generator_value`'s
-enumerated ones) into a migration or a coalescence. `replay` decodes a
-trajectory through it once per eta (`_decode`), on a skeleton that it
-keeps on the trajectory, and drives each payload along that skeleton.
-Per event `_run` looks its rates up in the jump rates `ModelParams`
-tabulates per pair of colony block counts, draws, and moves a block or
-unites the merge groups. It keeps the run's clock, event count, count of
-colony-1 blocks and blocks in locals, with the payload's advance and
-merge bound to locals, and writes clock, count and blocks back to the
-chain when the run ends. Its draws are the stdlib's `expovariate`,
-`randrange` and `shuffle` written out on the generator's `random` and
-`getrandbits`, the same calls in the same order, so streams and results
-are those of the helpers for a `random.Random` whose `_randbelow` is the
-getrandbits one, as `replica_rng`'s streams are (see `_run`). The frozen
-loop of the simulator tests calls the helpers and holds `_run`'s records,
-payload bits, replica values, skeleton segments and generator state
-after the run to its own. `_run` builds the canonical partition that
-`EventRecord.detail` holds, keeps `EventRecord`s at all and keeps the
-blocks, only for `run_until`, which returns them. Block contents exist
-where they are read: the states `run_until`, `replay` and
-`dual_generator_value` build. The estimators' chains carry none:
-absorption is one label left, and the skeleton's leaf values read merge
-groups and leaves by position. `DualState`, `LabeledPartition`,
-`TensorFunction` and (reduced) `SetFunction`s are built only where a
-public function takes or returns them, and a chain's state builds them
-without re-checks (`LabeledPartition._canonical`,
-`SetFunction._reduced`): the blocks stay canonical, and each payload
-reduces its set functions itself. `replay` checks eta and the arity once
-per call and decodes each trajectory once per eta, from singleton blocks
-without a `DualState`.
-Exact values stay integers until a Fraction is returned: the exact
-payload reduces each block's grid level on its integer numerators and
-builds one Fraction per kept cell, one `SetFunction` for equal blocks
-(`_ExactPayload.set_functions`), and `evaluate_dual` multiplies a
-rational state's block integrals as integer numerators and
-denominators, once per distinct factor object and colony, and builds
-one Fraction.
-
-One replica driver, `_replica_values`, serves the three estimators. Per
-call it builds what does not depend on the replica: the float start
-(`_start`), the pairing of a coefficient list with each colony law
-(`_float_pairing`, the bits of `evaluate_dual` without building
-`SetFunction`s) and, on the skeleton, the float leaf coefficients of f.
-Each replica runs a `_Chain` with a float payload from that start, or
-with a skeleton, to t or to absorption and yields the mu-pairing of its
-surviving factors or the genealogical leaf value. No run may exceed
-`EVENT_CAP` events: a replica that reaches it raises instead of returning
-a value from a truncated path. Replicas draw independent random streams
-derived deterministically from a master seed, so every reported number is
-reproducible.
+- `_Chain` is the mutable state of one run: colony labels (a list that
+  events change in place), the blocks in least-element order where a
+  caller reads them, the clock, the event count and one payload, what
+  rides on the blocks. A payload has `advance(dt)` over a holding time
+  and `merge(groups)` by one colony's merge groups
+  (`partitions.merge_groups`); nothing else of it is read, so it never
+  changes the path (`TestPayloadStream`).
+- `_run` is the one event loop, behind `run_until` and the estimators;
+  a `StopRule` says when it stops. Per event it reads the jump rates
+  that `ModelParams` tabulates per pair of colony block counts, draws as
+  the stdlib's `expovariate`, `randrange` and `shuffle` do on
+  `replica_rng`'s streams, and moves a block or unites merge groups.
+  `TestFrozenLoop` holds its records, payload bits, replica values,
+  skeleton segments and generator state to a frozen loop that calls the
+  stdlib helpers, and `TestEventMix` holds its event mix, absorption time
+  and multiple mergers to the exact block-count chain.
+- The payloads. `_FloatPayload`, from `_start`, which rounds a rational
+  start once (`TestRationalStart`), runs in `run_until`, the estimators
+  and `replay(exact=False)`; `_ExactPayload`, integer numerators over one
+  denominator per block, in `replay(exact=True)` and
+  `dual_generator_value` (`TestDualGenerator`); `_Skeleton` keeps each
+  holding time and each coalescence's merge groups for
+  `genealogical_evaluate` (`TestGenealogical`). The two coefficient
+  payloads (`_Cells`) hold the blocks' cells one after another at the
+  run's grid level (`_run_level`; `TestFlatPayload`), start each distinct
+  factor object once per call (`TestRepeatedFactors`), and defer the
+  uniform-jump mutation flow to the next coalescence or read, since
+  T_s T_t = T_{s+t}; the exact flows compose exactly (`TestDeferredFlow`).
+- `replay` drives a fresh payload along a recorded `Trajectory`.
+  `_decode` checks its records through `_Chain.apply` once per trajectory
+  and eta and keeps the decoded path on the trajectory
+  (`TestDecodedPaths`); a bad record is refused on every call
+  (`TestReplayRefusesRecords`).
+- States. `DualState`, `LabeledPartition`, `TensorFunction` and reduced
+  `SetFunction`s are built only where a public function takes or returns
+  them, and a chain builds its state without re-checks
+  (`TestChainStates`). `evaluate_dual` pairs a rational state on
+  integers and builds one Fraction (`TestIntegerPairing`).
+- Estimators. `_replica_values` serves `estimate_Qt`,
+  `estimate_stationary` and `genealogical_evaluate`: once per call it
+  builds the float start and each colony law's pairing (`_float_pairing`)
+  or the skeleton's leaf coefficients, then runs each replica on its own
+  stream `replica_rng(seed, rep)` and raises when one reaches `EVENT_CAP`
+  events instead of returning a value from a truncated path
+  (`TestReplicaDriver`). Every seeded report is reproducible, and
+  `TestPinnedOutput` in `tests/test_cli.py` pins their digests.
 """
 
 import copy
@@ -218,56 +181,31 @@ def _run_level(factors, base):
     return max(base.grid_level, *(g.level for g in factors))
 
 
-# the factor starts of recent calls of `_per_factor`, oldest first
-_STARTS = {}
-_STARTS_CAP = 64
-
-
-def _per_factor(kind, factors, level, base, start):
-    """`start(g)` for each factor g, the `kind` of start ("float" or
-    "exact") of g at grid level `level` under the mutation base `base`.
-    Each is computed once per distinct factor object and kept across calls
-    in a memo of at most `_STARTS_CAP` starts that forgets the oldest
-    first: a tensor may repeat one factor, as an indicator power does, and
-    replaying a path on several tensors, or recording many paths from one,
-    starts the same factors again. The memo is keyed by the identities of
-    g and `base`, since hashing a `SetFunction` hashes every coefficient;
-    an entry holds g and `base`, so no other object takes their ids while
-    it lives. Payloads share a start and never change it."""
-    out = []
-    for g in factors:
-        key = (kind, id(g), level, id(base))
-        hit = _STARTS.get(key)
-        if hit is None:
-            if len(_STARTS) >= _STARTS_CAP:
-                del _STARTS[next(iter(_STARTS))]
-            hit = _STARTS[key] = (g, base, start(g))
-        out.append(hit[2])
-    return out
-
-
 def _start(factors, base):
     """The start of a float payload (`_FloatPayload`), for a tensor's
     factors under the mutation base `base`: the run's level, the factors'
     cells at it one block after another, the base's float integral of one
-    block and each block's integral once per cell. `integrate_cells`
-    integrates each factor, exactly when it is rational, and cells and
-    integrals are rounded to float once. That gives the bits of advancing
-    a rational start: `p * v` for a float p and a Fraction v is
-    `p * float(v)`. Payloads may share a start: advance and merge build
-    new lists and never change it."""
+    block and each block's integral once per cell, in one pass over the
+    factors that starts each distinct factor object once; nothing is kept
+    after the call. `integrate_cells` integrates each factor, exactly when
+    it is rational, and cells and integrals are rounded to float once.
+    That gives the bits of advancing a rational start: `p * v` for a float
+    p and a Fraction v is `p * float(v)`. Payloads may share a start:
+    advance and merge build new lists and never change it."""
     level = _run_level(factors, base)
-
-    def start(g):
-        cells = g._coeffs_at(level)
-        return ([float(c) for c in cells],
-                float(base.integrate_cells(level, cells)))
-
-    starts = _per_factor("float", factors, level, base, start)
     width = 1 << level
-    return (level, [c for cells, _ in starts for c in cells],
-            base.float_integrator(level),
-            [j for _, j in starts for _ in range(width)])
+    cells, ints, done = [], [], {}
+    for g in factors:
+        # a tensor may repeat one factor, as an indicator power does
+        start = done.get(id(g))
+        if start is None:
+            coeffs = g._coeffs_at(level)
+            start = done[id(g)] = (
+                [float(c) for c in coeffs],
+                [float(base.integrate_cells(level, coeffs))] * width)
+        cells += start[0]
+        ints += start[1]
+    return level, cells, base.float_integrator(level), ints
 
 
 class _Cells:
@@ -352,8 +290,10 @@ class _ExactPayload(_Cells):
     `dual_generator_value`: per block, integer numerators N_i over one
     integer denominator D, read as the coefficients N_i / D. Start
     coefficients (Fractions, ints or floats, which are dyadic rationals)
-    are converted exactly (`integer_numerators`), once per distinct
-    factor. The base integral is J / (D K), J the integer dot product
+    are converted exactly (`integer_numerators`) in one pass over the
+    factors that builds the cells, denominators and integrals and starts
+    each distinct factor object once; nothing is kept after the call. The
+    base integral is J / (D K), J the integer dot product
     (`weighted_sum`) with the base's `exact_weights` over their
     denominator K; `ints` holds J. A float decay factor is the dyadic
     rational a / 2^k, and `pending` is (A, T), the product of the pending
@@ -365,18 +305,20 @@ class _ExactPayload(_Cells):
 
     def __init__(self, factors, base, theta):
         level = _run_level(factors, base)
-        self.level, self.width, self.theta = level, 1 << level, theta
+        width = 1 << level
+        self.level, self.width, self.theta = level, width, theta
         weights, self.scale = base.exact_weights(level)
         self.integral = functools.partial(weighted_sum, weights)
-
-        def start(g):
-            nums, den = integer_numerators(g._coeffs_at(level))
-            return nums, den, self.integral(nums)
-
-        starts = _per_factor("exact", factors, level, base, start)
-        self.cells = [n for nums, _, _ in starts for n in nums]
-        self.dens = [den for _, den, _ in starts]
-        self.ints = [j for _, _, j in starts for _ in range(self.width)]
+        cells, dens, ints, done = [], [], [], {}
+        for g in factors:
+            start = done.get(id(g))
+            if start is None:
+                nums, den = integer_numerators(g._coeffs_at(level))
+                start = done[id(g)] = nums, den, [self.integral(nums)] * width
+            cells += start[0]
+            dens.append(start[1])
+            ints += start[2]
+        self.cells, self.dens, self.ints = cells, dens, ints
         self.pending = self.idle
 
     def advance(self, dt):

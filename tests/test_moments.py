@@ -435,6 +435,29 @@ class TestStationarySolutions:
                 if idx != (0, 0):
                     assert v == alpha
 
+    def test_no_migration_is_two_wright_fisher_colonies(self):
+        # u1 = u2 = 0 and Kingman mass c: two independent Wright-Fisher
+        # diffusions with parent-independent mutation, each stationary at
+        # Beta(theta alpha / c, theta (1 - alpha) / c) (Wright 1931)
+        rng = seeded(37)
+        for _ in range(5):
+            theta = F(rng.randint(1, 30), rng.randint(1, 9))
+            den = rng.randint(1, 9)
+            alpha = F(rng.randint(0, den), den)
+            c = F(rng.randint(1, 30), rng.randint(1, 9))
+            p = ScalarParams.from_rate_table(
+                build_rate_table(XiMeasure(c), 8), theta, alpha, 0, 0)
+            a, b = theta * alpha / c, theta * (1 - alpha) / c
+
+            def beta_moment(n):
+                return math.prod([(a + i) / (a + b + i) for i in range(n)],
+                                 start=F(1))
+
+            sol = solve_stationary(8, p)
+            assert len(sol) == 45
+            for (n, m), v in sol.items():
+                assert v == beta_moment(n) * beta_moment(m)
+
     def test_system_records_square_matrices(self):
         systems = stationary_system(3, kingman_scalar())
         for k, sys_k in enumerate(systems, start=1):

@@ -868,21 +868,24 @@ class TestDeferredFlow:
 
 
 def exact_event_mix(params, n1, n2):
-    """Expected events, migrations and coalescences of the dual from n1
-    blocks in colony 1 and n2 in colony 2 to one block, in Fractions, by
-    first-step analysis of the block-count chain (n1, n2). A migration
-    keeps the total n1 + n2 and a coalescence lowers it, so the totals
-    are solved from 2 up, each a linear system in n1 (`solve_exact`)
-    whose coalescence terms read the lower totals' solutions."""
+    """Expected events, migrations, coalescences, time and multiple
+    mergers (coalescences that drop more than one block) of the dual from
+    n1 blocks in colony 1 and n2 in colony 2 to one block, in Fractions,
+    by first-step analysis of the block-count chain (n1, n2). Each
+    quantity has a reward rate per state: the rate of the events it
+    counts, or 1 for time. A migration keeps the total n1 + n2 and a
+    coalescence lowers it, so the totals are solved from 2 up, each a
+    linear system in n1 (`solve_exact`) whose coalescence terms read the
+    lower totals' solutions."""
     u1, u2 = params.u1, params.u2
     # per block count, each coalescence profile's block count after it
     # and its rate summed over the partitions with that profile
     coal = {b: [(len(prof.merge_sizes) + prof.s, rate * mult)
                 for prof, rate, mult in params.table.profiles(b) if rate > 0]
             for b in range(2, n1 + n2 + 1)}
-    solved = {1: {0: (F(0),) * 3, 1: (F(0),) * 3}}
+    solved = {1: {0: (F(0),) * 5, 1: (F(0),) * 5}}
     for n in range(2, n1 + n2 + 1):
-        matrix, rhs = [], ([], [], [])
+        matrix, rhs = [], ([], [], [], [], [])
         for k in range(n + 1):
             into1, into2 = (n - k) * u1, k * u2
             c1, c2 = coal.get(k, []), coal.get(n - k, [])
@@ -894,8 +897,10 @@ def exact_event_mix(params, n1, n2):
             if k:
                 row[k - 1] = -into2
             matrix.append(row)
+            multiple = (sum(r for a, r in c1 if k - a > 1)
+                        + sum(r for a, r in c2 if n - k - a > 1))
             rewards = (into1 + into2 + coalescence, into1 + into2,
-                       coalescence)
+                       coalescence, 1, multiple)
             for i, reward in enumerate(rewards):
                 rhs[i].append(
                     reward
@@ -914,10 +919,13 @@ class TestEventMix:
 
     def test_mc_stationary_mix(self):
         params, _ = _frozen_model("atom")
-        events, migrations, coalescences = exact_event_mix(params, 2, 2)
+        events, migrations, coalescences, time, multiple = \
+            exact_event_mix(params, 2, 2)
         assert events == migrations + coalescences
         assert (round(float(events), 4), round(float(migrations), 3),
                 round(float(coalescences), 3)) == (10.2606, 7.388, 2.872)
+        assert time == F(15159513170335, 7131099130812)
+        assert round(float(multiple), 5) == 0.12372
 
     @pytest.mark.parametrize("xi,eta", [
         (KINGMAN, (1, 1, 2, 2)), (ATOM_HALF_QUARTER, (1, 1, 2, 2)),
@@ -933,13 +941,16 @@ class TestEventMix:
             chain = simulator._Chain.of(state0, simulator._Skeleton())
             simulator._run(chain, params, replica_rng(31, rep),
                            StopRule(at_absorption=True))
-            coalescences = sum(type(s) is list for s in chain.payload)
-            samples.append((chain.events, chain.events - coalescences,
-                            coalescences))
+            merges = [s for s in chain.payload if type(s) is list]
+            multiple = sum(sum(map(len, groups)) - len(groups) > 1
+                           for groups in merges)
+            samples.append((chain.events, chain.events - len(merges),
+                            len(merges), chain.clock, multiple))
         exact = exact_event_mix(params, eta.count(COLONY_1),
                                 eta.count(COLONY_2))
         for sample, value in zip(zip(*samples), exact, strict=True):
-            # Kingman's coalescences are binary: n - 1 of them, exactly
+            # Kingman's coalescences are binary: n - 1 of them, exactly,
+            # and no multiple merger
             se = statistics.stdev(sample) / math.sqrt(replicas)
             assert abs(statistics.fmean(sample) - value) <= 4 * se
 
@@ -1788,12 +1799,12 @@ def _distinct(f):
 
 
 class TestRepeatedFactors:
-    """A payload starts each distinct factor object once, the exact
-    payload's states share one `SetFunction` among equal blocks, and
-    `evaluate_dual` pairs each distinct factor object once per colony; a
-    tensor that repeats one factor object runs, replays and pairs as one
-    made of equal but distinct objects, on both payloads and through
-    `run_until`."""
+    """A payload starts each distinct factor object once per call and
+    keeps nothing after it, the exact payload's states share one
+    `SetFunction` among equal blocks, and `evaluate_dual` pairs each
+    distinct factor object once per colony; a tensor that repeats one
+    factor object runs, replays and pairs as one made of equal but
+    distinct objects, on both payloads and through `run_until`."""
 
     MU = (BaseMeasure(1, (F(3, 2), F(1, 2))), TestFlatPayload.FINE_BASE)
 
@@ -1837,6 +1848,33 @@ class TestRepeatedFactors:
                         assert _bits(g.coeffs for g in a.y.factors) == \
                             _bits(g.coeffs for g in b.y.factors)
                     self._assert_same_value(a)
+
+    def test_each_call_starts_each_factor_once(self, monkeypatch):
+        params, eta = kingman_model(), (1, 2, 1)
+        g, h = SetFunction(1, (F(1, 3), F(2))), SetFunction.indicator(E_STAR)
+        f = TensorFunction((g, h, g))
+        _, traj = run_until(initial_state(f, eta), params,
+                            StopRule(at_time=0.6), replica_rng(71, 0))
+        starts = []
+        coeffs_at = SetFunction._coeffs_at
+
+        def counted(factor, level):
+            starts.append(factor)
+            return coeffs_at(factor, level)
+
+        # each payload start reads a factor's cells once
+        monkeypatch.setattr(SetFunction, "_coeffs_at", counted)
+        for call in (lambda: run_until(initial_state(f, eta), params,
+                                       StopRule(at_time=0.6),
+                                       replica_rng(71, 0)),
+                     lambda: replay(f, eta, traj, params, exact=False),
+                     lambda: replay(f, eta, traj, params, exact=True)):
+            starts.clear()
+            call()
+            assert list(map(id, starts)) == [id(g), id(h)]
+            # a second call starts them again
+            call()
+            assert list(map(id, starts)) == [id(g), id(h)] * 2
 
     def test_equal_exact_blocks_share_a_set_function(self):
         # blocks that start from one factor and do not merge stay equal
@@ -1898,88 +1936,6 @@ class TestChainStates:
         assert len(states) == 8
         for state in states:
             self._assert_checked(state)
-
-
-class TestStartMemo:
-    """Both payloads start each factor once across calls, in a bounded
-    memo keyed by the identities of the factor and the base; a warm memo
-    gives every state a cold one gives, to the bit."""
-
-    @staticmethod
-    def _counting(calls):
-        def start(g):
-            calls.append(g)
-            return object()
-        return start
-
-    def test_each_factor_starts_once_across_calls(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_STARTS", {})
-        calls = []
-        start = self._counting(calls)
-        g, h = SetFunction(1, (F(1, 3), F(2))), SetFunction.indicator(E_STAR)
-        base = BaseMeasure.uniform()
-        a = simulator._per_factor("exact", (g, h, g), 1, base, start)
-        b = simulator._per_factor("exact", (h, g), 1, base, start)
-        assert calls == [g, h]
-        assert a[0] is a[2] is b[1] and a[1] is b[0]
-        # another kind, level or base object, or an equal factor that is
-        # another object, starts again
-        for args in (("float", (g,), 1, base), ("exact", (g,), 2, base),
-                     ("exact", (g,), 1, BaseMeasure.uniform()),
-                     ("exact", (SetFunction(g.level, g.coeffs),), 1, base)):
-            simulator._per_factor(*args, start)
-        assert len(calls) == 6
-        # an entry holds its factor and base, so their ids stay theirs
-        assert all(key[1] == id(entry[0]) and key[3] == id(entry[1])
-                   for key, entry in simulator._STARTS.items())
-
-    def test_memo_forgets_the_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_STARTS", {})
-        monkeypatch.setattr(simulator, "_STARTS_CAP", 3)
-        calls = []
-        start = self._counting(calls)
-        base = BaseMeasure.uniform()
-        factors = [SetFunction.constant(F(k)) for k in range(5)]
-        for g in factors:
-            simulator._per_factor("exact", (g,), 0, base, start)
-        assert [entry[0] for entry in simulator._STARTS.values()] == \
-            factors[2:]
-        simulator._per_factor("exact", (factors[4],), 0, base, start)
-        simulator._per_factor("exact", (factors[0],), 0, base, start)
-        assert calls == factors + [factors[0]]
-        assert len(simulator._STARTS) == 3
-
-    def test_warm_memo_gives_the_cold_states(self, monkeypatch):
-        params, eta = _frozen_model("atom")
-        f = _frozen_tensor(len(eta))
-        fq = _frozen_tensor(len(eta), exact=True)
-        stop = StopRule(at_time=0.6)
-
-        def states():
-            out = []
-            for rep in range(6):
-                state, traj = run_until(initial_state(fq, eta), params,
-                                        stop, replica_rng(71, rep))
-                out.append(state)
-                out += [replay(g, eta, traj, params, exact=exact)
-                        for g in (f, fq) for exact in (True, False)]
-            return out
-
-        def digest(out):
-            return [(repr(s), _bits(g.coeffs for g in s.y.factors
-                                    if type(g.coeffs[0]) is float))
-                    for s in out]
-
-        class Cold(dict):
-            """A memo that never finds a start."""
-
-            def get(self, key, default=None):
-                return default
-
-        warm = states()
-        assert digest(states()) == digest(warm)
-        monkeypatch.setattr(simulator, "_STARTS", Cold())
-        assert digest(states()) == digest(warm)
 
 
 class TestDualGenerator:
