@@ -6,15 +6,14 @@ reduced to the coarsest level that represents it; this makes equality,
 products (cell-wise) and integrals exact. Coefficients are Fractions in
 exact mode and may be floats in simulation mode. The simulator's event
 loop does not build set functions: it keeps plain coefficient lists at one
-grid level per run and integrates them with `BaseMeasure.integrate_cells`,
-the routine behind `BaseMeasure.integrate`, or directly with what that
-routine is built from, once per grid level and cached on the measure:
+grid level per run and integrates them with what `BaseMeasure.integrate`
+is built from, once per grid level and cached on the measure:
 `BaseMeasure.float_integrator` for float lists and
 `BaseMeasure.exact_weights` for integer numerators over one denominator.
 A `SetFunction` is built where a public function returns one. Exact
-integrals stay integers (`integral_ratio`) until a Fraction is returned:
-once per integral in `integrate_cells`, once per product of integrals in
-`simulator.evaluate_dual`.
+integrals stay integers (`integral_ratio`) until a number is returned:
+once per integral in `integrate` and per rational factor of
+`simulator._start`, once per product in `simulator.evaluate_dual`.
 """
 
 import operator
@@ -200,16 +199,10 @@ class BaseMeasure:
         return self.integrate(SetFunction.indicator(dset))
 
     def integrate(self, g):
-        lvl = max(self.grid_level, g.level)
-        return self.integrate_cells(lvl, g._coeffs_at(lvl))
-
-    def integrate_cells(self, level, coeffs):
-        """Integral of the step function with one coefficient per cell of
-        the level-`level` grid; `level` is at least `grid_level`.
-        Rational coefficients give a Fraction, `integral_ratio` reduced
-        once."""
+        """A float if `g` has a float coefficient, else a Fraction."""
+        level = max(self.grid_level, g.level)
+        coeffs = g._coeffs_at(level)
         if any(type(c) is float for c in coeffs):
-            # float fast path for simulation mode
             return self.float_integrator(level)(coeffs)
         return Fraction(*self.integral_ratio(level, coeffs))
 
@@ -242,7 +235,7 @@ class BaseMeasure:
         return self._cache[key]
 
     def float_integrator(self, level):
-        """The float branch of `integrate_cells` at one grid level, as a
+        """The float branch of `integrate` at one grid level, as a
         function of the coefficient list: float densities per cell and the
         atoms' float masses and cells are looked up once per level. It adds
         the nonzero cell terms left to right from 0.0, divides by the cell

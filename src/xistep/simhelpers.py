@@ -4,11 +4,11 @@ the selftest command and the test suite."""
 from fractions import Fraction
 
 from .moments import ScalarParams
-from .setfun import BaseMeasure, DyadicSet, MutationSpec, SetFunction, \
+from .setfun import ONE, BaseMeasure, DyadicSet, MutationSpec, SetFunction, \
     TensorFunction
 from .simplex import SimplexAtom, XiMeasure, build_rate_table
-from .simulator import (ModelParams, StopRule, evaluate_dual, initial_state,
-                        replay, run_until)
+from .simulator import (EventRecord, ModelParams, StopRule, Trajectory,
+                        evaluate_dual, initial_state, replay, run_until)
 
 
 def random_xi(rng, max_atoms=2, allow_empty=False):
@@ -59,6 +59,32 @@ def _random_trajectory(rng, params, f):
     stop = StopRule(at_absorption=True, max_events=10_000)
     _, traj = run_until(state, params, stop, rng)
     return eta, traj
+
+
+def semigroup_law_holds(rng):
+    """T_s T_t = T_{s+t} through `replay`, for s and t drawn from `rng`, on
+    (g, 1, 1) in colony 1 at theta = 3/2. On one path the constant blocks
+    merge at s, which flows every block's pending time, and g merges with
+    none. In float, g there matches g on the eventless path within 1e-12;
+    exactly, it equals (`==`) g on the path with a migration at s instead,
+    which flows once over both decay factors."""
+    s, t = rng.random(), rng.random()
+    params = ModelParams(XiMeasure(1), MutationSpec(Fraction(3, 2),
+                                                    BaseMeasure.uniform()),
+                         1, 1, 3)
+    g = SetFunction.indicator(DyadicSet(2, frozenset({0, 3})))
+    f = TensorFunction((g, ONE, ONE))
+
+    def g_on(exact, *events):
+        traj = Trajectory(events, stop_time=s + t)
+        return replay(f, (1, 1, 1), traj, params, exact).y.factors[0]
+
+    merge = EventRecord(s, s, "coalescence", 1, ((1,), (2, 3)), 2)
+    migration = EventRecord(s, s, "migration", 1, 2, 3)
+    a, b = g_on(False, merge), g_on(False)
+    return (a.level == b.level
+            and all(abs(x - y) < 1e-12 for x, y in zip(a.coeffs, b.coeffs))
+            and g_on(True, merge) == g_on(True, migration))
 
 
 def coupling_linearity_holds(rng):

@@ -31,9 +31,6 @@ MAX_BLOCKS = 20
 NAMED_RATES = {"a2": (2, (2,), 0), "a21": (3, (2,), 1), "a3": (3, (3,), 0),
                "a211": (4, (2,), 2), "a22": (4, (2, 2), 0),
                "a31": (4, (3,), 1), "a4": (4, (4,), 0)}
-# the consistency identities among them: rate = sum of rates
-_NAMED_IDENTITIES = (("a2", ("a21", "a3")), ("a3", ("a31", "a4")),
-                     ("a21", ("a211", "a22", "a31")))
 
 
 @dataclass(frozen=True)
@@ -336,32 +333,32 @@ class ConsistencyReport:
 
 def check_consistency(table):
     """Verify the sampling-consistency identities exactly: restricting the
-    (b+1)-block chain to [b] must reproduce the b-block rates. Each
-    identity is checked once. The named identities among `NAMED_RATES`
-    come first: a2 = a21 + a3, a3 = a31 + a4, a21 = a211 + a22 + a31.
-    They are the restrictions of the profiles of a2, a3 and a21, which the
-    restriction checks that follow therefore skip."""
+    (b+1)-block chain to [b] must reproduce the b-block rates, once per
+    profile of b blocks. A check whose rate and every right-side rate are
+    `NAMED_RATES` is named by them, the terms sorted: a2 = a21 + a3,
+    a21 = a211 + a22 + a31 and a3 = a31 + a4."""
     if table.b_max < 4:
         raise ValueError("consistency check needs a table covering b <= 4")
+    names = {key: name for name, key in NAMED_RATES.items()}
     checks = []
-    for lhs, terms in _NAMED_IDENTITIES:
-        rate = table.rate_of(*NAMED_RATES[lhs])
-        rhs = sum(table.rate_of(*NAMED_RATES[t]) for t in terms)
-        checks.append((f"{lhs} = {' + '.join(terms)}", rate, rhs, rate == rhs))
-    named = {NAMED_RATES[lhs] for lhs, _ in _NAMED_IDENTITIES}
     for b in range(2, table.b_max):
         for prof, rate, _ in table.profiles(b):
-            if (b, prof.merge_sizes, prof.s) in named:
-                continue
-            rhs = table.rate_of(b + 1, prof.merge_sizes, prof.s + 1)
-            ks = list(prof.merge_sizes)
-            for i in range(len(ks)):
-                grown = tuple(sorted(ks[:i] + [ks[i] + 1] + ks[i + 1:],
-                                     reverse=True))
-                rhs += table.rate_of(b + 1, grown, prof.s)
-            if prof.s >= 1:
-                paired = tuple(sorted(ks + [2], reverse=True))
-                rhs += prof.s * table.rate_of(b + 1, paired, prof.s - 1)
-            name = f"restriction b={b} profile {prof.merge_sizes};{prof.s}"
+            ks, s = prof.merge_sizes, prof.s
+            terms = [(b + 1, ks, s + 1)]
+            terms += [(b + 1, tuple(sorted(ks[:i] + (k + 1,) + ks[i + 1:],
+                                           reverse=True)), s)
+                      for i, k in enumerate(ks)]
+            rhs = table.rate_of(*terms[0])
+            for key in terms[1:]:
+                rhs += table.rate_of(*key)
+            if s >= 1:
+                terms.append((b + 1, tuple(sorted(ks + (2,), reverse=True)),
+                              s - 1))
+                rhs += s * table.rate_of(*terms[-1])
+            lhs = names.get((b, ks, s))
+            right = lhs and [names.get(key) for key in terms]
+            name = (f"{lhs} = {' + '.join(sorted(right))}"
+                    if right and None not in right else
+                    f"restriction b={b} profile {ks};{s}")
             checks.append((name, rate, rhs, rate == rhs))
     return ConsistencyReport(tuple(checks))

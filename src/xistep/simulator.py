@@ -19,13 +19,13 @@ The pieces, and the tests in `tests/test_simulator.py` that hold them:
   skeleton segments and generator state to a frozen loop that calls the
   stdlib helpers, and `TestEventMix` holds its event mix, absorption time
   and multiple mergers to the exact block-count chain.
-- The payloads. `_FloatPayload`, from `_start`, which rounds a rational
-  start once (`TestRationalStart`), runs in `run_until`, the estimators
-  and `replay(exact=False)`; `_ExactPayload`, integer numerators over one
-  denominator per block, in `replay(exact=True)` and
-  `dual_generator_value` (`TestDualGenerator`); `_Skeleton` keeps each
-  holding time and each coalescence's merge groups for
-  `genealogical_evaluate` (`TestGenealogical`). The two coefficient
+- The payloads, which no other module builds. `_FloatPayload`, from
+  `_start`, which rounds a rational start once (`TestRationalStart`),
+  runs in `run_until`, the estimators and `replay(exact=False)`;
+  `_ExactPayload`, integer numerators over one denominator per block, in
+  `replay(exact=True)` and `dual_generator_value` (`TestDualGenerator`);
+  `_Skeleton` keeps each holding time and each coalescence's merge groups
+  for `genealogical_evaluate` (`TestGenealogical`). The two coefficient
   payloads (`_Cells`) hold the blocks' cells one after another at the
   run's grid level (`_run_level`; `TestFlatPayload`), start each distinct
   factor object once per call (`TestRepeatedFactors`), and defer the
@@ -187,11 +187,12 @@ def _start(factors, base):
     cells at it one block after another, the base's float integral of one
     block and each block's integral once per cell, in one pass over the
     factors that starts each distinct factor object once; nothing is kept
-    after the call. `integrate_cells` integrates each factor, exactly when
-    it is rational, and cells and integrals are rounded to float once.
-    That gives the bits of advancing a rational start: `p * v` for a float
-    p and a Fraction v is `p * float(v)`. Payloads may share a start:
-    advance and merge build new lists and never change it."""
+    after the call. A rational factor is paired on integers
+    (`integral_ratio`) and rounded once, as `n / d`, which has the bits of
+    `float(Fraction(n, d))`; a float one takes `float_integrator`. Cells
+    are rounded to float once. That gives the bits of advancing a rational
+    start: `p * v` for a float p and a Fraction v is `p * float(v)`.
+    Payloads may share a start: advance and merge build new lists."""
     level = _run_level(factors, base)
     width = 1 << level
     cells, ints, done = [], [], {}
@@ -200,9 +201,13 @@ def _start(factors, base):
         start = done.get(id(g))
         if start is None:
             coeffs = g._coeffs_at(level)
-            start = done[id(g)] = (
-                [float(c) for c in coeffs],
-                [float(base.integrate_cells(level, coeffs))] * width)
+            if any(type(c) is float for c in coeffs):
+                integral = base.float_integrator(level)(coeffs)
+            else:
+                n, d = base.integral_ratio(level, coeffs)
+                integral = n / d
+            start = done[id(g)] = ([float(c) for c in coeffs],
+                                   [integral] * width)
         cells += start[0]
         ints += start[1]
     return level, cells, base.float_integrator(level), ints

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from xistep import (BaseMeasure, DyadicSet, ModelParams, MutationSpec,
                     ScalarParams, SetFunction, SimplexAtom, TensorFunction,
@@ -28,6 +29,36 @@ E_STAR = DyadicSet(1, frozenset({0}))
 @pytest.fixture
 def uniform_base():
     return BaseMeasure.uniform()
+
+
+FLOAT_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324,
+                                         -1.5e-323]),
+                        st.floats(-1e6, 1e6))
+
+
+@st.composite
+def measure_level_coeffs(draw, coeff=FLOAT_COEFF):
+    """A base measure on grid level 0..3, possibly with atoms (at cell
+    edges too), a grid level up to 4 at or above it, and coefficients
+    there, by default floats with zeros of both signs, negatives and
+    subnormals (where scaling each term by the cell width would round
+    differently)."""
+    grid = draw(st.integers(0, 3))
+    level = draw(st.integers(grid, 4))
+    cell_w = draw(st.lists(st.integers(0, 5), min_size=1 << grid,
+                           max_size=1 << grid))
+    atoms = draw(st.lists(st.tuples(
+        st.one_of(st.fractions(0, 1, max_denominator=64),
+                  st.sampled_from([F(0), F(1, 2), F(1)])),
+        st.integers(0, 5)), max_size=3))
+    mass = F(sum(cell_w), 1 << grid) + sum(w for _, w in atoms)
+    if mass == 0:
+        cell_w, mass = [1] * (1 << grid), F(1)
+    base = BaseMeasure(grid, tuple(F(w) / mass for w in cell_w),
+                       tuple((p, F(w) / mass) for p, w in atoms))
+    coeffs = draw(st.lists(coeff, min_size=1 << level,
+                           max_size=1 << level))
+    return base, level, coeffs
 
 
 def kingman_model(theta=F(1), u1=F(1), u2=F(1), b_max=6):

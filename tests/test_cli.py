@@ -1,3 +1,5 @@
+import argparse
+import gc
 import hashlib
 import json
 
@@ -7,7 +9,7 @@ from fractions import Fraction
 
 from xistep import (BaseMeasure, ScalarParams, build_rate_table,
                     format_rational, solve_stationary)
-from xistep import cli
+from xistep import cli, simulator
 from xistep.cli import _selftest_suites, main
 from xistep.simulator import EVENT_CAP, genealogical_evaluate
 
@@ -270,6 +272,23 @@ class TestDeterminism:
         assert main(["rates", "--config", cfg]) == 0
         assert capsys.readouterr().out == text
 
+    def test_parser_is_built_once(self, tmp_path):
+        # a later call reuses the first call's parser, so it leaves no
+        # parser in reference cycles for the cyclic collector to free
+        cfg = write_cfg(tmp_path, KINGMAN_CFG)
+        run(tmp_path, ["rates", "--config", cfg])
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run(tmp_path, ["rates", "--config", cfg])
+            gc.collect()
+            parsers = [o for o in gc.garbage
+                       if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not parsers
+
     def test_flags_act_as_the_config_fields(self, tmp_path):
         payload = dict(ATOM_CFG, options={"mode": "mc", "order": 2})
         flagged = write_cfg(tmp_path, payload, "flagged.json")
@@ -382,6 +401,26 @@ class TestPinnedOutput:
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in outputs.items()} == self.DIGESTS
 
+    # `xistep selftest --seed N` for N = 0..5: each seed replays fresh
+    # random paths exactly
+    SELFTEST_DIGESTS = (
+        "08863d472b096b44eb337956250a77c7bac96e649c9f4142bec93b71bf2d8ac4",
+        "235f723598fd5f52f055cae89b03fc03dbe97acf78925721fac9262274732c70",
+        "620a7c6a46888f52d6835528b9822b46999a1af62801872cb76ccc29458c389b",
+        "0e7d22d2cff69abb1eb55f33b17809d7177f4e1358e37ff823752fe95860fa35",
+        "830a9a05edcc4098406b78685f7c0b900741ff9b87a725945b5687e45ef22a12",
+        "9778248fd1fda8e608af85900b39dda6b851bc2a3978ffe7e9615a07e2dd1fa1",
+    )
+
+    def test_selftest_pinned(self, tmp_path):
+        digests = []
+        for seed in range(len(self.SELFTEST_DIGESTS)):
+            out = tmp_path / f"selftest_{seed}.json"
+            assert main(["selftest", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert tuple(digests) == self.SELFTEST_DIGESTS
+
 
 class TestSimulate:
     def test_csv_shape(self, tmp_path):
@@ -430,9 +469,10 @@ class TestSelftest:
             "path_normalization", "stationary_moments"}
 
     def test_broken_flow_detected(self, monkeypatch):
-        # the law is checked on the payload the replicas run: a decay
-        # linear in the time, flowed at once in `advance`, breaks it
-        class Linear(cli._FloatPayload):
+        # the law is checked through `replay` on the payload the replicas
+        # run: a decay linear in the time, flowed at once in `advance`,
+        # breaks it
+        class Linear(simulator._FloatPayload):
             __slots__ = ()
 
             def advance(self, dt):
@@ -440,15 +480,15 @@ class TestSelftest:
                 self.cells = [p * v + (1 - p) * c
                               for v, c in zip(self.cells, self.ints)]
 
-        monkeypatch.setattr(cli, "_FloatPayload", Linear)
+        monkeypatch.setattr(simulator, "_FloatPayload", Linear)
         suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["semigroup_law"]
 
     def test_broken_deferred_flow_detected(self, monkeypatch):
-        # the same decay in the deferred flow itself: the law forces a
-        # flow after s and reads both sides through `factors`, so the
-        # unflowed starts are never what it compares
-        class Linear(cli._FloatPayload):
+        # the same decay in the deferred flow itself: the merge at s
+        # forces a flow after s and `replay` reads both sides flowed, so
+        # the unflowed starts are never what it compares
+        class Linear(simulator._FloatPayload):
             __slots__ = ()
 
             def flow(self):
@@ -457,15 +497,16 @@ class TestSelftest:
                               for v, c in zip(self.cells, self.ints)]
                 self.pending = 0.0
 
-        monkeypatch.setattr(cli, "_FloatPayload", Linear)
+        monkeypatch.setattr(simulator, "_FloatPayload", Linear)
         suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["semigroup_law"]
 
     def test_broken_exact_flow_detected(self, monkeypatch):
         # an exact flow that leaves the integrals' numerators unscaled:
-        # they stay over the old denominator, so a second flow adds too
-        # little of the integral, while one flow over s + t is right
-        class Unscaled(cli._ExactPayload):
+        # they stay over the old denominator, so a second flow of a block
+        # that merged with none adds too little of the integral, while
+        # one flow over both decay factors is right
+        class Unscaled(simulator._ExactPayload):
             __slots__ = ()
 
             def flow(self):
@@ -476,7 +517,7 @@ class TestSelftest:
                 self.dens = [tk * d for d in self.dens]
                 self.pending = self.idle
 
-        monkeypatch.setattr(cli, "_ExactPayload", Unscaled)
+        monkeypatch.setattr(simulator, "_ExactPayload", Unscaled)
         suites = dict((name, ok) for name, ok, _ in _selftest_suites(5))
         assert not suites["semigroup_law"]
 

@@ -11,7 +11,8 @@ from xistep import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
 from xistep.setfun import (ONE, _reduce_cells, apply_generator_uniform,
                            cell_index, float_sum)
 
-from conftest import (E_STAR, decay_factor, intersection, multiply, scale,
+from conftest import (E_STAR, decay_factor, intersection,
+                      measure_level_coeffs, multiply, scale,
                       semigroup_apply_uniform, value_at)
 
 F = Fraction
@@ -124,8 +125,8 @@ class TestBaseMeasure:
 
 
 def _float_integral_oracle(base, level, coeffs):
-    """The float branch of `BaseMeasure.integrate_cells` as it was written
-    before `float_integrator`: the slow path that integrator replaces."""
+    """The float branch of `BaseMeasure.integrate` as it was written before
+    `float_integrator`: the slow path that integrator replaces."""
     shift = level - base.grid_level
     fdens = tuple(float(d) for d in base.densities)
     total = float_sum(c * fdens[i >> shift]
@@ -136,43 +137,13 @@ def _float_integral_oracle(base, level, coeffs):
 
 
 def _fraction_integral_oracle(base, level, coeffs):
-    """The rational branch of `BaseMeasure.integrate_cells` as it was
-    written before `exact_weights`: Fraction arithmetic term by term."""
+    """The rational branch of `BaseMeasure.integrate` as it was written
+    before `exact_weights`: Fraction arithmetic term by term."""
     shift = level - base.grid_level
     total = sum((c * base.densities[i >> shift]
                  for i, c in enumerate(coeffs) if c), F(0)) / (1 << level)
     return total + sum(m * coeffs[cell_index(level, p)]
                        for p, m in base.atoms)
-
-
-FLOAT_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324,
-                                         -1.5e-323]),
-                        st.floats(-1e6, 1e6))
-
-
-@st.composite
-def measure_level_coeffs(draw, coeff=FLOAT_COEFF):
-    """A base measure on grid level 0..3, possibly with atoms (at cell
-    edges too), a grid level up to 4 at or above it, and coefficients
-    there, by default floats with zeros of both signs, negatives and
-    subnormals (where scaling each term by the cell width would round
-    differently)."""
-    grid = draw(st.integers(0, 3))
-    level = draw(st.integers(grid, 4))
-    cell_w = draw(st.lists(st.integers(0, 5), min_size=1 << grid,
-                           max_size=1 << grid))
-    atoms = draw(st.lists(st.tuples(
-        st.one_of(st.fractions(0, 1, max_denominator=64),
-                  st.sampled_from([F(0), F(1, 2), F(1)])),
-        st.integers(0, 5)), max_size=3))
-    mass = F(sum(cell_w), 1 << grid) + sum(w for _, w in atoms)
-    if mass == 0:
-        cell_w, mass = [1] * (1 << grid), F(1)
-    base = BaseMeasure(grid, tuple(F(w) / mass for w in cell_w),
-                       tuple((p, F(w) / mass) for p, w in atoms))
-    coeffs = draw(st.lists(coeff, min_size=1 << level,
-                           max_size=1 << level))
-    return base, level, coeffs
 
 
 def _sample_oracle(base, rng):
@@ -193,7 +164,7 @@ def _sample_oracle(base, rng):
 
 
 class TestFloatIntegrator:
-    """The routines behind `BaseMeasure.integrate_cells` and
+    """The routines behind `BaseMeasure.integrate` and
     `BaseMeasure.sample` against the expressions they replace: float
     results to the bit, rational ones exactly."""
 
@@ -202,18 +173,17 @@ class TestFloatIntegrator:
     def test_equals_oracle_to_the_bit(self, case):
         base, level, coeffs = case
         want = _float_integral_oracle(base, level, coeffs)
-        for got in (base.float_integrator(level)(coeffs),
-                    base.integrate_cells(level, coeffs)):
-            assert got == want and got.hex() == want.hex()
+        got = base.float_integrator(level)(coeffs)
+        assert got == want and got.hex() == want.hex()
 
     @given(measure_level_coeffs(st.one_of(
         st.integers(-5, 5), st.fractions(-3, 3, max_denominator=12))))
     @settings(max_examples=200, deadline=None)
     def test_rational_branch_equals_oracle(self, case):
         base, level, coeffs = case
-        got = base.integrate_cells(level, coeffs)
-        assert got == _fraction_integral_oracle(base, level, coeffs)
-        assert type(got) is F
+        n, d = base.integral_ratio(level, coeffs)
+        assert type(n) is int and type(d) is int
+        assert F(n, d) == _fraction_integral_oracle(base, level, coeffs)
 
     @given(measure_level_coeffs(), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
@@ -226,7 +196,7 @@ class TestFloatIntegrator:
 
     def test_fraction_coefficients_stay_exact(self):
         base = BaseMeasure(1, (F(1), F(1, 2)), atoms=((F(1, 2), F(1, 4)),))
-        value = base.integrate_cells(2, [F(1), F(0), F(-3), F(2)])
+        value = base.integrate(SetFunction(2, (F(1), F(0), F(-3), F(2))))
         # (1 - 3/2 + 1) / 4 on the grid, -3 * 1/4 at the atom
         assert value == F(1, 8) - F(3, 4) and type(value) is F
 
@@ -235,8 +205,9 @@ class TestFloatIntegrator:
         base.float_integrator(2)
         copy = pickle.loads(pickle.dumps(base))
         assert copy == base
-        assert copy.integrate_cells(2, [1.0, 0.5, 0.0, -2.0]) \
-            == base.integrate_cells(2, [1.0, 0.5, 0.0, -2.0])
+        cells = [1.0, 0.5, 0.0, -2.0]
+        assert copy.float_integrator(2)(cells) \
+            == base.float_integrator(2)(cells)
 
 
 class TestMutationSemigroup:

@@ -27,8 +27,8 @@ from xistep.simulator import (EventRecord, Trajectory, dual_generator_value,
                               genealogical_evaluate, replica_rng)
 
 from conftest import ATOM_HALF_QUARTER, E_STAR, KINGMAN, STAR, SWEEP, \
-    decay_factor, indicator_power, kingman_model, kingman_scalar, multiply, \
-    reference_evaluate_dual, scale, seeded
+    decay_factor, indicator_power, kingman_model, kingman_scalar, \
+    measure_level_coeffs, multiply, reference_evaluate_dual, scale, seeded
 
 F = Fraction
 
@@ -91,11 +91,15 @@ def _coag_colony(blocks, labels, colony, pi_prime):
 
 def _frozen_start(factors, base):
     level = max(base.grid_level, *(g.level for g in factors))
-    lists = tuple(g._coeffs_at(level) for g in factors)
-    floats = all(type(c) is float for g in lists for c in g)
-    return (level, lists,
-            base.float_integrator(level) if floats
-            else functools.partial(base.integrate_cells, level))
+
+    def integral(g):
+        # a list with a float takes the float route, a rational list gives
+        # its exact Fraction
+        if any(type(c) is float for c in g):
+            return base.float_integrator(level)(g)
+        return F(*base.integral_ratio(level, g))
+
+    return level, tuple(g._coeffs_at(level) for g in factors), integral
 
 
 class _FrozenChain:
@@ -604,6 +608,18 @@ class TestRationalStart:
                                                exact=False)))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             self.DIGEST
+
+    @given(measure_level_coeffs(st.one_of(
+        st.integers(-5, 5), st.fractions(-3, 3, max_denominator=10**9))))
+    @settings(max_examples=300, deadline=None)
+    def test_start_rounds_the_exact_integral(self, case):
+        # each rational factor's integral is its exact value rounded once
+        base, level, coeffs = case
+        g = SetFunction(level, tuple(coeffs))
+        run_level, _, _, ints = simulator._start([g, g], base)
+        n, d = base.integral_ratio(run_level, g._coeffs_at(run_level))
+        want = float(F(n, d)).hex()
+        assert [x.hex() for x in ints] == [want] * (2 << run_level)
 
     def test_unadvanced_start_turns_float(self):
         # a run that never advances returns its start rounded to float:
