@@ -9,7 +9,11 @@ every known over one common denominator, and the Hausdorff table is one
 integer table. Fractions are built only where a caller reads them: the
 solved moments, a `MomentPolynomial` when `generator_on_monomial` is
 asked for one, and a `LinearSystem`'s matrix, right sides and determinant
-on first read.
+on first read. `MomentPolynomial.evaluate`, the residual check E[G f] = 0
+on solved moments, adds integer products per value denominator and sums
+the groups on integers in ascending size, where a step often takes a small
+quotient of one denominator by the ones below it; one Fraction is built
+at the end.
 """
 
 import math
@@ -146,20 +150,33 @@ class MomentPolynomial(dict):
 
     def evaluate(self, values):
         """sum(c * values[idx]) for rational values (Fraction or int).
-        Products that share a denominator are added as integers, the
-        distinct denominators are brought to their lcm and the sum is
-        reduced once."""
+
+        The coefficients are brought over L, the lcm of their own
+        denominators, which is small. Their integer products with the
+        values' numerators are added per value denominator, and the groups
+        are summed in ascending bit length into one running numerator over
+        one running denominator. Where the running denominator divides the
+        next one, as it often does for the solved moments' nested
+        denominators, one `divmod` gives a small quotient that rescales
+        the running numerator; elsewhere one gcd takes the lcm. The sum
+        over L times the last denominator is reduced once."""
+        scale = math.lcm(*[c.denominator for c in self.values()])
         parts = {}
         for idx, c in self.items():
             v = values[idx]
-            den = c.denominator * v.denominator
-            parts[den] = parts.get(den, 0) + c.numerator * v.numerator
-        common = 1
-        for den in parts:
-            if common % den:
-                common = math.lcm(common, den)
-        return Fraction(sum(num * (common // den)
-                            for den, num in parts.items()), common)
+            num = c.numerator * (scale // c.denominator) * v.numerator
+            parts[v.denominator] = parts.get(v.denominator, 0) + num
+        total, common = 0, 1
+        for den in sorted(parts, key=int.bit_length):
+            factor, rest = divmod(den, common)
+            if rest:
+                g = math.gcd(common, den)
+                total = total * (den // g) + parts[den] * (common // g)
+                common = common // g * den
+            else:
+                total = total * factor + parts[den]
+                common = den
+        return Fraction(total, common * scale)
 
     def substitute(self, knowns):
         """Replace the given indices by fixed values (folded into the
@@ -373,6 +390,9 @@ def hausdorff_check(psi):
         raise ValueError("empty moment array")
     dim = len(next(iter(psi)))
     nums, scale = integer_numerators(psi.values())
+    # per axis, each index and its neighbour one step up that axis
+    shifts = [{m: m[:axis] + (m[axis] + 1,) + m[axis + 1:] for m in psi}
+              for axis in range(dim)]
     lows, violations, checked = [], [], 0
     pending = [((0,) * dim, dict(zip(psi, nums)), 0)]
     while pending:
@@ -382,11 +402,9 @@ def hausdorff_check(psi):
                           if value < 0)
         checked += len(table)
         for axis in range(first, dim):
-            diff = {}
-            for m, value in table.items():
-                up = m[:axis] + (m[axis] + 1,) + m[axis + 1:]
-                if up in table:
-                    diff[m] = value - table[up]
+            shift = shifts[axis]
+            diff = {m: value - table[up] for m, value in table.items()
+                    if (up := shift[m]) in table}
             if diff:
                 grown = n[:axis] + (n[axis] + 1,) + n[axis + 1:]
                 pending.append((grown, diff, axis))

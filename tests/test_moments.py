@@ -3,15 +3,17 @@ import math
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xistep import (HausdorffReport, MomentPolynomial, RateTable,
-                    ScalarParams, XiMeasure, build_rate_table,
+                    ScalarParams, SimplexAtom, XiMeasure, build_rate_table,
                     generator_on_monomial, hausdorff_check, order_indices,
                     solve_stationary, stationary_system)
+from xistep import moments
 from xistep.linalg import solve_exact, solve_tridiagonal
 from xistep.moments import _generator_row
 from xistep.partitions import iter_profiles
@@ -21,6 +23,13 @@ from conftest import ATOM_HALF_QUARTER, KINGMAN, SWEEP, kingman_scalar, \
     rand_consistent_params, seeded
 
 F = Fraction
+SWEEP_TABLE_8 = build_rate_table(SWEEP, 8)
+
+
+def plain_sum(poly, values):
+    """The left-to-right Fraction sum that `MomentPolynomial.evaluate`
+    must equal."""
+    return sum((c * values[idx] for idx, c in poly.items()), F(0))
 
 
 class TestGeneratorOnMonomial:
@@ -362,17 +371,65 @@ class TestMomentPolynomial:
         st.tuples(st.fractions(-3, 3, max_denominator=12),
                   st.one_of(st.fractions(-2, 2, max_denominator=40),
                             st.integers(-5, 5))),
-        max_size=12))
+        max_size=12),
+           st.randoms(use_true_random=False),
+           st.fractions(-2, 2, max_denominator=1000).filter(bool))
     @settings(max_examples=100, deadline=None)
-    def test_evaluate_is_the_plain_sum(self, terms):
+    def test_evaluate_is_the_plain_sum(self, terms, rng, shift):
         """Empty polynomials, zero coefficients, mixed denominators, and
-        Fraction and int values."""
+        Fraction and int values; then every generator row up to order 8 on
+        solved moments, whose denominators are nested and up to about 2000
+        bits, with one moment shifted by a rational and the random values
+        written over the moments at their indices. The shift makes some
+        residuals nonzero, and the sum meets denominators that do not
+        divide each other (the gcd step)."""
         poly = MomentPolynomial({idx: c for idx, (c, _) in terms.items()})
         values = {idx: v for idx, (_, v) in terms.items()}
         assert all(c != 0 for c in poly.values())
         assert set(poly) == {idx for idx, (c, _) in terms.items() if c}
-        assert poly.evaluate(values) == sum(c * values[idx]
-                                            for idx, c in poly.items())
+        assert poly.evaluate(values) == plain_sum(poly, values)
+        drawn = rand_consistent_params(rng)
+        p = ScalarParams.from_rate_table(SWEEP_TABLE_8, drawn.theta,
+                                         drawn.alpha, drawn.u1, drawn.u2)
+        shifted = solve_stationary(8, p)
+        shifted[rng.choice(sorted(shifted))] += shift
+        rows = [generator_on_monomial(idx, p) for idx in shifted
+                if idx != (0, 0)]
+        got = [row.evaluate(shifted) for row in rows]
+        assert got == [plain_sum(row, shifted) for row in rows]
+        assert any(got)
+        mixed = shifted | values
+        assert [row.evaluate(mixed) for row in rows] == \
+            [plain_sum(row, mixed) for row in rows]
+
+    def test_nested_denominators_take_no_gcd(self, monkeypatch):
+        """Value denominators that divide each other are summed upward,
+        each step one divmod by the running denominator: whatever the
+        order of the values, no gcd is taken."""
+        calls = []
+
+        def gcd(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+        monkeypatch.setattr(moments, "math",
+                            SimpleNamespace(gcd=gcd, lcm=math.lcm))
+        rng = seeded(39)
+        for _ in range(20):
+            dens = [1]
+            for _ in range(rng.randint(1, 12)):
+                dens.append(dens[-1] * rng.randint(2, 2 ** 40))
+            rng.shuffle(dens)
+            # numerators prime to their denominators keep the chain
+            values = {(k, 0): F(rng.choice((1, -1)) + rng.randint(-9, 9) * den,
+                                den)
+                      for k, den in enumerate(dens)}
+            assert [v.denominator for v in values.values()] == dens
+            poly = MomentPolynomial({idx: F(rng.randint(-9, 9) or 1,
+                                            rng.randint(1, 12))
+                                     for idx in values})
+            assert poly.evaluate(values) == plain_sum(poly, values)
+        assert not calls
 
 
 class TestStationarySolutions:
@@ -405,6 +462,16 @@ class TestStationarySolutions:
             for k in range(1, 5):
                 for idx in order_indices(k):
                     assert generator_on_monomial(idx, p).evaluate(sol) == 0
+
+    def test_residual_zero_at_order_20_on_the_sweep_measure(self):
+        """Every residual up to order 20, whose moments have denominators
+        of up to about 25 000 bits."""
+        table = build_rate_table(SWEEP, 20)
+        p = ScalarParams.from_rate_table(table, *SWEEP_GRID[1])
+        sol = solve_stationary(20, p)
+        assert len(sol) == 231
+        for idx in sol:
+            assert generator_on_monomial(idx, p).evaluate(sol) == 0, idx
 
     def test_colony_swap_symmetry(self):
         rng = seeded(34)
@@ -457,6 +524,32 @@ class TestStationarySolutions:
             assert len(sol) == 45
             for (n, m), v in sol.items():
                 assert v == beta_moment(n) * beta_moment(m)
+
+    @pytest.mark.parametrize("r1,r2", [(1, 1), (1, 3)])
+    def test_fast_migration_is_one_colony(self, r1, r2):
+        # u1 = r1 u, u2 = r2 u with u large: a lineage sits in colony i
+        # with probability pi_i = r_i / (r1 + r2), and both colonies follow
+        # one Fleming-Viot process driven by Xi', with Kingman mass
+        # c (pi_1^2 + pi_2^2) and, per atom (x, w) of Xi and colony i, an
+        # atom pi_i x of weight w pi_i^2 (Moehle 1998; Nordborg & Krone
+        # 2002). So M[n, m] tends to M'[n + m, 0], with a gap of order
+        # 1 / u: u times the largest gap at order 6 is 0.039 (1:1) and
+        # 0.045 (1:3) at u = 10^3 and 10^4.
+        c, (atom,) = F(1, 2), ATOM_HALF_QUARTER.atoms
+        pis = (F(r1, r1 + r2), F(r2, r1 + r2))
+        merged = XiMeasure(
+            c * sum(pi * pi for pi in pis),
+            tuple(SimplexAtom(tuple(pi * x for x in atom.coords),
+                              atom.weight * pi * pi) for pi in pis))
+        limit = solve_stationary(6, ScalarParams.from_rate_table(
+            build_rate_table(merged, 6), 1, F(1, 2), 0, 0))
+        table = build_rate_table(XiMeasure(c, (atom,)), 6)
+        for u in (10 ** 3, 10 ** 4):
+            sol = solve_stationary(6, ScalarParams.from_rate_table(
+                table, 1, F(1, 2), r1 * u, r2 * u))
+            gap = max(abs(v - limit[(n + m, 0)])
+                      for (n, m), v in sol.items())
+            assert 0 < u * gap <= F(1, 20), (u, float(u * gap))
 
     def test_system_records_square_matrices(self):
         systems = stationary_system(3, kingman_scalar())
