@@ -19,7 +19,20 @@ from .setfun import (BaseMeasure, DyadicSet, MutationSpec, SetFunction,
                      TensorFunction)
 from .simplex import (CollisionProfile, RateTable, SimplexAtom, XiMeasure,
                       build_rate_table, check_consistency, collision_rate)
-from .simulator import (DualState, McEstimate, ModelParams, StopRule,
-                        Trajectory, estimate_Qt, estimate_stationary,
-                        evaluate_dual, genealogical_evaluate, initial_state,
-                        replay, run_until)
+# The Monte Carlo engine loads on first use (PEP 562), so that the exact
+# commands never import it; `xistep.<name>` is the simulator's own object.
+_SIMULATOR_EXPORTS = ("DualState", "McEstimate", "ModelParams", "StopRule",
+                      "Trajectory", "estimate_Qt", "estimate_stationary",
+                      "evaluate_dual", "genealogical_evaluate",
+                      "initial_state", "replay", "run_until")
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_EXPORTS:
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATOR_EXPORTS))

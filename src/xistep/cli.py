@@ -21,11 +21,10 @@ from .rationals import format_rational
 from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                             final_contradiction, residual_with_denominator)
 from .setfun import TensorFunction
-from .simhelpers import (coupling_linearity_holds, normalization_holds,
-                         random_scalar_params, random_xi, semigroup_law_holds)
 from .simplex import build_rate_table, check_consistency
-from .simulator import (EVENT_CAP, StopRule, estimate_Qt, estimate_stationary,
-                        initial_state, replica_rng, run_until)
+
+# `simulator` and `simhelpers` are imported inside the commands that run
+# them, so that the exact commands start without the Monte Carlo engine
 
 
 def _workers():
@@ -107,6 +106,8 @@ def cmd_rates(cfg, args):
 
 
 def cmd_simulate(cfg, args):
+    from .simulator import (EVENT_CAP, StopRule, initial_state, replica_rng,
+                            run_until)
     if "eta" not in cfg.options and cfg.b_max < 2:
         raise ConfigError("b_max", "options.eta is not given, and the "
                           "default eta [1, 1] needs 2 blocks, so b_max must "
@@ -139,6 +140,7 @@ def cmd_simulate(cfg, args):
 
 
 def cmd_qt(cfg, args):
+    from .simulator import estimate_Qt
     n = cfg.options.get("n", 1)
     m = cfg.options.get("m", 0)
     if "t" not in cfg.options:
@@ -171,6 +173,7 @@ def cmd_stationary(cfg, args):
         return report, 0
     _needs_coalescence(cfg, "the Monte Carlo estimate runs each replica to "
                        "absorption")
+    from .simulator import estimate_stationary
     indices = cfg.options.get("indices")
     if indices is None:
         order = _order(cfg, 2)
@@ -249,6 +252,9 @@ def cmd_reversibility(cfg, args):
 
 
 def _selftest_suites(seed):
+    from .simhelpers import (coupling_linearity_holds, normalization_holds,
+                             random_scalar_params, random_xi,
+                             semigroup_law_holds)
     rng = random.Random(f"xistep-selftest:{seed}")
     suites = []
 

@@ -10,7 +10,6 @@ from .moments import ScalarParams
 from .rationals import parse_rational
 from .setfun import BaseMeasure, DyadicSet, MutationSpec
 from .simplex import MAX_BLOCKS, SimplexAtom, XiMeasure, build_rate_table
-from .simulator import ModelParams
 
 
 # finest dyadic grid a config may name: a level-L set is built cell by cell
@@ -92,6 +91,19 @@ def _items(data, key, field_name, default=_MISSING):
     return [(f"{where}[{i}]", v) for i, v in enumerate(value)]
 
 
+def _distinct(entries):
+    """The values of (field name, value) list entries, refusing an entry
+    that repeats an earlier one: a set, or a dict of rows keyed by it,
+    would drop it without a word."""
+    first = {}
+    for where, v in entries:
+        key = tuple(v) if isinstance(v, list) else v
+        if key in first:
+            raise ConfigError(where, f"repeats {first[key]} ({v})")
+        first[key] = where
+    return [v for _, v in entries]
+
+
 def parse_xi(data, field_name="xi"):
     _known(data, field_name, ("kingman_mass", "atoms"))
     mass = _rat(_get(data, "kingman_mass", field_name, "0"),
@@ -135,8 +147,8 @@ def parse_dyadic_set(data, field_name):
     _known(data, field_name, ("level", "cells"))
     level = parse_int(_get(data, "level", field_name), f"{field_name}.level",
                  0, MAX_GRID_LEVEL)
-    cells = [parse_int(c, f, 0, (1 << level) - 1)
-             for f, c in _items(data, "cells", field_name)]
+    cells = _distinct([(f, parse_int(c, f, 0, (1 << level) - 1))
+                       for f, c in _items(data, "cells", field_name)])
     return DyadicSet(level, frozenset(cells))
 
 
@@ -170,6 +182,7 @@ class ExperimentConfig:
         """Dual-chain params. A run started from `blocks` blocks never holds
         more, so when that count is given the collision rates are tabulated
         only up to min(b_max, blocks)."""
+        from .simulator import ModelParams
         b_max = self.b_max if blocks is None else min(self.b_max, blocks)
         return ModelParams(self.xi, MutationSpec(self.theta, base=self.base),
                            self.u1, self.u2, b_max)
@@ -228,8 +241,9 @@ def parse_config(data, digest=""):
     if "order" in options:
         options["order"] = _order(options["order"], "options.order", b_max)
     if "indices" in options:
-        options["indices"] = [_index(idx, where, b_max) for where, idx
-                              in _items(options, "indices", "options")]
+        options["indices"] = _distinct(
+            [(where, _index(idx, where, b_max))
+             for where, idx in _items(options, "indices", "options")])
         if not options["indices"]:
             raise ConfigError("options.indices", "must not be empty")
     if "eta" in options:

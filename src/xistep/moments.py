@@ -309,8 +309,9 @@ def stationary_system(N, params, rate_table=None):
     solution as integers over M = det * D. D grows to lcm(D, M / g), g the
     gcd of M and the order's numerators, and every numerator is rescaled,
     only when the solution's reduced denominators do not divide it.
-    Fractions are built for the solution; the returned LinearSystem keeps
-    the integer system and builds its Fraction views on first read."""
+    Fractions are built for the solution from the numerators over M / g;
+    the returned LinearSystem keeps the integer system and builds its
+    Fraction views on first read."""
     _check_table(params, rate_table)
     common = 1                   # D: each known is numerators[idx] / D
     numerators = {(0, 0): 1}
@@ -336,13 +337,13 @@ def stationary_system(N, params, rate_table=None):
             scales.append(scale)
         numers, det = solve_tridiagonal(rows, lifted)
         whole = det * common     # each unknown is numers[i] / whole
+        g = math.gcd(whole, *numers)
+        reduced = whole // g     # signed, as whole is
         systems.append(LinearSystem(
-            unknowns, {idx: Fraction(x, whole)
+            unknowns, {idx: Fraction(x // g, reduced)
                        for idx, x in zip(unknowns, numers)},
             tuple(map(tuple, rows)), tuple(lifted), tuple(scales), common,
             det))
-        g = math.gcd(whole, *numers)
-        reduced = whole // g     # signed, as whole is
         grown = math.lcm(common, reduced)
         if grown != common:
             factor = grown // common

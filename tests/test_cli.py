@@ -2,6 +2,10 @@ import argparse
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from fractions import Fraction
 
 from xistep import (BaseMeasure, ScalarParams, build_rate_table,
                     format_rational, solve_stationary)
+import xistep
 from xistep import cli, simulator
 from xistep.cli import _selftest_suites, main
 from xistep.simulator import EVENT_CAP, genealogical_evaluate
@@ -533,6 +538,66 @@ class TestSelftest:
         assert not suites["rate_consistency"]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+EXACT_SWEEP = str(ROOT / "perfbench" / "configs" / "exact_sweep.json")
+
+# runs each argv of argv[1] through `main` in a fresh interpreter, then
+# prints which of the Monte Carlo modules are loaded
+START_PROBE = """
+import json, sys
+import xistep.cli
+for argv in json.loads(sys.argv[1]):
+    assert xistep.cli.main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name in
+                        ("xistep.simulator", "xistep.simhelpers"))))
+"""
+
+
+class TestStartUp:
+    """The exact commands run without importing the Monte Carlo engine;
+    the commands that draw replicas load it on first use."""
+
+    def loaded_after(self, tmp_path, *argvs):
+        out = ["--out", str(tmp_path / "out")]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        return json.loads(subprocess.run(
+            [sys.executable, "-c", START_PROBE,
+             json.dumps([argv + out for argv in argvs])],
+            env=env, capture_output=True, text=True, check=True).stdout)
+
+    def test_exact_commands_leave_the_simulator_unloaded(self, tmp_path):
+        assert self.loaded_after(
+            tmp_path, *([cmd, "--config", EXACT_SWEEP] for cmd in
+                        ("rates", "hausdorff", "reversibility",
+                         "stationary"))) == []
+
+    @pytest.mark.parametrize("argv,options,loaded", [
+        (["qt", "--replicas", "20"], {"t": "1/2"}, ["xistep.simulator"]),
+        (["simulate"], {}, ["xistep.simulator"]),
+        (["stationary", "--replicas", "20"], {"mode": "mc", "order": 1},
+         ["xistep.simulator"]),
+        (["selftest"], {}, ["xistep.simhelpers", "xistep.simulator"]),
+    ], ids=["qt", "simulate", "stationary-mc", "selftest"])
+    def test_monte_carlo_commands_load_it(self, tmp_path, argv, options,
+                                          loaded):
+        cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, options=options))
+        assert self.loaded_after(tmp_path, argv + ["--config", cfg]) == loaded
+
+    @pytest.mark.parametrize("name", [
+        "DualState", "McEstimate", "ModelParams", "StopRule", "Trajectory",
+        "estimate_Qt", "estimate_stationary", "evaluate_dual",
+        "genealogical_evaluate", "initial_state", "replay", "run_until"])
+    def test_package_exports_are_the_simulators_objects(self, name):
+        assert getattr(xistep, name) is getattr(simulator, name)
+        assert name in dir(xistep)
+
+    def test_unknown_package_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            xistep.no_such_name
+
+
 # `TestErrors.BAD_INPUT` case ids, one per row and fixed when the row is
 # written, so that correcting a needle renames no test. These rows keep
 # the ids they were first given (number, XISTEP_THREADS value and needle
@@ -730,6 +795,13 @@ class TestErrors:
                            "densities": ["1", "1", "1"]}}, None,
          "config error: mu2.densities: need one density per grid cell, "
          "2^grid_level = 4, got 3"),
+        # a repeated entry is refused where a set or a dict of rows would
+        # drop it without a word
+        ("rates", {"e_star": {"level": 1, "cells": [0, 0]}}, None,
+         "config error: e_star.cells[1]: repeats e_star.cells[0]"),
+        ("stationary", {"options": {"mode": "mc",
+                                    "indices": [[2, 2], [2, 2]]}}, None,
+         "config error: options.indices[1]: repeats options.indices[0]"),
     ]
 
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import json, sys
 before = set(sys.modules)
-import xistep, xistep.cli, xistep.simhelpers
+import xistep, xistep.cli, xistep.simhelpers, xistep.simulator
 new = {name.split(".")[0] for name in set(sys.modules) - before}
 print(json.dumps(sorted(new - set(sys.stdlib_module_names) - {"xistep"})))
 """
