@@ -27,8 +27,17 @@ class ConfigError(ValueError):
 def _rat(value, field_name):
     try:
         return parse_rational(value)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    except ValueError as e:
         raise ConfigError(field_name, str(e)) from e
+
+
+def _signed(value, field_name, positive=False):
+    """A rational input that must be nonnegative, or positive."""
+    x = _rat(value, field_name)
+    if x < 0 or positive and x == 0:
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigError(field_name, f"must be {sign}, got {x}")
+    return x
 
 
 def parse_int(value, field_name, low=None, high=None):
@@ -106,20 +115,24 @@ def _distinct(entries):
 
 def parse_xi(data, field_name="xi"):
     _known(data, field_name, ("kingman_mass", "atoms"))
-    mass = _rat(_get(data, "kingman_mass", field_name, "0"),
-                f"{field_name}.kingman_mass")
-    if mass < 0:
-        raise ConfigError(f"{field_name}.kingman_mass",
-                          f"must be nonnegative, got {mass}")
+    mass = _signed(_get(data, "kingman_mass", field_name, "0"),
+                   f"{field_name}.kingman_mass")
     atoms = []
     for where, a in _items(data, "atoms", field_name, []):
         _known(a, where, ("coords", "weight"))
-        coords = [_rat(c, f) for f, c in _items(a, "coords", where)]
-        weight = _rat(_get(a, "weight", where), f"{where}.weight")
+        coords = []
+        for f, c in _items(a, "coords", where):
+            c = _signed(c, f, positive=True)
+            if coords and c > coords[-1]:
+                raise ConfigError(f, "must be at most the coordinate "
+                                  f"before it, {coords[-1]}, got {c}")
+            coords.append(c)
+        weight = _signed(_get(a, "weight", where), f"{where}.weight",
+                         positive=True)
         try:
             atoms.append(SimplexAtom(tuple(coords), weight))
-        except ValueError as e:
-            raise ConfigError(where, str(e)) from e
+        except ValueError as e:   # no coordinate, or their sum exceeds 1
+            raise ConfigError(f"{where}.coords", str(e)) from e
     return XiMeasure(mass, tuple(atoms))
 
 
@@ -127,7 +140,7 @@ def parse_base_measure(data, field_name):
     _known(data, field_name, ("grid_level", "densities", "atoms"))
     level = parse_int(_get(data, "grid_level", field_name, 0),
                  f"{field_name}.grid_level", 0, MAX_GRID_LEVEL)
-    dens = [_rat(d, f) for f, d in _items(data, "densities", field_name)]
+    dens = [_signed(d, f) for f, d in _items(data, "densities", field_name)]
     if len(dens) != 1 << level:
         raise ConfigError(f"{field_name}.densities",
                           f"need one density per grid cell, 2^grid_level = "
@@ -135,11 +148,13 @@ def parse_base_measure(data, field_name):
     atoms = []
     for where, a in _items(data, "atoms", field_name, []):
         _known(a, where, ("at", "mass"))
-        atoms.append((_rat(_get(a, "at", where), f"{where}.at"),
-                      _rat(_get(a, "mass", where), f"{where}.mass")))
+        at = _rat(_get(a, "at", where), f"{where}.at")
+        if not 0 <= at <= 1:
+            raise ConfigError(f"{where}.at", f"must lie in [0,1], got {at}")
+        atoms.append((at, _signed(_get(a, "mass", where), f"{where}.mass")))
     try:
         return BaseMeasure(level, tuple(dens), tuple(atoms))
-    except ValueError as e:
+    except ValueError as e:   # a total mass other than 1
         raise ConfigError(field_name, str(e)) from e
 
 
@@ -204,9 +219,7 @@ def parse_config(data, digest=""):
                       "alpha", "mu1", "mu2", "replicas", "seed", "b_max",
                       "options"))
     xi = parse_xi(_get(data, "xi", ""))
-    theta = _rat(_get(data, "theta", ""), "theta")
-    if theta < 0:
-        raise ConfigError("theta", f"must be nonnegative, got {theta}")
+    theta = _signed(_get(data, "theta", ""), "theta")
     mut = _get(data, "mutation", "")
     _known(mut, "mutation", ("kind", "base"))
     kind = _get(mut, "kind", "mutation", "uniform")
@@ -214,11 +227,8 @@ def parse_config(data, digest=""):
         raise ConfigError("mutation.kind",
                           f"unsupported kind {kind!r} (only 'uniform')")
     base = parse_base_measure(_get(mut, "base", "mutation"), "mutation.base")
-    u1 = _rat(_get(data, "u1", ""), "u1")
-    u2 = _rat(_get(data, "u2", ""), "u2")
-    for name, u in (("u1", u1), ("u2", u2)):
-        if u <= 0:
-            raise ConfigError(name, f"must be positive, got {u}")
+    u1 = _signed(_get(data, "u1", ""), "u1", positive=True)
+    u2 = _signed(_get(data, "u2", ""), "u2", positive=True)
     e_star = parse_dyadic_set(_get(data, "e_star", ""), "e_star")
     alpha = base.measure(e_star)
     if "alpha" in data and _rat(data["alpha"], "alpha") != alpha:

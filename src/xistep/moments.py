@@ -23,19 +23,19 @@ from functools import cached_property
 
 from .linalg import solve_tridiagonal
 from .rationals import integer_numerators
-from .simplex import (NAMED_RATES, CollisionProfile, RateTable,
-                      check_consistency)
+from .simplex import NAMED_RATES, RateTable, _profiles, check_consistency
 
 
 @dataclass(frozen=True)
 class ScalarParams:
     """Scalar inputs of the moment systems: mutation rate theta, reference
     mass alpha, migration rates, and `table`, the one source of collision
-    rates. Built directly, the seven named rates (up to four lineages) make
-    a 4-block table; given a table, which must cover those four blocks,
-    they are read from it. Migration and collision rates must be
-    nonnegative: the stationary systems then have no zero pivot (see
-    `linalg.solve_tridiagonal`).
+    rates. Built directly, the seven named rates (up to four lineages,
+    0 where not given) fill the 4-block profiles that every rate table
+    shares; a given table must cover those four blocks. Either way the
+    named rates are then read from the table. Migration and collision
+    rates must be nonnegative: the stationary systems then have no zero
+    pivot (see `linalg.solve_tridiagonal`).
 
     Each instance keeps a cache of generator rows, built on integers on
     first request (`_generator_row`): per monomial, the coefficients of
@@ -60,26 +60,26 @@ class ScalarParams:
 
     def __post_init__(self):
         object.__setattr__(self, "_rows", {})
-        if self.table is not None and self.table.b_max < 4:
+        if self.table is None:
+            # the shared 4-block profiles at the given named rates, or 0
+            given = {key: getattr(self, name)
+                     for name, key in NAMED_RATES.items()}
+            object.__setattr__(self, "table", RateTable(4, {b: tuple(
+                (prof, Fraction(given[b, prof.merge_sizes, prof.s] or 0), mult)
+                for prof, mult in _profiles(b)) for b in (2, 3, 4)}))
+        elif self.table.b_max < 4:
             raise ValueError(f"rate table with b_max={self.table.b_max} does "
                              "not cover the named rates, which need 4 blocks")
-        rows = {}
-        for name, (b, ks, s) in NAMED_RATES.items():
-            rate = (Fraction(0) if self.table is None
-                    else self.table.rate_of(b, ks, s))
+        for name, key in NAMED_RATES.items():
+            rate = self.table.rate_of(*key)
             given = getattr(self, name)
             given = rate if given is None else Fraction(given)
             if given < 0:
                 raise ValueError(f"{name} must be nonnegative")
-            if self.table is not None and given != rate:
+            if given != rate:
                 raise ValueError(f"{name}={given} disagrees with the rate "
                                  f"table, which gives {rate}")
             object.__setattr__(self, name, given)
-            if self.table is None:
-                prof = CollisionProfile(b, ks, s)
-                rows[b] = rows.get(b, ()) + ((prof, given, prof.multiplicity),)
-        if self.table is None:
-            object.__setattr__(self, "table", RateTable(4, rows))
         self.table.check_nonnegative()
         for name in ("theta", "alpha", "u1", "u2"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))

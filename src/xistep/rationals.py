@@ -7,19 +7,21 @@ from fractions import Fraction
 
 def parse_rational(s):
     """Parse a config rational, a "p/q" or "p" string or a JSON integer,
-    into a Fraction. Raises ValueError on "p/0"."""
+    into a Fraction. Raises ValueError, quoting the value, on anything
+    else and on "p/0"."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if not isinstance(s, str):
-        raise ValueError(f"expected rational string, got {type(s).__name__}")
-    text = s.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        d = int(den)
-        if d == 0:
-            raise ValueError(f"zero denominator in rational {s!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+    try:
+        if not isinstance(s, str):
+            raise ValueError
+        num, slash, den = s.strip().partition("/")
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError('expected a "p/q" string or an integer, got '
+                         f"{s!r}") from None
+    if q == 0:
+        raise ValueError(f"zero denominator in rational {s!r}")
+    return Fraction(p, q)
 
 
 def format_rational(x):

@@ -98,10 +98,6 @@ class CollisionProfile:
     def block_drop(self):
         return sum(k - 1 for k in self.merge_sizes)
 
-    @property
-    def multiplicity(self):
-        return profile_multiplicity(self.n, self.merge_sizes, self.s)
-
 
 @lru_cache(maxsize=MAX_BLOCKS)
 def _profiles(b):
@@ -242,45 +238,42 @@ class RateTable:
         return self._rate_index.get((b, tuple(merge_sizes), s), Fraction(0))
 
     @cached_property
-    def _drop_rates(self):
-        out = {}
-        for b, row in self.rows.items():
-            sums = {}
-            for prof, rate, mult in row:
-                drop = prof.block_drop
-                sums[drop] = sums.get(drop, 0) + mult * rate
-            out[b] = tuple((drop, total)
-                           for drop, total in sorted(sums.items()) if total)
-        return out
-
-    def drop_rates(self, b):
-        """(block drop, sum of multiplicity * rate over the profiles that
-        drop that many blocks) for b blocks, nonzero sums only: the rate at
-        which b blocks become b - drop."""
-        self._covers(b)
-        return self._drop_rates.get(b, ())
-
-    @cached_property
     def _drop_numerators(self):
-        drops = self._drop_rates
-        nums, den = integer_numerators([total for row in drops.values()
-                                        for _, total in row])
+        """Every row's rate as an integer over one denominator, then per
+        (b, block drop) the integer sum of multiplicity * numerator;
+        dividing the denominator and the sums by their gcd leaves the lcm
+        form of the sums. Zero sums are dropped."""
+        nums, den = integer_numerators([rate for row in self.rows.values()
+                                        for _, rate, _ in row])
         nums = iter(nums)
+        sums = {}
+        for b, row in self.rows.items():
+            per_drop = {}
+            for (prof, _, mult), num in zip(row, nums):
+                drop = prof.block_drop
+                per_drop[drop] = per_drop.get(drop, 0) + mult * num
+            sums[b] = sorted((drop, total)
+                             for drop, total in per_drop.items() if total)
+        g = math.gcd(den, *[total for row in sums.values()
+                            for _, total in row])
         out = {}
-        for b, row in drops.items():
-            pairs = tuple((drop, next(nums)) for drop, _ in row)
+        for b, row in sums.items():
+            pairs = tuple((drop, total // g) for drop, total in row)
             out[b] = (pairs, sum(num for _, num in pairs))
-        return den, out
+        return den // g, out
 
     @property
     def drop_denominator(self):
-        """L, the lcm of the denominators of every `drop_rates` sum."""
+        """L, the lcm of the denominators of every drop rate: the sums of
+        multiplicity * rate over the profiles of b blocks that drop the
+        same number of blocks."""
         return self._drop_numerators[0]
 
     def drop_numerators(self, b):
-        """`drop_rates(b)` on integers over `drop_denominator`: the (block
-        drop, numerator) pairs and the numerator of their total, the rate
-        at which b blocks see any collision at all."""
+        """The drop rates of b blocks on integers over `drop_denominator`:
+        the (block drop, numerator) pairs, nonzero ones only, for the rate
+        at which b blocks become b - drop, and the numerator of their
+        total, the rate at which b blocks see any collision at all."""
         self._covers(b)
         return self._drop_numerators[1].get(b, ((), 0))
 

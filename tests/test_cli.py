@@ -660,6 +660,11 @@ BAD_INPUT_IDS = (
     "cell, 2^grid_level = 1, got 2",
     "change53-None-config error: mu2.densities: need one density per grid "
     "cell, 2^grid_level = 4, got 3",
+    "change54-rates",
+    "change55-stationary",
+    "change56-theta-not-rational",
+    "change57-u1-not-rational",
+    "change58-options.t-decimal",
 )
 
 
@@ -802,6 +807,16 @@ class TestErrors:
         ("stationary", {"options": {"mode": "mc",
                                     "indices": [[2, 2], [2, 2]]}}, None,
          "config error: options.indices[1]: repeats options.indices[0]"),
+        # a value that is not a rational is quoted, with the forms accepted
+        ("stationary", {"theta": "1/2."}, None,
+         "config error: theta: expected a \"p/q\" string or an integer, "
+         "got '1/2.'"),
+        ("rates", {"u1": "abc"}, None,
+         "config error: u1: expected a \"p/q\" string or an integer, "
+         "got 'abc'"),
+        ("qt", {"options": {"t": "0.1"}}, None,
+         "config error: options.t: expected a \"p/q\" string or an "
+         "integer, got '0.1'"),
     ]
 
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[

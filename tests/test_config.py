@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xistep.config import ConfigError, parse_config
+from xistep.rationals import parse_rational
 
 VALID = {
     "xi": {"kingman_mass": "1",
@@ -113,6 +114,15 @@ NESTED_IDS = (
     "path27-value27-mu2.atoms[0].w",
     "path28-value28-e_star.cell",
     "path29-6-options.ordr",
+    "path30-mu1.densities[1]",
+    "path31-mutation.base.atoms[0].at",
+    "path32-mutation.base.atoms[0].mass",
+    "path33-mutation.base-total-mass",
+    "path34-xi.atoms[0].weight",
+    "path35-xi.atoms[0].coords[1]-zero",
+    "path36-xi.atoms[0].coords[1]-increasing",
+    "path37-xi.atoms[0].coords-sum",
+    "path38-xi.atoms[0].coords-empty",
 )
 
 
@@ -190,6 +200,25 @@ class TestFieldErrors:
          "mu2.atoms[0].w"),
         (("e_star", "cell"), [0], "e_star.cell"),
         (("options", "ordr"), 6, "options.ordr"),
+        # a value that the measure's type would refuse, named where it is
+        # parsed; a total mass other than 1 belongs to the whole measure
+        (("mu1",), {"grid_level": 1, "densities": ["3", "-1"]},
+         "mu1.densities[1]"),
+        (("mutation", "base"), {"densities": ["0"],
+                                "atoms": [{"at": "2", "mass": "1"}]},
+         "mutation.base.atoms[0].at"),
+        (("mutation", "base"), {"densities": ["2"],
+                                "atoms": [{"at": "0", "mass": "-1"}]},
+         "mutation.base.atoms[0].mass"),
+        (("mutation", "base"), {"densities": ["1"],
+                                "atoms": [{"at": "0", "mass": "1"}]},
+         "mutation.base"),
+        (("xi", "atoms", 0, "weight"), "0", "xi.atoms[0].weight"),
+        (("xi", "atoms", 0, "coords"), ["1/2", "0"], "xi.atoms[0].coords[1]"),
+        (("xi", "atoms", 0, "coords"), ["1/4", "1/2"],
+         "xi.atoms[0].coords[1]"),
+        (("xi", "atoms", 0, "coords"), ["3/4", "1/2"], "xi.atoms[0].coords"),
+        (("xi", "atoms", 0, "coords"), [], "xi.atoms[0].coords"),
     ]
 
     @pytest.mark.parametrize("path,value,field", NESTED, ids=[
@@ -202,6 +231,26 @@ class TestFieldErrors:
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError):
             parse_config([VALID])
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("value,want", [
+        ("1/2", Fraction(1, 2)), (" -3 ", Fraction(-3)), (7, Fraction(7)),
+        ("4/-6", Fraction(-2, 3))])
+    def test_accepted_forms(self, value, want):
+        assert parse_rational(value) == want
+
+    @pytest.mark.parametrize("value", ["1/2.", "abc", "0.1", "3/", "", 2.5,
+                                       True, None, [1]])
+    def test_other_values_quoted(self, value):
+        with pytest.raises(ValueError) as info:
+            parse_rational(value)
+        assert str(info.value) == ('expected a "p/q" string or an integer, '
+                                   f"got {value!r}")
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
 
 
 JSON = st.recursive(

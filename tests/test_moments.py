@@ -16,7 +16,8 @@ from xistep import (HausdorffReport, MomentPolynomial, RateTable,
 from xistep import moments
 from xistep.linalg import solve_exact, solve_tridiagonal
 from xistep.moments import _generator_row
-from xistep.partitions import iter_profiles
+from xistep.partitions import iter_profiles, profile_multiplicity
+from xistep.reversibility import degenerate_params
 from xistep.simplex import CollisionProfile
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, SWEEP, kingman_scalar, \
@@ -132,9 +133,9 @@ def random_table_params(draw):
 
     rows = {}
     for b in range(2, b_max + 1):
-        rows[b] = tuple((prof, rate(), prof.multiplicity)
-                        for prof in (CollisionProfile(b, ks, s)
-                                     for ks, s in iter_profiles(b)))
+        rows[b] = tuple((CollisionProfile(b, ks, s), rate(),
+                         profile_multiplicity(b, ks, s))
+                        for ks, s in iter_profiles(b))
     theta = draw(st.fractions(min_value=F(1, 10 ** 6), max_value=5,
                               max_denominator=10 ** 12))
     alpha = draw(st.one_of(st.just(F(0)), st.just(F(1)),
@@ -195,6 +196,11 @@ class TestScalarParamsTable:
         for b in (2, 3, 4):
             assert ({(prof, mult) for prof, _, mult in p.table.profiles(b)}
                     == {(prof, mult) for prof, _, mult in full.profiles(b)})
+        # the degenerate pattern is Kingman's: equal tables hold the same
+        # rows (profile, rate, multiplicity) in the same order
+        for a in (F(1, 2), F(1), F(3)):
+            assert degenerate_params(a).table \
+                == build_rate_table(XiMeasure(kingman_mass=a), 4)
 
     def test_from_rate_table_keeps_the_table(self):
         table = build_rate_table(ATOM_HALF_QUARTER, 6)

@@ -75,7 +75,7 @@ class TestRateTable:
 
     def test_total_rate_kingman(self):
         table = build_rate_table(KINGMAN, 4)
-        totals = [sum(rate for _, rate in table.drop_rates(b))
+        totals = [F(table.drop_numerators(b)[1], table.drop_denominator)
                   for b in (2, 3, 4)]
         assert totals == [1, 3, 6]
 
@@ -92,20 +92,34 @@ class TestRateTable:
             table.rate_of(7, (2,), 5)
 
     def test_drop_rates_group_the_profiles(self):
-        table = build_rate_table(XiMeasure(F(1, 2), ATOM_HALF_QUARTER.atoms),
-                                 7)
-        for b in range(2, 8):
-            sums = {}
-            for prof, rate, mult in table.profiles(b):
-                sums[prof.block_drop] = (sums.get(prof.block_drop, F(0))
-                                         + mult * rate)
-            assert table.drop_rates(b) == tuple(
-                (drop, total) for drop, total in sorted(sums.items())
-                if total != 0)
-        assert table.drop_rates(3) == ((1, F(3, 2) + 3 * F(11, 20)),
-                                       (2, F(9, 20)))
-        with pytest.raises(ValueError, match="b_max=7"):
-            table.drop_rates(8)
+        # per block drop, the Fraction sum of multiplicity * rate over the
+        # profiles, nonzero sums only, over the lcm of their denominators
+        atom = build_rate_table(XiMeasure(F(1, 2), ATOM_HALF_QUARTER.atoms),
+                                7)
+        for table in (atom, build_rate_table(SWEEP, 20)):
+            want = {}
+            for b in range(2, table.b_max + 1):
+                sums = {}
+                for prof, rate, mult in table.profiles(b):
+                    sums[prof.block_drop] = (sums.get(prof.block_drop, F(0))
+                                             + mult * rate)
+                want[b] = [(drop, total)
+                           for drop, total in sorted(sums.items()) if total]
+            den = table.drop_denominator
+            assert den == math.lcm(*[total.denominator
+                                     for row in want.values()
+                                     for _, total in row])
+            for b, row in want.items():
+                pairs, total = table.drop_numerators(b)
+                assert [(drop, F(num, den)) for drop, num in pairs] == row
+                assert F(total, den) == sum(rate for _, rate in row)
+            with pytest.raises(ValueError, match=f"b_max={table.b_max}"):
+                table.drop_numerators(table.b_max + 1)
+        pairs, total = atom.drop_numerators(3)
+        den = atom.drop_denominator
+        assert [(drop, F(num, den)) for drop, num in pairs] \
+            == [(1, F(3, 2) + 3 * F(11, 20)), (2, F(9, 20))]
+        assert F(total, den) == F(3, 2) + 3 * F(11, 20) + F(9, 20)
 
     def test_profiles_equal_freshly_validated_ones(self):
         # every table shares one validated tuple of profiles per block
