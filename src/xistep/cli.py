@@ -4,7 +4,6 @@ package version; a command rerun with the same inputs emits identical
 bytes."""
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -18,6 +17,7 @@ from .moments import (generator_on_monomial, hausdorff_check, order_indices,
                       solve_stationary)
 from .partitions import profile_of
 from .rationals import format_rational
+from .records import replace
 from .reversibility import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                             final_contradiction, residual_with_denominator)
 from .setfun import TensorFunction
@@ -337,7 +337,7 @@ def main(argv=None):
         if replicas is not None:
             parse_int(replicas, "replicas", low=1)
         if cfg is not None:   # --seed and --replicas override the config
-            cfg = dataclasses.replace(
+            cfg = replace(
                 cfg, seed=cfg.seed if args.seed is None else args.seed,
                 replicas=cfg.replicas if replicas is None else replicas)
         report, status = COMMANDS[args.command](cfg, args)

@@ -3,11 +3,10 @@ config hashing, and assembly of model objects."""
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .moments import ScalarParams
-from .rationals import parse_rational
+from .rationals import INTEGER, parse_rational
+from .records import Record, set_field
 from .setfun import BaseMeasure, DyadicSet, MutationSpec
 from .simplex import MAX_BLOCKS, SimplexAtom, XiMeasure, build_rate_table
 
@@ -41,13 +40,16 @@ def _signed(value, field_name, positive=False):
 
 
 def parse_int(value, field_name, low=None, high=None):
-    """An integer input (a JSON integer or an integer string) within
-    [low, high] where given."""
+    """An integer input (a JSON integer, or a string that is an `INTEGER`
+    but for outer whitespace) within [low, high] where given."""
     try:
-        if isinstance(value, (bool, float)):   # int() takes True, cuts 2.5
-            raise TypeError
-        n = int(value)
-    except (TypeError, ValueError):
+        if isinstance(value, str) and INTEGER.fullmatch(value.strip()):
+            n = int(value)   # past int's digit limit, a ValueError
+        elif isinstance(value, int) and not isinstance(value, bool):
+            n = value
+        else:
+            raise ValueError
+    except ValueError:
         raise ConfigError(field_name,
                           f"must be an integer, got {value!r}") from None
     if low is not None and n < low:
@@ -176,22 +178,30 @@ def _index(value, field_name, b_max):
     return [n, m]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    xi: XiMeasure
-    theta: Fraction
-    base: BaseMeasure          # mutation target law
-    u1: Fraction
-    u2: Fraction
-    e_star: DyadicSet
-    alpha: Fraction            # = base.measure(e_star), validated
-    mu1: BaseMeasure
-    mu2: BaseMeasure
-    replicas: int
-    seed: int
-    b_max: int
-    options: dict = field(default_factory=dict)
-    digest: str = ""           # sha256 of the raw config bytes
+class ExperimentConfig(Record):
+    """A parsed config: `base` is the mutation target law, `alpha` is
+    `base.measure(e_star)`, validated, and `digest` is the sha256 of the
+    raw config bytes."""
+
+    _fields = ("xi", "theta", "base", "u1", "u2", "e_star", "alpha", "mu1",
+               "mu2", "replicas", "seed", "b_max", "options", "digest")
+
+    def __init__(self, xi, theta, base, u1, u2, e_star, alpha, mu1, mu2,
+                 replicas, seed, b_max, options=None, digest=""):
+        set_field(self, "xi", xi)
+        set_field(self, "theta", theta)
+        set_field(self, "base", base)
+        set_field(self, "u1", u1)
+        set_field(self, "u2", u2)
+        set_field(self, "e_star", e_star)
+        set_field(self, "alpha", alpha)
+        set_field(self, "mu1", mu1)
+        set_field(self, "mu2", mu2)
+        set_field(self, "replicas", replicas)
+        set_field(self, "seed", seed)
+        set_field(self, "b_max", b_max)
+        set_field(self, "options", {} if options is None else options)
+        set_field(self, "digest", digest)
 
     def model_params(self, blocks=None):
         """Dual-chain params. A run started from `blocks` blocks never holds

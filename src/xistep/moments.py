@@ -17,17 +17,16 @@ at the end.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .linalg import solve_tridiagonal
 from .rationals import integer_numerators
+from .records import Record, set_field
 from .simplex import NAMED_RATES, RateTable, _profiles, check_consistency
 
 
-@dataclass(frozen=True)
-class ScalarParams:
+class ScalarParams(Record):
     """Scalar inputs of the moment systems: mutation rate theta, reference
     mass alpha, migration rates, and `table`, the one source of collision
     rates. Built directly, the seven named rates (up to four lineages,
@@ -41,55 +40,55 @@ class ScalarParams:
     first request (`_generator_row`): per monomial, the coefficients of
     `generator_on_monomial` over the lcm of their denominators. One params
     object thus builds each row once for the stationary solve and every
-    later residual check; `dataclasses.replace` starts an empty cache."""
+    later residual check; `records.replace` starts an empty cache."""
 
-    theta: Fraction
-    alpha: Fraction
-    u1: Fraction
-    u2: Fraction
-    a2: Fraction = None
-    a21: Fraction = None
-    a3: Fraction = None
-    a211: Fraction = None
-    a22: Fraction = None
-    a31: Fraction = None
-    a4: Fraction = None
-    table: RateTable = field(default=None, compare=False, repr=False)
-    # (n, m) -> (lcm of the row's denominators, integer coefficients)
-    _rows: dict = field(init=False, default=None, compare=False, repr=False)
+    _fields = ("theta", "alpha", "u1", "u2", "a2", "a21", "a3", "a211", "a22",
+               "a31", "a4", "table")
+    _compare = _fields[:-1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", {})
-        if self.table is None:
+    def __init__(self, theta, alpha, u1, u2, a2=None, a21=None, a3=None,
+                 a211=None, a22=None, a31=None, a4=None, table=None):
+        named = {"a2": a2, "a21": a21, "a3": a3, "a211": a211, "a22": a22,
+                 "a31": a31, "a4": a4}
+        if table is None:
             # the shared 4-block profiles at the given named rates, or 0
-            given = {key: getattr(self, name)
-                     for name, key in NAMED_RATES.items()}
-            object.__setattr__(self, "table", RateTable(4, {b: tuple(
+            given = {key: named[name] for name, key in NAMED_RATES.items()}
+            table = RateTable(4, {b: tuple(
                 (prof, Fraction(given[b, prof.merge_sizes, prof.s] or 0), mult)
-                for prof, mult in _profiles(b)) for b in (2, 3, 4)}))
-        elif self.table.b_max < 4:
-            raise ValueError(f"rate table with b_max={self.table.b_max} does "
+                for prof, mult in _profiles(b)) for b in (2, 3, 4)})
+        elif table.b_max < 4:
+            raise ValueError(f"rate table with b_max={table.b_max} does "
                              "not cover the named rates, which need 4 blocks")
         for name, key in NAMED_RATES.items():
-            rate = self.table.rate_of(*key)
-            given = getattr(self, name)
+            rate = table.rate_of(*key)
+            given = named[name]
             given = rate if given is None else Fraction(given)
             if given < 0:
                 raise ValueError(f"{name} must be nonnegative")
             if given != rate:
                 raise ValueError(f"{name}={given} disagrees with the rate "
                                  f"table, which gives {rate}")
-            object.__setattr__(self, name, given)
-        self.table.check_nonnegative()
-        for name in ("theta", "alpha", "u1", "u2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        for name in ("u1", "u2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.theta <= 0:
+            named[name] = given
+        table.check_nonnegative()
+        theta, alpha = Fraction(theta), Fraction(alpha)
+        u1, u2 = Fraction(u1), Fraction(u2)
+        if u1 < 0:
+            raise ValueError("u1 must be nonnegative")
+        if u2 < 0:
+            raise ValueError("u2 must be nonnegative")
+        if theta <= 0:
             raise ValueError("theta must be positive")
-        if not 0 <= self.alpha <= 1:
+        if not 0 <= alpha <= 1:
             raise ValueError("alpha must lie in [0,1]")
+        set_field(self, "theta", theta)
+        set_field(self, "alpha", alpha)
+        set_field(self, "u1", u1)
+        set_field(self, "u2", u2)
+        for name, rate in named.items():
+            set_field(self, name, rate)
+        set_field(self, "table", table)
+        # (n, m) -> (lcm of the row's denominators, integer coefficients)
+        set_field(self, "_rows", {})
 
     def consistency_violations(self):
         """The failing sampling-consistency identities of the table (at
@@ -259,8 +258,7 @@ def _generator_row(idx, params):
     return row
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """One order's stationary equations and their exact solution (rows and
     unknowns ordered by descending first index). The solve ran on
     integers: row i of `rows` is the generator's coefficients times
@@ -268,13 +266,18 @@ class LinearSystem:
     `det` is the determinant of `rows`. `matrix`, `rhs` and `determinant`
     are these in Fractions, built on first read."""
 
-    unknowns: tuple
-    solution: dict
-    rows: tuple = field(repr=False)
-    lifted: tuple = field(repr=False)
-    scales: tuple = field(repr=False)
-    common: int = field(repr=False)
-    det: int = field(repr=False)
+    _fields = ("unknowns", "solution", "rows", "lifted", "scales", "common",
+               "det")
+    _shown = _fields[:2]
+
+    def __init__(self, unknowns, solution, rows, lifted, scales, common, det):
+        set_field(self, "unknowns", unknowns)
+        set_field(self, "solution", solution)
+        set_field(self, "rows", rows)
+        set_field(self, "lifted", lifted)
+        set_field(self, "scales", scales)
+        set_field(self, "common", common)
+        set_field(self, "det", det)
 
     @cached_property
     def matrix(self):
@@ -363,11 +366,15 @@ def solve_stationary(N, params):
     return values
 
 
-@dataclass(frozen=True)
-class HausdorffReport:
-    min_value: Fraction
-    violations: tuple   # ((m, n), value) pairs with value < 0
-    checked: int
+class HausdorffReport(Record):
+    """`violations` holds the ((m, n), value) pairs with value < 0."""
+
+    _fields = ("min_value", "violations", "checked")
+
+    def __init__(self, min_value, violations, checked):
+        set_field(self, "min_value", min_value)
+        set_field(self, "violations", violations)
+        set_field(self, "checked", checked)
 
     @property
     def passed(self):

@@ -7,7 +7,8 @@ canonical.
 
 import math
 import operator
-from dataclasses import dataclass
+
+from .records import Record, set_field
 
 # Bell(12) = 4 213 597 partitions is as far as enumeration goes
 MAX_ENUMERATION_SIZE = 12
@@ -68,28 +69,28 @@ def profile_of(pi_prime):
     return n, merge_sizes, s
 
 
-@dataclass(frozen=True)
-class LabeledPartition:
+class LabeledPartition(Record):
     """A partition with one colony label (1 or 2) per block."""
 
-    partition: tuple
-    labels: tuple
+    _fields = ("partition", "labels")
 
-    def __post_init__(self):
-        validate_partition(self.partition)
-        if len(self.labels) != len(self.partition):
+    def __init__(self, partition, labels):
+        validate_partition(partition)
+        if len(labels) != len(partition):
             raise ValueError("one label per block required")
-        validate_labels(self.labels)
+        validate_labels(labels)
+        set_field(self, "partition", partition)
+        set_field(self, "labels", labels)
 
     @classmethod
     def _canonical(cls, partition, labels):
-        """A labeled partition built without `__post_init__`'s checks, for
+        """A labeled partition built without `__init__`'s checks, for
         the dual's chains: their blocks start as a checked partition and
         change only by `coagulate`, which keeps them canonical, and their
         labels start checked and change only to colony 1 or 2."""
         lp = object.__new__(cls)
-        object.__setattr__(lp, "partition", partition)
-        object.__setattr__(lp, "labels", labels)
+        set_field(lp, "partition", partition)
+        set_field(lp, "labels", labels)
         return lp
 
     @property

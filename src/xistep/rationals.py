@@ -2,21 +2,28 @@
 rationals as integer numerators over one denominator."""
 
 import math
+import re
 from fractions import Fraction
+
+# a config numeral has ASCII digits only, and no underscore or space
+# inside it: `int` also reads "1_0" as 10, "١٢" as 12 and " 3" as 3
+INTEGER = re.compile(r"[+-]?[0-9]+")
+RATIONAL = re.compile(rf"({INTEGER.pattern})(?:/({INTEGER.pattern}))?")
 
 
 def parse_rational(s):
-    """Parse a config rational, a "p/q" or "p" string or a JSON integer,
-    into a Fraction. Raises ValueError, quoting the value, on anything
-    else and on "p/0"."""
+    """Parse a config rational, a "p/q" or "p" string (a `RATIONAL` but
+    for outer whitespace) or a JSON integer, into a Fraction. Raises
+    ValueError, quoting the value, on anything else and on "p/0"."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     try:
-        if not isinstance(s, str):
+        match = RATIONAL.fullmatch(s.strip()) if isinstance(s, str) else None
+        if match is None:
             raise ValueError
-        num, slash, den = s.strip().partition("/")
-        p, q = int(num), int(den) if slash else 1
-    except ValueError:
+        num, den = match.groups()
+        p, q = int(num), int(den) if den is not None else 1
+    except ValueError:   # also a numeral past int's digit limit
         raise ValueError('expected a "p/q" string or an integer, got '
                          f"{s!r}") from None
     if q == 0:

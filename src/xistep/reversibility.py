@@ -11,20 +11,22 @@ and the degenerate F2 numerator, are checked as identities against the
 exact residuals wherever they are evaluated.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .moments import ScalarParams, generator_on_monomial, stationary_system
+from .records import Record, replace, set_field
 
 
-@dataclass(frozen=True)
-class ReversibilityProbe:
-    left: tuple    # (n, m)
-    right: tuple   # (p, q)
+class ReversibilityProbe(Record):
+    """The monomials F = (n, m), `left`, and G = (p, q), `right`."""
 
-    def __post_init__(self):
-        if self.left == (0, 0) and self.right == (0, 0):
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        if left == (0, 0) and right == (0, 0):
             raise ValueError("at least one side must be a nonconstant monomial")
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
     @property
     def total_order(self):
@@ -85,13 +87,19 @@ def contradiction_bracket(p):
             + 12 * p.a211 * p.a21)
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    s1_matches: tuple          # bool per sample
-    s1_zero_iff_symmetric: bool
-    t1_zero_iff_half: bool
-    contra_zero_iff_no_triple: bool
-    bracket_positive: bool
+class FactorizationReport(Record):
+    """`s1_matches` holds one bool per sample."""
+
+    _fields = ("s1_matches", "s1_zero_iff_symmetric", "t1_zero_iff_half",
+               "contra_zero_iff_no_triple", "bracket_positive")
+
+    def __init__(self, s1_matches, s1_zero_iff_symmetric, t1_zero_iff_half,
+                 contra_zero_iff_no_triple, bracket_positive):
+        set_field(self, "s1_matches", s1_matches)
+        set_field(self, "s1_zero_iff_symmetric", s1_zero_iff_symmetric)
+        set_field(self, "t1_zero_iff_half", t1_zero_iff_half)
+        set_field(self, "contra_zero_iff_no_triple", contra_zero_iff_no_triple)
+        set_field(self, "bracket_positive", bracket_positive)
 
     @property
     def all_pass(self):
@@ -145,14 +153,20 @@ def verify_paper_factorizations(samples):
                                contra_iff, bracket_pos)
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
-    pair_rate: Fraction
-    residual: Fraction
-    cubic_numerator: Fraction   # residual times the reduced denominator
-    closed_form_matches: bool
-    cubic_scaling: bool
-    nonzero: bool
+class ContradictionReport(Record):
+    """`cubic_numerator` is the residual times its reduced denominator."""
+
+    _fields = ("pair_rate", "residual", "cubic_numerator",
+               "closed_form_matches", "cubic_scaling", "nonzero")
+
+    def __init__(self, pair_rate, residual, cubic_numerator,
+                 closed_form_matches, cubic_scaling, nonzero):
+        set_field(self, "pair_rate", pair_rate)
+        set_field(self, "residual", residual)
+        set_field(self, "cubic_numerator", cubic_numerator)
+        set_field(self, "closed_form_matches", closed_form_matches)
+        set_field(self, "cubic_scaling", cubic_scaling)
+        set_field(self, "nonzero", nonzero)
 
     @property
     def passed(self):

@@ -17,10 +17,10 @@ once per integral in `integrate` and per rational factor of
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import integer_numerators
+from .records import Record, set_field
 
 
 def _reduce_cells(level, values):
@@ -66,22 +66,18 @@ def cell_index(level, point):
     return min(i, (1 << level) - 1)
 
 
-@dataclass(frozen=True)
-class DyadicSet:
+class DyadicSet(Record):
     """Canonical finite union of dyadic cells at a common level."""
 
-    level: int
-    cells: frozenset
+    _fields = ("level", "cells")
 
-    def __post_init__(self):
-        if any(not 0 <= c < (1 << self.level) for c in self.cells):
+    def __init__(self, level, cells):
+        if any(not 0 <= c < (1 << level) for c in cells):
             raise ValueError("cell index out of range for level")
-        lvl, vals = _reduce_cells(self.level,
-                                  [c in self.cells
-                                   for c in range(1 << self.level)])
-        object.__setattr__(self, "level", lvl)
-        object.__setattr__(self, "cells",
-                           frozenset(i for i, v in enumerate(vals) if v))
+        lvl, vals = _reduce_cells(level,
+                                  [c in cells for c in range(1 << level)])
+        set_field(self, "level", lvl)
+        set_field(self, "cells", frozenset(i for i, v in enumerate(vals) if v))
 
     @classmethod
     def full(cls):
@@ -92,30 +88,28 @@ class DyadicSet:
         return DyadicSet(self.level, frozenset(full - self.cells))
 
 
-@dataclass(frozen=True)
-class SetFunction:
+class SetFunction(Record):
     """Piecewise-constant function on a dyadic grid (one coefficient per
     cell), kept at the coarsest representing level."""
 
-    level: int
-    coeffs: tuple
+    _fields = ("level", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != (1 << self.level):
+    def __init__(self, level, coeffs):
+        if len(coeffs) != (1 << level):
             raise ValueError("need one coefficient per cell")
-        lvl, vals = _reduce_cells(self.level, tuple(self.coeffs))
-        object.__setattr__(self, "level", lvl)
-        object.__setattr__(self, "coeffs", vals)
+        lvl, vals = _reduce_cells(level, tuple(coeffs))
+        set_field(self, "level", lvl)
+        set_field(self, "coeffs", vals)
 
     @classmethod
     def _reduced(cls, level, coeffs):
         """The set function of a coefficient tuple already at its coarsest
-        level (`_reduce_cells`), built without `__post_init__`'s check and
+        level (`_reduce_cells`), built without `__init__`'s check and
         reduction: for the simulator's payloads, whose states reduce their
         cells themselves."""
         g = object.__new__(cls)
-        object.__setattr__(g, "level", level)
-        object.__setattr__(g, "coeffs", coeffs)
+        set_field(g, "level", level)
+        set_field(g, "coeffs", coeffs)
         return g
 
     @classmethod
@@ -144,15 +138,15 @@ class SetFunction:
 ONE = SetFunction.constant(Fraction(1))
 
 
-@dataclass(frozen=True)
-class TensorFunction:
+class TensorFunction(Record):
     """Ordered tensor product of single-variable set functions."""
 
-    factors: tuple
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors):
+        if not factors:
             raise ValueError("tensor needs at least one factor")
+        set_field(self, "factors", factors)
 
     @property
     def arity(self):
@@ -163,33 +157,31 @@ class TensorFunction:
         return cls((SetFunction.indicator(dset),) * n)
 
 
-@dataclass(frozen=True)
-class BaseMeasure:
+class BaseMeasure(Record):
     """Probability measure on [0,1]: piecewise-constant density on a dyadic
-    grid plus finitely many atoms, all rational."""
+    grid plus finitely many atoms, all rational; `atoms` holds
+    (position, mass) pairs."""
 
-    grid_level: int
-    densities: tuple
-    atoms: tuple = ()  # (position, mass) pairs
+    _fields = ("grid_level", "densities", "atoms")
 
-    def __post_init__(self):
-        dens = tuple(Fraction(d) for d in self.densities)
-        atoms = tuple((Fraction(p), Fraction(m)) for p, m in self.atoms)
-        object.__setattr__(self, "densities", dens)
-        object.__setattr__(self, "atoms", atoms)
-        if len(dens) != (1 << self.grid_level):
+    def __init__(self, grid_level, densities, atoms=()):
+        dens = tuple(Fraction(d) for d in densities)
+        atoms = tuple((Fraction(p), Fraction(m)) for p, m in atoms)
+        if len(dens) != (1 << grid_level):
             raise ValueError("need one density per grid cell")
         if any(d < 0 for d in dens) or any(m < 0 for _, m in atoms):
             raise ValueError("measure must be nonnegative")
         if any(not 0 <= p <= 1 for p, _ in atoms):
             raise ValueError("atom position outside [0,1]")
-        total = (sum(dens) / (1 << self.grid_level)
-                 + sum(m for _, m in atoms))
+        total = sum(dens) / (1 << grid_level) + sum(m for _, m in atoms)
         if total != 1:
             raise ValueError(f"total mass must be 1, got {total}")
+        set_field(self, "grid_level", grid_level)
+        set_field(self, "densities", dens)
+        set_field(self, "atoms", atoms)
         # per grid level, `float_integrator` and `exact_weights`, and the
         # float tables of `sample`
-        object.__setattr__(self, "_cache", {})
+        set_field(self, "_cache", {})
 
     @classmethod
     def uniform(cls):
@@ -290,18 +282,18 @@ class BaseMeasure:
         return 1.0  # guard against float round-off at the top
 
 
-@dataclass(frozen=True)
-class MutationSpec:
+class MutationSpec(Record):
     """Jump mutation at rate theta/2 per variable; the new type is drawn
     from `base` independently of the current one."""
 
-    theta: Fraction
-    base: BaseMeasure
+    _fields = ("theta", "base")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", Fraction(self.theta))
-        if self.theta < 0:
+    def __init__(self, theta, base):
+        theta = Fraction(theta)
+        if theta < 0:
             raise ValueError("theta must be nonnegative")
+        set_field(self, "theta", theta)
+        set_field(self, "base", base)
 
 
 def apply_generator_uniform(g, spec):

@@ -15,13 +15,13 @@ untouched blocks that take the l coordinates. `build_rate_table` and
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .partitions import iter_profiles, profile_multiplicity
 from .rationals import integer_numerators
+from .records import Record, set_field
 
 # largest block count a rate table (hence b_max and an exact order) covers
 MAX_BLOCKS = 20
@@ -33,17 +33,15 @@ NAMED_RATES = {"a2": (2, (2,), 0), "a21": (3, (2,), 1), "a3": (3, (3,), 0),
                "a31": (4, (3,), 1), "a4": (4, (4,), 0)}
 
 
-@dataclass(frozen=True)
-class SimplexAtom:
-    """A point of the simplex with finite support, carrying a weight."""
+class SimplexAtom(Record):
+    """A point of the simplex with finite support, carrying a weight: its
+    `coords` are non-increasing positive Fractions of sum at most 1."""
 
-    coords: tuple  # non-increasing positive Fractions, sum <= 1
-    weight: Fraction
+    _fields = ("coords", "weight")
 
-    def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "weight", Fraction(self.weight))
+    def __init__(self, coords, weight):
+        coords = tuple(Fraction(c) for c in coords)
+        weight = Fraction(weight)
         if not coords:
             raise ValueError("atom needs at least one coordinate; "
                              "use kingman_mass for the zero point")
@@ -53,46 +51,46 @@ class SimplexAtom:
             raise ValueError("atom coordinates must be non-increasing")
         if sum(coords) > 1:
             raise ValueError("atom coordinate sum exceeds 1")
-        if self.weight <= 0:
+        if weight <= 0:
             raise ValueError("atom weight must be positive")
+        set_field(self, "coords", coords)
+        set_field(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class XiMeasure:
+class XiMeasure(Record):
     """Kingman mass plus finitely many simplex atoms."""
 
-    kingman_mass: Fraction = Fraction(0)
-    atoms: tuple = ()
+    _fields = ("kingman_mass", "atoms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kingman_mass", Fraction(self.kingman_mass))
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if self.kingman_mass < 0:
+    def __init__(self, kingman_mass=Fraction(0), atoms=()):
+        kingman_mass, atoms = Fraction(kingman_mass), tuple(atoms)
+        if kingman_mass < 0:
             raise ValueError("kingman_mass must be nonnegative")
+        set_field(self, "kingman_mass", kingman_mass)
+        set_field(self, "atoms", atoms)
 
     @property
     def total_mass(self):
         return self.kingman_mass + sum(a.weight for a in self.atoms)
 
 
-@dataclass(frozen=True)
-class CollisionProfile:
+class CollisionProfile(Record):
     """(n; k1,...,kr; s): n blocks collide into r merged groups of sizes
     k1 >= ... >= kr >= 2 while s blocks stay untouched."""
 
-    n: int
-    merge_sizes: tuple
-    s: int
+    _fields = ("n", "merge_sizes", "s")
 
-    def __post_init__(self):
-        ks = tuple(self.merge_sizes)
-        object.__setattr__(self, "merge_sizes", ks)
+    def __init__(self, n, merge_sizes, s):
+        ks = tuple(merge_sizes)
         if not ks or any(k < 2 for k in ks):
             raise ValueError("merge sizes must all be >= 2 and nonempty")
         if list(ks) != sorted(ks, reverse=True):
             raise ValueError("merge sizes must be non-increasing")
-        if self.s < 0 or self.n != self.s + sum(ks):
+        if s < 0 or n != s + sum(ks):
             raise ValueError("need n = s + sum(k_i) with s >= 0")
+        set_field(self, "n", n)
+        set_field(self, "merge_sizes", ks)
+        set_field(self, "s", s)
 
     @property
     def block_drop(self):
@@ -210,15 +208,17 @@ def collision_rate(xi, profile):
     return _rates(xi, _atom_rates(xi, profile.n), profile.n, [key])[0]
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(Record):
     """Per block count b: every achievable profile with its per-partition
-    rate and multiplicity. Immutable and freely shareable; the lookups
-    below are built on first use."""
+    rate and multiplicity, `rows[b]`, a tuple of (CollisionProfile, rate,
+    multiplicity). Immutable and freely shareable; the lookups below are
+    built on first use."""
 
-    b_max: int
-    # rows[b] = tuple of (CollisionProfile, rate, multiplicity)
-    rows: dict = field(default_factory=dict)
+    _fields = ("b_max", "rows")
+
+    def __init__(self, b_max, rows=None):
+        set_field(self, "b_max", b_max)
+        set_field(self, "rows", {} if rows is None else rows)
 
     def _covers(self, b):
         if b > self.b_max:
@@ -315,9 +315,13 @@ def build_rate_table(xi, b_max=8):
     return RateTable(b_max, rows)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    checks: tuple  # (name, lhs, rhs, passed)
+class ConsistencyReport(Record):
+    """`checks` holds (name, lhs, rhs, passed) tuples."""
+
+    _fields = ("checks",)
+
+    def __init__(self, checks):
+        set_field(self, "checks", checks)
 
     @property
     def all_pass(self):

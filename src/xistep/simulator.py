@@ -57,7 +57,6 @@ import math
 import random
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,6 +68,7 @@ from .setfun import (SetFunction, TensorFunction, _lift, _reduce_cells,
                      apply_generator_uniform, cell_index, float_sum,
                      weighted_sum)
 from .rationals import integer_numerators
+from .records import Record, set_field
 from .simplex import build_rate_table
 
 # events one run may take: the estimators raise when a replica reaches it,
@@ -76,38 +76,27 @@ from .simplex import build_rate_table
 EVENT_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Everything the dual generator needs; the collision rates of up to
-    `b_max` blocks are tabulated from `xi` (`table`), and from them the
-    jump rates of every split of up to `b_max` blocks between the
-    colonies."""
+class ModelParams(Record):
+    """Everything the dual generator needs: `xi` (an `XiMeasure`),
+    `mutation` (a `MutationSpec`), the migration rates and `b_max`. The
+    collision rates of up to `b_max` blocks are tabulated from `xi`
+    (`table`, a `RateTable`), and from them the jump rates of every split
+    of up to `b_max` blocks between the colonies."""
 
-    xi: object            # XiMeasure
-    mutation: object      # MutationSpec
-    u1: Fraction
-    u2: Fraction
-    b_max: int
-    table: object = field(init=False, compare=False, repr=False)  # RateTable
-    # per colony block counts (`[n1][n2]`) the four float event rates
-    # (migration out of colony 2, u1 per block, and out of colony 1, u2 per
-    # block; coalescence in colony 1 and in colony 2) and their sum added
-    # left to right, the jump rate; per block count the positive-rate
-    # coalescence profiles with cumulative float weights; the float
-    # mutation rate
-    _tables: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("xi", "mutation", "u1", "u2", "b_max")
 
-    def __post_init__(self):
-        for name in ("u1", "u2"):
-            u = Fraction(getattr(self, name))
+    def __init__(self, xi, mutation, u1, u2, b_max):
+        rates = []
+        for name, u in (("u1", u1), ("u2", u2)):
+            u = Fraction(u)
             if u <= 0:
                 raise ValueError(f"migration rate {name} must be positive, "
                                  f"got {u}")
-            object.__setattr__(self, name, u)
-        table = build_rate_table(self.xi, self.b_max)
-        object.__setattr__(self, "table", table)
+            rates.append(u)
+        u1, u2 = rates
+        table = build_rate_table(xi, b_max)
         profs = {}
-        for b in range(2, self.b_max + 1):
+        for b in range(2, b_max + 1):
             rows = [(prof, float(rate * mult))
                     for prof, rate, mult in table.profiles(b)
                     if rate > 0]
@@ -116,30 +105,44 @@ class ModelParams:
                 acc += w
                 cum.append(acc)
             profs[b] = ([p for p, _ in rows], cum, acc)
-        fu1, fu2 = float(self.u1), float(self.u2)
+        fu1, fu2 = float(u1), float(u2)
         jump = []
-        for n1 in range(self.b_max + 1):
+        for n1 in range(b_max + 1):
             row = []
-            for n2 in range(self.b_max + 1 - n1):
+            for n2 in range(b_max + 1 - n1):
                 rates = (n2 * fu1, n1 * fu2,
                          profs[n1][2] if n1 >= 2 else 0.0,
                          profs[n2][2] if n2 >= 2 else 0.0)
                 row.append((rates,
                             rates[0] + rates[1] + rates[2] + rates[3]))
             jump.append(row)
-        object.__setattr__(self, "_tables",
-                           (jump, profs, float(self.mutation.theta)))
+        set_field(self, "xi", xi)
+        set_field(self, "mutation", mutation)
+        set_field(self, "u1", u1)
+        set_field(self, "u2", u2)
+        set_field(self, "b_max", b_max)
+        set_field(self, "table", table)
+        # per colony block counts (`[n1][n2]`) the four float event rates
+        # (migration out of colony 2, u1 per block, and out of colony 1, u2
+        # per block; coalescence in colony 1 and in colony 2) and their sum
+        # added left to right, the jump rate; per block count the
+        # positive-rate coalescence profiles with cumulative float weights;
+        # the float mutation rate
+        set_field(self, "_tables", (jump, profs, float(mutation.theta)))
 
 
-@dataclass(frozen=True)
-class DualState:
-    lp: LabeledPartition
-    y: TensorFunction
-    clock: float = 0.0
-    events: int = 0
+class DualState(Record):
+    """A labeled partition `lp` and the tensor `y` on its blocks, at
+    `clock` after `events` events."""
 
-    def __post_init__(self):
-        _check_arity(self.y, self.lp.block_count)
+    _fields = ("lp", "y", "clock", "events")
+
+    def __init__(self, lp, y, clock=0.0, events=0):
+        _check_arity(y, lp.block_count)
+        set_field(self, "lp", lp)
+        set_field(self, "y", y)
+        set_field(self, "clock", clock)
+        set_field(self, "events", events)
 
 
 def _check_arity(f, blocks):
@@ -162,12 +165,14 @@ class EventRecord(NamedTuple):
     block_count: int      # after the event
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    std_error: float
-    replicas: int
-    seed: int
+class McEstimate(Record):
+    _fields = ("mean", "std_error", "replicas", "seed")
+
+    def __init__(self, mean, std_error, replicas, seed):
+        set_field(self, "mean", mean)
+        set_field(self, "std_error", std_error)
+        set_field(self, "replicas", replicas)
+        set_field(self, "seed", seed)
 
 
 def replica_rng(seed, replica):
@@ -579,39 +584,40 @@ def _run(chain, params, rng, stop, record=False):
     return records, False
 
 
-@dataclass(frozen=True)
-class StopRule:
+class StopRule(Record):
     """Stop at a fixed time of at least 0 or at absorption (one block),
     exactly one of the two; max_events caps the run and sets `truncated`
     when exhausted first."""
 
-    at_time: float = None
-    at_absorption: bool = False
-    max_events: int = EVENT_CAP
+    _fields = ("at_time", "at_absorption", "max_events")
 
-    def __post_init__(self):
-        if (self.at_time is None) != bool(self.at_absorption):
+    def __init__(self, at_time=None, at_absorption=False,
+                 max_events=EVENT_CAP):
+        if (at_time is None) != bool(at_absorption):
             raise ValueError("stop rule needs exactly one target: a time "
                              "or absorption")
         # `not >=` also refuses NaN
-        if self.at_time is not None and not self.at_time >= 0:
-            raise ValueError(f"at_time must be at least 0, got "
-                             f"{self.at_time}")
+        if at_time is not None and not at_time >= 0:
+            raise ValueError(f"at_time must be at least 0, got {at_time}")
+        set_field(self, "at_time", at_time)
+        set_field(self, "at_absorption", at_absorption)
+        set_field(self, "max_events", max_events)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Recorded events; `stop_time` is set when a time stop ended the run,
     which advanced the tensor past the last event up to that time."""
 
-    events: tuple
-    truncated: bool = False
-    stop_time: float = None
-    # per start labels, the path as `replay` decoded it (`_decode`); not
-    # part of ==, hash or repr, not pickled, and empty in a
-    # `dataclasses.replace` copy
-    _decoded: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
+    _fields = ("events", "truncated", "stop_time")
+
+    def __init__(self, events, truncated=False, stop_time=None):
+        set_field(self, "events", events)
+        set_field(self, "truncated", truncated)
+        set_field(self, "stop_time", stop_time)
+        # per start labels, the path as `replay` decoded it (`_decode`); not
+        # part of ==, hash or repr, not pickled, and empty in a
+        # `records.replace` copy
+        set_field(self, "_decoded", {})
 
     def __getstate__(self):
         return dict(self.__dict__, _decoded={})

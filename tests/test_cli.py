@@ -552,26 +552,54 @@ print(json.dumps(sorted(name for name in sys.modules if name in
                         ("xistep.simulator", "xistep.simhelpers"))))
 """
 
+# per stage of one process, which of `dataclasses` and `inspect` are loaded
+RECORDS_PROBE = """
+import json, sys
+loaded = {}
+def note(stage):
+    loaded[stage] = [name for name in ("dataclasses", "inspect")
+                     if name in sys.modules]
+note("start")
+import xistep.cli
+note("import xistep.cli")
+for argv in json.loads(sys.argv[1]):
+    assert xistep.cli.main(argv) == 0, argv
+    note(argv[0])
+import xistep.simulator
+note("import xistep.simulator")
+print(json.dumps(loaded))
+"""
+
 
 class TestStartUp:
     """The exact commands run without importing the Monte Carlo engine;
     the commands that draw replicas load it on first use."""
 
-    def loaded_after(self, tmp_path, *argvs):
+    EXACT = ("rates", "hausdorff", "reversibility", "stationary")
+
+    def loaded_after(self, tmp_path, *argvs, probe=START_PROBE):
         out = ["--out", str(tmp_path / "out")]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
         return json.loads(subprocess.run(
-            [sys.executable, "-c", START_PROBE,
+            [sys.executable, "-c", probe,
              json.dumps([argv + out for argv in argvs])],
             env=env, capture_output=True, text=True, check=True).stdout)
 
     def test_exact_commands_leave_the_simulator_unloaded(self, tmp_path):
         assert self.loaded_after(
-            tmp_path, *([cmd, "--config", EXACT_SWEEP] for cmd in
-                        ("rates", "hausdorff", "reversibility",
-                         "stationary"))) == []
+            tmp_path, *([cmd, "--config", EXACT_SWEEP]
+                        for cmd in self.EXACT)) == []
+
+    def test_no_stage_loads_dataclasses_or_inspect(self, tmp_path):
+        # the records are built without `dataclasses`, whose import pulls
+        # in `inspect`, `ast` and `dis` (`xistep.records`)
+        stages = ("start", "import xistep.cli", *self.EXACT,
+                  "import xistep.simulator")
+        assert self.loaded_after(
+            tmp_path, *([cmd, "--config", EXACT_SWEEP] for cmd in self.EXACT),
+            probe=RECORDS_PROBE) == {stage: [] for stage in stages}
 
     @pytest.mark.parametrize("argv,options,loaded", [
         (["qt", "--replicas", "20"], {"t": "1/2"}, ["xistep.simulator"]),
@@ -817,6 +845,20 @@ class TestErrors:
         ("qt", {"options": {"t": "0.1"}}, None,
          "config error: options.t: expected a \"p/q\" string or an "
          "integer, got '0.1'"),
+        # numerals that `int` reads, in a rational, an integer field and
+        # XISTEP_THREADS
+        ("rates", {"theta": "1_0/3"}, None,
+         "config error: theta: expected a \"p/q\" string or an integer, "
+         "got '1_0/3'"),
+        ("stationary", {"u1": "1 / 3"}, None,
+         "config error: u1: expected a \"p/q\" string or an integer, "
+         "got '1 / 3'"),
+        ("stationary", {"seed": "1_0"}, None,
+         "config error: seed: must be an integer, got '1_0'"),
+        ("rates", {"b_max": "\u0661\u0662"}, None,
+         "config error: b_max: must be an integer, got '\u0661\u0662'"),
+        ("stationary", {"options": {"mode": "mc", "order": 1}}, "1_0",
+         "config error: XISTEP_THREADS: must be an integer, got '1_0'"),
     ]
 
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[

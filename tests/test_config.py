@@ -58,6 +58,11 @@ class TestValidConfig:
         assert cfg.options["eta"] == [2, 1]
         cfg = parse_config(with_field(("options", "n"), "2"))
         assert cfg.options["n"] == 2
+        # a sign, and whitespace around the numeral
+        cfg = parse_config(with_field(("seed",), " -7\n"))
+        assert cfg.seed == -7
+        cfg = parse_config(with_field(("b_max",), "+6"))
+        assert cfg.b_max == 6
 
     def test_scalar_params_cover_the_order(self):
         cfg = parse_config(VALID)
@@ -150,6 +155,17 @@ class TestFieldErrors:
     def test_integer_fields(self, key, value):
         assert field_error((key,), value).field == key
 
+    # strings that `int` reads: with an underscore, in other scripts'
+    # digits, with a space inside; a doubled sign; past int's digit limit
+    @pytest.mark.parametrize("key,value", [
+        ("seed", "1_0"), ("b_max", "\u0661\u0662"), ("replicas", "1 0"),
+        ("seed", "+-5"), ("seed", "1" * 5000)],
+        ids=["underscore", "arabic-indic", "inner-space", "two-signs",
+             "digit-limit"])
+    def test_integer_strings_int_reads_are_refused(self, key, value):
+        err = field_error((key,), value)
+        assert str(err) == f"{key}: must be an integer, got {value!r}"
+
     @pytest.mark.parametrize("key", ["u1", "u2"])
     @pytest.mark.parametrize("value", ["0", "-1", "-1/3"])
     def test_migration_rates_positive(self, key, value):
@@ -236,12 +252,15 @@ class TestFieldErrors:
 class TestParseRational:
     @pytest.mark.parametrize("value,want", [
         ("1/2", Fraction(1, 2)), (" -3 ", Fraction(-3)), (7, Fraction(7)),
-        ("4/-6", Fraction(-2, 3))])
+        ("4/-6", Fraction(-2, 3)), ("\t+2/+4\n", Fraction(1, 2))])
     def test_accepted_forms(self, value, want):
         assert parse_rational(value) == want
 
     @pytest.mark.parametrize("value", ["1/2.", "abc", "0.1", "3/", "", 2.5,
-                                       True, None, [1]])
+                                       True, None, [1],
+                                       # forms that `int` reads
+                                       "1_0/3", "\u0661\u0662", "1 / 3",
+                                       "1/ 3", "- 1"])
     def test_other_values_quoted(self, value):
         with pytest.raises(ValueError) as info:
             parse_rational(value)
@@ -251,6 +270,13 @@ class TestParseRational:
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational("1/0")
+
+    def test_past_the_digit_limit_quoted(self):
+        value = "1/" + "3" * 5000
+        with pytest.raises(ValueError) as info:
+            parse_rational(value)
+        assert str(info.value) == ('expected a "p/q" string or an integer, '
+                                   f"got {value!r}")
 
 
 JSON = st.recursive(

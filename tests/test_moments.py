@@ -1,7 +1,6 @@
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -17,6 +16,7 @@ from xistep import moments
 from xistep.linalg import solve_exact, solve_tridiagonal
 from xistep.moments import _generator_row
 from xistep.partitions import iter_profiles, profile_multiplicity
+from xistep.records import replace
 from xistep.reversibility import degenerate_params
 from xistep.simplex import CollisionProfile
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from xistep import (F1_PROBE, F2_PROBE, S1_PROBE, T1_PROBE,
                     residual_with_denominator, verify_paper_factorizations)
 from xistep.reversibility import (contradiction_bracket, degenerate_params,
                                   residual_polynomial, s1_paper_numerator)
+from xistep.records import replace
 
 from conftest import kingman_scalar, rand_consistent_params, seeded
 

@@ -1,6 +1,5 @@
 import bisect
 import copy
-import dataclasses
 import functools
 import hashlib
 import math
@@ -18,6 +17,7 @@ from xistep import (BaseMeasure, DualState, DyadicSet, LabeledPartition,
                     estimate_stationary, evaluate_dual, initial_state,
                     replay, run_until, solve_stationary)
 from xistep import build_rate_table, simulator
+from xistep.records import replace as replace_record
 from xistep.simhelpers import (coupling_linearity_holds, normalization_holds,
                                random_model, random_xi)
 from xistep.linalg import solve_exact
@@ -1486,13 +1486,13 @@ class TestDecodedPaths:
         for back in (pickle.loads(pickle.dumps(traj)), copy.copy(traj)):
             assert back == traj and back._decoded == {}
             assert replay(f, eta, back, params) == state
-        moved = dataclasses.replace(traj, stop_time=0.9)
+        moved = replace_record(traj, stop_time=0.9)
         assert moved._decoded == {}
         assert replay(f, eta, moved, params) == replay(
             f, eta, Trajectory(traj.events, traj.truncated, 0.9), params)
         assert replay(f, eta, traj, params) == state
         with pytest.raises(ValueError, match="_decoded"):
-            dataclasses.replace(traj, _decoded={})
+            replace_record(traj, _decoded={})
 
     @pytest.mark.parametrize("name", ["kingman", "atom", "sweep10"])
     @pytest.mark.parametrize("t", [0.3, 2.0, None])
