@@ -41,8 +41,11 @@ def _meta(cfg):
 def _emit(text, out_path):
     data = text if text.endswith("\n") else text + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(data)
+        except OSError as e:
+            raise OSError(f"--out: {e}") from None
     else:
         sys.stdout.write(data)
 
@@ -341,14 +344,14 @@ def main(argv=None):
                 cfg, seed=cfg.seed if args.seed is None else args.seed,
                 replicas=cfg.replicas if replicas is None else replicas)
         report, status = COMMANDS[args.command](cfg, args)
+        if report is not None:
+            _emit_json(report, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if report is not None:
-        _emit_json(report, args.out)
     return status
 
 

@@ -4,16 +4,17 @@ and the complete-monotonicity (moment-problem) check.
 M[n, m] denotes the stationary expectation of the colony-1 mass of a fixed
 reference set raised to n times the colony-2 mass raised to m; M[0, 0] = 1.
 All arithmetic here is exact, and it runs on integers: each generator row
-is built as integer coefficients over one scale, the stationary solve keeps
-every known over one common denominator, and the Hausdorff table is one
-integer table. Fractions are built only where a caller reads them: the
-solved moments, a `MomentPolynomial` when `generator_on_monomial` is
-asked for one, and a `LinearSystem`'s matrix, right sides and determinant
-on first read. `MomentPolynomial.evaluate`, the residual check E[G f] = 0
-on solved moments, adds integer products per value denominator and sums
-the groups on integers in ascending size, where a step often takes a small
-quotient of one denominator by the ones below it; one Fraction is built
-at the end.
+is built as integer coefficients over one scale, the stationary solve runs
+on each order's three integer bands and keeps every known over one common
+denominator, and the Hausdorff table is one integer table. Fractions are
+built only where a caller reads them: the solved moments, a
+`MomentPolynomial` when `generator_on_monomial` is asked for one, and a
+`LinearSystem`'s dense matrix, right sides and determinant on first read.
+`MomentPolynomial.evaluate`, the residual check E[G f] = 0 on solved
+moments, adds integer products per value denominator and sums the groups
+on integers in ascending size, where a step often takes a small quotient
+of one denominator by the ones below it; one Fraction is built at the
+end.
 """
 
 import math
@@ -261,19 +262,20 @@ def _generator_row(idx, params):
 class LinearSystem(Record):
     """One order's stationary equations and their exact solution (rows and
     unknowns ordered by descending first index). The solve ran on
-    integers: row i of `rows` is the generator's coefficients times
-    `scales[i]`, its right side is `lifted[i] / (scales[i] * common)`, and
-    `det` is the determinant of `rows`. `matrix`, `rhs` and `determinant`
-    are these in Fractions, built on first read."""
+    integers: `bands` holds the sub-, main and super-diagonal of the
+    generator's coefficients, row i times `scales[i]`; row i's right side
+    is `lifted[i] / (scales[i] * common)`, and `det` is the determinant of
+    the bands. `matrix` (dense), `rhs` and `determinant` are these in
+    Fractions, built on first read."""
 
-    _fields = ("unknowns", "solution", "rows", "lifted", "scales", "common",
+    _fields = ("unknowns", "solution", "bands", "lifted", "scales", "common",
                "det")
     _shown = _fields[:2]
 
-    def __init__(self, unknowns, solution, rows, lifted, scales, common, det):
+    def __init__(self, unknowns, solution, bands, lifted, scales, common, det):
         set_field(self, "unknowns", unknowns)
         set_field(self, "solution", solution)
-        set_field(self, "rows", rows)
+        set_field(self, "bands", bands)
         set_field(self, "lifted", lifted)
         set_field(self, "scales", scales)
         set_field(self, "common", common)
@@ -281,8 +283,11 @@ class LinearSystem(Record):
 
     @cached_property
     def matrix(self):
-        return tuple(tuple(Fraction(c, scale) for c in row)
-                     for row, scale in zip(self.rows, self.scales))
+        size = len(self.scales)
+        return tuple(tuple(Fraction(self.bands[j - i + 1][i]
+                                    if abs(j - i) <= 1 else 0, scale)
+                           for j in range(size))
+                     for i, scale in enumerate(self.scales))
 
     @cached_property
     def rhs(self):
@@ -305,47 +310,46 @@ def stationary_system(N, params, rate_table=None):
     other term of the generator lowers the order, so each order's system
     is tridiagonal.
 
-    The solve runs on Python ints. Each row is the params' cached integer
-    row (`_generator_row`). The knowns are integer numerators over one
-    common denominator D, so each right-hand side is an integer
-    combination of them over D. `solve_tridiagonal` returns the order's
-    solution as integers over M = det * D. D grows to lcm(D, M / g), g the
-    gcd of M and the order's numerators, and every numerator is rescaled,
-    only when the solution's reduced denominators do not divide it.
-    Fractions are built for the solution from the numerators over M / g;
-    the returned LinearSystem keeps the integer system and builds its
-    Fraction views on first read."""
+    The solve runs on Python ints, on the order's three bands. Row (n, m)
+    is the params' cached integer row (`_generator_row`): its terms of
+    order k, the diagonal and the two migrations, go into the bands, and
+    its lower-order terms into the right side. The knowns are integer
+    numerators over one common denominator D, so each right-hand side is
+    an integer combination of them over D. `solve_tridiagonal` returns the
+    order's solution as integers over M = det * D. D grows to lcm(D,
+    M / g), g the gcd of M and the order's numerators, and every numerator
+    is rescaled, only when the solution's reduced denominators do not
+    divide it. Fractions are built for the solution from the numerators
+    over M / g; the returned LinearSystem keeps the integer system and
+    builds its Fraction views on first read."""
     _check_table(params, rate_table)
     common = 1                   # D: each known is numerators[idx] / D
     numerators = {(0, 0): 1}
     systems = []
     for k in range(1, N + 1):
         unknowns = order_indices(k)
-        pos = {idx: j for j, idx in enumerate(unknowns)}
-        rows, lifted, scales = [], [], []
-        for idx in unknowns:
-            scale, ints = _generator_row(idx, params)
-            row = [0] * len(unknowns)
+        bands = ([0] * (k + 1), [0] * (k + 1), [0] * (k + 1))
+        lifted, scales = [], []
+        for n, m in unknowns:     # (n, m) is unknown m of the order
+            scale, ints = _generator_row((n, m), params)
             b = 0
             for jdx, c in ints.items():
-                j = pos.get(jdx)
-                if j is not None:
-                    row[j] = c
+                if jdx[0] + jdx[1] == k:   # the diagonal or a migration
+                    bands[jdx[1] - m + 1][m] = c
                 elif jdx in numerators:
                     b -= c * numerators[jdx]
                 else:
                     raise AssertionError(f"index {jdx} unresolved at order {k}")
-            rows.append(row)
             lifted.append(b)
             scales.append(scale)
-        numers, det = solve_tridiagonal(rows, lifted)
+        numers, det = solve_tridiagonal(*bands, lifted)
         whole = det * common     # each unknown is numers[i] / whole
         g = math.gcd(whole, *numers)
         reduced = whole // g     # signed, as whole is
         systems.append(LinearSystem(
             unknowns, {idx: Fraction(x // g, reduced)
                        for idx, x in zip(unknowns, numers)},
-            tuple(map(tuple, rows)), tuple(lifted), tuple(scales), common,
+            tuple(map(tuple, bands)), tuple(lifted), tuple(scales), common,
             det))
         grown = math.lcm(common, reduced)
         if grown != common:

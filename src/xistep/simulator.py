@@ -51,14 +51,13 @@ The pieces, and the tests in `tests/test_simulator.py` that hold them:
   `TestPinnedOutput` in `tests/test_cli.py` pins their digests.
 """
 
-import copy
 import functools
 import math
 import random
 import statistics
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .partitions import (COLONY_1, COLONY_2, LabeledPartition, canonical,
                          coagulate, colony_merging, enumerate_partitions,
@@ -156,13 +155,11 @@ def initial_state(f, eta):
     return DualState(lp, f)
 
 
-class EventRecord(NamedTuple):
-    time: float
-    dt: float
-    kind: str             # "coalescence" | "migration"
-    colony: int           # colony coalescing, or colony of origin
-    detail: object        # concrete pi_prime, or 1-based block index
-    block_count: int      # after the event
+# kind is "coalescence" or "migration"; colony is the colony coalescing,
+# or the colony of origin; detail is the concrete pi_prime, or the 1-based
+# block index; block_count is the count after the event
+EventRecord = namedtuple("EventRecord", "time dt kind colony detail "
+                         "block_count")
 
 
 class McEstimate(Record):
@@ -916,6 +913,8 @@ def dual_generator_value(f, eta, mu, params):
               for pi in enumerate_partitions(b)]
     events += [(params.u1 if label == COLONY_2 else params.u2, "migration",
                 label, pos) for pos, label in enumerate(lp.labels, start=1)]
+    # imported here: no other path needs it
+    import copy
     # a merge builds new lists, so the copies never change `start`
     start = _ExactPayload(f.factors, params.mutation.base, params._tables[2])
     for rate, kind, colony, detail in events:

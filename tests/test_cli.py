@@ -601,6 +601,15 @@ class TestStartUp:
             tmp_path, *([cmd, "--config", EXACT_SWEEP] for cmd in self.EXACT),
             probe=RECORDS_PROBE) == {stage: [] for stage in stages}
 
+    def test_simulator_loads_neither_typing_nor_copy(self):
+        # -S: no site packages, whose start-up files may load `typing`
+        probe = ("import sys, xistep.simulator; print(sorted(name for name "
+                 "in ('typing', 'copy') if name in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
     @pytest.mark.parametrize("argv,options,loaded", [
         (["qt", "--replicas", "20"], {"t": "1/2"}, ["xistep.simulator"]),
         (["simulate"], {}, ["xistep.simulator"]),
@@ -859,6 +868,17 @@ class TestErrors:
          "config error: b_max: must be an integer, got '\u0661\u0662'"),
         ("stationary", {"options": {"mode": "mc", "order": 1}}, "1_0",
          "config error: XISTEP_THREADS: must be an integer, got '1_0'"),
+        # an --out that cannot be written, a directory or a path under a
+        # missing one ({tmp} is the test's own directory)
+        ("rates --out {tmp}", {}, None, "error: --out: "),
+        ("simulate --out {tmp}/missing/out.csv", {}, None, "error: --out: "),
+        ("qt --out {tmp}", {"options": {"t": "1/2"}}, None, "error: --out: "),
+        ("stationary --out {tmp}/missing/out.json", {}, None,
+         "error: --out: "),
+        ("hausdorff --out {tmp}", {}, None, "error: --out: "),
+        ("reversibility --out {tmp}/missing/out.json", {}, None,
+         "error: --out: "),
+        ("selftest --out {tmp}", {}, None, "error: --out: "),
     ]
 
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[
@@ -870,8 +890,12 @@ class TestErrors:
         if env is not None:
             monkeypatch.setenv("XISTEP_THREADS", env)
         cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, **change))
+        argv = command.format(tmp=tmp_path).split() + ["--config", cfg]
         try:
-            status, _ = run(tmp_path, command.split() + ["--config", cfg])
+            if "--out" in argv:   # the row's own, not the one `run` adds
+                status = main(argv)
+            else:
+                status, _ = run(tmp_path, argv)
         except SystemExit as e:   # argparse's usage error
             status = e.code
         err = capsys.readouterr().err

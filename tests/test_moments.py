@@ -661,52 +661,66 @@ def integer_rows(system):
     return matrix, [int(b * common) for b in rhs], scales, common
 
 
+def dense(low, diag, up):
+    """The square matrix with the given three bands; low[0] and up[-1]
+    are left out, as `solve_tridiagonal` leaves them."""
+    n = len(diag)
+    return [[{i - 1: low[i], i: diag[i], i + 1: up[i]}.get(j, 0)
+             for j in range(n)] for i in range(n)]
+
+
+def bands_of(matrix):
+    """The three bands of a tridiagonal matrix, with low[0] = up[-1] = 0."""
+    n = len(matrix)
+    return (tuple(matrix[i][i - 1] if i else 0 for i in range(n)),
+            tuple(matrix[i][i] for i in range(n)),
+            tuple(matrix[i][i + 1] if i + 1 < n else 0 for i in range(n)))
+
+
 @st.composite
-def integer_tridiagonal(draw):
+def integer_bands(draw):
+    """Three random integer bands and a right side; low[0] and up[-1] are
+    drawn too, and the solve must not read them."""
     n = draw(st.integers(1, 6))
-    entries = st.integers(-6, 6)
-    matrix = [[draw(entries) if abs(i - j) <= 1 else 0 for j in range(n)]
-              for i in range(n)]
-    return matrix, [draw(st.integers(-20, 20)) for _ in range(n)]
+    band = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    rhs = st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    return draw(band), draw(band), draw(band), draw(rhs)
 
 
 class TestSolveTridiagonal:
     def test_known_system(self):
-        m = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
-        numers, det = solve_tridiagonal(m, [3, 5, 5])
+        bands = ([0, 1, 1], [2, 3, 4], [1, 1, 0])
+        numers, det = solve_tridiagonal(*bands, [3, 5, 5])
         assert det == 18 and numers == [18, 18, 18]
         # the same system over a right side with no integer solution
-        numers, det = solve_tridiagonal(m, [1, 0, 0])
+        numers, det = solve_tridiagonal(*bands, [1, 0, 0])
         assert det == 18 and numers == [11, -4, 1]
         assert all(type(x) is int for x in numers + [det])
 
     def test_empty_system(self):
-        assert solve_tridiagonal([], []) == ([], 1)
-
-    def test_off_band_coefficient_raises(self):
-        m = [[2, 0, 1], [0, 3, 0], [0, 0, 4]]
-        with pytest.raises(ValueError, match="off the band"):
-            solve_tridiagonal(m, [1, 1, 1])
+        assert solve_tridiagonal([], [], [], []) == ([], 1)
 
     def test_zero_pivot_raises(self):
         with pytest.raises(ValueError, match="singular matrix"):
-            solve_tridiagonal([[1, 2], [2, 4]], [1, 1])
+            solve_tridiagonal([0, 2], [1, 4], [2, 0], [1, 1])
         # a zero leading minor, though the matrix itself is regular
         with pytest.raises(ValueError, match="singular matrix"):
-            solve_tridiagonal([[0, 1], [1, 0]], [1, 1])
+            solve_tridiagonal([0, 1], [0, 0], [1, 0], [1, 1])
 
-    @given(integer_tridiagonal())
+    @given(integer_bands())
     @settings(max_examples=150, deadline=None)
     def test_matches_gauss_jordan_on_integer_systems(self, system):
-        """Equal to the dense oracle wherever every leading minor is
-        nonzero; otherwise the error names the singular matrix."""
-        matrix, rhs = system
+        """Equal to the dense oracle and to Fraction Thomas elimination on
+        the dense view wherever every leading minor is nonzero; otherwise
+        the error names the singular matrix."""
+        *bands, rhs = system
+        matrix = dense(*bands)
         minors = [leading_minor(matrix, k) for k in range(1, len(matrix) + 1)]
         if 0 in minors:
             with pytest.raises(ValueError, match="singular matrix"):
-                solve_tridiagonal(matrix, rhs)
+                solve_tridiagonal(*bands, rhs)
             return
-        numers, det = solve_tridiagonal(matrix, rhs)
+        numers, det = solve_tridiagonal(*bands, rhs)
         assert (det, [F(x, det) for x in numers]) == \
             (minors[-1], solve_exact(matrix, rhs)[0])
         assert fraction_thomas(matrix, rhs) == \
@@ -716,7 +730,7 @@ class TestSolveTridiagonal:
         """Solutions and determinants equal the dense oracle's at orders
         1-12 on the sweep measure, at 20 random (theta, alpha, u1, u2),
         and at orders 1-4 on the random named rates themselves: both the
-        recorded Fraction system and its integer rows."""
+        recorded Fraction system and the bands of its integer rows."""
         rng = seeded(41)
         table = build_rate_table(SWEEP, 12)
         params = [ScalarParams.from_rate_table(table, F(1), F(1, 2), F(1),
@@ -732,9 +746,23 @@ class TestSolveTridiagonal:
                 assert det == system.determinant
                 assert solution == want
                 matrix, rhs, scales, common = integer_rows(system)
-                numers, det = solve_tridiagonal(matrix, rhs)
+                numers, det = solve_tridiagonal(*bands_of(matrix), rhs)
                 assert det == scales * system.determinant
                 assert [F(x, det * common) for x in numers] == want
+
+    def test_bands_are_the_oracle_matrix(self):
+        """At orders 1-12 on the sweep measure, the recorded bands are the
+        Fraction oracle's matrix with row i times `scales[i]`, as ints.
+        The dense views that perfbench's probe re-solves are held to the
+        oracle by `TestIntegerEngine.test_sweep_grid_orders_1_to_12`."""
+        table = build_rate_table(SWEEP, 12)
+        p = ScalarParams.from_rate_table(table, *SWEEP_GRID[1])
+        want = fraction_stationary_system(12, replace(p))
+        for g, w in zip(stationary_system(12, p), want, strict=True):
+            scaled = [[c * scale for c in row]
+                      for row, scale in zip(w.matrix, g.scales)]
+            assert g.bands == bands_of(scaled)
+            assert all(type(c) is int for band in g.bands for c in band)
 
 
 def leading_minor(matrix, k):

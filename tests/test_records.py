@@ -67,7 +67,7 @@ class ScalarParams:
 class LinearSystem:
     unknowns: tuple
     solution: dict
-    rows: tuple = field(repr=False)
+    bands: tuple = field(repr=False)
     lifted: tuple = field(repr=False)
     scales: tuple = field(repr=False)
     common: int = field(repr=False)
