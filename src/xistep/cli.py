@@ -325,9 +325,9 @@ def build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=(name != "selftest"))
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         if name in _MONTE_CARLO:
-            p.add_argument("--replicas", type=int, default=None)
+            p.add_argument("--replicas", default=None)
         p.add_argument("--out", default=None)
     return parser
 
@@ -336,9 +336,16 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else None
+        if args.seed is not None:
+            args.seed = parse_int(args.seed, "--seed")
         replicas = getattr(args, "replicas", None)
         if replicas is not None:
-            parse_int(replicas, "replicas", low=1)
+            args.replicas = replicas = parse_int(replicas, "--replicas",
+                                                 low=1)
+        # a directory, or a path under a missing one: fail before the work
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+                os.path.dirname(args.out) or ".")):
+            _emit("", args.out)   # `open` refuses it and writes nothing
         if cfg is not None:   # --seed and --replicas override the config
             cfg = replace(
                 cfg, seed=cfg.seed if args.seed is None else args.seed,

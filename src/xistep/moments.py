@@ -30,10 +30,10 @@ from .simplex import NAMED_RATES, RateTable, _profiles, check_consistency
 class ScalarParams(Record):
     """Scalar inputs of the moment systems: mutation rate theta, reference
     mass alpha, migration rates, and `table`, the one source of collision
-    rates. Built directly, the seven named rates (up to four lineages,
-    0 where not given) fill the 4-block profiles that every rate table
-    shares; a given table must cover those four blocks. Either way the
-    named rates are then read from the table. Migration and collision
+    rates; == and hash take all five. The seven named rates (`NAMED_RATES`,
+    up to four lineages) are read from the table. Built directly, the given
+    ones (0 where not given) fill the 4-block profiles that every table
+    shares; a given table must cover those blocks. Migration and collision
     rates must be nonnegative: the stationary systems then have no zero
     pivot (see `linalg.solve_tridiagonal`).
 
@@ -43,14 +43,12 @@ class ScalarParams(Record):
     object thus builds each row once for the stationary solve and every
     later residual check; `records.replace` starts an empty cache."""
 
-    _fields = ("theta", "alpha", "u1", "u2", "a2", "a21", "a3", "a211", "a22",
-               "a31", "a4", "table")
-    _compare = _fields[:-1]
+    _fields = ("theta", "alpha", "u1", "u2", *NAMED_RATES, "table")
+    _shown = _fields[:-1]
 
     def __init__(self, theta, alpha, u1, u2, a2=None, a21=None, a3=None,
                  a211=None, a22=None, a31=None, a4=None, table=None):
-        named = {"a2": a2, "a21": a21, "a3": a3, "a211": a211, "a22": a22,
-                 "a31": a31, "a4": a4}
+        named = dict(zip(NAMED_RATES, (a2, a21, a3, a211, a22, a31, a4)))
         if table is None:
             # the shared 4-block profiles at the given named rates, or 0
             given = {key: named[name] for name, key in NAMED_RATES.items()}
@@ -62,14 +60,12 @@ class ScalarParams(Record):
                              "not cover the named rates, which need 4 blocks")
         for name, key in NAMED_RATES.items():
             rate = table.rate_of(*key)
-            given = named[name]
-            given = rate if given is None else Fraction(given)
+            given = rate if named[name] is None else Fraction(named[name])
             if given < 0:
                 raise ValueError(f"{name} must be nonnegative")
             if given != rate:
                 raise ValueError(f"{name}={given} disagrees with the rate "
                                  f"table, which gives {rate}")
-            named[name] = given
         table.check_nonnegative()
         theta, alpha = Fraction(theta), Fraction(alpha)
         u1, u2 = Fraction(u1), Fraction(u2)
@@ -85,8 +81,6 @@ class ScalarParams(Record):
         set_field(self, "alpha", alpha)
         set_field(self, "u1", u1)
         set_field(self, "u2", u2)
-        for name, rate in named.items():
-            set_field(self, name, rate)
         set_field(self, "table", table)
         # (n, m) -> (lcm of the row's denominators, integer coefficients)
         set_field(self, "_rows", {})
@@ -112,6 +106,13 @@ class ScalarParams(Record):
                          *[v.denominator for v in values])
         return (scale,) + tuple(v.numerator * (scale // v.denominator)
                                 for v in values)
+
+
+for _name, _key in NAMED_RATES.items():   # p.a2 to p.a4: table reads
+    setattr(ScalarParams, _name, property(
+        lambda self, key=_key: self.table.rate_of(*key),
+        doc=f"The {_name} rate, {_key} in `table`."))
+del _name, _key
 
 
 def _check_table(params, rate_table):

@@ -4,10 +4,10 @@ class, which together made up half of the package's import time.
 
 A record subclasses `Record`, names its `__init__` arguments in order in
 `_fields`, and writes its own `__init__`, which checks them and sets each
-field once with `set_field`. `_compare`, the fields of ==, != and hash,
-defaults to `_fields`, and `_shown`, the fields of repr, to `_compare`.
-What else an instance keeps, such as a cache, is neither compared nor
-shown, and `replace` does not carry it over."""
+field once with `set_field`. ==, != and hash take every field, and repr
+takes `_shown`, which defaults to `_fields`. What else an instance keeps,
+such as a cache, is neither compared nor shown, and `replace` does not
+carry it over."""
 
 from operator import attrgetter
 
@@ -27,10 +27,9 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._compare = cls.__dict__.get("_compare", cls._fields)
-        cls._shown = cls.__dict__.get("_shown", cls._compare)
-        key = attrgetter(*cls._compare)
-        if len(cls._compare) == 1:   # attrgetter of one name: no tuple
+        cls._shown = cls.__dict__.get("_shown", cls._fields)
+        key = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:   # attrgetter of one name: no tuple
             key = lambda record, one=key: (one(record),)
         cls._key = staticmethod(key)
 

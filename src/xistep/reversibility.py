@@ -179,9 +179,7 @@ def degenerate_params(a, theta=Fraction(1), u=Fraction(1)):
     a = Fraction(a)
     if a <= 0:
         raise ValueError("pair rate must be positive")
-    return ScalarParams(theta, Fraction(1, 2), u, u,
-                        a2=a, a21=a, a3=Fraction(0), a211=a,
-                        a22=Fraction(0), a31=Fraction(0), a4=Fraction(0))
+    return ScalarParams(theta, Fraction(1, 2), u, u, a2=a, a21=a, a211=a)
 
 
 def _reduced_denominator(a, theta, u):

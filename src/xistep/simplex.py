@@ -220,6 +220,10 @@ class RateTable(Record):
         set_field(self, "b_max", b_max)
         set_field(self, "rows", {} if rows is None else rows)
 
+    def __hash__(self):
+        # `rows` is a dict: equal tables hold the same items in any order
+        return hash((self.b_max, frozenset(self.rows.items())))
+
     def _covers(self, b):
         if b > self.b_max:
             raise ValueError(f"block count {b} exceeds table b_max={self.b_max}")

@@ -183,36 +183,44 @@ def _run_level(factors, base):
     return max(base.grid_level, *(g.level for g in factors))
 
 
-def _start(factors, base):
-    """The start of a float payload (`_FloatPayload`), for a tensor's
-    factors under the mutation base `base`: the run's level, the factors'
-    cells at it one block after another, the base's float integral of one
-    block and each block's integral once per cell, in one pass over the
-    factors that starts each distinct factor object once; nothing is kept
-    after the call. A rational factor is paired on integers
-    (`integral_ratio`) and rounded once, as `n / d`, which has the bits of
-    `float(Fraction(n, d))`; a float one takes `float_integrator`. Cells
-    are rounded to float once. That gives the bits of advancing a rational
-    start: `p * v` for a float p and a Fraction v is `p * float(v)`.
-    Payloads may share a start: advance and merge build new lists."""
+def _start(factors, base, exact=False):
+    """The start of a payload for a tensor's factors under the mutation
+    base `base`: the run's level, the factors' cells at it one block after
+    another, the base's integral of one block and each block's integral
+    once per cell (and, if `exact`, each block's denominator and the base
+    weights'; `_ExactPayload`), in one pass over the factors that starts
+    each distinct factor object once; nothing is kept after the call. A
+    float start rounds cells to float once; a rational factor's integral
+    is paired on integers (`integral_ratio`) and rounded once, as `n / d`,
+    which has the bits of `float(Fraction(n, d))`, and a float one's takes
+    `float_integrator`. That gives the bits of advancing a rational start:
+    `p * v` for a float p and a Fraction v is `p * float(v)`. Payloads may
+    share a start: advance and merge build new lists."""
     level = _run_level(factors, base)
-    width = 1 << level
-    cells, ints, done = [], [], {}
+    if exact:
+        weights, scale = base.exact_weights(level)
+        integral = functools.partial(weighted_sum, weights)
+    else:
+        integral = base.float_integrator(level)
+    cells, dens, ints, done = [], [], [], {}
     for g in factors:
         # a tensor may repeat one factor, as an indicator power does
         start = done.get(id(g))
         if start is None:
             coeffs = g._coeffs_at(level)
-            if any(type(c) is float for c in coeffs):
-                integral = base.float_integrator(level)(coeffs)
+            if exact:
+                cs, den = integer_numerators(coeffs)
+                start = cs, den, integral(cs)
+            elif any(type(c) is float for c in coeffs):
+                start = [float(c) for c in coeffs], None, integral(coeffs)
             else:
                 n, d = base.integral_ratio(level, coeffs)
-                integral = n / d
-            start = done[id(g)] = ([float(c) for c in coeffs],
-                                   [integral] * width)
+                start = [float(c) for c in coeffs], None, n / d
+            done[id(g)] = start
         cells += start[0]
-        ints += start[1]
-    return level, cells, base.float_integrator(level), ints
+        dens.append(start[1])
+        ints += [start[2]] * len(start[0])
+    return (level, cells, integral, ints) + ((dens, scale) if exact else ())
 
 
 class _Cells:
@@ -295,38 +303,22 @@ class _FloatPayload(_Cells):
 class _ExactPayload(_Cells):
     """The exact payload of `replay(exact=True)` and
     `dual_generator_value`: per block, integer numerators N_i over one
-    integer denominator D, read as the coefficients N_i / D. Start
-    coefficients (Fractions, ints or floats, which are dyadic rationals)
-    are converted exactly (`integer_numerators`) in one pass over the
-    factors that builds the cells, denominators and integrals and starts
-    each distinct factor object once; nothing is kept after the call. The
-    base integral is J / (D K), J the integer dot product
-    (`weighted_sum`) with the base's `exact_weights` over their
-    denominator K; `ints` holds J. A float decay factor is the dyadic
-    rational a / 2^k, and `pending` is (A, T), the product of the pending
-    holding times' a / 2^k, (1, 1) when none is. Fractions are built only
-    by `set_functions`."""
+    integer denominator D, read as the coefficients N_i / D. Its start
+    (`_start`) converts coefficients exactly (`integer_numerators`;
+    floats are dyadic rationals). The base integral is J / (D K), J the
+    integer dot product (`weighted_sum`) with the base's `exact_weights`
+    over their denominator K; `ints` holds J. A float decay factor is the
+    dyadic rational a / 2^k, and `pending` is (A, T), the product of the
+    pending holding times' a / 2^k, (1, 1) when none is. Fractions are
+    built only by `set_functions`."""
 
     __slots__ = ("scale", "dens")
     idle = (1, 1)
 
-    def __init__(self, factors, base, theta):
-        level = _run_level(factors, base)
-        width = 1 << level
-        self.level, self.width, self.theta = level, width, theta
-        weights, self.scale = base.exact_weights(level)
-        self.integral = functools.partial(weighted_sum, weights)
-        cells, dens, ints, done = [], [], [], {}
-        for g in factors:
-            start = done.get(id(g))
-            if start is None:
-                nums, den = integer_numerators(g._coeffs_at(level))
-                start = done[id(g)] = nums, den, [self.integral(nums)] * width
-            cells += start[0]
-            dens.append(start[1])
-            ints += start[2]
-        self.cells, self.dens, self.ints = cells, dens, ints
-        self.pending = self.idle
+    def __init__(self, start, theta):
+        (self.level, self.cells, self.integral, self.ints, self.dens,
+         self.scale) = start
+        self.width, self.theta, self.pending = 1 << self.level, theta, (1, 1)
 
     def advance(self, dt):
         """The mutation semigroup over dt, deferred: the decay factors of
@@ -678,8 +670,8 @@ def replay(f, eta, trajectory, params, exact=True):
     _check_arity(f, len(labels))
     skeleton, lp, clock, events = _decode(trajectory, labels)
     base, theta = params.mutation.base, params._tables[2]
-    payload = (_ExactPayload(f.factors, base, theta) if exact
-               else _FloatPayload(_start(f.factors, base), theta))
+    payload = (_ExactPayload if exact else _FloatPayload)(
+        _start(f.factors, base, exact), theta)
     advance, merge = payload.advance, payload.merge
     for step in skeleton:
         if type(step) is list:
@@ -888,9 +880,9 @@ def dual_generator_value(f, eta, mu, params):
     """Exact action of the dual generator on G_mu(f, eta): mutation term
     plus coalescence differences over colony partitions plus per-block
     migration differences. Each difference applies one event to a fresh
-    chain with a copy of one exact payload; the partitions' rates come from
-    `params.table`, where the singleton partition, which merges nothing,
-    has rate 0. A colony of more than `b_max` blocks is refused."""
+    chain and a fresh payload from one exact start; the partitions' rates
+    come from `params.table`, where the singleton partition, which merges
+    nothing, has rate 0. A colony of more than `b_max` blocks is refused."""
     base_state = initial_state(f, eta)
     lp = base_state.lp
     counts = [lp.labels.count(colony) for colony in (COLONY_1, COLONY_2)]
@@ -913,13 +905,11 @@ def dual_generator_value(f, eta, mu, params):
               for pi in enumerate_partitions(b)]
     events += [(params.u1 if label == COLONY_2 else params.u2, "migration",
                 label, pos) for pos, label in enumerate(lp.labels, start=1)]
-    # imported here: no other path needs it
-    import copy
-    # a merge builds new lists, so the copies never change `start`
-    start = _ExactPayload(f.factors, params.mutation.base, params._tables[2])
+    start = _start(f.factors, params.mutation.base, exact=True)
     for rate, kind, colony, detail in events:
         if rate:
-            chain = _Chain.of(base_state, copy.copy(start))
+            chain = _Chain.of(base_state,
+                              _ExactPayload(start, params._tables[2]))
             chain.apply(kind, colony, detail)
             total += rate * (evaluate_dual(chain.state(), mu) - g0)
     return total

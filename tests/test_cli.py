@@ -732,6 +732,28 @@ class TestErrors:
         assert status == 2
         assert "b_max" in capsys.readouterr().err
 
+    def test_unwritable_out_refused_before_the_command(self, tmp_path,
+                                                      capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("estimate_Qt ran")
+
+        monkeypatch.setattr(simulator, "estimate_Qt", never)
+        cfg = write_cfg(tmp_path, dict(KINGMAN_CFG, options={"t": "1/2"}))
+        (tmp_path / "file").write_text("")
+        # under a missing directory, a directory, under a file: each
+        # refused with the message `open` gives for the same path
+        for out in ("missing/dir/r.json", ".", "file/r.json"):
+            path = str(tmp_path / out)
+            with pytest.raises(OSError) as got:
+                open(path, "w")
+            assert main(["qt", "--config", cfg, "--out", path]) == 2
+            assert capsys.readouterr().err == f"error: --out: {got.value}\n"
+        # a failed command writes no report
+        out = tmp_path / "r.json"
+        assert main(["qt", "--config", write_cfg(tmp_path, KINGMAN_CFG),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_replicas_below_one(self, tmp_path, capsys):
         payload = dict(KINGMAN_CFG, options={"mode": "mc", "order": 1})
         zero = write_cfg(tmp_path, dict(payload, replicas=0), "zero.json")
@@ -879,6 +901,19 @@ class TestErrors:
         ("reversibility --out {tmp}/missing/out.json", {}, None,
          "error: --out: "),
         ("selftest --out {tmp}", {}, None, "error: --out: "),
+        # the integer flags take the numerals that config fields take
+        ("qt --seed 1_0", {"options": {"t": "1/2"}}, None,
+         "config error: --seed: must be an integer, got '1_0'"),
+        ("qt --replicas \u0661\u0660", {"options": {"t": "1/2"}}, None,
+         "config error: --replicas: must be an integer, got "
+         "'\u0661\u0660'"),
+        ("stationary --replicas \u0661\u0660 --seed \u0663",
+         {"options": {"mode": "mc", "order": 1}}, None,
+         "config error: --seed: must be an integer, got '\u0663'"),
+        ("stationary --replicas 2.5", {"options": {"mode": "mc", "order": 1}},
+         None, "config error: --replicas: must be an integer, got '2.5'"),
+        ("selftest --seed \u0663", {}, None,
+         "config error: --seed: must be an integer, got '\u0663'"),
     ]
 
     @pytest.mark.parametrize("command,change,env,needle", BAD_INPUT, ids=[

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
@@ -18,7 +19,7 @@ from xistep.moments import _generator_row
 from xistep.partitions import iter_profiles, profile_multiplicity
 from xistep.records import replace
 from xistep.reversibility import degenerate_params
-from xistep.simplex import CollisionProfile
+from xistep.simplex import NAMED_RATES, CollisionProfile
 
 from conftest import ATOM_HALF_QUARTER, KINGMAN, SWEEP, kingman_scalar, \
     rand_consistent_params, seeded
@@ -266,11 +267,56 @@ class TestScalarParamsTable:
             ScalarParams.from_rate_table(RateTable(5, rows), F(1), F(1, 2),
                                          F(1), F(1))
 
-    def test_table_does_not_enter_equality(self):
+    def test_table_enters_equality(self):
+        # two measures with the same rates up to 4 blocks: the named
+        # rates agree, the order-6 moments do not, and neither do the
+        # params
+        xi_a = XiMeasure(atoms=(SimplexAtom((F(1, 4),), F(1, 2)),
+                                SimplexAtom((F(3, 4),), F(1, 2))))
+        xi_b = XiMeasure(F(1, 5), (SimplexAtom((F(5, 8),), F(4, 5)),))
+        pa, pb = (ScalarParams.from_rate_table(build_rate_table(xi, 6), F(1),
+                                               F(1, 2), F(1), F(2))
+                  for xi in (xi_a, xi_b))
+        assert all(getattr(pa, name) == getattr(pb, name)
+                   for name in NAMED_RATES)
+        assert solve_stationary(6, pa)[(6, 0)] == F(
+            1300317217037969989586851, 8775257719502322160692944)
+        assert solve_stationary(6, pb)[(6, 0)] == F(
+            88614039404853356400993835, 597872731133135280770367056)
+        assert pa != pb and not pa == pb
+        # a 4-block table refuses order 5, a 6-block one solves it
         small = kingman_scalar()
         big = ScalarParams.from_rate_table(build_rate_table(KINGMAN, 6),
                                            F(1), F(1, 2), F(1), F(1))
-        assert small == big and hash(small) == hash(big)
+        assert small != big
+        assert solve_stationary(5, big)
+        with pytest.raises(ValueError, match="b_max=4"):
+            solve_stationary(5, small)
+        # equal tables, built apart or with their rows in another order,
+        # give equal params with equal hashes
+        table = build_rate_table(KINGMAN, 6)
+        shuffled = RateTable(6, dict(reversed(table.rows.items())))
+        assert list(shuffled.rows) != list(table.rows)
+        for other in (build_rate_table(KINGMAN, 6), shuffled):
+            q = ScalarParams.from_rate_table(other, F(1), F(1, 2), F(1),
+                                             F(1))
+            assert q == big and hash(q) == hash(big)
+        assert kingman_scalar() == small and \
+            hash(kingman_scalar()) == hash(small)
+
+    def test_named_rates_are_read_from_the_table(self):
+        table = build_rate_table(ATOM_HALF_QUARTER, 6)
+        made = [rand_consistent_params(seeded(n)) for n in range(20)]
+        made += [ScalarParams.from_rate_table(table, F(1), F(1, 3), F(1),
+                                              F(2)),
+                 degenerate_params(F(3))]
+        made += [replace(p, u1=F(5)) for p in made]
+        made += [pickle.loads(pickle.dumps(p)) for p in made]
+        for p in made:
+            solve_stationary(2, p)          # fills the row cache
+            assert not set(NAMED_RATES) & set(vars(p))
+            for name, key in NAMED_RATES.items():
+                assert getattr(p, name) == p.table.rate_of(*key)
 
     def test_other_rate_table_refused(self):
         p = kingman_scalar()

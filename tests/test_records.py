@@ -2,11 +2,12 @@
 
 Each twin below repeats a record's declaration as it stood when the
 records were dataclasses: its fields in order, their defaults, and which
-fields `__init__`, ==, hash and repr take. The records are now plain
-classes (`xistep.records`); on sample instances they must compare, hash,
-print, pickle, copy and refuse assignment as their twins do, keep their
-constructor signatures, and `replace` must check its result again and
-start it with empty caches."""
+fields `__init__`, ==, hash and repr take. Two have changed since:
+`ScalarParams` compares its table, and `RateTable` hashes its rows. The
+records are now plain classes (`xistep.records`); on sample instances
+they must compare, hash, print, pickle, copy and refuse assignment as
+their twins do, keep their constructor signatures, and `replace` must
+check its result again and start it with empty caches."""
 
 import copy
 import dataclasses
@@ -59,7 +60,8 @@ class ScalarParams:
     a22: Fraction = None
     a31: Fraction = None
     a4: Fraction = None
-    table: object = field(default=None, compare=False, repr=False)
+    # the table enters ==, so params whose moments differ are unequal
+    table: object = field(default=None, repr=False)
     _rows: dict = field(init=False, default=None, compare=False, repr=False)
 
 
@@ -165,6 +167,10 @@ class CollisionProfile:
 class RateTable:
     b_max: int
     rows: dict = field(default_factory=dict)
+
+    def __hash__(self):
+        # equal tables, their rows in any order, hash alike
+        return hash((self.b_max, frozenset(self.rows.items())))
 
 
 @dataclass(frozen=True)

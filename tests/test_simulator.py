@@ -827,7 +827,7 @@ class TestDeferredFlow:
             "float": lambda: _counting(simulator._FloatPayload)(
                 simulator._start(f.factors, base), theta),
             "exact": lambda: _counting(simulator._ExactPayload)(
-                f.factors, base, theta)}
+                simulator._start(f.factors, base, exact=True), theta)}
         for kind, make in payloads.items():
             flows = 0
             for stop in TestFrozenLoop.STOPS:
@@ -993,8 +993,10 @@ class TestPayloadStream:
             for rep in range(6):
                 chains, runs = [], []
                 for payload in (_float_payload(state0, params),
-                                simulator._ExactPayload(f.factors, base,
-                                                        theta),
+                                simulator._ExactPayload(
+                                    simulator._start(f.factors, base,
+                                                     exact=True),
+                                    theta),
                                 simulator._Skeleton()):
                     rng = replica_rng(23, rep)
                     chain = simulator._Chain.of(state0, payload)
@@ -1728,8 +1730,9 @@ class TestFlatPayload:
 def _replayed_payload(f, eta, traj, params):
     """The exact payload of `replay(f, eta, traj, params)`, driven by the
     same chain operations."""
-    payload = simulator._ExactPayload(f.factors, params.mutation.base,
-                                      params._tables[2])
+    payload = simulator._ExactPayload(
+        simulator._start(f.factors, params.mutation.base, exact=True),
+        params._tables[2])
     chain = simulator._Chain(singleton_partition(len(eta)), eta, payload)
     for ev in traj.events:
         chain.advance(ev.dt)
