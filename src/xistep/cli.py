@@ -167,8 +167,8 @@ def cmd_stationary(cfg, args):
     report["command"] = "stationary"
     if mode == "exact":
         if args.replicas is not None:
-            raise ConfigError("replicas", "--replicas sets the Monte Carlo "
-                              "replica count; exact mode draws none")
+            raise ConfigError("--replicas", "sets the Monte Carlo replica "
+                              "count; exact mode draws none")
         order = _order(cfg, 2)
         moments = solve_stationary(order, cfg.scalar_params(order))
         report["moments"] = {f"{n},{m}": format_rational(v)

@@ -212,10 +212,15 @@ def _generator_row(idx, params):
 
     The row is built on integers over S (`ScalarParams._row_scale`):
     every term is an int product, and dividing S and the terms by their
-    gcd leaves the lcm form. The terms come in the order diagonal,
-    mutation, colony-1 drops, colony-2 drops, migration; colliding
-    monomials are merged and zero terms dropped, as `MomentPolynomial.add`
-    does."""
+    gcd leaves the lcm form. It is stored part by part: the diagonal,
+    negative as theta > 0; the mutation couplings, present when alpha > 0;
+    each colony's drop couplings, where a one-block drop adds onto the
+    mutation's monomial, the only key two parts share; and the migration
+    couplings m*u1 and n*u2, present when that rate is positive. Every
+    coupling is a sum of positive terms (u >= 0 and
+    `RateTable.check_nonnegative`), so no coefficient cancels to 0, and
+    the diagonal exceeds the migration couplings by at least
+    theta*(n + m)/2, the dominance `solve_tridiagonal` relies on."""
     row = params._rows.get(idx)
     if row is not None:
         return row
@@ -226,32 +231,24 @@ def _generator_row(idx, params):
     drops_n, total_n = table.drop_numerators(n)
     drops_m, total_m = table.drop_numerators(m)
     terms = {}
-
-    def add(jdx, c):
-        c += terms.get(jdx, 0)
-        if c:
-            terms[jdx] = c
-        else:
-            terms.pop(jdx, None)
-
     if n or m:
-        add((n, m), -(half_theta * (n + m) + (total_n + total_m) * per_rate
-                      + m * u1 + n * u2))
+        terms[n, m] = -(half_theta * (n + m) + (total_n + total_m) * per_rate
+                        + m * u1 + n * u2)
     # mutation: each variable independently at rate theta/2
-    if n:
-        add((n - 1, m), half_mutation * n)
-    if m:
-        add((n, m - 1), half_mutation * m)
+    if half_mutation and n:
+        terms[n - 1, m] = half_mutation * n
+    if half_mutation and m:
+        terms[n, m - 1] = half_mutation * m
     # coalescence within each colony
     for drop, rate in drops_n:
-        add((n - drop, m), rate * per_rate)
+        terms[n - drop, m] = terms.get((n - drop, m), 0) + rate * per_rate
     for drop, rate in drops_m:
-        add((n, m - drop), rate * per_rate)
+        terms[n, m - drop] = terms.get((n, m - drop), 0) + rate * per_rate
     # migration, per block
-    if m:
-        add((n + 1, m - 1), m * u1)
-    if n:
-        add((n - 1, m + 1), n * u2)
+    if u1 and m:
+        terms[n + 1, m - 1] = m * u1
+    if u2 and n:
+        terms[n - 1, m + 1] = n * u2
     g = math.gcd(scale, *terms.values())
     if g > 1:
         scale //= g

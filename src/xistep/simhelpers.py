@@ -35,14 +35,14 @@ def random_xi(rng, max_atoms=2, allow_empty=False):
     return XiMeasure(mass, tuple(atoms))
 
 
-def random_scalar_params(rng, symmetric=False):
+def random_scalar_params(rng):
     """Consistent-by-construction moment parameters: rates are read off a
     random simplex measure's table."""
     table = build_rate_table(random_xi(rng), 4)
     theta = Fraction(rng.randint(1, 5), rng.randint(1, 3))
     alpha = Fraction(rng.randint(1, 7), 8)
     u1 = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-    u2 = u1 if symmetric else Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    u2 = Fraction(rng.randint(1, 5), rng.randint(1, 3))
     return ScalarParams.from_rate_table(table, theta, alpha, u1, u2)
 
 

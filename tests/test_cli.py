@@ -809,7 +809,8 @@ class TestErrors:
         ("hausdorff --replicas 5", {}, None, "--replicas"),
         ("reversibility --replicas 5", {}, None, "--replicas"),
         ("selftest --replicas 5", {}, None, "--replicas"),
-        ("stationary --replicas 5", {}, None, "replicas: --replicas"),
+        ("stationary --replicas 5", {}, None,
+         "config error: --replicas: sets the Monte Carlo replica count"),
         # the consistency check needs a 4-block table
         ("rates", {"b_max": 3}, None, "b_max: "),
         # theta below 0 fails where the config is parsed, theta = 0 where

@@ -1,7 +1,7 @@
 import itertools
 import math
 import pickle
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,7 +16,8 @@ from xistep import (HausdorffReport, MomentPolynomial, RateTable,
 from xistep import moments
 from xistep.linalg import solve_exact, solve_tridiagonal
 from xistep.moments import _generator_row
-from xistep.partitions import iter_profiles, profile_multiplicity
+from xistep.partitions import (enumerate_partitions, iter_profiles,
+                               profile_multiplicity, profile_of)
 from xistep.records import replace
 from xistep.reversibility import degenerate_params
 from xistep.simplex import NAMED_RATES, CollisionProfile
@@ -185,6 +186,40 @@ class TestIntegerRows:
         table = build_rate_table(SWEEP, 20)
         self.assert_rows_match_oracle(ScalarParams.from_rate_table(
             table, theta, alpha, u1, u2))
+
+
+class TestRowShape:
+    """Every cached row up to order 12 has the shape that
+    `solve_tridiagonal`'s dominance argument reads: no stored 0, positive
+    couplings, the migrations m*u1 and n*u2 as the only couplings inside
+    the order, and a diagonal that exceeds them by at least
+    theta*(n + m)/2, all over the row's scale s."""
+
+    @staticmethod
+    def assert_row_shape(p):
+        for k in range(min(12, p.table.b_max) + 1):
+            for n, m in order_indices(k):
+                s, terms = _generator_row((n, m), p)
+                assert 0 not in terms.values(), (n, m)
+                diag = terms.get((n, m), 0)
+                off = {jdx: c for jdx, c in terms.items() if jdx != (n, m)}
+                assert all(c > 0 for c in off.values()), (n, m)
+                migrations = {(n + 1, m - 1): m * p.u1 * s,
+                              (n - 1, m + 1): n * p.u2 * s}
+                assert {jdx: c for jdx, c in off.items() if sum(jdx) == k} \
+                    == {jdx: c for jdx, c in migrations.items() if c}, (n, m)
+                assert -diag - m * p.u1 * s - n * p.u2 * s >= \
+                    s * p.theta * (n + m) / 2, (n, m)
+
+    @given(random_table_params())
+    @settings(max_examples=30, deadline=None)
+    def test_random_tables(self, p):
+        self.assert_row_shape(p)
+
+    def test_sweep_grid(self):
+        table = build_rate_table(SWEEP, 12)
+        for point in SWEEP_GRID:
+            self.assert_row_shape(ScalarParams.from_rate_table(table, *point))
 
 
 class TestScalarParamsTable:
@@ -879,6 +914,148 @@ class TestIntegerEngine:
         table = build_rate_table(xi, 8)
         self.assert_fraction_path(8, ScalarParams.from_rate_table(
             table, theta, alpha, u1, u2))
+
+
+def xi_event_law(pi, k):
+    """The law of a colony's count of type-E particles after the
+    partition pi of its particles 1..N strikes, particles 1..k being of
+    type E: each merged group takes the type of a uniform member."""
+    law = {0: F(1)}
+    for block in pi:
+        size, hits = len(block), sum(x <= k for x in block)
+        step = {size: F(hits, size), 0: F(size - hits, size)}
+        after = defaultdict(F)
+        for count, p in law.items():
+            for add, q in step.items():
+                after[count + add] += p * q
+        law = after
+    return law
+
+
+def forward_moments(N, order, table, theta, alpha, u1, u2):
+    """M_N(n, m) = E[(k1)_n (k2)_m] / ((N)_n (N)_m) for n, m <= N and
+    n + m <= order, under the exact stationary law of the counts (k1, k2)
+    of type-E particles in a population of N particles per colony:
+    - Xi-events: in each colony, every partition of the N particles
+      strikes at its per-partition rate from `table.rows[N]`
+      (`xi_event_law`). Their rates sum over all partitions, so one
+      placement of the k type-E particles gives the count's law;
+    - mutation: each particle redraws its type at rate theta/2, landing
+      in E with probability alpha;
+    - migration: each colony-2 particle copies a uniform colony-1
+      particle at rate u1, and each colony-1 particle copies a uniform
+      colony-2 particle at rate u2."""
+    partitions = [pi for pi in enumerate_partitions(N) if len(pi) < N]
+    colony = {}      # count k -> {count after a Xi-event: rate}
+    for k in range(N + 1):
+        rates = defaultdict(F)
+        for pi in partitions:
+            rate = table.rate_of(*profile_of(pi))
+            for after, p in xi_event_law(pi, k).items():
+                if after != k:
+                    rates[after] += rate * p
+        colony[k] = rates
+    states = list(itertools.product(range(N + 1), repeat=2))
+    flows = {state: defaultdict(F) for state in states}
+    for k1, k2 in states:
+        out = flows[k1, k2]
+        for after, rate in colony[k1].items():
+            out[after, k2] += rate
+        for after, rate in colony[k2].items():
+            out[k1, after] += rate
+        out[k1 + 1, k2] += (N - k1) * theta / 2 * alpha
+        out[k1 - 1, k2] += k1 * theta / 2 * (1 - alpha)
+        out[k1, k2 + 1] += (N - k2) * theta / 2 * alpha
+        out[k1, k2 - 1] += k2 * theta / 2 * (1 - alpha)
+        out[k1, k2 + 1] += (N - k2) * u1 * F(k1, N)
+        out[k1, k2 - 1] += k2 * u1 * F(N - k1, N)
+        out[k1 + 1, k2] += (N - k1) * u2 * F(k2, N)
+        out[k1 - 1, k2] += k1 * u2 * F(N - k2, N)
+    # pi Q = 0, the last balance equation replaced by sum(pi) = 1
+    matrix = [[flows[i].get(j, 0) if i != j else -sum(flows[i].values())
+               for i in states] for j in states[:-1]]
+    matrix.append([1] * len(states))
+    law, _ = solve_exact(matrix, [0] * (len(states) - 1) + [1])
+    return {(n, m): sum(p * math.perm(k1, n) * math.perm(k2, m)
+                        for (k1, k2), p in zip(states, law))
+            / (math.perm(N, n) * math.perm(N, m))
+            for k in range(order + 1) for n, m in order_indices(k)
+            if n <= N and m <= N}
+
+
+def finite_row_moments(N, order, params):
+    """M_N(n, m) for n, m <= N from `_generator_row`'s rows with each
+    migration coupling split by whether the migrant lands on a sampled
+    lineage: m*u1*(N - n)/N to (n + 1, m - 1) and m*u1*n/N to (n, m - 1),
+    n*u2*(N - m)/N to (n - 1, m + 1) and n*u2*m/N to (n - 1, m). Solved
+    order by order with `solve_exact`."""
+    values = {(0, 0): F(1)}
+    for k in range(1, order + 1):
+        unknowns = [(n, m) for n, m in order_indices(k) if n <= N and m <= N]
+        matrix, rhs = [], []
+        for n, m in unknowns:
+            scale, ints = _generator_row((n, m), params)
+            row = defaultdict(F)
+            for jdx, c in ints.items():
+                c = F(c, scale)
+                if jdx == (n + 1, m - 1):
+                    row[jdx] += c * F(N - n, N)
+                    row[n, m - 1] += c * F(n, N)
+                elif jdx == (n - 1, m + 1):
+                    row[jdx] += c * F(N - m, N)
+                    row[n - 1, m] += c * F(m, N)
+                else:
+                    row[jdx] += c
+            matrix.append([row.get(idx, 0) for idx in unknowns])
+            rhs.append(-sum(c * values[jdx] for jdx, c in row.items()
+                            if sum(jdx) < k))
+        solution, _ = solve_exact(matrix, rhs)
+        values.update(zip(unknowns, solution))
+    return values
+
+
+class TestForwardDuality:
+    """The moment rows checked from the population side, not through the
+    dual: the exact stationary law of a population of N particles per
+    colony (`forward_moments`) against `_generator_row`'s rows with each
+    migration coupling split at finite N (`finite_row_moments`), at every
+    index with n, m <= N up to order min(2N, 8)."""
+
+    THETA, ALPHA, U1, U2 = F(1), F(1, 3), F(1), F(2)
+    MODELS = {"kingman": KINGMAN,
+              "mc_stationary": XiMeasure(F(1, 2), ATOM_HALF_QUARTER.atoms),
+              "atom_third": XiMeasure(atoms=(SimplexAtom((F(1, 3),), F(2)),))}
+
+    def both_sides(self, N, model, swapped=False):
+        table = build_rate_table(self.MODELS[model], 8)
+        order = min(2 * N, 8)
+        u1, u2 = (self.U2, self.U1) if swapped else (self.U1, self.U2)
+        forward = forward_moments(N, order, table, self.THETA, self.ALPHA,
+                                  u1, u2)
+        params = ScalarParams.from_rate_table(table, self.THETA, self.ALPHA,
+                                              self.U1, self.U2)
+        return forward, params, order
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_forward_law_solves_the_split_rows(self, N, model):
+        forward, params, order = self.both_sides(N, model)
+        rows = finite_row_moments(N, order, params)
+        assert rows == forward
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_planted_faults_mismatch(self, model):
+        """Rows left unsplit (today's rows, N = infinity), and u1 and u2
+        swapped in the forward chain: each differs from the forward law at
+        more than half the indices. N = 4, as the swap can hide at smaller
+        N: where u1 + u2 = N*a2 (Kingman 1 at N = 3, the mc_stationary Xi
+        at N = 2) a migrant pair coalesces at the within-colony rate, and
+        there the forward law comes out symmetric in the colonies."""
+        forward, params, order = self.both_sides(4, model)
+        swapped, _, _ = self.both_sides(4, model, swapped=True)
+        for faulty in (solve_stationary(order, params), swapped):
+            assert 2 * sum(faulty[idx] != v
+                           for idx, v in forward.items()) > len(forward)
 
 
 def stencil_hausdorff(psi):
